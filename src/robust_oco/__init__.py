@@ -17,7 +17,6 @@ from .losses import (
     eta,
     eval_f,
     eval_g,
-    eval_reference_losses,
     grad_f,
     grad_g,
     minimizer_f,
@@ -46,7 +45,6 @@ from .stream import (
 from .harness import (
     EpisodeTrace,
     RegretCurve,
-    RoundRecord,
     RunConfig,
     aggregate_runs,
     check_regret_bound,

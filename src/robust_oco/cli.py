@@ -6,11 +6,14 @@ Subcommands:
     verify       numerical verification suite + theorem-bound check
     dump-stream  per-round stream dump (JSONL) + final actions per learner
 
-Config files are INI ("flat key-value text with dotted sections"); CLI flags
-override file values and the effective configuration is echoed into the run
-manifest, which is itself a loadable config file. The env var ROBUST_OCO_SEED
-rebases the default seed list (explicit seeds win). Exit codes: 0 success,
-1 runtime failure or verification violation, 2 usage/config error.
+Config files are INI ("flat key-value text with dotted sections"). Every
+key is one row of KEYS, which also gives its CLI flag; a section or key that
+KEYS does not know is a usage error. Values layer preset < file < flag, and
+the effective configuration is echoed into the run manifest, which is itself
+a loadable config file. The env var ROBUST_OCO_SEED rebases the default seed
+list (explicit seeds win). Exit codes: 0 success, 1 runtime failure (a run
+whose loss became non-finite included) or verification violation, 2
+usage/config error.
 """
 
 from __future__ import annotations
@@ -18,17 +21,17 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from dataclasses import replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import harness, oracle
 from . import stream as st
-from .harness import EXPERTS, LEARN, OGD, TOPK, UTOPK, ExpertsSettings, RunConfig, preset_config, run_cell
-from .losses import LearnParams, RoundLoss
+from .harness import LEARN, OGD, TOPK, UTOPK, RunConfig, preset_config, run_cell
 
 SWEEP_LEARNERS = (OGD, LEARN, TOPK, UTOPK)
 
@@ -41,9 +44,69 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _parse_seeds(text: str) -> list:
-    parts = text.replace(",", " ").split()
-    return [int(p) for p in parts]
+def _num(v: float) -> str:
+    return repr(float(v))  # the shortest text that parses back to the same float
+
+
+def _seeds(text: str) -> list:
+    return [int(p) for p in text.replace(",", " ").split()]
+
+
+def _alpha(text: str):
+    text = text.strip()
+    return text if text in ("default", harness.THEORETICAL) else float(text)
+
+
+class Key(NamedTuple):
+    """One configuration key: its INI section and name, the RunConfig attribute
+    it sets (dotted; None for the keys load_config reads itself), the CLI flag
+    that overrides it, how its text parses and how its value prints (None:
+    never written to a manifest)."""
+
+    section: str
+    name: str
+    attr: str | None
+    flag: str | None = None
+    parse: Callable = float
+    show: Callable | None = _num
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+KEYS = (
+    Key("run", "preset", None, parse=str, show=str),  # --preset is load_config's `preset` argument
+    Key("run", "t", "T", "--T", int, str),
+    Key("run", "seeds", "seeds", "--seeds", _seeds, lambda v: " ".join(map(str, v)),
+        "space/comma separated seed list"),
+    Key("run", "learner", "learner", "--learner", str, str, "|".join(harness.LEARNERS)),
+    Key("run", "k", "k", "--k", int, str),
+    Key("run", "alpha", "alpha", "--alpha", _alpha, lambda v: v if isinstance(v, str) else _num(v),
+        "step size: number, 'default' (1/sqrt(T)) or 'theoretical'"),
+    Key("run", "radius", "radius", "--radius", help="domain radius, 'inf' for unbounded"),
+    # scale sets the preset T when t is unset; the manifest records that t instead
+    Key("run", "scale", None, "--scale", show=None, help="multiply preset T (k-grid recomputed)"),
+    Key("run", "topk_budget", "topk_budget", "--topk-budget", int, str),
+    Key("loss", "family", "loss.family", parse=str, show=str),
+    Key("loss", "lam", "loss.lam", "--lam"),
+    Key("learn", "a", "params.a", "--a"),
+    Key("learn", "b", "params.b", "--b"),
+    Key("stream", "dim", "generator.dim", parse=int, show=str),
+    Key("stream", "feature_std", "generator.feature_std"),
+    Key("stream", "noise_std", "generator.noise_std"),
+    Key("stream", "mislabel_prob", "generator.mislabel_prob"),
+    Key("stream", "margin_band", "generator.margin_band"),
+    Key("experts", "a_max", "experts.a_max"),
+    Key("experts", "epsilon", "experts.epsilon"),
+    Key("experts", "beta", "experts.beta"),
+    Key("bounds", "g", "G"),
+    Key("bounds", "l", "L"),
+    Key("bounds", "b", "B"),
+)
+KEY = {(key.section, key.name): key for key in KEYS}
+CELL_FLAGS = ("--learner", "--k", "--topk-budget")   # run and dump-stream only; sweep sets the cell
 
 
 def _default_seeds(n: int) -> list:
@@ -52,141 +115,101 @@ def _default_seeds(n: int) -> list:
     return list(range(start, start + n))
 
 
-def load_config(path: str | None, preset: str | None, overrides: dict) -> RunConfig:
-    """Build the effective RunConfig: preset defaults < config file < CLI flags."""
-    cp = configparser.ConfigParser()
-    if path is not None:
-        if not os.path.exists(path):
-            raise UsageError(f"config file not found: {path}")
-        cp.read(path)
-
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
-    preset = overrides.get("preset") or preset or get("run", "preset")
-    if preset is None:
-        raise UsageError("no preset given (use --preset ridge|svm or set run.preset)")
-    if preset not in ("ridge", "svm"):
-        raise UsageError(f"unknown preset {preset!r}")
-
-    scale = float(overrides.get("scale") or get("run", "scale", "1.0"))
-    base = preset_config(preset)
-    T = overrides.get("T") or get("run", "t")
-    T = int(T) if T is not None else max(1, int(round(base.T * scale)))
-
-    seeds_text = overrides.get("seeds") or get("run", "seeds")
-    if seeds_text is not None:
-        seeds = _parse_seeds(seeds_text) if isinstance(seeds_text, str) else list(seeds_text)
-    else:
-        seeds = _default_seeds(len(base.seeds))
-
-    lam = float(overrides.get("lam") or get("loss", "lam", base.loss.lam))
-    family = get("loss", "family", base.loss.family)
-    a = float(overrides.get("a") or get("learn", "a", base.params.a))
-    b = float(overrides.get("b") or get("learn", "b", base.params.b))
-
-    gen = base.generator
-    gen = replace(
-        gen,
-        dim=int(get("stream", "dim", gen.dim)),
-        feature_std=float(get("stream", "feature_std", gen.feature_std)),
-        noise_std=float(get("stream", "noise_std", gen.noise_std)),
-        mislabel_prob=float(get("stream", "mislabel_prob", gen.mislabel_prob)),
-        margin_band=float(get("stream", "margin_band", gen.margin_band)),
-    )
-
-    radius_text = overrides.get("radius") or get("run", "radius", "inf")
-    radius = math.inf if str(radius_text).strip() in ("inf", "unbounded") else float(radius_text)
-
-    alpha_text = overrides.get("alpha") or get("run", "alpha", "default")
-    alpha_text = str(alpha_text).strip()
-    step_mode, alpha = harness.FIXED, None
-    if alpha_text == "theoretical":
-        step_mode = harness.THEORETICAL
-    elif alpha_text not in ("default", ""):
-        alpha = float(alpha_text)
-
-    experts = ExpertsSettings(
-        a_max=float(get("experts", "a_max")) if get("experts", "a_max") else None,
-        epsilon=float(get("experts", "epsilon", "1.0")),
-        c=float(get("experts", "c", "1.0")),
-        beta=float(get("experts", "beta")) if get("experts", "beta") else None,
-    )
-
-    def opt_float(section, key, override_key):
-        v = overrides.get(override_key) or get(section, key)
-        return float(v) if v is not None else None
-
-    learner = overrides.get("learner") or get("run", "learner", LEARN)
-    k_text = overrides.get("k") or get("run", "k", "0")
-    topk_budget = overrides.get("topk_budget") or get("run", "topk_budget")
-
-    try:
-        return RunConfig(
-            T=T,
-            loss=RoundLoss(family=family, lam=lam),
-            params=LearnParams(a=a, b=b),
-            generator=gen,
-            learner=learner,
-            k=int(k_text),
-            seeds=seeds,
-            operator=get("corruption", "operator"),
-            radius=radius,
-            alpha=alpha,
-            step_mode=step_mode,
-            topk_budget=int(topk_budget) if topk_budget is not None else None,
-            experts=experts,
-            G=opt_float("bounds", "g", "G"),
-            L=opt_float("bounds", "l", "L"),
-            B=opt_float("bounds", "b", "B"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _preset_name(config: RunConfig) -> str:
     return "ridge" if config.generator.kind == st.RIDGE_MODEL else "svm"
 
 
+def _values(config: RunConfig) -> dict:
+    """Every key's value in `config` (None: unset); the inverse of _build."""
+    values = {key: attrgetter(key.attr)(config) for key in KEYS if key.attr}
+    values[KEY["run", "preset"]] = _preset_name(config)
+    values[KEY["run", "alpha"]] = (harness.THEORETICAL if config.step_mode == harness.THEORETICAL
+                                   else "default" if config.alpha is None else config.alpha)
+    return values
+
+
+def _build(base: RunConfig, values: dict) -> RunConfig:
+    """`base` with every key's attribute set from `values`, validated once."""
+    top, parts = {}, {}
+    for key, value in values.items():
+        if key.attr:
+            head, _, attr = key.attr.partition(".")
+            if attr:
+                parts.setdefault(head, {})[attr] = value
+            else:
+                top[head] = value
+    alpha = top["alpha"]
+    top["alpha"] = None if isinstance(alpha, str) else alpha
+    top["step_mode"] = harness.THEORETICAL if alpha == harness.THEORETICAL else harness.FIXED
+    for head, attrs in parts.items():
+        top[head] = replace(getattr(base, head), **attrs)
+    return replace(base, **top)
+
+
+def _read_file(path: str | None) -> dict:
+    """The keys a config file sets, parsed. [result*] sections are skipped."""
+    if path is None:
+        return {}
+    if not os.path.exists(path):
+        raise UsageError(f"config file not found: {path}")
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    values = {}
+    for section in cp.sections():
+        if section.startswith("result"):
+            continue
+        if not any(key.section == section for key in KEYS):
+            raise UsageError(f"{path}: unknown config section [{section}]")
+        for name, text in cp.items(section):
+            key = KEY.get((section, name))
+            if key is None:
+                raise UsageError(f"{path}: unknown config key {name!r} in [{section}]")
+            try:
+                values[key] = key.parse(text)
+            except ValueError as exc:
+                raise UsageError(f"{path}: [{section}] {name} = {text!r}: {exc}") from exc
+    return values
+
+
+def load_config(path: str | None, preset: str | None, overrides: dict) -> RunConfig:
+    """Build the effective RunConfig: preset defaults < config file < CLI flags.
+
+    `overrides` maps a flag's dest to its parsed value; None means not given.
+    """
+    given = _read_file(path)
+    given.update({key: overrides[key.dest] for key in KEYS
+                  if key.flag and overrides.get(key.dest) is not None})
+    if preset is None:
+        preset = given.get(KEY["run", "preset"])
+    if preset is None:
+        raise UsageError("no preset given (use --preset ridge|svm or set [run] preset)")
+    scale = given.get(KEY["run", "scale"], 1.0)
+    if not scale > 0:
+        raise UsageError(f"scale must be positive, got {scale!r}")
+    try:
+        base = preset_config(preset)
+        values = _values(base)
+        values[KEY["run", "t"]] = max(1, int(round(base.T * scale)))
+        values[KEY["run", "seeds"]] = _default_seeds(len(base.seeds))
+        values.update(given)
+        return _build(base, values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
+    """The effective configuration, one section per table section, then the results."""
     cp = configparser.ConfigParser()
-    cp["run"] = {
-        "preset": _preset_name(config),
-        "t": str(config.T),
-        "seeds": " ".join(str(s) for s in config.seeds),
-        "learner": config.learner,
-        "k": str(config.k),
-        "alpha": ("theoretical" if config.step_mode == harness.THEORETICAL
-                  else "default" if config.alpha is None else _fmt(config.alpha)),
-        "radius": "inf" if config.radius == math.inf else _fmt(config.radius),
-        "scale": "1.0",
-    }
-    if config.topk_budget is not None:
-        cp["run"]["topk_budget"] = str(config.topk_budget)
-    cp["loss"] = {"family": config.loss.family, "lam": _fmt(config.loss.lam)}
-    cp["learn"] = {"a": _fmt(config.params.a), "b": _fmt(config.params.b)}
-    gen = config.generator
-    cp["stream"] = {
-        "dim": str(gen.dim),
-        "feature_std": _fmt(gen.feature_std),
-        "noise_std": _fmt(gen.noise_std),
-        "mislabel_prob": _fmt(gen.mislabel_prob),
-        "margin_band": _fmt(gen.margin_band),
-    }
-    cp["corruption"] = {"operator": config.operator}
-    cp["experts"] = {"epsilon": _fmt(config.experts.epsilon), "c": _fmt(config.experts.c)}
-    if config.experts.a_max is not None:
-        cp["experts"]["a_max"] = _fmt(config.experts.a_max)
-    if config.experts.beta is not None:
-        cp["experts"]["beta"] = _fmt(config.experts.beta)
-    bounds = {}
-    for key, val in (("g", config.G), ("l", config.L), ("b", config.B)):
-        if val is not None:
-            bounds[key] = _fmt(val)
-    if bounds:
-        cp["bounds"] = bounds
+    values = _values(config)
+    for key in KEYS:
+        value = values.get(key)
+        if value is not None and key.show is not None:
+            if not cp.has_section(key.section):
+                cp.add_section(key.section)
+            cp.set(key.section, key.name, key.show(value))
     for seed, curve in zip(config.seeds, result.curves):
         cp[f"result.seed.{seed}"] = {
             "final_regret": _fmt(curve.final),
@@ -261,16 +284,7 @@ def cmd_dump_stream(args) -> int:
     config = load_config(args.config, args.preset, _overrides(args))
     os.makedirs(args.out, exist_ok=True)
     seed = config.seeds[0]
-    rngs = st.stream_rngs(seed)
-    gen = st.resolve_theta_star(config.generator, rngs)
-    X, y_clean = st.gen_clean_block(gen, rngs, config.T)
-    plan = st.CorruptionPlan(
-        k=config.k,
-        outlier_rounds=st.sample_outlier_rounds(config.T, config.k, rngs.outliers),
-        operator=config.operator,
-    )
-    y_emitted = st.apply_corruption_block(plan, y_clean, rngs.corruption)
-    mask = st.outlier_mask(plan, config.T)
+    gen, X, y_clean, y_emitted, mask = st.episode_stream(config.generator, config.T, config.k, seed)
 
     rounds = np.arange(config.T)
     if args.subsample is not None and args.subsample < config.T:
@@ -303,14 +317,9 @@ def cmd_dump_stream(args) -> int:
 
 
 def _overrides(args) -> dict:
-    keys = ("T", "k", "seeds", "learner", "alpha", "a", "b", "lam", "radius",
-            "scale", "topk_budget", "G", "L", "B", "preset")
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+    """The given flags of the key table, by dest."""
+    return {key.dest: getattr(args, key.dest) for key in KEYS
+            if key.flag and getattr(args, key.dest, None) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,18 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=("ridge", "svm"))
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--T", type=int)
-        p.add_argument("--seeds", help="space/comma separated seed list")
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--lam", type=float)
-        p.add_argument("--alpha", help="step size: number, 'default' (1/sqrt(T)) or 'theoretical'")
-        p.add_argument("--radius", help="domain radius, 'inf' for unbounded")
-        p.add_argument("--scale", type=float, help="multiply preset T (k-grid recomputed)")
-        if with_cell:
-            p.add_argument("--learner", choices=(OGD, LEARN, TOPK, UTOPK, EXPERTS))
-            p.add_argument("--k", type=int)
-            p.add_argument("--topk-budget", dest="topk_budget", type=int)
+        for key in KEYS:
+            if key.flag and (with_cell or key.flag not in CELL_FLAGS):
+                p.add_argument(key.flag, dest=key.dest, type=key.parse,
+                               help=key.help or f"overrides [{key.section}] {key.name}")
 
     p_run = sub.add_parser("run", help="run one (learner, k) cell")
     add_common(p_run)

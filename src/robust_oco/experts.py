@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learners import LearnerState
 from .losses import LearnParams, RoundLoss, SideInfo, eta, eval_f_many, grad_f_many
 
 
@@ -82,15 +81,6 @@ class ExpertPool:
     step_sizes: np.ndarray   # (N,)
     radii: np.ndarray        # (N,)
     log_weights: np.ndarray  # (N,)
-
-    @property
-    def states(self):
-        """Per-expert LearnerState snapshots (copies; mutating them does not affect the pool)."""
-        return [
-            LearnerState(theta=self.thetas[i].copy(), step_size=float(self.step_sizes[i]),
-                         radius=float(self.radii[i]))
-            for i in range(self.grid.n)
-        ]
 
 
 def init_pool(grid: ExpertGrid, dim: int, beta: float) -> ExpertPool:

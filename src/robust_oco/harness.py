@@ -42,12 +42,11 @@ THEORETICAL = "theoretical"
 
 @dataclass
 class ExpertsSettings:
-    """Algorithm-2 knobs. a_max defaults to max(c * sqrt(T), 2); beta to the
+    """Algorithm-2 knobs. a_max defaults to max(sqrt(T), 2); beta to the
     sqrt(8 log N / (T nu^2)) choice."""
 
     a_max: float | None = None
     epsilon: float = 1.0
-    c: float = 1.0
     beta: float | None = None
 
 
@@ -62,7 +61,6 @@ class RunConfig:
     learner: str
     k: int
     seeds: list
-    operator: str | None = None          # default: the operator matching the generator kind
     radius: float = math.inf
     alpha: float | None = None           # fixed step size; None = 1/sqrt(T)
     step_mode: str = FIXED
@@ -81,11 +79,8 @@ class RunConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         if not (0 <= self.k <= self.T):
             raise ValueError("need 0 <= k <= T")
-        if self.operator is None:
-            self.operator = st.OPERATOR_FOR_KIND[self.generator.kind]
-        elif self.operator != st.OPERATOR_FOR_KIND[self.generator.kind]:
-            raise ValueError(
-                f"corruption operator {self.operator!r} does not match generator kind {self.generator.kind!r}")
+        if self.loss.lam <= 0:
+            raise ValueError("lam must be positive: it is the strong convexity modulus m of the bound constants")
         if self.step_mode not in (FIXED, THEORETICAL):
             raise ValueError(f"unknown step mode {self.step_mode!r}")
         if self.step_mode == THEORETICAL:
@@ -104,49 +99,22 @@ class RunConfig:
     def resolve_a_max(self) -> float:
         if self.experts.a_max is not None:
             return self.experts.a_max
-        return max(self.experts.c * math.sqrt(self.T), 2.0)
+        return max(math.sqrt(self.T), 2.0)
 
 
 @dataclass
-class RoundRecord:
-    """Materialized view of one traced round."""
+class EpisodeTrace:
+    """Columnar per-round trace: row t-1 of each array belongs to round t."""
 
-    t: int
-    is_outlier: bool
-    theta_t: np.ndarray
-    f_emitted: float
+    is_outlier: np.ndarray
+    theta: np.ndarray
+    f_emitted: np.ndarray
     comparator_clean: np.ndarray
     comparator_emitted: np.ndarray
-    f_at_comparator: float
-
-
-class EpisodeTrace:
-    """Columnar per-round trace; indexing materializes RoundRecord views."""
-
-    def __init__(self, is_outlier, theta, f_emitted, comparator_clean, comparator_emitted,
-                 f_at_comparator):
-        self.is_outlier = is_outlier
-        self.theta = theta
-        self.f_emitted = f_emitted
-        self.comparator_clean = comparator_clean
-        self.comparator_emitted = comparator_emitted
-        self.f_at_comparator = f_at_comparator
+    f_at_comparator: np.ndarray
 
     def __len__(self):
         return len(self.f_emitted)
-
-    def __getitem__(self, i: int) -> RoundRecord:
-        if not (0 <= i < len(self)):
-            raise IndexError(i)
-        return RoundRecord(
-            t=i + 1,
-            is_outlier=bool(self.is_outlier[i]),
-            theta_t=self.theta[i],
-            f_emitted=float(self.f_emitted[i]),
-            comparator_clean=self.comparator_clean[i],
-            comparator_emitted=self.comparator_emitted[i],
-            f_at_comparator=float(self.f_at_comparator[i]),
-        )
 
 
 @dataclass
@@ -201,9 +169,7 @@ class _ExpertsRunner:
         grid = build_grid(config.resolve_a_max(), config.experts.epsilon, config.T)
         beta = config.experts.beta
         if beta is None:
-            # nu depends only on (a, b); m is a dummy here
-            nu = derive_constants(config.params, G=0.0, L=0.0, m=1.0).nu
-            beta = beta_default(grid.n, config.T, nu)
+            beta = beta_default(grid.n, config.T, config.params.nu)
         self.pool: ExpertPool = init_pool(grid, dim, beta)
         self.params = config.params
 
@@ -238,18 +204,10 @@ def run_episode(config: RunConfig, seed: int) -> EpisodeTrace:
 
 def run_episode_with_runner(config: RunConfig, seed: int):
     """run_episode, additionally returning the learner runner (its final state,
-    or the expert pool for the experts learner)."""
+    or the expert pool for the experts learner). Raises RuntimeError naming the
+    seed and the first round whose loss is not finite (a diverged run)."""
     T = config.T
-    rngs = st.stream_rngs(seed)
-    gen = st.resolve_theta_star(config.generator, rngs)
-    X, y_clean = st.gen_clean_block(gen, rngs, T)
-    plan = st.CorruptionPlan(
-        k=config.k,
-        outlier_rounds=st.sample_outlier_rounds(T, config.k, rngs.outliers),
-        operator=config.operator,
-    )
-    y_emitted = st.apply_corruption_block(plan, y_clean, rngs.corruption)
-    is_outlier = st.outlier_mask(plan, T)
+    gen, X, y_clean, y_emitted, is_outlier = st.episode_stream(config.generator, T, config.k, seed)
 
     comp_clean = minimizer_rows(config.loss, X, y_clean)
     comp_emitted = minimizer_rows(config.loss, X, y_emitted)
@@ -273,6 +231,10 @@ def run_episode_with_runner(config: RunConfig, seed: int):
             runner.observe(s, config.loss)
         except Exception as exc:
             raise RuntimeError(f"round {t + 1}: {exc}") from exc
+    diverged = ~np.isfinite(f_emitted)
+    if diverged.any():
+        raise RuntimeError(f"seed {seed}: non-finite loss at round {int(diverged.argmax()) + 1} of {T}; "
+                           "the run diverged")
 
     f_at_comparator = eval_f_rows(config.loss, X, y_emitted, comp_clean)
     trace = EpisodeTrace(
@@ -412,7 +374,6 @@ def preset_config(family: str, T: int | None = None, seeds: list | None = None, 
             loss=RoundLoss(family="ridge", lam=1e-4),
             params=LearnParams(a=10.0, b=10.0),
             generator=st.ridge_generator(dim=100),
-            operator=st.UNIFORM_RESPONSE,
         )
     elif family == "svm":
         T = 10 ** 4 if T is None else T
@@ -421,7 +382,6 @@ def preset_config(family: str, T: int | None = None, seeds: list | None = None, 
             loss=RoundLoss(family="hinge_svm", lam=1e-4),
             params=LearnParams(a=1e4, b=10.0),
             generator=st.svm_generator(dim=2),
-            operator=st.LABEL_FLIP,
         )
     else:
         raise ValueError(f"unknown preset {family!r}")

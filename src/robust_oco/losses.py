@@ -29,9 +29,6 @@ RIDGE = "ridge"
 HINGE_SVM = "hinge_svm"
 FAMILIES = (RIDGE, HINGE_SVM)
 
-TUKEY = "tukey"
-WELSCH = "welsch"
-
 
 @dataclass
 class SideInfo:
@@ -46,9 +43,11 @@ class SideInfo:
 
 @dataclass
 class RoundLoss:
-    """A parametric per-round loss family with regularization weight lam > 0.
+    """A parametric per-round loss family with regularization weight lam >= 0.
 
-    lam is also the strong-convexity modulus m of the loss.
+    lam is also the strong-convexity modulus m of the loss. A run needs
+    lam > 0 (RunConfig enforces it); lam = 0 is allowed for degenerate,
+    merely convex instances in unit tests.
     """
 
     family: str
@@ -71,6 +70,11 @@ class LearnParams:
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise ValueError("a and b must be positive")
+
+    @property
+    def nu(self) -> float:
+        """nu = (1/b) max(a, 1/a), the bound on eta(f) * f; depends on (a, b) only."""
+        return (1.0 / self.b) * max(self.a, 1.0 / self.a)
 
 
 @dataclass
@@ -199,30 +203,11 @@ def derive_constants(params: LearnParams, G: float, L: float, m: float, B: float
     psi = G + max(m * L / (2.0 * a * b), 4.0 * a * a * L / (m * m * b))
     phi = (1.0 / b) * max(m / (2.0 * a), 4.0 * a * a / (m * m))
     kappa = (1.0 / b) * max(m / (2.0 * a), 2.0 * a / m)
-    nu = (1.0 / b) * max(a, 1.0 / a)
     try:
         xi = 1.0 + b * math.exp(B / a)
     except OverflowError:
         xi = math.inf
-    return ProblemConstants(G=G, L=L, m=m, B=B, psi=psi, phi=phi, kappa=kappa, nu=nu, xi=xi)
-
-
-def eval_reference_losses(kind: str, r: float, c: float) -> float:
-    """Classical redescending reference losses for comparison plots.
-
-    tukey:  (c^2/6)(1 - [1 - (r/c)^2]^3) for |r| <= c, else c^2/6
-    welsch: 1 - exp(-(r/c)^2 / 2)
-    """
-    if c <= 0:
-        raise ValueError("scale c must be positive")
-    if kind == TUKEY:
-        if abs(r) <= c:
-            u = (r / c) ** 2
-            return (c * c / 6.0) * (1.0 - (1.0 - u) ** 3)
-        return c * c / 6.0
-    if kind == WELSCH:
-        return 1.0 - math.exp(-0.5 * (r / c) ** 2)
-    raise ValueError(f"unknown reference loss {kind!r}")
+    return ProblemConstants(G=G, L=L, m=m, B=B, psi=psi, phi=phi, kappa=kappa, nu=params.nu, xi=xi)
 
 
 # ---------------------------------------------------------------------------

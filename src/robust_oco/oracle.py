@@ -141,7 +141,7 @@ def check_eta_grad_bound(params: LearnParams, constants: ProblemConstants, loss:
 def check_eta_f_bound(params: LearnParams, samples: int) -> CheckReport:
     """eta(f) * f <= nu on a log grid of losses spanning [0, 1e12]."""
     f = np.concatenate([[0.0], np.logspace(-9, 12, samples - 1)])
-    nu = (1.0 / params.b) * max(params.a, 1.0 / params.a)
+    nu = params.nu
     lhs = eta(params, f) * f
     scale = np.maximum(1.0, np.maximum(lhs, nu))
     return _report(f"eta_f_bound[a={params.a:g},b={params.b:g}]", (nu - lhs) / scale)

@@ -191,6 +191,21 @@ def apply_corruption_block(plan: CorruptionPlan, y_clean: np.ndarray, rng: np.ra
     return y
 
 
+def episode_stream(generator: CleanGenerator, T: int, k: int, seed: int):
+    """Draw one seeded episode's stream, corrupted by the generator kind's operator.
+
+    Returns (generator with theta_star resolved, X, y_clean, y_emitted,
+    outlier mask), X of shape (T, d).
+    """
+    rngs = stream_rngs(seed)
+    gen = resolve_theta_star(generator, rngs)
+    X, y_clean = gen_clean_block(gen, rngs, T)
+    plan = CorruptionPlan(k=k, outlier_rounds=sample_outlier_rounds(T, k, rngs.outliers),
+                          operator=OPERATOR_FOR_KIND[gen.kind])
+    y_emitted = apply_corruption_block(plan, y_clean, rngs.corruption)
+    return gen, X, y_clean, y_emitted, outlier_mask(plan, T)
+
+
 def floor_power(T: int, num: int, den: int) -> int:
     """Exact floor(T^(num/den)) for the symbolic corruption grids."""
     if T < 0:

@@ -1,11 +1,18 @@
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
-from robust_oco import cli
+import pytest
+
+import robust_oco
+from robust_oco import cli, harness
 from robust_oco import stream as st
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(args, env_extra=None):
@@ -181,15 +188,110 @@ def test_explicit_seeds_beat_env(tmp_path):
     assert man["run"]["seeds"] == "7"
 
 
-def test_config_file_with_overrides(tmp_path):
+BASE_FILE = {("run", "preset"): "svm", ("run", "t"): "40", ("run", "seeds"): "1 2",
+             ("run", "learner"): "topk", ("run", "k"): "4"}
+PRESET = harness.preset_config("svm")
+
+# (flag argv, file keys added to BASE_FILE (None drops one), what the key sets,
+#  its value from the flag, its value from the file)
+FLAG_CASES = {
+    "T": (["--T", "30"], {("run", "t"): "50"}, lambda c: c.T, 30, 50),
+    "seeds": (["--seeds", "3,4"], {("run", "seeds"): "5 6 7"}, lambda c: c.seeds, [3, 4], [5, 6, 7]),
+    "learner": (["--learner", "ogd"], {("run", "learner"): "utopk"}, lambda c: c.learner, "ogd", "utopk"),
+    "k0": (["--k", "0"], {("run", "k"): "20"}, lambda c: c.k, 0, 20),
+    "alpha": (["--alpha", "0.05"], {("run", "alpha"): "0.2"}, lambda c: c.alpha, 0.05, 0.2),
+    "alpha-theoretical": (
+        ["--alpha", "theoretical", "--radius", "2"],
+        {("run", "alpha"): "0.2", ("bounds", "g"): "1", ("bounds", "l"): "3"},
+        lambda c: (c.step_mode, c.alpha, c.radius),
+        (harness.THEORETICAL, None, 2.0), (harness.FIXED, 0.2, math.inf)),
+    "radius": (["--radius", "3"], {("run", "radius"): "5.5"}, lambda c: c.radius, 3.0, 5.5),
+    "scale": (["--scale", "0.004"], {("run", "t"): None, ("run", "scale"): "0.006"},
+              lambda c: c.T, 40, 60),
+    "topk-budget0": (["--topk-budget", "0"], {("run", "topk_budget"): "3"},
+                     lambda c: c.topk_budget, 0, 3),
+    "lam": (["--lam", "0.01"], {("loss", "lam"): "0.5"}, lambda c: c.loss.lam, 0.01, 0.5),
+    "a": (["--a", "500"], {("learn", "a"): "20"}, lambda c: c.params.a, 500.0, 20.0),
+    "b": (["--b", "2"], {("learn", "b"): "3"}, lambda c: c.params.b, 2.0, 3.0),
+}
+
+
+def write_ini(path, keys):
+    sections = {}
+    for (section, name), text in keys.items():
+        if text is not None:
+            sections.setdefault(section, {})[name] = text
+    cp = configparser.ConfigParser()
+    cp.read_dict(sections)
+    with open(path, "w") as fh:
+        cp.write(fh)
+
+
+def config_of(argv):
+    """The config `robust-oco` builds for argv, by the benchmark's set-up path."""
+    args = cli.build_parser().parse_args(argv)
+    return cli.load_config(args.config, args.preset, cli._overrides(args))
+
+
+def test_flag_table_covers_every_run_flag():
+    flags = {key.flag for key in cli.KEYS if key.flag}
+    cases = {case[0][0] for case in FLAG_CASES.values()}
+    assert cases == flags
+
+
+@pytest.mark.parametrize("case", FLAG_CASES)
+def test_config_file_with_overrides(tmp_path, case):
+    flag_argv, file_keys, get, flag_value, file_value = FLAG_CASES[case]
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(
-        "[run]\npreset = svm\nt = 40\nseeds = 1 2\nlearner = learn\nk = 4\n"
-        "[learn]\na = 500\nb = 2\n")
-    out = tmp_path / "out"
-    rc = cli.main(["run", "--config", str(cfg), "--k", "6", "--out", str(out)])
-    assert rc == 0
-    man = configparser.ConfigParser()
-    man.read(out / "manifest_learn_k6.ini")
-    assert man["run"]["k"] == "6"       # flag beats file
-    assert man["learn"]["a"] == "500"   # file beats preset
+    write_ini(cfg, {**BASE_FILE, **file_keys})
+    assert get(PRESET) != file_value != flag_value
+    assert get(config_of(["run", "--config", str(cfg)])) == file_value  # file beats preset
+    config = config_of(["run", "--config", str(cfg), *flag_argv])
+    assert get(config) == flag_value                                  # flag beats file
+
+    out1, out2 = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["run", "--config", str(cfg), *flag_argv, "--out", str(out1)]) == 0
+    stem = f"{config.learner}_k{config.k}"
+    manifest = out1 / f"manifest_{stem}.ini"
+    assert config_of(["run", "--config", str(manifest)]) == config
+    assert cli.main(["run", "--config", str(manifest), "--out", str(out2)]) == 0
+    assert (out1 / f"regret_{stem}.csv").read_bytes() == (out2 / f"regret_{stem}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    pytest.param("[corruption]\noperator = label_flip\n", [], "[corruption]", id="unknown-section"),
+    pytest.param("[experts]\nc = 1\n", [], "'c' in [experts]", id="unknown-key"),
+    pytest.param("", ["--lam", "0"], "lam must be positive", id="lam-zero"),
+    pytest.param("[loss]\nlam = -1\n", [], "lam must be", id="lam-negative"),
+])
+def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[run]\npreset = svm\nt = 20\nseeds = 1\n" + text)
+    assert cli.main(["run", "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_run_fails_without_output(tmp_path, capsys):
+    rc = cli.main(["run", "--preset", "ridge", "--T", "2000", "--seeds", "1", "--learner", "ogd",
+                   "--alpha", "1", "--k", "0", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "seed 1" in err and "non-finite loss at round" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_contract(tmp_path, monkeypatch):
+    """What the benchmark under bench/ calls in the package resolves, and every
+    workload's set-up (parse the CLI, then load_config) succeeds."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    for module, attr, _, _ in tracing.WRAPS:
+        assert callable(getattr(getattr(robust_oco, module), attr)), (module, attr)
+    for wl in workloads.WORKLOADS.values():
+        argv = wl.argv(str(tmp_path), 1)
+        if argv[0] in ("run", "sweep"):
+            config_of(argv)

@@ -170,12 +170,3 @@ def test_pool_determinism(rng=None):
     t1, w1 = run()
     t2, w2 = run()
     assert np.array_equal(t1, t2) and np.array_equal(w1, w2)
-
-
-def test_pool_states_snapshot():
-    grid = build_grid(4.0, 1.0, 4)
-    pool = init_pool(grid, 2, 0.5)
-    states = pool.states
-    assert len(states) == grid.n
-    states[0].theta[:] = 99.0  # snapshots are copies
-    assert np.all(pool.thetas[0] == 0.0)

@@ -119,13 +119,10 @@ def test_episode_records_and_comparators():
     cfg = preset_config("ridge", T=50, seeds=[2], learner=harness.OGD, k=20)
     trace = run_episode(cfg, 2)
     assert len(trace) == 50
-    rec = trace[0]
-    assert rec.t == 1 and rec.f_emitted >= 0.0
+    assert trace.f_emitted.min() >= 0.0
     clean = ~trace.is_outlier
     np.testing.assert_array_equal(trace.comparator_clean[clean], trace.comparator_emitted[clean])
     assert trace.is_outlier.sum() == 20
-    with pytest.raises(IndexError):
-        trace[50]
 
 
 def test_clean_regret_terms_nonnegative():
@@ -181,10 +178,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[])
-    with pytest.raises(ValueError):  # operator/kind mismatch is a config error
-        RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
-                  generator=gen, learner=harness.OGD, k=0, seeds=[1],
-                  operator=st.UNIFORM_RESPONSE)
+    with pytest.raises(ValueError):  # the bound constants need m = lam > 0
+        RunConfig(T=5, loss=RoundLoss("hinge_svm", 0.0), params=LearnParams(1, 1),
+                  generator=gen, learner=harness.OGD, k=0, seeds=[1])
     with pytest.raises(ValueError):  # theoretical mode needs finite radius + G, L
         RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1],

@@ -16,7 +16,6 @@ from robust_oco.losses import (
     eval_f_many,
     eval_f_rows,
     eval_g,
-    eval_reference_losses,
     grad_f,
     grad_f_many,
     grad_g,
@@ -292,26 +291,6 @@ def test_derive_constants_errors():
         derive_constants(LearnParams(1, 1), G=0, L=0, m=0.0)
     with pytest.raises(ValueError):
         derive_constants(LearnParams(1, 1), G=-1, L=0, m=1.0)
-
-
-# --- reference losses -------------------------------------------------------
-
-def test_reference_losses():
-    assert eval_reference_losses("tukey", 0.0, 4.0) == 0.0
-    assert eval_reference_losses("tukey", 4.0, 4.0) == pytest.approx(16.0 / 6.0)
-    assert eval_reference_losses("tukey", 9.0, 4.0) == pytest.approx(16.0 / 6.0)
-    assert eval_reference_losses("welsch", 2.0, 2.0) == pytest.approx(0.3934693402873666, rel=1e-12)
-    with pytest.raises(ValueError):
-        eval_reference_losses("tukey", 1.0, 0.0)
-    with pytest.raises(ValueError):
-        eval_reference_losses("huber", 1.0, 1.0)
-
-
-def test_tukey_boundary_continuity():
-    # continuous at |r| = c
-    inside = eval_reference_losses("tukey", 3.0 - 1e-9, 3.0)
-    outside = eval_reference_losses("tukey", 3.0 + 1e-9, 3.0)
-    assert inside == pytest.approx(outside, abs=1e-8)
 
 
 # --- vectorized companions --------------------------------------------------
