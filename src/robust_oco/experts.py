@@ -2,6 +2,13 @@
 over a (step size, radius) grid, combined by exponential weights whose decay
 is itself gated by the smallest eta across the pool.
 
+Experts with one step size share a state until their projections first
+differ: every radius above the largest norm a trajectory reaches leaves that
+expert a copy of the unbounded one. The pool therefore stores one row per
+group of identical experts with its count, and splits a group only when an
+iterate's norm crosses a member's radius. The grid size N, and with it the
+weight rate beta, stays that of the logical grid.
+
 Weights are kept in the log domain: over 1e4+ rounds the raw weights decay
 exponentially and would underflow.
 """
@@ -70,43 +77,63 @@ def beta_default(N: int, T: int, nu: float) -> float:
 
 @dataclass
 class ExpertPool:
-    """Expert states stored columnwise: row tau of thetas is expert tau's action.
+    """Expert states stored by rows, one row per group of identical experts.
+
+    Row r is the action thetas[r] of counts[r] experts with step size
+    step_sizes[r]. The first len(members) rows are the shared rows, one per
+    step size: radius inf, so never projected, and members[i] holds the radii
+    (ascending) of the experts whose iterate has so far equalled that
+    unprojected iterate. The round the shared row's norm first exceeds a
+    member's radius, the member splits off as a row of its own (count 1, its
+    own radius, the shared row's log-weight). A shared row left with no members
+    is dropped. next_radius[i] is members[i][0], so a round without a split
+    costs one comparison.
 
     log_weights start at 0 (all weights 1) and only decrease.
     """
 
     grid: ExpertGrid
     beta: float
-    thetas: np.ndarray       # (N, d)
-    step_sizes: np.ndarray   # (N,)
-    radii: np.ndarray        # (N,)
-    log_weights: np.ndarray  # (N,)
+    thetas: np.ndarray       # (R, d)
+    step_sizes: np.ndarray   # (R,)
+    radii: np.ndarray        # (R,) inf on a shared row
+    log_weights: np.ndarray  # (R,)
+    counts: np.ndarray       # (R,) experts per row
+    members: list            # per shared row, its members' radii ascending
+    next_radius: np.ndarray  # (len(members),) smallest member radius of each shared row
 
 
 def init_pool(grid: ExpertGrid, dim: int, beta: float) -> ExpertPool:
-    """Fresh pool with every expert starting at the origin and unit weights."""
+    """Fresh pool: one shared row per step size at the origin, unit weights."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     if grid.n == 0:
         raise ValueError("grid has no entries")
-    step_sizes = np.array([e[0] for e in grid.entries])
-    radii = np.array([e[1] for e in grid.entries])
+    groups: dict = {}
+    for alpha, D in grid.entries:
+        groups.setdefault(alpha, []).append(D)
+    members = [np.sort(np.array(radii, dtype=float)) for radii in groups.values()]
+    n = len(members)
     return ExpertPool(
         grid=grid,
         beta=beta,
-        thetas=np.zeros((grid.n, dim)),
-        step_sizes=step_sizes,
-        radii=radii,
-        log_weights=np.zeros(grid.n),
+        thetas=np.zeros((n, dim)),
+        step_sizes=np.array(list(groups), dtype=float),
+        radii=np.full(n, math.inf),
+        log_weights=np.zeros(n),
+        counts=np.array([m.size for m in members]),
+        members=members,
+        next_radius=np.array([m[0] for m in members]),
     )
 
 
 def aggregate_action(pool: ExpertPool) -> np.ndarray:
-    """Weight-normalized convex combination of expert actions (log-sum-exp normalized)."""
+    """Weight-normalized convex combination of expert actions (log-sum-exp
+    normalized), each row weighted by its count."""
     lw = pool.log_weights
     if lw.size == 0:
         raise ValueError("empty pool")
-    w = np.exp(lw - lw.max())
+    w = pool.counts * np.exp(lw - lw.max())
     w /= w.sum()
     return w @ pool.thetas
 
@@ -129,4 +156,34 @@ def pool_step(pool: ExpertPool, s: SideInfo, loss: RoundLoss, params: LearnParam
 
     eta_min = float(etas.min())
     pool.log_weights -= pool.beta * eta_min * f_vals
+    shared_norms = norms[:len(pool.members)]
+    if np.any(shared_norms > pool.next_radius):
+        _split(pool, shared_norms)
     return pool
+
+
+def _split(pool: ExpertPool, shared_norms: np.ndarray):
+    """Give every member whose radius is below its shared row's new norm a row
+    of its own, projected onto its ball exactly as pool_step projects a row."""
+    rows, radii = [], []
+    for i in np.flatnonzero(shared_norms > pool.next_radius):
+        n = int(np.searchsorted(pool.members[i], shared_norms[i]))   # radii < norm
+        rows.append(np.full(n, i))
+        radii.append(pool.members[i][:n])
+        pool.members[i] = pool.members[i][n:]
+        pool.counts[i] -= n
+        pool.next_radius[i] = pool.members[i][0] if pool.members[i].size else math.inf
+    rows, radii = np.concatenate(rows), np.concatenate(radii)
+    scale = radii / np.maximum(shared_norms[rows], 1e-300)
+    pool.thetas = np.vstack([pool.thetas, pool.thetas[rows] * scale[:, None]])
+    pool.step_sizes = np.concatenate([pool.step_sizes, pool.step_sizes[rows]])
+    pool.radii = np.concatenate([pool.radii, radii])
+    pool.log_weights = np.concatenate([pool.log_weights, pool.log_weights[rows]])
+    pool.counts = np.concatenate([pool.counts, np.ones(rows.size, dtype=pool.counts.dtype)])
+
+    empty = [i for i, m in enumerate(pool.members) if m.size == 0]
+    if empty:
+        for name in ("thetas", "step_sizes", "radii", "log_weights", "counts"):
+            setattr(pool, name, np.delete(getattr(pool, name), empty, axis=0))
+        pool.members = [m for m in pool.members if m.size]
+        pool.next_radius = np.delete(pool.next_radius, empty)

@@ -153,11 +153,11 @@ class _SingleRunner:
     def theta(self) -> np.ndarray:
         return self.state.theta
 
-    def observe(self, s: SideInfo, loss: RoundLoss):
+    def observe(self, s: SideInfo, loss: RoundLoss, f_val: float):
         if self.kind == OGD:
             ogd_step(self.state, s, loss)
         elif self.kind == LEARN:
-            learn_step(self.state, s, loss, self.params)
+            learn_step(self.state, s, loss, self.params, f_val)
         else:
             topk_filter_step(self.state, s, loss, self.budget)
 
@@ -177,7 +177,7 @@ class _ExpertsRunner:
     def theta(self) -> np.ndarray:
         return aggregate_action(self.pool)
 
-    def observe(self, s: SideInfo, loss: RoundLoss):
+    def observe(self, s: SideInfo, loss: RoundLoss, f_val: float):
         pool_step(self.pool, s, loss, self.params)
 
 
@@ -205,7 +205,8 @@ def run_episode(config: RunConfig, seed: int) -> EpisodeTrace:
 def run_episode_with_runner(config: RunConfig, seed: int):
     """run_episode, additionally returning the learner runner (its final state,
     or the expert pool for the experts learner). Raises RuntimeError naming the
-    seed and the first round whose loss is not finite (a diverged run)."""
+    seed and the first round whose loss is not finite (a diverged run), before
+    that round's step."""
     T = config.T
     gen, X, y_clean, y_emitted, is_outlier = st.episode_stream(config.generator, T, config.k, seed)
 
@@ -227,14 +228,16 @@ def run_episode_with_runner(config: RunConfig, seed: int):
         s = SideInfo(x=X[t], y=float(y_emitted[t]))
         try:
             theta[t] = runner.theta
-            f_emitted[t] = eval_f(config.loss, s, theta[t])
-            runner.observe(s, config.loss)
+            f_val = eval_f(config.loss, s, theta[t])
         except Exception as exc:
             raise RuntimeError(f"round {t + 1}: {exc}") from exc
-    diverged = ~np.isfinite(f_emitted)
-    if diverged.any():
-        raise RuntimeError(f"seed {seed}: non-finite loss at round {int(diverged.argmax()) + 1} of {T}; "
-                           "the run diverged")
+        if not math.isfinite(f_val):
+            raise RuntimeError(f"seed {seed}: non-finite loss at round {t + 1} of {T}; the run diverged")
+        f_emitted[t] = f_val
+        try:
+            runner.observe(s, config.loss, f_val)
+        except Exception as exc:
+            raise RuntimeError(f"round {t + 1}: {exc}") from exc
 
     f_at_comparator = eval_f_rows(config.loss, X, y_emitted, comp_clean)
     trace = EpisodeTrace(

@@ -60,9 +60,13 @@ def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:
     return state
 
 
-def learn_step(state: LearnerState, s: SideInfo, loss: RoundLoss, params: LearnParams) -> LearnerState:
-    """Projected gradient step on the transformed loss (gated gradient eta * grad_f)."""
-    g = grad_g(params, loss, s, state.theta)
+def learn_step(state: LearnerState, s: SideInfo, loss: RoundLoss, params: LearnParams,
+               f_val: float | None = None) -> LearnerState:
+    """Projected gradient step on the transformed loss (gated gradient eta * grad_f).
+
+    f_val, when given, is the loss at state.theta, already evaluated by the caller.
+    """
+    g = grad_g(params, loss, s, state.theta, f_val)
     state.theta = project_ball(state.theta - state.step_size * g, state.radius)
     return state
 

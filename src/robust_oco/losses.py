@@ -187,9 +187,11 @@ def eval_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray)
     return -a * math.log(b) - a * math.log1p(math.exp(-f / a) / b)
 
 
-def grad_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> np.ndarray:
-    """Gradient of the robust transform: eta(f) * grad_f."""
-    f = eval_f(loss, s, theta)
+def grad_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray,
+           f_val: float | None = None) -> np.ndarray:
+    """Gradient of the robust transform: eta(f) * grad_f. f_val, when given, is
+    eval_f(loss, s, theta), already evaluated by the caller."""
+    f = eval_f(loss, s, theta) if f_val is None else f_val
     return eta(params, f) * grad_f(loss, s, theta)
 
 

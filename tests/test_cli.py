@@ -283,14 +283,25 @@ def test_divergent_run_fails_without_output(tmp_path, capsys):
 
 
 def test_benchmark_contract(tmp_path, monkeypatch):
-    """What the benchmark under bench/ calls in the package resolves, and every
+    """What the benchmark under bench/ calls in the package resolves, the
+    attributes its tracer reads (`--trace 1`) exist as arrays, and every
     workload's set-up (parse the CLI, then load_config) succeeds."""
     monkeypatch.syspath_prepend(str(BENCH))
+    import numpy as np
     import tracing
     import workloads
 
     for module, attr, _, _ in tracing.WRAPS:
         assert callable(getattr(getattr(robust_oco, module), attr)), (module, attr)
+    config = harness.preset_config("svm", T=40, seeds=[1], learner=harness.EXPERTS, k=6)
+    trace, runner = harness.run_episode_with_runner(config, 1)
+    for obj, attrs in ((runner.pool, ("thetas", "step_sizes", "radii", "log_weights")),
+                       (trace, ("is_outlier", "theta", "f_emitted", "comparator_clean",
+                                "comparator_emitted", "f_at_comparator"))):
+        for attr in attrs:
+            assert isinstance(getattr(obj, attr), np.ndarray), (type(obj).__name__, attr)
+    assert tracing._pool_bytes(None, runner.pool) > 0
+    assert tracing._trace_bytes(None, trace) > 0
     for wl in workloads.WORKLOADS.values():
         argv = wl.argv(str(tmp_path), 1)
         if argv[0] in ("run", "sweep"):

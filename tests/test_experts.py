@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from robust_oco import harness
 from robust_oco.experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
 from robust_oco.learners import LearnerState, learn_step
-from robust_oco.losses import LearnParams, RIDGE, RoundLoss, SideInfo, derive_constants
+from robust_oco.losses import (
+    LearnParams,
+    RIDGE,
+    RoundLoss,
+    SideInfo,
+    derive_constants,
+    eta,
+    eval_f_many,
+    grad_f_many,
+)
 
 
 def v(*args):
@@ -13,6 +23,57 @@ def v(*args):
 
 
 RIDGE0 = RoundLoss(family=RIDGE, lam=0.0)
+
+
+# --- reference: the uncompressed pool, one row per logical expert ------------
+
+class RefPool:
+    """Every expert of the grid as its own row, in grid order."""
+
+    def __init__(self, grid, dim, beta):
+        self.grid, self.beta = grid, beta
+        self.thetas = np.zeros((grid.n, dim))
+        self.step_sizes = np.array([a for a, _ in grid.entries])
+        self.radii = np.array([d for _, d in grid.entries])
+        self.log_weights = np.zeros(grid.n)
+
+
+def ref_aggregate_action(pool):
+    w = np.exp(pool.log_weights - pool.log_weights.max())
+    w /= w.sum()
+    return w @ pool.thetas
+
+
+def ref_pool_step(pool, s, loss, params):
+    f_vals = eval_f_many(loss, s, pool.thetas)
+    etas = eta(params, f_vals)
+    grads = grad_f_many(loss, s, pool.thetas)
+    pool.thetas -= (pool.step_sizes * etas)[:, None] * grads
+    norms = np.sqrt(np.einsum("ij,ij->i", pool.thetas, pool.thetas))
+    scale = np.where(norms > pool.radii, pool.radii / np.maximum(norms, 1e-300), 1.0)
+    pool.thetas *= scale[:, None]
+    pool.log_weights -= pool.beta * float(etas.min()) * f_vals
+    return pool
+
+
+def expand(pool):
+    """Each grid entry's action and log-weight, in grid order, read off the
+    row that holds it: its own row once split, else its step size's shared row."""
+    n_shared = len(pool.members)
+    assert pool.counts.sum() == pool.grid.n
+    assert list(pool.counts[:n_shared]) == [m.size for m in pool.members]
+    assert np.all(pool.counts[n_shared:] == 1)
+    assert np.all(np.isinf(pool.radii[:n_shared])) and np.all(np.isfinite(pool.radii[n_shared:]))
+    own = {(a, d): r for r, (a, d) in enumerate(zip(pool.step_sizes, pool.radii)) if r >= n_shared}
+    shared = {pool.step_sizes[r]: r for r in range(n_shared)}
+    rows = []
+    for a, d in pool.grid.entries:
+        r = own.get((a, d))
+        if r is None:
+            r = shared[a]
+            assert d in pool.members[r], (a, d)
+        rows.append(r)
+    return pool.thetas[rows], pool.log_weights[rows]
 
 
 def test_build_grid_example():
@@ -61,8 +122,9 @@ def test_beta_default():
 
 
 def _pool2(thetas, log_weights, beta=1.0):
+    # two unbounded experts with different step sizes: one shared row each
     grid = build_grid(4.0, 1.0, 4)
-    grid.entries = [(0.5, math.inf), (0.5, math.inf)]
+    grid.entries = [(0.5, math.inf), (0.25, math.inf)]
     pool = init_pool(grid, thetas.shape[1], beta)
     pool.thetas[:] = thetas
     pool.log_weights[:] = log_weights
@@ -87,14 +149,14 @@ def test_pool_step_example_weight_deltas():
     s = SideInfo(v(1, 0), 0.0)
     pool_step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
     np.testing.assert_allclose(
-        pool.log_weights, [-0.11920292202211755, -0.23840584404423510], rtol=1e-12)
+        expand(pool)[1], [-0.11920292202211755, -0.23840584404423510], rtol=1e-12)
 
 
 def test_pool_step_zero_loss_keeps_weights():
     pool = _pool2(np.zeros((2, 2)), np.zeros(2))
     s = SideInfo(v(1, 0), 0.0)  # every expert at the common minimizer, f = 0
     pool_step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
-    np.testing.assert_array_equal(pool.log_weights, np.zeros(2))
+    np.testing.assert_array_equal(expand(pool)[1], np.zeros(2))
 
 
 def test_pool_step_outlier_damping():
@@ -102,8 +164,9 @@ def test_pool_step_outlier_damping():
     pool = _pool2(np.array([[0.0, 0.0], [1e6, 0.0]]), np.zeros(2))
     s = SideInfo(v(1, 0), 0.0)
     pool_step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
-    assert np.all(pool.log_weights > -1e-9)
-    assert np.all(np.isfinite(pool.log_weights))
+    log_weights = expand(pool)[1]
+    assert np.all(log_weights > -1e-9)
+    assert np.all(np.isfinite(log_weights))
 
 
 def test_weight_monotonicity_and_bounded_decay(rng=np.random.default_rng(7)):
@@ -113,15 +176,16 @@ def test_weight_monotonicity_and_bounded_decay(rng=np.random.default_rng(7)):
     grid = build_grid(8.0, 1.0, 32)
     pool = init_pool(grid, 2, beta)
     loss = RoundLoss(family=RIDGE, lam=1e-2)
-    prev = pool.log_weights.copy()
+    prev = expand(pool)[1]
     for _ in range(200):
         s = SideInfo(rng.normal(0, 3, 2), float(rng.normal(0, 5)))
         pool_step(pool, s, loss, params)
-        delta = prev - pool.log_weights
+        log_weights = expand(pool)[1]
+        delta = prev - log_weights
         assert np.all(delta >= -1e-15)          # nonincreasing log-weights
         assert np.all(delta <= beta * nu + 1e-9)  # decay capped by beta * nu
-        prev = pool.log_weights.copy()
-    assert np.all(np.isfinite(pool.log_weights))
+        prev = log_weights
+    assert np.all(np.isfinite(prev))
 
 
 def test_aggregate_stays_in_expert_hull(rng=np.random.default_rng(11)):
@@ -138,7 +202,7 @@ def test_aggregate_stays_in_expert_hull(rng=np.random.default_rng(11)):
 
 
 def test_pool_matches_independent_learn_steps(rng=np.random.default_rng(3)):
-    # columnar pool advance == stepping each expert's LearnerState separately
+    # compressed pool advance == stepping each expert's LearnerState separately
     params = LearnParams(2.0, 1.0)
     grid = build_grid(4.0, 1.0, 8)
     pool = init_pool(grid, 3, 0.21)
@@ -149,9 +213,65 @@ def test_pool_matches_independent_learn_steps(rng=np.random.default_rng(3)):
         pool_step(pool, s, loss, params)
         for st in states:
             learn_step(st, s, loss, params)
+        thetas = expand(pool)[0]
         for i, st in enumerate(states):
             # accumulated dot-product reassociation drift only
-            np.testing.assert_allclose(pool.thetas[i], st.theta, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(thetas[i], st.theta, rtol=1e-9, atol=1e-12)
+    assert len(pool.thetas) < grid.n   # some experts still share a row
+    assert len(pool.thetas) > len(pool.members)   # and some have split off
+
+
+def test_several_members_split_in_one_round():
+    # T=8 radii are 0.25, 0.5, ..., 32 (no unbounded expert); one ridge round from
+    # the origin moves the step-0.71 row to norm ~20 (7 members split, 32 stays) and
+    # the step-1.41 row to norm ~40 (all 8 split, its shared row is dropped)
+    grid = build_grid(4.0, 1.0, 8)
+    params = LearnParams(1e6, 1.0)
+    pool, ref = init_pool(grid, 2, 0.5), RefPool(grid, 2, 0.5)
+    s = SideInfo(v(7.0710678, 0.0), 4.0)
+    pool_step(pool, s, RIDGE0, params)
+    ref_pool_step(ref, s, RIDGE0, params)
+    assert len(pool.members) == 1
+    np.testing.assert_array_equal(pool.members[0], [32.0])
+    assert pool.next_radius.tolist() == [32.0]
+    assert pool.counts.tolist() == [1] * 16
+    thetas, log_weights = expand(pool)
+    np.testing.assert_array_equal(thetas, ref.thetas)
+    np.testing.assert_array_equal(log_weights, ref.log_weights)
+    np.testing.assert_allclose(aggregate_action(pool), ref_aggregate_action(ref), rtol=1e-14)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        s = SideInfo(rng.normal(0, 3, 2), float(rng.normal(0, 30)))
+        pool_step(pool, s, RIDGE0, params)
+        ref_pool_step(ref, s, RIDGE0, params)
+        thetas, log_weights = expand(pool)
+        np.testing.assert_allclose(thetas, ref.thetas, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(log_weights, ref.log_weights, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3001, 3002, 3003])
+def test_compressed_pool_matches_uncompressed_regret(seed, monkeypatch):
+    # svm preset, T=2000: 6144 experts over 6 step sizes and 1024 radii
+    config = harness.preset_config("svm", T=2000, seeds=[seed], learner=harness.EXPERTS, k=44)
+    trace, runner = harness.run_episode_with_runner(config, seed)
+    series = harness.clean_dynamic_regret(trace).series
+    assert runner.pool.grid.n == 6144 and len(runner.pool.thetas) < 100
+    monkeypatch.setattr(harness, "init_pool", RefPool)
+    monkeypatch.setattr(harness, "pool_step", ref_pool_step)
+    monkeypatch.setattr(harness, "aggregate_action", ref_aggregate_action)
+    ref_trace, ref_runner = harness.run_episode_with_runner(config, seed)
+    assert isinstance(ref_runner.pool, RefPool)
+    np.testing.assert_allclose(series, harness.clean_dynamic_regret(ref_trace).series, rtol=1e-9, atol=0)
+
+
+def test_ridge_full_scale_pool_is_nine_rows():
+    config = harness.preset_config("ridge", seeds=[1], learner=harness.EXPERTS)
+    pool = harness._ExpertsRunner(config, 100).pool
+    assert config.T == 10 ** 5
+    assert pool.grid.n == 9216
+    assert pool.thetas.shape == (9, 100)
+    assert pool.counts.tolist() == [1024] * 9
+    assert pool.beta == beta_default(9216, 10 ** 5, config.params.nu)
 
 
 def test_pool_determinism(rng=None):

@@ -231,3 +231,37 @@ def test_experts_learner_through_harness():
     assert math.isfinite(curve.final)
     assert np.all(np.isfinite(runner.pool.log_weights))
     assert runner.pool.grid.n <= 150 * math.log2(16.0)
+
+
+def test_divergent_run_stops_at_first_non_finite_loss(monkeypatch):
+    # ridge OGD with alpha = 1 has its first non-finite loss at round 148
+    steps = []
+
+    def counting_ogd_step(state, s, loss):
+        steps.append(1)
+        return ogd_step(state, s, loss)
+
+    ogd_step = harness.ogd_step
+    monkeypatch.setattr(harness, "ogd_step", counting_ogd_step)
+    cfg = preset_config("ridge", T=2000, seeds=[1], learner=harness.OGD, k=0, alpha=1.0)
+    with pytest.raises(RuntimeError, match="seed 1: non-finite loss at round 148 of 2000"):
+        run_episode(cfg, 1)
+    assert len(steps) <= 147
+
+
+def test_learn_round_evaluates_loss_once(monkeypatch):
+    from robust_oco import losses
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(harness, "eval_f", counting(harness.eval_f))
+    monkeypatch.setattr(losses, "eval_f", counting(losses.eval_f))
+    cfg = preset_config("svm", T=80, seeds=[1], learner=harness.LEARN, k=8)
+    run_episode(cfg, 1)
+    assert len(calls) == 80
