@@ -32,10 +32,7 @@ from .learners import (
 from .experts import ExpertGrid, ExpertPool, aggregate_action, beta_default, build_grid, init_pool, pool_step
 from .stream import (
     CleanGenerator,
-    CorruptionPlan,
-    corrupt,
     gen_clean_block,
-    gen_clean_round,
     k_grid,
     ridge_generator,
     sample_outlier_rounds,

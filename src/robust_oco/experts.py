@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .learners import project_rows
 from .losses import LearnParams, RoundLoss, SideInfo, eta, eval_f_many, grad_f_many
 
 
@@ -150,9 +151,7 @@ def pool_step(pool: ExpertPool, s: SideInfo, loss: RoundLoss, params: LearnParam
 
     grads = grad_f_many(loss, s, pool.thetas)
     pool.thetas -= (pool.step_sizes * etas)[:, None] * grads
-    norms = np.sqrt(np.einsum("ij,ij->i", pool.thetas, pool.thetas))
-    scale = np.where(norms > pool.radii, pool.radii / np.maximum(norms, 1e-300), 1.0)
-    pool.thetas *= scale[:, None]
+    norms = project_rows(pool.thetas, pool.radii)
 
     eta_min = float(etas.min())
     pool.log_weights -= pool.beta * eta_min * f_vals
@@ -164,7 +163,7 @@ def pool_step(pool: ExpertPool, s: SideInfo, loss: RoundLoss, params: LearnParam
 
 def _split(pool: ExpertPool, shared_norms: np.ndarray):
     """Give every member whose radius is below its shared row's new norm a row
-    of its own, projected onto its ball exactly as pool_step projects a row."""
+    of its own, its shared row's iterate projected onto its ball."""
     rows, radii = [], []
     for i in np.flatnonzero(shared_norms > pool.next_radius):
         n = int(np.searchsorted(pool.members[i], shared_norms[i]))   # radii < norm
@@ -174,8 +173,9 @@ def _split(pool: ExpertPool, shared_norms: np.ndarray):
         pool.counts[i] -= n
         pool.next_radius[i] = pool.members[i][0] if pool.members[i].size else math.inf
     rows, radii = np.concatenate(rows), np.concatenate(radii)
-    scale = radii / np.maximum(shared_norms[rows], 1e-300)
-    pool.thetas = np.vstack([pool.thetas, pool.thetas[rows] * scale[:, None]])
+    split = pool.thetas[rows]
+    project_rows(split, radii)
+    pool.thetas = np.vstack([pool.thetas, split])
     pool.step_sizes = np.concatenate([pool.step_sizes, pool.step_sizes[rows]])
     pool.radii = np.concatenate([pool.radii, radii])
     pool.log_weights = np.concatenate([pool.log_weights, pool.log_weights[rows]])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import stream as st
 from .experts import ExpertPool, aggregate_action, beta_default, build_grid, init_pool, pool_step
-from .learners import LearnerState, learn_step, ogd_step, theoretical_stepsize, topk_filter_step
+from .learners import LearnerState, learn_step, ogd_step, project_rows, theoretical_stepsize, topk_filter_step
 from .losses import (
     LearnParams,
     ProblemConstants,
@@ -189,7 +189,7 @@ def _make_runner(config: RunConfig, alpha: float, dim: int):
 
 def _resolve_alpha(config: RunConfig, comparators: np.ndarray) -> float:
     if config.step_mode == THEORETICAL:
-        v_t = float(np.linalg.norm(np.diff(comparators, axis=0), axis=1).sum())
+        v_t = _path_length(comparators)
         psi = derive_constants(config.params, G=config.G, L=config.L, m=config.loss.lam).psi
         return theoretical_stepsize(config.radius, v_t, psi, config.T)
     if config.alpha is not None:
@@ -213,11 +213,8 @@ def run_episode_with_runner(config: RunConfig, seed: int):
     comp_clean = minimizer_rows(config.loss, X, y_clean)
     comp_emitted = minimizer_rows(config.loss, X, y_emitted)
     if math.isfinite(config.radius):
-        for comp in (comp_clean, comp_emitted):
-            norms = np.linalg.norm(comp, axis=1)
-            over = norms > config.radius
-            if np.any(over):
-                comp[over] *= (config.radius / norms[over])[:, None]
+        project_rows(comp_clean, config.radius)
+        project_rows(comp_emitted, config.radius)
 
     alpha = _resolve_alpha(config, comp_clean)
     runner = _make_runner(config, alpha, gen.dim)
@@ -251,13 +248,15 @@ def run_episode_with_runner(config: RunConfig, seed: int):
     return trace, runner
 
 
+def _path_length(comparators: np.ndarray) -> float:
+    return float(np.linalg.norm(np.diff(comparators, axis=0), axis=1).sum())
+
+
 def path_length(trace: EpisodeTrace) -> float:
     """V_T = sum over t of ||theta_t* - theta_{t+1}*|| using clean comparators."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    if len(trace) == 1:
-        return 0.0
-    return float(np.linalg.norm(np.diff(trace.comparator_clean, axis=0), axis=1).sum())
+    return _path_length(trace.comparator_clean)
 
 
 def delta_S(trace: EpisodeTrace) -> float:
@@ -355,9 +354,7 @@ def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5
     rounds too since it does not involve y.
     """
     base = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, k=k)
-    rngs = st.stream_rngs(seed)
-    gen = st.resolve_theta_star(base.generator, rngs)
-    X, _ = st.gen_clean_block(gen, rngs, T)
+    X = st.episode_stream(base.generator, T, k, seed)[1]
     L = base.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max())
     config = replace(base, radius=radius, step_mode=THEORETICAL, G=0.0, L=L)
     trace = run_episode(config, seed)

@@ -53,6 +53,16 @@ def project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
     return theta * (radius / norm)
 
 
+def project_rows(thetas: np.ndarray, radii) -> np.ndarray:
+    """Project each row of thetas onto the origin-centered ball of its radius,
+    in place; radii is one radius for all rows or one per row (math.inf for
+    unbounded). Returns the row norms before projection, summed in the order
+    np.linalg.norm(thetas, axis=1) sums them."""
+    norms = np.sqrt(np.add.reduce(thetas * thetas, axis=1))
+    thetas *= np.where(norms > radii, radii / np.maximum(norms, 1e-300), 1.0)[:, None]
+    return norms
+
+
 def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:
     """Projected gradient step on the raw loss."""
     g = grad_f(loss, s, state.theta)

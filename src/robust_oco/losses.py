@@ -16,6 +16,18 @@ whose gradient is eta * grad_f with the gate
 
 eta decays to zero as f grows, which damps gradient updates on rounds whose
 loss is abnormally large (the redescending property).
+
+Each family's formulas are written once, in three private kernels that take
+the inner products a loss depends on, as floats or as arrays:
+
+    _value(loss, proj, sq, y)    f from proj = <x, theta>, sq = ||theta||^2 and y
+    _coef(loss, proj, y)         the c in grad_f = lam theta - c x
+    _min_scale(loss, nx2, y)     the c in the minimizer theta* = c x, nx2 = ||x||^2
+
+The public functions only form those inner products for their shape: one
+round at one action (eval_f, grad_f, minimizer_f), one round at many actions
+(eval_f_many, grad_f_many) or many rounds at one action each (eval_f_rows,
+minimizer_rows).
 """
 
 from __future__ import annotations
@@ -99,6 +111,40 @@ class ProblemConstants:
     xi: float
 
 
+# The kernels below take floats or arrays alike: a comparison times a value is
+# that value where the comparison holds and zero elsewhere, in either type.
+
+def _value(loss: RoundLoss, proj, sq, y):
+    """The loss from proj = <x, theta>, sq = ||theta||^2 and y."""
+    reg = 0.5 * loss.lam * sq
+    if loss.family == RIDGE:
+        r = y - proj
+        return reg + r * r
+    h = 1.0 - y * proj
+    return reg + (h > 0.0) * h
+
+
+def _coef(loss: RoundLoss, proj, y):
+    """The c in grad_f = lam theta - c x. At the hinge kink (margin exactly 1)
+    c = 0, the zero-hinge branch; any subgradient is valid there."""
+    if loss.family == RIDGE:
+        return 2.0 * (y - proj)
+    return (y * proj < 1.0) * y
+
+
+def _min_scale(loss: RoundLoss, nx2, y):
+    """The c in the closed-form minimizer theta* = c x, from nx2 = ||x||^2.
+
+    ridge:      c = 2 y / (lam + 2||x||^2)
+    hinge_svm:  c = y / max(lam, ||x||^2), i.e. min(1/lam, 1/||x||^2) y for y = +-1
+    """
+    if loss.lam == 0.0 and not np.all(nx2):
+        raise ValueError(f"degenerate {loss.family} instance: lam = 0 and x = 0")
+    if loss.family == RIDGE:
+        return 2.0 * y / (loss.lam + 2.0 * nx2)
+    return y / (np.maximum(loss.lam, nx2) if isinstance(nx2, np.ndarray) else max(loss.lam, nx2))
+
+
 def _check_dims(s: SideInfo, theta: np.ndarray):
     if theta.shape != s.x.shape:
         raise ValueError(f"dimension mismatch: theta {theta.shape} vs x {s.x.shape}")
@@ -107,49 +153,20 @@ def _check_dims(s: SideInfo, theta: np.ndarray):
 def eval_f(loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> float:
     """Evaluate the per-round loss at theta. Always >= 0."""
     _check_dims(s, theta)
-    reg = 0.5 * loss.lam * float(theta @ theta)
-    if loss.family == RIDGE:
-        r = s.y - float(s.x @ theta)
-        return reg + r * r
-    margin = s.y * float(s.x @ theta)
-    return reg + (1.0 - margin if margin < 1.0 else 0.0)
+    return _value(loss, float(s.x @ theta), float(theta @ theta), s.y)
 
 
 def grad_f(loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> np.ndarray:
-    """(Sub)gradient of the per-round loss at theta.
-
-    At the hinge kink (margin exactly 1) the zero-hinge branch lam*theta is
-    returned; any subgradient is valid there.
-    """
+    """(Sub)gradient of the per-round loss at theta; at the hinge kink, lam*theta."""
     _check_dims(s, theta)
-    if loss.family == RIDGE:
-        r = s.y - float(s.x @ theta)
-        return loss.lam * theta - (2.0 * r) * s.x
-    margin = s.y * float(s.x @ theta)
-    if margin < 1.0:
-        return loss.lam * theta - s.y * s.x
-    return loss.lam * theta
+    c = _coef(loss, float(s.x @ theta), s.y)
+    g = loss.lam * theta
+    return g - c * s.x if c else g   # c = 0 on an inactive hinge round: no array op
 
 
 def minimizer_f(loss: RoundLoss, s: SideInfo) -> np.ndarray:
-    """Unconstrained minimizer of the per-round loss (closed form).
-
-    ridge:      theta* = (2 y / (lam + 2||x||^2)) x
-    hinge_svm:  theta* = min(1/lam, 1/||x||^2) y x
-    """
-    x = s.x
-    nx2 = float(x @ x)
-    if loss.family == RIDGE:
-        denom = loss.lam + 2.0 * nx2
-        if denom == 0.0:
-            raise ValueError("degenerate ridge instance: lam = 0 and x = 0")
-        return (2.0 * s.y / denom) * x
-    if nx2 == 0.0:
-        if loss.lam <= 0.0:
-            raise ValueError("degenerate hinge instance: lam = 0 and x = 0")
-        return np.zeros_like(x)
-    c = 1.0 / nx2 if loss.lam <= 0.0 else min(1.0 / loss.lam, 1.0 / nx2)
-    return (c * s.y) * x
+    """Unconstrained minimizer of the per-round loss (closed form, see _min_scale)."""
+    return _min_scale(loss, float(s.x @ s.x), s.y) * s.x
 
 
 def eta(params: LearnParams, f_val):
@@ -212,56 +229,21 @@ def derive_constants(params: LearnParams, G: float, L: float, m: float, B: float
     return ProblemConstants(G=G, L=L, m=m, B=B, psi=psi, phi=phi, kappa=kappa, nu=params.nu, xi=xi)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized companions. Same formulas as the scalar operations above, batched
-# either across many actions at one round (experts) or across many rounds
-# (comparator computation in the harness). Kept in this module so the family
-# formulas live in one place; agreement with the scalar path is covered by
-# tests.
-
 def eval_f_many(loss: RoundLoss, s: SideInfo, thetas: np.ndarray) -> np.ndarray:
     """Loss of one round at many actions; thetas has shape (N, d)."""
-    reg = 0.5 * loss.lam * np.einsum("ij,ij->i", thetas, thetas)
-    proj = thetas @ s.x
-    if loss.family == RIDGE:
-        r = s.y - proj
-        return reg + r * r
-    return reg + np.maximum(0.0, 1.0 - s.y * proj)
+    return _value(loss, thetas @ s.x, np.einsum("ij,ij->i", thetas, thetas), s.y)
 
 
 def grad_f_many(loss: RoundLoss, s: SideInfo, thetas: np.ndarray) -> np.ndarray:
     """(Sub)gradients of one round at many actions; shape (N, d)."""
-    if loss.family == RIDGE:
-        r = s.y - thetas @ s.x
-        return loss.lam * thetas - (2.0 * r)[:, None] * s.x[None, :]
-    margins = s.y * (thetas @ s.x)
-    active = np.where(margins < 1.0, s.y, 0.0)
-    return loss.lam * thetas - active[:, None] * s.x[None, :]
+    return loss.lam * thetas - _coef(loss, thetas @ s.x, s.y)[:, None] * s.x
 
 
 def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Closed-form minimizers for many rounds; X is (T, d), y is (T,)."""
-    nx2 = np.einsum("ij,ij->i", X, X)
-    if loss.family == RIDGE:
-        denom = loss.lam + 2.0 * nx2
-        if np.any(denom == 0.0):
-            raise ValueError("degenerate ridge instance: lam = 0 and x = 0")
-        return (2.0 * y / denom)[:, None] * X
-    zero = nx2 == 0.0
-    if np.any(zero) and loss.lam <= 0.0:
-        raise ValueError("degenerate hinge instance: lam = 0 and x = 0")
-    with np.errstate(divide="ignore"):
-        inv = np.where(zero, 0.0, 1.0 / np.maximum(nx2, 1e-300))
-    c = inv if loss.lam <= 0.0 else np.minimum(1.0 / loss.lam, inv)
-    c = np.where(zero, 0.0, c)
-    return (c * y)[:, None] * X
+    return _min_scale(loss, np.einsum("ij,ij->i", X, X), y)[:, None] * X
 
 
 def eval_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray) -> np.ndarray:
     """Loss of round t at action Theta[t], for all rounds."""
-    reg = 0.5 * loss.lam * np.einsum("ij,ij->i", Theta, Theta)
-    proj = np.einsum("ij,ij->i", X, Theta)
-    if loss.family == RIDGE:
-        r = y - proj
-        return reg + r * r
-    return reg + np.maximum(0.0, 1.0 - y * proj)
+    return _value(loss, np.einsum("ij,ij->i", X, Theta), np.einsum("ij,ij->i", Theta, Theta), y)

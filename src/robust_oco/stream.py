@@ -22,16 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .losses import SideInfo
-
 RIDGE_MODEL = "ridge"
 SVM_MODEL = "svm"
-
-UNIFORM_RESPONSE = "uniform_response"
-LABEL_FLIP = "label_flip"
-
-# operator appropriate to each generator kind
-OPERATOR_FOR_KIND = {RIDGE_MODEL: UNIFORM_RESPONSE, SVM_MODEL: LABEL_FLIP}
 
 
 @dataclass
@@ -100,27 +92,6 @@ def resolve_theta_star(gen: CleanGenerator, rngs: StreamRngs) -> CleanGenerator:
     return replace(gen, theta_star=draw_theta_star(gen, rngs.theta_star))
 
 
-def gen_clean_round(gen: CleanGenerator, rng: StreamRngs, t: int) -> SideInfo:
-    """Generate the clean side information of one round.
-
-    Draws are consumed sequentially from the substreams, so calling this for
-    t = 1, 2, ... reproduces exactly the rows of gen_clean_block. sign(0) is
-    taken as +1.
-    """
-    if gen.theta_star is None:
-        raise ValueError("theta_star unset; call resolve_theta_star first")
-    x = gen.feature_std * rng.features.standard_normal(gen.dim)
-    dot = float(gen.theta_star @ x)
-    if gen.kind == RIDGE_MODEL:
-        y = dot + gen.noise_std * float(rng.noise.standard_normal())
-        return SideInfo(x=x, y=y)
-    y = 1.0 if dot >= 0.0 else -1.0
-    u = float(rng.mislabel.uniform())  # drawn every round to keep streams aligned
-    if abs(dot) <= gen.margin_band and u < gen.mislabel_prob:
-        y = -y
-    return SideInfo(x=x, y=y)
-
-
 def gen_clean_block(gen: CleanGenerator, rng: StreamRngs, T: int):
     """Vectorized generation of T clean rounds; returns (X, y) with X of shape (T, d)."""
     if gen.theta_star is None:
@@ -137,54 +108,27 @@ def gen_clean_block(gen: CleanGenerator, rng: StreamRngs, T: int):
     return X, y
 
 
-@dataclass
-class CorruptionPlan:
-    """Which rounds the adversary corrupts (1-based indices) and how."""
-
-    k: int
-    outlier_rounds: frozenset
-    operator: str
-
-    def __post_init__(self):
-        if self.operator not in (UNIFORM_RESPONSE, LABEL_FLIP):
-            raise ValueError(f"unknown corruption operator {self.operator!r}")
-        if len(self.outlier_rounds) != self.k:
-            raise ValueError("outlier_rounds must contain exactly k distinct indices")
-
-
-def sample_outlier_rounds(T: int, k: int, rng: np.random.Generator) -> frozenset:
-    """k distinct round indices in {1..T}, uniform without replacement."""
+def sample_outlier_rounds(T: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct 0-based round indices in [0, T), uniform without replacement,
+    sorted ascending."""
     if not (0 <= k <= T):
         raise ValueError("need 0 <= k <= T")
-    idx = rng.choice(T, size=k, replace=False)
-    return frozenset(int(i) + 1 for i in idx)
+    return np.sort(rng.choice(T, size=k, replace=False))
 
 
-def corrupt(plan: CorruptionPlan, clean: SideInfo, rng: np.random.Generator) -> SideInfo:
-    """Apply the corruption operator to one round's side information."""
-    if plan.operator == UNIFORM_RESPONSE:
-        return SideInfo(x=clean.x, y=float(rng.uniform()))
-    return SideInfo(x=clean.x, y=-clean.y)
-
-
-def outlier_mask(plan: CorruptionPlan, T: int) -> np.ndarray:
+def outlier_mask(idx: np.ndarray, T: int) -> np.ndarray:
     mask = np.zeros(T, dtype=bool)
-    for t in plan.outlier_rounds:
-        mask[t - 1] = True
+    mask[idx] = True
     return mask
 
 
-def apply_corruption_block(plan: CorruptionPlan, y_clean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized corruption of the response vector.
-
-    Uniform responses are drawn in ascending round order, matching the
-    per-round corrupt() consumption.
-    """
+def apply_corruption_block(kind: str, idx: np.ndarray, y_clean: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Corrupt the responses at the sorted round indices idx by the generator
+    kind's operator: ridge replaces y with Uniform[0,1] (drawn in ascending
+    round order), svm flips the label."""
     y = y_clean.copy()
-    idx = np.array(sorted(t - 1 for t in plan.outlier_rounds), dtype=int)
-    if idx.size == 0:
-        return y
-    if plan.operator == UNIFORM_RESPONSE:
+    if kind == RIDGE_MODEL:
         y[idx] = rng.uniform(size=idx.size)
     else:
         y[idx] = -y[idx]
@@ -200,10 +144,9 @@ def episode_stream(generator: CleanGenerator, T: int, k: int, seed: int):
     rngs = stream_rngs(seed)
     gen = resolve_theta_star(generator, rngs)
     X, y_clean = gen_clean_block(gen, rngs, T)
-    plan = CorruptionPlan(k=k, outlier_rounds=sample_outlier_rounds(T, k, rngs.outliers),
-                          operator=OPERATOR_FOR_KIND[gen.kind])
-    y_emitted = apply_corruption_block(plan, y_clean, rngs.corruption)
-    return gen, X, y_clean, y_emitted, outlier_mask(plan, T)
+    idx = sample_outlier_rounds(T, k, rngs.outliers)
+    y_emitted = apply_corruption_block(gen.kind, idx, y_clean, rngs.corruption)
+    return gen, X, y_clean, y_emitted, outlier_mask(idx, T)
 
 
 def floor_power(T: int, num: int, den: int) -> int:

@@ -210,10 +210,14 @@ def test_bound_reduces_to_simple_form_when_no_outliers():
 
 
 def test_theorem_check_holds_across_k():
+    base = preset_config("ridge", T=200)
     for k in (0, 14, 34):
         chk, curve, consts = run_theorem_check(T=200, k=k, seed=7)
         assert chk.holds, f"k={k}: measured {chk.measured} > bound {chk.bound}"
         assert curve.n_outliers == k
+        # L is the Hessian bound lam + 2 max ||x_t||^2 of the episode's own stream
+        X = st.episode_stream(base.generator, 200, k, 7)[1]
+        assert consts.L == base.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max())
 
 
 def test_run_cell_aggregates():

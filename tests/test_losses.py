@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import golden_minimize, random_instance
+from robust_oco.learners import project_ball, project_rows
 from robust_oco.losses import (
     HINGE_SVM,
     RIDGE,
@@ -295,24 +298,60 @@ def test_derive_constants_errors():
 
 # --- vectorized companions --------------------------------------------------
 
-def test_batch_helpers_match_scalar_ops(rng):
-    for family in (RIDGE, HINGE_SVM):
-        loss, s = random_instance(rng, family, max_dim=4)
-        thetas = rng.normal(0, 2, (32, s.x.size))
-        fs = eval_f_many(loss, s, thetas)
-        gs = grad_f_many(loss, s, thetas)
-        for i in range(32):
-            assert fs[i] == pytest.approx(eval_f(loss, s, thetas[i]), rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(gs[i], grad_f(loss, s, thetas[i]), rtol=1e-12, atol=1e-12)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(family=hst.sampled_from((RIDGE, HINGE_SVM)), lam=hst.floats(1e-4, 4.0),
+       d=hst.integers(1, 6), seed=hst.integers(0, 2 ** 32 - 1))
+def test_batch_helpers_match_scalar_ops(family, lam, d, seed):
+    """The scalar, one-round-many-actions (_many) and many-rounds (_rows) forms
+    agree on f, grad f and theta*; the hinge kink takes c = 0 and a zero feature
+    row gives theta* = 0 in every shape; project_rows is project_ball by rows."""
+    rng = np.random.default_rng(seed)
+    loss = RoundLoss(family=family, lam=lam)
+    T = 8
+    X = rng.normal(0, 2, (T, d))
+    y = rng.normal(0, 2, T) if family == RIDGE else rng.choice([-1.0, 1.0], T)
+    Theta = rng.normal(0, 2, (T, d))
+    X[0] = 0.0
+    # row 1: <x, theta> = y exactly (one nonzero product, a power of two), the hinge kink
+    j = int(rng.integers(d))
+    X[1, j] = 2.0 ** int(rng.integers(-3, 4))
+    Theta[1] = 0.0
+    Theta[1, j] = y[1] / X[1, j]
 
-        T, d = 64, 3
-        X = rng.normal(0, 2, (T, d))
-        y = rng.normal(0, 2, T) if family == RIDGE else rng.choice([-1.0, 1.0], T)
-        lam = 0.8
-        loss = RoundLoss(family=family, lam=lam)
-        M = minimizer_rows(loss, X, y)
-        F = eval_f_rows(loss, X, y, M)
+    M = minimizer_rows(loss, X, y)
+    F = eval_f_rows(loss, X, y, Theta)
+    for t in range(T):
+        s = SideInfo(X[t], float(y[t]))
+        np.testing.assert_allclose(M[t], minimizer_f(loss, s), rtol=1e-12, atol=1e-12)
+        assert F[t] == pytest.approx(eval_f(loss, s, Theta[t]), rel=1e-12, abs=1e-12)
+        fs = eval_f_many(loss, s, Theta)
+        gs = grad_f_many(loss, s, Theta)
+        assert fs[t] == pytest.approx(F[t], rel=1e-12, abs=1e-12)
+        for i in range(T):
+            assert fs[i] == pytest.approx(eval_f(loss, s, Theta[i]), rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(gs[i], grad_f(loss, s, Theta[i]), rtol=1e-12, atol=1e-12)
+
+    np.testing.assert_array_equal(M[0], 0.0)
+    np.testing.assert_array_equal(minimizer_f(loss, SideInfo(X[0], float(y[0]))), 0.0)
+    degenerate = RoundLoss(family=family, lam=0.0)
+    with pytest.raises(ValueError):
+        minimizer_f(degenerate, SideInfo(X[0], float(y[0])))
+    with pytest.raises(ValueError):
+        minimizer_rows(degenerate, X, y)
+
+    if family == HINGE_SVM:
+        s1, theta1 = SideInfo(X[1], float(y[1])), Theta[1]
+        reg = 0.5 * lam * float(theta1 @ theta1)
+        np.testing.assert_array_equal(grad_f(loss, s1, theta1), lam * theta1)
+        np.testing.assert_array_equal(grad_f_many(loss, s1, Theta[1:2])[0], lam * theta1)
+        assert eval_f(loss, s1, theta1) == F[1] == eval_f_many(loss, s1, Theta[1:2])[0] == reg
+
+    radii = rng.uniform(0.1, 5.0, T)
+    radii[::3] = math.inf
+    for r in (radii, float(radii[1])):
+        P = Theta.copy()
+        norms = project_rows(P, r)
+        np.testing.assert_array_equal(norms, np.linalg.norm(Theta, axis=1))
         for t in range(T):
-            s_t = SideInfo(X[t], float(y[t]))
-            np.testing.assert_allclose(M[t], minimizer_f(loss, s_t), rtol=1e-12, atol=1e-12)
-            assert F[t] == pytest.approx(eval_f(loss, s_t, M[t]), rel=1e-12, abs=1e-12)
+            r_t = r[t] if isinstance(r, np.ndarray) else r
+            np.testing.assert_allclose(P[t], project_ball(Theta[t], r_t), rtol=1e-12, atol=0)

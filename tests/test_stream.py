@@ -5,12 +5,35 @@ from robust_oco import stream as st
 from robust_oco.losses import SideInfo
 
 
+# Per-round references for the block functions: one round's draws, consumed
+# from the same substreams in the same order.
+
+def gen_clean_round(gen, rngs):
+    """One clean round, drawing what gen_clean_block draws for one row; sign(0) = +1."""
+    x = gen.feature_std * rngs.features.standard_normal(gen.dim)
+    dot = float(gen.theta_star @ x)
+    if gen.kind == st.RIDGE_MODEL:
+        return SideInfo(x=x, y=dot + gen.noise_std * float(rngs.noise.standard_normal()))
+    y = 1.0 if dot >= 0.0 else -1.0
+    u = float(rngs.mislabel.uniform())  # drawn every round to keep streams aligned
+    if abs(dot) <= gen.margin_band and u < gen.mislabel_prob:
+        y = -y
+    return SideInfo(x=x, y=y)
+
+
+def corrupt(kind, clean, rng):
+    """One round's corruption: ridge draws a Uniform[0,1] response, svm flips the label."""
+    if kind == st.RIDGE_MODEL:
+        return SideInfo(x=clean.x, y=float(rng.uniform()))
+    return SideInfo(x=clean.x, y=-clean.y)
+
+
 def test_ridge_noiseless_response():
     gen = st.CleanGenerator(kind="ridge", dim=3, feature_std=1.0, noise_std=0.0,
                             theta_star=np.array([1.0, 0.0, 0.0]))
     rngs = st.stream_rngs(5)
-    for t in range(1, 20):
-        s = st.gen_clean_round(gen, rngs, t)
+    for _ in range(19):
+        s = gen_clean_round(gen, rngs)
         assert s.y == pytest.approx(s.x[0], rel=1e-15)
 
 
@@ -65,7 +88,7 @@ def test_per_round_matches_block():
         np.testing.assert_array_equal(gen1.theta_star, gen2.theta_star)
         X, y = st.gen_clean_block(gen1, r1, 50)
         for t in range(50):
-            s = st.gen_clean_round(gen2, r2, t + 1)
+            s = gen_clean_round(gen2, r2)
             np.testing.assert_array_equal(s.x, X[t])
             # responses agree to reassociation error (dgemv vs ddot); labels exactly
             if gen1.kind == st.SVM_MODEL:
@@ -75,26 +98,31 @@ def test_per_round_matches_block():
 
 
 def test_corrupt_examples():
-    plan = st.CorruptionPlan(k=1, outlier_rounds=frozenset({1}), operator=st.LABEL_FLIP)
+    idx = np.array([0, 2])
+    y = np.array([1.0, 1.0, -1.0])
     rng = np.random.default_rng(0)
-    s = st.corrupt(plan, SideInfo(np.array([1.0]), 1.0), rng)
-    assert s.y == -1.0
-    s2 = st.corrupt(plan, s, rng)
-    assert s2.y == 1.0  # involution
+    flipped = st.apply_corruption_block(st.SVM_MODEL, idx, y, rng)
+    np.testing.assert_array_equal(flipped, [-1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(y, [1.0, 1.0, -1.0])  # input untouched
+    np.testing.assert_array_equal(st.apply_corruption_block(st.SVM_MODEL, idx, flipped, rng), y)  # involution
+    np.testing.assert_array_equal(st.outlier_mask(idx, 3), [True, False, True])
 
 
 def test_uniform_response_moments():
-    plan = st.CorruptionPlan(k=1, outlier_rounds=frozenset({1}), operator=st.UNIFORM_RESPONSE)
+    n = 100_000
     rng = np.random.default_rng(1)
-    ys = [st.corrupt(plan, SideInfo(np.array([1.0]), 5.0), rng).y for _ in range(100_000)]
+    ys = st.apply_corruption_block(st.RIDGE_MODEL, np.arange(n), np.full(n, 5.0), rng)
     assert abs(np.mean(ys) - 0.5) < 0.01
-    assert np.all((np.array(ys) >= 0.0) & (np.array(ys) <= 1.0))
+    assert np.all((ys >= 0.0) & (ys <= 1.0))
 
 
 def test_sample_outlier_rounds():
     rng = np.random.default_rng(0)
-    assert st.sample_outlier_rounds(10, 0, rng) == frozenset()
-    assert st.sample_outlier_rounds(10, 10, rng) == frozenset(range(1, 11))
+    none = st.sample_outlier_rounds(10, 0, rng)
+    assert none.size == 0 and not st.outlier_mask(none, 10).any()
+    np.testing.assert_array_equal(st.sample_outlier_rounds(10, 10, rng), np.arange(10))
+    idx = st.sample_outlier_rounds(1000, 50, rng)
+    assert idx.size == 50 and np.all(np.diff(idx) > 0) and idx[0] >= 0 and idx[-1] < 1000
     with pytest.raises(ValueError):
         st.sample_outlier_rounds(5, 6, rng)
 
@@ -105,8 +133,7 @@ def test_outlier_marginal_frequency():
     rng = np.random.default_rng(123)
     counts = np.zeros(T)
     for _ in range(R):
-        for t in st.sample_outlier_rounds(T, k, rng):
-            counts[t - 1] += 1
+        counts[st.sample_outlier_rounds(T, k, rng)] += 1
     p = k / T
     sigma = np.sqrt(p * (1 - p) / R)
     assert np.all(np.abs(counts / R - p) <= 3.5 * sigma)
@@ -115,16 +142,16 @@ def test_outlier_marginal_frequency():
 def test_block_corruption_matches_per_round():
     T, k = 40, 7
     rngs1, rngs2 = st.stream_rngs(17), st.stream_rngs(17)
-    rounds = st.sample_outlier_rounds(T, k, rngs1.outliers)
+    idx = st.sample_outlier_rounds(T, k, rngs1.outliers)
     st.sample_outlier_rounds(T, k, rngs2.outliers)  # consume identically
-    plan = st.CorruptionPlan(k=k, outlier_rounds=rounds, operator=st.UNIFORM_RESPONSE)
     y_clean = np.arange(T, dtype=float)
-    y_block = st.apply_corruption_block(plan, y_clean, rngs1.corruption)
-    for t in range(1, T + 1):
-        s = SideInfo(np.array([1.0]), y_clean[t - 1])
-        if t in rounds:
-            s = st.corrupt(plan, s, rngs2.corruption)
-        assert s.y == y_block[t - 1]
+    for kind in (st.RIDGE_MODEL, st.SVM_MODEL):
+        y_block = st.apply_corruption_block(kind, idx, y_clean, rngs1.corruption)
+        for t in range(T):
+            s = SideInfo(np.array([1.0]), y_clean[t])
+            if t in idx:
+                s = corrupt(kind, s, rngs2.corruption)
+            assert s.y == y_block[t]
 
 
 def test_master_seed_determinism_and_k_invariance():
@@ -138,7 +165,7 @@ def test_master_seed_determinism_and_k_invariance():
         outs.append((g.theta_star, X, y, rounds))
     np.testing.assert_array_equal(outs[0][1], outs[1][1])
     np.testing.assert_array_equal(outs[0][2], outs[1][2])
-    assert outs[0][3] == outs[1][3]
+    np.testing.assert_array_equal(outs[0][3], outs[1][3])
 
     # changing k must not perturb the clean stream
     rngs_a, rngs_b = st.stream_rngs(55), st.stream_rngs(55)
@@ -150,13 +177,6 @@ def test_master_seed_determinism_and_k_invariance():
     Xb, yb = st.gen_clean_block(gb, rngs_b, 30)
     np.testing.assert_array_equal(Xa, Xb)
     np.testing.assert_array_equal(ya, yb)
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        st.CorruptionPlan(k=2, outlier_rounds=frozenset({1}), operator=st.LABEL_FLIP)
-    with pytest.raises(ValueError):
-        st.CorruptionPlan(k=1, outlier_rounds=frozenset({1}), operator="negate")
 
 
 def test_k_grid():
