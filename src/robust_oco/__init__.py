@@ -47,11 +47,9 @@ from .harness import (
     check_regret_bound,
     clean_dynamic_regret,
     delta_S,
-    path_length,
     preset_config,
     run_cell,
     run_episode,
-    run_episode_with_runner,
     run_theorem_check,
 )
 from .oracle import CheckReport, default_suite

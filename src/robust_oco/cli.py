@@ -307,7 +307,7 @@ def cmd_dump_stream(args) -> int:
     for learner in SWEEP_LEARNERS:
         cell = replace(config, learner=learner, seeds=[seed], topk_budget=None)
         trace = harness.run_episode(cell, seed)
-        thetas[learner] = [float(v) for v in trace.theta[-1]]
+        thetas[learner] = [float(v) for v in trace.theta]
     thetas_path = os.path.join(args.out, "final_thetas.json")
     with open(thetas_path, "w", newline="\n") as fh:
         json.dump(thetas, fh, indent=2, sort_keys=True)

@@ -1,8 +1,9 @@
 """Episode runner and regret accounting.
 
 An episode plays one learner against one corrupted stream for T rounds and
-records everything needed to compute clean dynamic regret, the comparator
-path length V_T, and the adversary displacement delta_S afterwards. Clean
+keeps what the regret accounting reads: the per-round losses, the path
+length V_T and radius of the clean comparators, and both comparator sets on
+the corrupted rounds only, for the adversary displacement delta_S. Clean
 dynamic regret sums f_t(s_t, theta_t) - f_t(s_t, theta_t*) over uncorrupted
 rounds only, where theta_t* minimizes the clean-round loss (projected onto
 the domain ball when the radius is finite).
@@ -104,14 +105,18 @@ class RunConfig:
 
 @dataclass
 class EpisodeTrace:
-    """Columnar per-round trace: row t-1 of each array belongs to round t."""
+    """What the regret accounting reads of one episode. Row t-1 of a (T,)
+    array belongs to round t; the comparator arrays hold the k corrupted
+    rounds only, in round order."""
 
-    is_outlier: np.ndarray
-    theta: np.ndarray
-    f_emitted: np.ndarray
-    comparator_clean: np.ndarray
-    comparator_emitted: np.ndarray
-    f_at_comparator: np.ndarray
+    is_outlier: np.ndarray           # (T,)
+    theta: np.ndarray                # (d,) the action played in round T
+    f_emitted: np.ndarray            # (T,) f_t(s_t, theta_t) on the emitted stream
+    comparator_clean: np.ndarray     # (k, d) theta_t* on the corrupted rounds
+    comparator_emitted: np.ndarray   # (k, d) omega_t*, the emitted-stream minimizer
+    f_at_comparator: np.ndarray      # (T,) f_t(s_t, theta_t*) on the emitted stream
+    v_t: float                       # sum_t ||theta_t* - theta_{t+1}*||
+    comparator_radius: float         # max_t ||theta_t*||
 
     def __len__(self):
         return len(self.f_emitted)
@@ -187,9 +192,8 @@ def _make_runner(config: RunConfig, alpha: float, dim: int):
     return _SingleRunner(config, alpha, dim)
 
 
-def _resolve_alpha(config: RunConfig, comparators: np.ndarray) -> float:
+def _resolve_alpha(config: RunConfig, v_t: float) -> float:
     if config.step_mode == THEORETICAL:
-        v_t = _path_length(comparators)
         psi = derive_constants(config.params, G=config.G, L=config.L, m=config.loss.lam).psi
         return theoretical_stepsize(config.radius, v_t, psi, config.T)
     if config.alpha is not None:
@@ -197,35 +201,41 @@ def _resolve_alpha(config: RunConfig, comparators: np.ndarray) -> float:
     return 1.0 / math.sqrt(config.T)
 
 
+def _minimizers(config: RunConfig, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """theta* of each row, projected onto the domain ball when the radius is finite."""
+    comp = minimizer_rows(config.loss, X, y)
+    if math.isfinite(config.radius):
+        project_rows(comp, config.radius)
+    return comp
+
+
+def _clean_comparators(config: RunConfig, X, y_clean, y_emitted, is_outlier):
+    """(V_T, comparator radius, f_t at theta_t* on the emitted stream, theta_t*
+    on the corrupted rounds). The (T, d) comparators do not outlive the call."""
+    comp = _minimizers(config, X, y_clean)
+    radius = float(np.linalg.norm(comp, axis=1).max())
+    f_at_comparator = eval_f_rows(config.loss, X, y_emitted, comp)
+    step = np.diff(comp, axis=0)
+    step *= step   # squared in place: np.linalg.norm's row sums without its (T, d) temporary
+    return float(np.sqrt(np.add.reduce(step, axis=1)).sum()), radius, f_at_comparator, comp[is_outlier]
+
+
 def run_episode(config: RunConfig, seed: int) -> EpisodeTrace:
-    """Play one seeded episode and return the full per-round trace."""
-    return run_episode_with_runner(config, seed)[0]
-
-
-def run_episode_with_runner(config: RunConfig, seed: int):
-    """run_episode, additionally returning the learner runner (its final state,
-    or the expert pool for the experts learner). Raises RuntimeError naming the
-    seed and the first round whose loss is not finite (a diverged run), before
-    that round's step."""
+    """Play one seeded episode and return what its regret accounting reads.
+    Raises RuntimeError naming the seed and the first round whose loss is not
+    finite (a diverged run), before that round's step."""
     T = config.T
     gen, X, y_clean, y_emitted, is_outlier = st.episode_stream(config.generator, T, config.k, seed)
+    v_t, radius, f_at_comparator, comp_clean = _clean_comparators(config, X, y_clean, y_emitted, is_outlier)
+    comp_emitted = _minimizers(config, X[is_outlier], y_emitted[is_outlier])
 
-    comp_clean = minimizer_rows(config.loss, X, y_clean)
-    comp_emitted = minimizer_rows(config.loss, X, y_emitted)
-    if math.isfinite(config.radius):
-        project_rows(comp_clean, config.radius)
-        project_rows(comp_emitted, config.radius)
-
-    alpha = _resolve_alpha(config, comp_clean)
-    runner = _make_runner(config, alpha, gen.dim)
-
-    theta = np.empty((T, gen.dim))
+    runner = _make_runner(config, _resolve_alpha(config, v_t), gen.dim)
     f_emitted = np.empty(T)
     for t in range(T):
         s = SideInfo(x=X[t], y=float(y_emitted[t]))
         try:
-            theta[t] = runner.theta
-            f_val = eval_f(config.loss, s, theta[t])
+            theta = runner.theta   # steps replace the action array, never write into it
+            f_val = eval_f(config.loss, s, theta)
         except Exception as exc:
             raise RuntimeError(f"round {t + 1}: {exc}") from exc
         if not math.isfinite(f_val):
@@ -236,36 +246,22 @@ def run_episode_with_runner(config: RunConfig, seed: int):
         except Exception as exc:
             raise RuntimeError(f"round {t + 1}: {exc}") from exc
 
-    f_at_comparator = eval_f_rows(config.loss, X, y_emitted, comp_clean)
-    trace = EpisodeTrace(
+    return EpisodeTrace(
         is_outlier=is_outlier,
         theta=theta,
         f_emitted=f_emitted,
         comparator_clean=comp_clean,
         comparator_emitted=comp_emitted,
         f_at_comparator=f_at_comparator,
+        v_t=v_t,
+        comparator_radius=radius,
     )
-    return trace, runner
-
-
-def _path_length(comparators: np.ndarray) -> float:
-    return float(np.linalg.norm(np.diff(comparators, axis=0), axis=1).sum())
-
-
-def path_length(trace: EpisodeTrace) -> float:
-    """V_T = sum over t of ||theta_t* - theta_{t+1}*|| using clean comparators."""
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    return _path_length(trace.comparator_clean)
 
 
 def delta_S(trace: EpisodeTrace) -> float:
     """Max over corrupted rounds of ||omega_t* - theta_t*||; 0 when none."""
-    mask = trace.is_outlier
-    if not np.any(mask):
-        return 0.0
-    diff = trace.comparator_emitted[mask] - trace.comparator_clean[mask]
-    return float(np.linalg.norm(diff, axis=1).max())
+    diff = trace.comparator_emitted - trace.comparator_clean
+    return float(np.linalg.norm(diff, axis=1).max(initial=0.0))
 
 
 def clean_dynamic_regret(trace: EpisodeTrace) -> RegretCurve:
@@ -276,9 +272,9 @@ def clean_dynamic_regret(trace: EpisodeTrace) -> RegretCurve:
     clean = ~trace.is_outlier
     return RegretCurve(
         series=np.cumsum(terms),
-        v_t=path_length(trace),
+        v_t=trace.v_t,
         delta_s=delta_S(trace),
-        comparator_radius=float(np.linalg.norm(trace.comparator_clean, axis=1).max()),
+        comparator_radius=trace.comparator_radius,
         b_clean=float(trace.f_emitted[clean].max()) if np.any(clean) else 0.0,
         n_outliers=int(trace.is_outlier.sum()),
     )
@@ -339,7 +335,7 @@ def run_cell(config: RunConfig) -> CellResult:
     for seed in config.seeds:
         trace = run_episode(config, seed)
         curves.append(clean_dynamic_regret(trace))
-        final_thetas.append(trace.theta[-1].copy())
+        final_thetas.append(trace.theta)
     mean, stderr = aggregate_runs(curves)
     return CellResult(config=config, curves=curves, final_thetas=final_thetas, mean=mean, stderr=stderr)
 

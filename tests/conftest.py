@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robust_oco import harness
 from robust_oco.losses import RIDGE, RoundLoss, SideInfo
 
 
@@ -20,6 +21,20 @@ def random_instance(rng, family, lam=None, max_dim=6):
         y = float(rng.choice([-1.0, 1.0]))
     lam = float(rng.uniform(1e-4, 2.0)) if lam is None else lam
     return RoundLoss(family=family, lam=lam), SideInfo(x=x, y=y)
+
+
+def capture_pools(monkeypatch):
+    """Keep each expert pool harness.init_pool returns from now on, in order;
+    run_episode returns no learner state, so the pool is read here."""
+    pools = []
+    init_pool = harness.init_pool
+
+    def keep(*args, **kwargs):
+        pools.append(init_pool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(harness, "init_pool", keep)
+    return pools
 
 
 def golden_minimize(fun, lo, hi, tol=1e-12, iters=200):

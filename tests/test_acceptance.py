@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 import robust_oco as ro
-from robust_oco import harness, oracle
+from conftest import capture_pools
+from robust_oco import oracle
 from robust_oco import stream as st
 from robust_oco.harness import ExpertsSettings
 
@@ -207,27 +208,28 @@ def test_5_quarter_corruption_regime():
 
 # --- 6: expert aggregation sanity ----------------------------------------------
 
-def test_6_expert_framework():
+def test_6_expert_framework(monkeypatch):
     t0 = time.perf_counter()
     T6 = 2000
     a_max = float(math.ceil(math.sqrt(T6)))
     k6 = math.isqrt(T6)
     ratios = []
     weights_ok, n_ok = True, True
+    pools = capture_pools(monkeypatch)
     for seed in (1, 2, 3):
         cfg_e = ro.preset_config("svm", T=T6, seeds=[seed], learner="experts", k=k6,
                                  experts=ExpertsSettings(a_max=a_max, epsilon=1.0))
-        trace, runner = harness.run_episode_with_runner(cfg_e, seed)
+        f_experts = ro.clean_dynamic_regret(ro.run_episode(cfg_e, seed)).final
+        pool = pools[-1]
         cfg_l = ro.preset_config("svm", T=T6, seeds=[seed], learner="learn", k=k6)
-        f_experts = ro.clean_dynamic_regret(trace).final
         f_learn = ro.clean_dynamic_regret(ro.run_episode(cfg_l, seed)).final
         ratios.append(f_experts / f_learn)
-        weights_ok &= bool(np.all(np.isfinite(runner.pool.log_weights)))
-        n_ok &= runner.pool.grid.n <= T6 * math.log2(a_max)
+        weights_ok &= bool(np.all(np.isfinite(pool.log_weights)))
+        n_ok &= pool.grid.n <= T6 * math.log2(a_max)
     elapsed = time.perf_counter() - t0
     ok = max(ratios) <= 3.0 and weights_ok and n_ok and elapsed <= 180.0
     assert report(6, "expert pool within 3x of single learner, grid bound, finite weights",
-                  ok, f"ratios {[f'{r:.2f}' for r in ratios]}, N={runner.pool.grid.n} <= "
+                  ok, f"ratios {[f'{r:.2f}' for r in ratios]}, N={pool.grid.n} <= "
                       f"{T6 * math.log2(a_max):.0f}, {elapsed:.0f}s")
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import robust_oco
+from conftest import capture_pools
 from robust_oco import cli, harness
 from robust_oco import stream as st
 
@@ -294,14 +295,19 @@ def test_benchmark_contract(tmp_path, monkeypatch):
     for module, attr, _, _ in tracing.WRAPS:
         assert callable(getattr(getattr(robust_oco, module), attr)), (module, attr)
     config = harness.preset_config("svm", T=40, seeds=[1], learner=harness.EXPERTS, k=6)
-    trace, runner = harness.run_episode_with_runner(config, 1)
-    for obj, attrs in ((runner.pool, ("thetas", "step_sizes", "radii", "log_weights")),
+    pools = capture_pools(monkeypatch)
+    trace = harness.run_episode(config, 1)
+    for obj, attrs in ((pools[0], ("thetas", "step_sizes", "radii", "log_weights")),
                        (trace, ("is_outlier", "theta", "f_emitted", "comparator_clean",
                                 "comparator_emitted", "f_at_comparator"))):
         for attr in attrs:
             assert isinstance(getattr(obj, attr), np.ndarray), (type(obj).__name__, attr)
-    assert tracing._pool_bytes(None, runner.pool) > 0
+    assert tracing._pool_bytes(None, pools[0]) > 0
     assert tracing._trace_bytes(None, trace) > 0
+    # an episode keeps no (T, d) array
+    T, d = 2000, 100
+    ridge = harness.preset_config("ridge", T=T, seeds=[1], k=44)
+    assert tracing._trace_bytes(None, harness.run_episode(ridge, 1)) < T * d * 8
     for wl in workloads.WORKLOADS.values():
         argv = wl.argv(str(tmp_path), 1)
         if argv[0] in ("run", "sweep"):

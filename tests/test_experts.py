@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import capture_pools
 from robust_oco import harness
 from robust_oco.experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
 from robust_oco.learners import LearnerState, learn_step
@@ -253,14 +254,15 @@ def test_several_members_split_in_one_round():
 def test_compressed_pool_matches_uncompressed_regret(seed, monkeypatch):
     # svm preset, T=2000: 6144 experts over 6 step sizes and 1024 radii
     config = harness.preset_config("svm", T=2000, seeds=[seed], learner=harness.EXPERTS, k=44)
-    trace, runner = harness.run_episode_with_runner(config, seed)
-    series = harness.clean_dynamic_regret(trace).series
-    assert runner.pool.grid.n == 6144 and len(runner.pool.thetas) < 100
+    pools = capture_pools(monkeypatch)
+    series = harness.clean_dynamic_regret(harness.run_episode(config, seed)).series
+    assert pools[0].grid.n == 6144 and len(pools[0].thetas) < 100
     monkeypatch.setattr(harness, "init_pool", RefPool)
     monkeypatch.setattr(harness, "pool_step", ref_pool_step)
     monkeypatch.setattr(harness, "aggregate_action", ref_aggregate_action)
-    ref_trace, ref_runner = harness.run_episode_with_runner(config, seed)
-    assert isinstance(ref_runner.pool, RefPool)
+    ref_pools = capture_pools(monkeypatch)
+    ref_trace = harness.run_episode(config, seed)
+    assert len(ref_pools) == 1 and isinstance(ref_pools[0], RefPool)
     np.testing.assert_allclose(series, harness.clean_dynamic_regret(ref_trace).series, rtol=1e-9, atol=0)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import capture_pools
 from robust_oco import harness
 from robust_oco import stream as st
 from robust_oco.harness import (
@@ -14,27 +15,71 @@ from robust_oco.harness import (
     check_regret_bound,
     clean_dynamic_regret,
     delta_S,
-    path_length,
     preset_config,
     run_cell,
     run_episode,
     run_theorem_check,
 )
-from robust_oco.losses import LearnParams, RoundLoss, derive_constants
+from robust_oco.learners import project_rows
+from robust_oco.losses import LearnParams, RoundLoss, derive_constants, eval_f_rows, minimizer_rows
 
 
 def make_trace(f_emitted, f_at_comp, is_outlier, comp_clean=None, comp_emitted=None):
-    T = len(f_emitted)
-    comp_clean = np.zeros((T, 2)) if comp_clean is None else np.asarray(comp_clean, float)
+    """A trace by hand; the comparators are the corrupted rounds' rows."""
+    is_outlier = np.asarray(is_outlier, bool)
+    k = int(is_outlier.sum())
+    comp_clean = np.zeros((k, 2)) if comp_clean is None else np.asarray(comp_clean, float)
     comp_emitted = comp_clean.copy() if comp_emitted is None else np.asarray(comp_emitted, float)
     return EpisodeTrace(
-        is_outlier=np.asarray(is_outlier, bool),
-        theta=np.zeros((T, 2)),
+        is_outlier=is_outlier,
+        theta=np.zeros(2),
         f_emitted=np.asarray(f_emitted, float),
         comparator_clean=comp_clean,
         comparator_emitted=comp_emitted,
         f_at_comparator=np.asarray(f_at_comp, float),
+        v_t=0.0,
+        comparator_radius=0.0,
     )
+
+
+def reference_accounting(cfg, seed):
+    """The episode's full (T, d) clean and emitted comparators, recomputed from
+    its stream, and the regret statistics read off them."""
+    _, X, y_clean, y_emitted, is_outlier = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
+    comp_clean = minimizer_rows(cfg.loss, X, y_clean)
+    comp_emitted = minimizer_rows(cfg.loss, X, y_emitted)
+    if math.isfinite(cfg.radius):
+        project_rows(comp_clean, cfg.radius)
+        project_rows(comp_emitted, cfg.radius)
+    diff = comp_emitted[is_outlier] - comp_clean[is_outlier]
+    return dict(
+        is_outlier=is_outlier,
+        comp_clean=comp_clean,
+        comp_emitted=comp_emitted,
+        v_t=float(np.linalg.norm(np.diff(comp_clean, axis=0), axis=1).sum()),
+        comparator_radius=float(np.linalg.norm(comp_clean, axis=1).max()),
+        f_at_comparator=eval_f_rows(cfg.loss, X, y_emitted, comp_clean),
+        delta_s=float(np.linalg.norm(diff, axis=1).max()) if is_outlier.any() else 0.0,
+    )
+
+
+def assert_matches_reference(cfg, seed):
+    """run_episode's accounting equals the full-array reference exactly."""
+    trace = run_episode(cfg, seed)
+    ref = reference_accounting(cfg, seed)
+    mask = ref["is_outlier"]
+    np.testing.assert_array_equal(trace.is_outlier, mask)
+    assert trace.v_t == ref["v_t"]
+    assert trace.comparator_radius == ref["comparator_radius"]
+    np.testing.assert_array_equal(trace.f_at_comparator, ref["f_at_comparator"])
+    assert trace.comparator_clean.shape == (cfg.k, cfg.generator.dim)
+    np.testing.assert_array_equal(trace.comparator_clean, ref["comp_clean"][mask])
+    np.testing.assert_array_equal(trace.comparator_emitted, ref["comp_emitted"][mask])
+    assert delta_S(trace) == ref["delta_s"]
+    curve = clean_dynamic_regret(trace)
+    assert (curve.v_t, curve.delta_s, curve.comparator_radius) == (
+        ref["v_t"], ref["delta_s"], ref["comparator_radius"])
+    return trace, ref
 
 
 # --- metric operations on hand-built traces ----------------------------------
@@ -50,23 +95,34 @@ def test_clean_dynamic_regret_examples():
     assert c.n_outliers == 1
 
 
-def test_path_length_examples():
-    comp = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    t = make_trace([0, 0, 0], [0, 0, 0], [False] * 3, comp_clean=comp)
-    assert path_length(t) == pytest.approx(2.0)
-    t = make_trace([0, 0], [0, 0], [False] * 2, comp_clean=np.ones((2, 2)))
-    assert path_length(t) == 0.0
-    t = make_trace([0.0], [0.0], [False])
-    assert path_length(t) == 0.0  # single round, empty sum
+def test_path_length_examples(monkeypatch):
+    # V_T and the radius are read off the comparators minimizer_rows returns
+    def clean_comparators(comp, is_outlier=None, radius=math.inf):
+        comp = np.asarray(comp, float)
+        T = len(comp)
+        monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y: comp.copy())
+        cfg = preset_config("svm", T=T, seeds=[1], k=0, radius=radius)
+        mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
+        return harness._clean_comparators(cfg, np.zeros((T, 2)), np.zeros(T), np.zeros(T), mask)
+
+    v_t, radius, _, rows = clean_comparators([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [False, True, False])
+    assert v_t == 2.0 and radius == math.sqrt(2.0)
+    np.testing.assert_array_equal(rows, [[1.0, 0.0]])  # only the corrupted round is kept
+    assert clean_comparators(np.ones((2, 2)))[0] == 0.0
+    assert clean_comparators([[3.0, 4.0]])[:2] == (0.0, 5.0)  # single round, empty sum
+    # a finite radius projects the comparators before V_T and the radius are taken
+    v_t, radius, _, rows = clean_comparators([[3.0, 4.0], [0.0, 0.5]], [True, False], radius=1.0)
+    assert v_t == pytest.approx(math.hypot(0.6, 0.3)) and radius == pytest.approx(1.0)
+    np.testing.assert_allclose(rows, [[0.6, 0.8]])
 
 
 def test_delta_s_examples():
     t = make_trace([0, 0], [0, 0], [False, False])
     assert delta_S(t) == 0.0  # no corrupted rounds
-    t = make_trace([0, 0], [0, 0], [False, True],
+    t = make_trace([0, 0, 0], [0, 0, 0], [True, False, True],
                    comp_clean=np.zeros((2, 2)),
-                   comp_emitted=np.array([[5.0, 0.0], [1.0, 0.0]]))
-    assert delta_S(t) == pytest.approx(1.0)  # only the corrupted round counts
+                   comp_emitted=np.array([[3.0, 4.0], [1.0, 0.0]]))
+    assert delta_S(t) == 5.0  # the largest displacement over the corrupted rounds
     t = make_trace([0], [0], [True], comp_clean=np.ones((1, 2)), comp_emitted=np.ones((1, 2)))
     assert delta_S(t) == 0.0  # corruption left the minimizer fixed
 
@@ -117,12 +173,13 @@ def test_episode_determinism():
 
 def test_episode_records_and_comparators():
     cfg = preset_config("ridge", T=50, seeds=[2], learner=harness.OGD, k=20)
-    trace = run_episode(cfg, 2)
-    assert len(trace) == 50
+    trace, ref = assert_matches_reference(cfg, 2)
+    assert len(trace) == 50 and trace.theta.shape == (100,)
     assert trace.f_emitted.min() >= 0.0
     clean = ~trace.is_outlier
-    np.testing.assert_array_equal(trace.comparator_clean[clean], trace.comparator_emitted[clean])
+    np.testing.assert_array_equal(ref["comp_clean"][clean], ref["comp_emitted"][clean])
     assert trace.is_outlier.sum() == 20
+    assert delta_S(trace) > 0.0
 
 
 def test_clean_regret_terms_nonnegative():
@@ -133,11 +190,22 @@ def test_clean_regret_terms_nonnegative():
         assert terms.min() >= -1e-9
 
 
-def test_finite_radius_constrains_comparator_and_actions():
+def test_finite_radius_constrains_comparator_and_actions(monkeypatch):
+    played = []
+
+    def recording_eval_f(loss, s, theta):
+        played.append(theta.copy())
+        return eval_f(loss, s, theta)
+
+    eval_f = harness.eval_f
+    monkeypatch.setattr(harness, "eval_f", recording_eval_f)
     cfg = preset_config("ridge", T=100, seeds=[5], learner=harness.LEARN, k=10, radius=0.05)
     trace = run_episode(cfg, 5)
-    assert np.linalg.norm(trace.comparator_clean, axis=1).max() <= 0.05 + 1e-12
-    assert np.linalg.norm(trace.theta, axis=1).max() <= 0.05 + 1e-12
+    assert trace.comparator_radius <= 0.05 + 1e-12
+    assert len(played) == 100
+    assert np.linalg.norm(played, axis=1).max() <= 0.05 + 1e-12
+    # the trace keeps the action played in round T, before the last step
+    np.testing.assert_array_equal(trace.theta, played[-1])
     # regret terms stay essentially nonnegative for the projected ridge comparator
     terms = np.where(trace.is_outlier, 0.0, trace.f_emitted - trace.f_at_comparator)
     assert terms.min() >= -1e-9
@@ -163,11 +231,16 @@ def test_utopk_budget_is_three_quarters():
 
 def test_curve_statistics_recomputable_from_trace():
     cfg = preset_config("ridge", T=80, seeds=[9], learner=harness.LEARN, k=8)
-    trace = run_episode(cfg, 9)
-    curve = clean_dynamic_regret(trace)
-    assert curve.v_t == path_length(trace)
-    assert curve.delta_s == delta_S(trace)
-    assert curve.comparator_radius == np.linalg.norm(trace.comparator_clean, axis=1).max()
+    assert_matches_reference(cfg, 9)
+
+
+@pytest.mark.parametrize("family, learner", [("ridge", harness.LEARN), ("svm", harness.TOPK)])
+def test_finite_radius_accounting_matches_reference(family, learner):
+    # radius 0.05 projects 70-86% of the comparators of either family, not all
+    cfg = preset_config(family, T=120, seeds=[4], learner=learner, k=12, radius=0.05)
+    trace = assert_matches_reference(cfg, 4)[0]
+    assert trace.comparator_radius <= 0.05 + 1e-12
+    assert np.linalg.norm(trace.comparator_emitted, axis=1).max() <= 0.05 + 1e-12
 
 
 def test_config_validation():
@@ -227,14 +300,15 @@ def test_run_cell_aggregates():
     assert res.mean.shape == (120,) and res.stderr.shape == (120,)
 
 
-def test_experts_learner_through_harness():
+def test_experts_learner_through_harness(monkeypatch):
     cfg = preset_config("svm", T=150, seeds=[1], learner=harness.EXPERTS, k=12,
                         experts=ExpertsSettings(a_max=16.0, epsilon=1.0))
-    trace, runner = harness.run_episode_with_runner(cfg, 1)
-    curve = clean_dynamic_regret(trace)
+    pools = capture_pools(monkeypatch)
+    curve = clean_dynamic_regret(run_episode(cfg, 1))
     assert math.isfinite(curve.final)
-    assert np.all(np.isfinite(runner.pool.log_weights))
-    assert runner.pool.grid.n <= 150 * math.log2(16.0)
+    assert len(pools) == 1
+    assert np.all(np.isfinite(pools[0].log_weights))
+    assert pools[0].grid.n <= 150 * math.log2(16.0)
 
 
 def test_divergent_run_stops_at_first_non_finite_loss(monkeypatch):
