@@ -50,6 +50,7 @@ from .harness import (
     preset_config,
     run_cell,
     run_episode,
+    run_episodes,
     run_theorem_check,
 )
 from .oracle import CheckReport, default_suite

@@ -7,6 +7,20 @@ the corrupted rounds only, for the adversary displacement delta_S. Clean
 dynamic regret sums f_t(s_t, theta_t) - f_t(s_t, theta_t*) over uncorrupted
 rounds only, where theta_t* minimizes the clean-round loss (projected onto
 the domain ball when the radius is finite).
+
+`run_episodes` plays all seeds of a cell at once. Each seed's stream is
+drawn in time chunks of at most CHUNK_BYTES of features over all seeds; a
+chunk feeds every seed's comparator accounting, then the learner loop, which
+advances one (R, d) array of actions per round for ogd, learn, topk and
+utopk. The loop uses the loss kernels of `losses` and the row projection of
+`learners`, takes every dot product as one BLAS dot per row and the gate's
+exp from libm per seed, as the per-round functions do, so each seed's
+numbers equal those of ogd_step, learn_step or topk_filter_step on that
+seed alone, bit for bit, whatever the chunking and the other seeds. In the
+theoretical step mode the step size needs V_T, so the comparators are
+accounted in a first pass and the streams redrawn for the loop. The expert
+pool's row count varies by seed, so its seeds run one at a time, each on
+its own chunked stream.
 """
 
 from __future__ import annotations
@@ -18,13 +32,17 @@ import numpy as np
 
 from . import stream as st
 from .experts import ExpertPool, aggregate_action, beta_default, build_grid, init_pool, pool_step
-from .learners import LearnerState, learn_step, ogd_step, project_rows, theoretical_stepsize, topk_filter_step
+from .learners import project_rows, theoretical_stepsize
+from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import (
     LearnParams,
     ProblemConstants,
     RoundLoss,
     SideInfo,
+    _coef,
+    _value,
     derive_constants,
+    eta,
     eval_f,
     eval_f_rows,
     minimizer_rows,
@@ -39,6 +57,8 @@ LEARNERS = (OGD, LEARN, TOPK, UTOPK, EXPERTS)
 
 FIXED = "fixed"
 THEORETICAL = "theoretical"
+
+CHUNK_BYTES = 4 << 20   # features per time chunk of run_episodes, summed over the seeds
 
 
 @dataclass
@@ -82,6 +102,12 @@ class RunConfig:
             raise ValueError("need 0 <= k <= T")
         if self.loss.lam <= 0:
             raise ValueError("lam must be positive: it is the strong convexity modulus m of the bound constants")
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if not self.radius > 0:
+            raise ValueError(f"radius must be positive (inf for unbounded), got {self.radius!r}")
+        if self.topk_budget is not None and self.topk_budget < 0:
+            raise ValueError(f"topk_budget must be >= 0, got {self.topk_budget!r}")
         if self.step_mode not in (FIXED, THEORETICAL):
             raise ValueError(f"unknown step mode {self.step_mode!r}")
         if self.step_mode == THEORETICAL:
@@ -145,54 +171,17 @@ class BoundCheck:
     bound: float
 
 
-class _SingleRunner:
-    """Wraps one LearnerState and the per-round step of a non-expert learner."""
-
-    def __init__(self, config: RunConfig, alpha: float, dim: int):
-        self.state = LearnerState(theta=np.zeros(dim), step_size=alpha, radius=config.radius)
-        self.kind = config.learner
-        self.params = config.params
-        self.budget = config.resolve_topk_budget() if config.learner in (TOPK, UTOPK) else 0
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.state.theta
-
-    def observe(self, s: SideInfo, loss: RoundLoss, f_val: float):
-        if self.kind == OGD:
-            ogd_step(self.state, s, loss)
-        elif self.kind == LEARN:
-            learn_step(self.state, s, loss, self.params, f_val)
-        else:
-            topk_filter_step(self.state, s, loss, self.budget)
+def _expert_pool(config: RunConfig, dim: int) -> ExpertPool:
+    """A fresh Algorithm-2 pool over the (step size, radius) grid of the config."""
+    grid = build_grid(config.resolve_a_max(), config.experts.epsilon, config.T)
+    beta = config.experts.beta
+    if beta is None:
+        beta = beta_default(grid.n, config.T, config.params.nu)
+    return init_pool(grid, dim, beta)
 
 
-class _ExpertsRunner:
-    """Wraps an ExpertPool; the played action is the weighted expert average."""
-
-    def __init__(self, config: RunConfig, dim: int):
-        grid = build_grid(config.resolve_a_max(), config.experts.epsilon, config.T)
-        beta = config.experts.beta
-        if beta is None:
-            beta = beta_default(grid.n, config.T, config.params.nu)
-        self.pool: ExpertPool = init_pool(grid, dim, beta)
-        self.params = config.params
-
-    @property
-    def theta(self) -> np.ndarray:
-        return aggregate_action(self.pool)
-
-    def observe(self, s: SideInfo, loss: RoundLoss, f_val: float):
-        pool_step(self.pool, s, loss, self.params)
-
-
-def _make_runner(config: RunConfig, alpha: float, dim: int):
-    if config.learner == EXPERTS:
-        return _ExpertsRunner(config, dim)
-    return _SingleRunner(config, alpha, dim)
-
-
-def _resolve_alpha(config: RunConfig, v_t: float) -> float:
+def _resolve_alpha(config: RunConfig, v_t: float | None = None) -> float:
+    """The step size; the theoretical one needs the episode's V_T."""
     if config.step_mode == THEORETICAL:
         psi = derive_constants(config.params, G=config.G, L=config.L, m=config.loss.lam).psi
         return theoretical_stepsize(config.radius, v_t, psi, config.T)
@@ -209,53 +198,181 @@ def _minimizers(config: RunConfig, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _clean_comparators(config: RunConfig, X, y_clean, y_emitted, is_outlier):
-    """(V_T, comparator radius, f_t at theta_t* on the emitted stream, theta_t*
-    on the corrupted rounds). The (T, d) comparators do not outlive the call."""
-    comp = _minimizers(config, X, y_clean)
-    radius = float(np.linalg.norm(comp, axis=1).max())
-    f_at_comparator = eval_f_rows(config.loss, X, y_emitted, comp)
-    step = np.diff(comp, axis=0)
-    step *= step   # squared in place: np.linalg.norm's row sums without its (T, d) temporary
-    return float(np.sqrt(np.add.reduce(step, axis=1)).sum()), radius, f_at_comparator, comp[is_outlier]
+class _Comparators:
+    """One episode's comparator accounting, fed chunk by chunk in round order.
+
+    Keeps the outlier mask, f_t at theta_t* on the emitted stream, the step
+    norms ||theta_t* - theta_{t+1}*|| (summed once, so V_T sums in one order
+    whatever the chunking), each chunk's largest ||theta_t*||, and theta_t* and
+    omega_t* on the corrupted rounds. A chunk's comparators do not outlive its
+    `add`.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.is_outlier = np.zeros(config.T, dtype=bool)
+        self.f_at_comparator = np.empty(config.T)
+        self.steps = np.empty(config.T - 1)
+        self.norm_max = []
+        self.clean, self.emitted = [], []
+        self.last = np.empty((0, config.generator.dim))   # theta* of the round before the chunk
+
+    def add(self, t0: int, X, y_clean, y_emitted, idx):
+        """Account rounds t0 .. t0 + len(X) - 1; idx are the chunk's corrupted rows."""
+        t1 = t0 + len(X)
+        comp = _minimizers(self.config, X, y_clean)
+        self.is_outlier[t0 + idx] = True
+        self.f_at_comparator[t0:t1] = eval_f_rows(self.config.loss, X, y_emitted, comp)
+        self.norm_max.append(np.linalg.norm(comp, axis=1).max())
+        step = np.diff(np.concatenate((self.last, comp)), axis=0)
+        step *= step   # squared in place: np.linalg.norm's row sums without its temporary
+        self.steps[t1 - 1 - len(step):t1 - 1] = np.sqrt(np.add.reduce(step, axis=1))
+        self.last = comp[-1:]
+        self.clean.append(comp[idx])
+        self.emitted.append(_minimizers(self.config, X[idx], y_emitted[idx]))
+
+    @property
+    def v_t(self) -> float:
+        return float(self.steps.sum())
+
+    def trace(self, f_emitted: np.ndarray, theta: np.ndarray) -> EpisodeTrace:
+        return EpisodeTrace(
+            is_outlier=self.is_outlier,
+            theta=theta,
+            f_emitted=f_emitted,
+            comparator_clean=np.concatenate(self.clean),
+            comparator_emitted=np.concatenate(self.emitted),
+            f_at_comparator=self.f_at_comparator,
+            v_t=self.v_t,
+            comparator_radius=float(np.max(self.norm_max)),
+        )
+
+
+def _chunks(config: RunConfig, seeds, accounts: list):
+    """The seeds' streams in lockstep time chunks of at most CHUNK_BYTES of
+    features over all seeds (at least one round each). Each seed's part of a
+    chunk goes to its accounting, if any, and into one (rounds, R, d) array
+    of features and one (rounds, R) array of emitted responses, refilled for
+    every chunk: yields (t0, X, Y)."""
+    R, dim = len(seeds), config.generator.dim
+    rows = min(config.T, max(1, CHUNK_BYTES // (R * dim * 8)))
+    streams = [st.EpisodeStream(config.generator, config.T, config.k, seed) for seed in seeds]
+    X, Y = np.empty((rows, R, dim)), np.empty((rows, R))
+    for t0 in range(0, config.T, rows):
+        n = min(rows, config.T - t0)
+        for r, stream in enumerate(streams):
+            x, y_clean, y_emitted, idx = stream.draw(n)
+            if accounts:
+                accounts[r].add(t0, x, y_clean, y_emitted, idx)
+            X[:n, r], Y[:n, r] = x, y_emitted
+        yield t0, X[:n], Y[:n]
+
+
+def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
+    """The learner's step of all seeds' actions at once: step(theta, x, y,
+    proj, f) returns the next (R, d) actions from this round's actions, side
+    information, proj = <x, theta> and losses. Each row gets what ogd_step,
+    learn_step or topk_filter_step makes of it, bit for bit."""
+    loss, params, radius = config.loss, config.params, config.radius
+    gated = config.learner == LEARN
+    budget = config.resolve_topk_budget() if config.learner in (TOPK, UTOPK) else 0
+    top = np.empty((n_seeds, budget))   # each seed's `budget` largest gradient norms
+    seen = 0                            # rounds that went into filling `top`
+    rows = np.arange(n_seeds)
+
+    def step(theta, x, y, proj, f):
+        nonlocal seen
+        g = loss.lam * theta - _coef(loss, proj, y)[:, None] * x
+        if gated:   # eta per seed: numpy's vector exp can differ from libm's in the last bit
+            g *= np.array([eta(params, v) for v in f.tolist()])[:, None]
+        if budget:
+            n = np.sqrt(np.vecdot(g, g))
+            if seen < budget:   # every seed fills its buffer in the same first rounds, all filtered
+                top[:, seen] = n
+                seen += 1
+                return theta
+            j = top.argmin(axis=1)
+            low = top[rows, j]
+            update = n < 2.0 * low
+            grow = ~update & (n > low)
+            top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
+        new = theta - alpha * g
+        if math.isfinite(radius):
+            project_rows(new, radius, np.vecdot(new, new))   # squared norms as project_ball sums them
+        return np.where(update[:, None], new, theta) if budget else new
+
+    return step
+
+
+def _play(config: RunConfig, seeds, chunks, alpha: np.ndarray):
+    """The learner loop of all seeds at once, one (R, d) update per round;
+    alpha holds each seed's step size, (R, 1). Returns f_t(s_t, theta_t) of
+    every seed and round, (R, T), and the actions played in round T, (R, d).
+    Every dot product is one BLAS dot per row, as eval_f and grad_f take it."""
+    T, loss = config.T, config.loss
+    theta = np.zeros((len(seeds), config.generator.dim))
+    f_emitted = np.empty((len(seeds), T))
+    step = _stepper(config, alpha, len(seeds))
+    for t0, X, Y in chunks:
+        for t, x, y in zip(range(t0, T), X, Y):
+            proj = np.vecdot(x, theta)
+            f = _value(loss, proj, np.vecdot(theta, theta), y)
+            finite = np.isfinite(f)
+            if not finite.all():
+                raise RuntimeError(f"seed {seeds[int(finite.argmin())]}: non-finite loss at round {t + 1} "
+                                   f"of {T}; the run diverged")
+            f_emitted[:, t] = f
+            if t + 1 < T:   # theta stays the action played in round T
+                theta = step(theta, x, y, proj, f)
+    return f_emitted, theta
+
+
+def _experts_episode(config: RunConfig, seed: int) -> EpisodeTrace:
+    """One seed's episode of the expert pool, whose action is the weighted
+    expert average; the pool's row count varies by seed, so seeds run alone."""
+    T = config.T
+    comparators = _Comparators(config)
+    pool = _expert_pool(config, config.generator.dim)
+    f_emitted = np.empty(T)
+    for t0, X, Y in _chunks(config, [seed], [comparators]):
+        for t, x, y in zip(range(t0, T), X[:, 0], Y[:, 0]):
+            s = SideInfo(x=x, y=float(y))
+            theta = aggregate_action(pool)
+            f_emitted[t] = eval_f(config.loss, s, theta)
+            if not math.isfinite(f_emitted[t]):
+                raise RuntimeError(f"seed {seed}: non-finite loss at round {t + 1} of {T}; the run diverged")
+            pool_step(pool, s, config.loss, config.params)
+    return comparators.trace(f_emitted, theta)
+
+
+def run_episodes(config: RunConfig, seeds) -> list:
+    """Play the seeded episodes of the config and return what their regret
+    accounting reads, one EpisodeTrace per seed, in order.
+
+    Raises RuntimeError naming the seed and the round of the batch's earliest
+    non-finite loss (a diverged run; the first such seed on a tie), before any
+    step of that round.
+    """
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    if config.learner == EXPERTS:
+        return [_experts_episode(config, seed) for seed in seeds]
+    accounts = [_Comparators(config) for _ in seeds]
+    chunks = _chunks(config, seeds, accounts)
+    if config.step_mode == THEORETICAL:
+        for _ in chunks:   # the step size needs V_T: account first, then redraw the streams
+            pass
+        alpha = [_resolve_alpha(config, acc.v_t) for acc in accounts]
+        chunks = _chunks(config, seeds, [])
+    else:
+        alpha = [_resolve_alpha(config)] * len(seeds)
+    f_emitted, theta = _play(config, seeds, chunks, np.array(alpha)[:, None])
+    return [acc.trace(f, th) for acc, f, th in zip(accounts, f_emitted, theta)]
 
 
 def run_episode(config: RunConfig, seed: int) -> EpisodeTrace:
-    """Play one seeded episode and return what its regret accounting reads.
-    Raises RuntimeError naming the seed and the first round whose loss is not
-    finite (a diverged run), before that round's step."""
-    T = config.T
-    gen, X, y_clean, y_emitted, is_outlier = st.episode_stream(config.generator, T, config.k, seed)
-    v_t, radius, f_at_comparator, comp_clean = _clean_comparators(config, X, y_clean, y_emitted, is_outlier)
-    comp_emitted = _minimizers(config, X[is_outlier], y_emitted[is_outlier])
-
-    runner = _make_runner(config, _resolve_alpha(config, v_t), gen.dim)
-    f_emitted = np.empty(T)
-    for t in range(T):
-        s = SideInfo(x=X[t], y=float(y_emitted[t]))
-        try:
-            theta = runner.theta   # steps replace the action array, never write into it
-            f_val = eval_f(config.loss, s, theta)
-        except Exception as exc:
-            raise RuntimeError(f"round {t + 1}: {exc}") from exc
-        if not math.isfinite(f_val):
-            raise RuntimeError(f"seed {seed}: non-finite loss at round {t + 1} of {T}; the run diverged")
-        f_emitted[t] = f_val
-        try:
-            runner.observe(s, config.loss, f_val)
-        except Exception as exc:
-            raise RuntimeError(f"round {t + 1}: {exc}") from exc
-
-    return EpisodeTrace(
-        is_outlier=is_outlier,
-        theta=theta,
-        f_emitted=f_emitted,
-        comparator_clean=comp_clean,
-        comparator_emitted=comp_emitted,
-        f_at_comparator=f_at_comparator,
-        v_t=v_t,
-        comparator_radius=radius,
-    )
+    """One seed's episode; see run_episodes."""
+    return run_episodes(config, [seed])[0]
 
 
 def delta_S(trace: EpisodeTrace) -> float:
@@ -330,14 +447,12 @@ class CellResult:
 
 
 def run_cell(config: RunConfig) -> CellResult:
-    """Run every seed of the cell and aggregate."""
-    curves, final_thetas = [], []
-    for seed in config.seeds:
-        trace = run_episode(config, seed)
-        curves.append(clean_dynamic_regret(trace))
-        final_thetas.append(trace.theta)
+    """Run every seed of the cell in one batch and aggregate."""
+    traces = run_episodes(config, config.seeds)
+    curves = [clean_dynamic_regret(trace) for trace in traces]
     mean, stderr = aggregate_runs(curves)
-    return CellResult(config=config, curves=curves, final_thetas=final_thetas, mean=mean, stderr=stderr)
+    return CellResult(config=config, curves=curves, final_thetas=[trace.theta for trace in traces],
+                      mean=mean, stderr=stderr)
 
 
 def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5.0):

@@ -53,12 +53,13 @@ def project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
     return theta * (radius / norm)
 
 
-def project_rows(thetas: np.ndarray, radii) -> np.ndarray:
+def project_rows(thetas: np.ndarray, radii, sq: np.ndarray | None = None) -> np.ndarray:
     """Project each row of thetas onto the origin-centered ball of its radius,
     in place; radii is one radius for all rows or one per row (math.inf for
-    unbounded). Returns the row norms before projection, summed in the order
+    unbounded). sq, when given, holds the squared row norms. Returns the row
+    norms before projection, by default summed in the order
     np.linalg.norm(thetas, axis=1) sums them."""
-    norms = np.sqrt(np.add.reduce(thetas * thetas, axis=1))
+    norms = np.sqrt(np.add.reduce(thetas * thetas, axis=1) if sq is None else sq)
     thetas *= np.where(norms > radii, radii / np.maximum(norms, 1e-300), 1.0)[:, None]
     return norms
 

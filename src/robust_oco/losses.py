@@ -27,7 +27,8 @@ the inner products a loss depends on, as floats or as arrays:
 The public functions only form those inner products for their shape: one
 round at one action (eval_f, grad_f, minimizer_f), one round at many actions
 (eval_f_many, grad_f_many) or many rounds at one action each (eval_f_rows,
-minimizer_rows).
+minimizer_rows). The harness's seed-batched episode loop calls _value and
+_coef itself, on one round of many seeds.
 """
 
 from __future__ import annotations

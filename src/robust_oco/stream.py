@@ -12,7 +12,8 @@ svm:    y = sign(<theta*, x>) with theta* uniform in [1,11]^d, x entries
 One master seed fully determines theta*, every round, the outlier set and
 the mislabel coin flips. Each purpose draws from its own substream of the
 master seed, so changing the corruption count k never perturbs the clean
-stream (paired comparisons across k stay paired).
+stream (paired comparisons across k stay paired). Each substream is read in
+round order, so a stream drawn in time chunks equals the one-block draw.
 """
 
 from __future__ import annotations
@@ -93,11 +94,15 @@ def resolve_theta_star(gen: CleanGenerator, rngs: StreamRngs) -> CleanGenerator:
 
 
 def gen_clean_block(gen: CleanGenerator, rng: StreamRngs, T: int):
-    """Vectorized generation of T clean rounds; returns (X, y) with X of shape (T, d)."""
+    """Vectorized generation of the next T clean rounds; returns (X, y) with X
+    of shape (T, d)."""
     if gen.theta_star is None:
         raise ValueError("theta_star unset; call resolve_theta_star first")
-    X = gen.feature_std * rng.features.standard_normal((T, gen.dim))
-    dot = X @ gen.theta_star
+    X = rng.features.standard_normal((T, gen.dim))
+    X *= gen.feature_std
+    # one dot product per round: X @ theta* sums a row differently with the
+    # row's place in the block, and a chunked draw must equal the one-block draw
+    dot = np.vecdot(X, gen.theta_star)
     if gen.kind == RIDGE_MODEL:
         y = dot + gen.noise_std * rng.noise.standard_normal(T)
         return X, y
@@ -135,18 +140,40 @@ def apply_corruption_block(kind: str, idx: np.ndarray, y_clean: np.ndarray,
     return y
 
 
+class EpisodeStream:
+    """One seeded episode's stream, corrupted by the generator kind's operator
+    and drawn in consecutive time chunks.
+
+    theta* and the sorted outlier rounds are drawn when the stream is made;
+    each `draw(n)` returns the next n rounds. Every substream is read in round
+    order, so chunks of any sizes concatenate to the one-block draw.
+    """
+
+    def __init__(self, generator: CleanGenerator, T: int, k: int, seed: int):
+        self.rngs = stream_rngs(seed)
+        self.gen = resolve_theta_star(generator, self.rngs)
+        self.outliers = sample_outlier_rounds(T, k, self.rngs.outliers)
+        self.t = 0
+
+    def draw(self, n: int):
+        """(X, y_clean, y_emitted, the chunk's corrupted rows) of the next n
+        rounds, X of shape (n, d)."""
+        X, y_clean = gen_clean_block(self.gen, self.rngs, n)
+        lo, hi = np.searchsorted(self.outliers, (self.t, self.t + n))
+        idx = self.outliers[lo:hi] - self.t
+        self.t += n
+        return X, y_clean, apply_corruption_block(self.gen.kind, idx, y_clean, self.rngs.corruption), idx
+
+
 def episode_stream(generator: CleanGenerator, T: int, k: int, seed: int):
-    """Draw one seeded episode's stream, corrupted by the generator kind's operator.
+    """Draw one seeded episode's stream in one block.
 
     Returns (generator with theta_star resolved, X, y_clean, y_emitted,
     outlier mask), X of shape (T, d).
     """
-    rngs = stream_rngs(seed)
-    gen = resolve_theta_star(generator, rngs)
-    X, y_clean = gen_clean_block(gen, rngs, T)
-    idx = sample_outlier_rounds(T, k, rngs.outliers)
-    y_emitted = apply_corruption_block(gen.kind, idx, y_clean, rngs.corruption)
-    return gen, X, y_clean, y_emitted, outlier_mask(idx, T)
+    stream = EpisodeStream(generator, T, k, seed)
+    X, y_clean, y_emitted, _ = stream.draw(T)
+    return stream.gen, X, y_clean, y_emitted, outlier_mask(stream.outliers, T)
 
 
 def floor_power(T: int, num: int, den: int) -> int:

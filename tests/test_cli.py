@@ -264,6 +264,12 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("[experts]\nc = 1\n", [], "'c' in [experts]", id="unknown-key"),
     pytest.param("", ["--lam", "0"], "lam must be positive", id="lam-zero"),
     pytest.param("[loss]\nlam = -1\n", [], "lam must be", id="lam-negative"),
+    pytest.param("", ["--alpha", "0"], "alpha must be finite and positive", id="alpha-zero"),
+    pytest.param("", ["--alpha", "inf"], "alpha must be finite and positive", id="alpha-inf"),
+    pytest.param("alpha = nan\n", [], "alpha must be finite and positive", id="alpha-nan"),
+    pytest.param("", ["--radius", "-2"], "radius must be positive", id="radius-negative"),
+    pytest.param("", ["--radius", "nan"], "radius must be positive", id="radius-nan"),
+    pytest.param("", ["--topk-budget", "-1"], "topk_budget must be >= 0", id="topk-budget-negative"),
 ])
 def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
     cfg = tmp_path / "exp.ini"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,19 @@ from robust_oco.harness import (
     preset_config,
     run_cell,
     run_episode,
+    run_episodes,
     run_theorem_check,
 )
-from robust_oco.learners import project_rows
-from robust_oco.losses import LearnParams, RoundLoss, derive_constants, eval_f_rows, minimizer_rows
+from robust_oco.learners import LearnerState, learn_step, ogd_step, project_rows, topk_filter_step
+from robust_oco.losses import (
+    LearnParams,
+    RoundLoss,
+    SideInfo,
+    derive_constants,
+    eval_f,
+    eval_f_rows,
+    minimizer_rows,
+)
 
 
 def make_trace(f_emitted, f_at_comp, is_outlier, comp_clean=None, comp_emitted=None):
@@ -63,6 +73,70 @@ def reference_accounting(cfg, seed):
     )
 
 
+def per_seed_episode(cfg, seed):
+    """The per-seed episode loop that run_episodes replaced, kept as its
+    reference: one SideInfo and one step of a LearnerState per round.
+    Returns f_t(s_t, theta_t) of every round and the action played in round T."""
+    gen, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
+    alpha = harness._resolve_alpha(cfg, reference_accounting(cfg, seed)["v_t"])
+    state = LearnerState(theta=np.zeros(gen.dim), step_size=alpha, radius=cfg.radius)
+    budget = cfg.resolve_topk_budget()
+    f_emitted = np.empty(cfg.T)
+    for t in range(cfg.T):
+        s = SideInfo(x=X[t], y=float(y_emitted[t]))
+        theta = state.theta   # steps replace the action array, never write into it
+        f_emitted[t] = eval_f(cfg.loss, s, theta)
+        if not math.isfinite(f_emitted[t]):
+            raise RuntimeError(f"seed {seed}: non-finite loss at round {t + 1} of {cfg.T}; the run diverged")
+        if cfg.learner == harness.OGD:
+            ogd_step(state, s, cfg.loss)
+        elif cfg.learner == harness.LEARN:
+            learn_step(state, s, cfg.loss, cfg.params, f_emitted[t])
+        else:
+            topk_filter_step(state, s, cfg.loss, budget)
+    return f_emitted, theta
+
+
+def assert_traces_equal(a, b):
+    for field in dataclasses.fields(EpisodeTrace):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name), err_msg=field.name)
+
+
+def count_steps(monkeypatch, returned=None):
+    """Record the seeds' actions at each call of the batched kernel's step,
+    and into `returned`, if given, the actions each call returns."""
+    steps = []
+    stepper = harness._stepper
+
+    def counting_stepper(*args):
+        step = stepper(*args)
+
+        def counted(theta, *rest):
+            steps.append(theta.copy())
+            new = step(theta, *rest)
+            if returned is not None:
+                returned.append(new.copy())
+            return new
+        return counted
+
+    monkeypatch.setattr(harness, "_stepper", counting_stepper)
+    return steps
+
+
+def record_losses(monkeypatch):
+    """Record the (proj, ||theta||^2) arrays of each loss evaluation of the
+    batched kernel; the comparators evaluate theirs through losses.eval_f_rows."""
+    calls = []
+    value = harness._value
+
+    def recording(loss, proj, sq, y):
+        calls.append((proj.copy(), sq.copy()))
+        return value(loss, proj, sq, y)
+
+    monkeypatch.setattr(harness, "_value", recording)
+    return calls
+
+
 def assert_matches_reference(cfg, seed):
     """run_episode's accounting equals the full-array reference exactly."""
     trace = run_episode(cfg, seed)
@@ -97,21 +171,28 @@ def test_clean_dynamic_regret_examples():
 
 def test_path_length_examples(monkeypatch):
     # V_T and the radius are read off the comparators minimizer_rows returns
-    def clean_comparators(comp, is_outlier=None, radius=math.inf):
+    def clean_comparators(comp, is_outlier=None, radius=math.inf, chunk=None):
         comp = np.asarray(comp, float)
         T = len(comp)
-        monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y: comp.copy())
+        monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y: comp[X[:, 0].astype(int)])
         cfg = preset_config("svm", T=T, seeds=[1], k=0, radius=radius)
         mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
-        return harness._clean_comparators(cfg, np.zeros((T, 2)), np.zeros(T), np.zeros(T), mask)
+        acc = harness._Comparators(cfg)
+        X = np.repeat(np.arange(T, dtype=float)[:, None], 2, axis=1)   # row t looks up comp[t]
+        for t0 in range(0, T, chunk or T):
+            rows = slice(t0, t0 + (chunk or T))
+            acc.add(t0, X[rows], np.zeros(T)[rows], np.zeros(T)[rows], np.flatnonzero(mask[rows]))
+        trace = acc.trace(np.zeros(T), np.zeros(2))
+        return trace.v_t, trace.comparator_radius, trace.comparator_clean
 
-    v_t, radius, _, rows = clean_comparators([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [False, True, False])
-    assert v_t == 2.0 and radius == math.sqrt(2.0)
-    np.testing.assert_array_equal(rows, [[1.0, 0.0]])  # only the corrupted round is kept
+    for chunk in (None, 1, 2):   # the chunking does not change a figure
+        v_t, radius, rows = clean_comparators([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [False, True, False], chunk=chunk)
+        assert v_t == 2.0 and radius == math.sqrt(2.0)
+        np.testing.assert_array_equal(rows, [[1.0, 0.0]])  # only the corrupted round is kept
     assert clean_comparators(np.ones((2, 2)))[0] == 0.0
     assert clean_comparators([[3.0, 4.0]])[:2] == (0.0, 5.0)  # single round, empty sum
     # a finite radius projects the comparators before V_T and the radius are taken
-    v_t, radius, _, rows = clean_comparators([[3.0, 4.0], [0.0, 0.5]], [True, False], radius=1.0)
+    v_t, radius, rows = clean_comparators([[3.0, 4.0], [0.0, 0.5]], [True, False], radius=1.0, chunk=1)
     assert v_t == pytest.approx(math.hypot(0.6, 0.3)) and radius == pytest.approx(1.0)
     np.testing.assert_allclose(rows, [[0.6, 0.8]])
 
@@ -191,19 +272,17 @@ def test_clean_regret_terms_nonnegative():
 
 
 def test_finite_radius_constrains_comparator_and_actions(monkeypatch):
-    played = []
-
-    def recording_eval_f(loss, s, theta):
-        played.append(theta.copy())
-        return eval_f(loss, s, theta)
-
-    eval_f = harness.eval_f
-    monkeypatch.setattr(harness, "eval_f", recording_eval_f)
+    losses = record_losses(monkeypatch)
+    returned = []
+    taken = count_steps(monkeypatch, returned)
     cfg = preset_config("ridge", T=100, seeds=[5], learner=harness.LEARN, k=10, radius=0.05)
     trace = run_episode(cfg, 5)
     assert trace.comparator_radius <= 0.05 + 1e-12
+    assert len(losses) == 100
+    played = np.concatenate(taken + returned[-1:])   # the actions of rounds 1 .. T
     assert len(played) == 100
     assert np.linalg.norm(played, axis=1).max() <= 0.05 + 1e-12
+    np.testing.assert_array_equal(np.concatenate([sq for _, sq in losses]), np.vecdot(played, played))
     # the trace keeps the action played in round T, before the last step
     np.testing.assert_array_equal(trace.theta, played[-1])
     # regret terms stay essentially nonnegative for the projected ridge comparator
@@ -258,6 +337,14 @@ def test_config_validation():
         RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1],
                   step_mode=harness.THEORETICAL)
+    for bad in (dict(alpha=0.0), dict(alpha=-1.0), dict(alpha=math.inf), dict(alpha=math.nan),
+                dict(radius=0.0), dict(radius=-2.0), dict(radius=math.nan), dict(topk_budget=-1)):
+        with pytest.raises(ValueError):
+            preset_config("svm", T=5, seeds=[1], **bad)
+    preset_config("svm", T=5, seeds=[1], alpha=0.5, radius=math.inf, topk_budget=0)   # legal edges
+    for learner in harness.LEARNERS:   # run_episodes checks its own seed list too
+        with pytest.raises(ValueError, match="seeds must be nonempty"):
+            run_episodes(preset_config("svm", T=5, seeds=[1], learner=learner), [])
 
 
 # --- theoretical step size and the regret bound -------------------------------
@@ -311,35 +398,111 @@ def test_experts_learner_through_harness(monkeypatch):
     assert pools[0].grid.n <= 150 * math.log2(16.0)
 
 
+def assert_stops_at_earliest_divergence(monkeypatch, seeds):
+    """ridge OGD with alpha = 1 diverges; the error names the seed and round
+    of the batch's earliest non-finite loss, and no step is taken at or after
+    that round."""
+    cfg = preset_config("ridge", T=2000, seeds=seeds, learner=harness.OGD, k=0, alpha=1.0)
+    first = {}
+    for seed in seeds:
+        with pytest.raises(RuntimeError, match=f"seed {seed}: non-finite loss at round") as err:
+            per_seed_episode(cfg, seed)
+        first[seed] = int(str(err.value).split("round ")[1].split()[0])
+    seed = min(seeds, key=lambda s: (first[s], seeds.index(s)))
+    steps = count_steps(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"seed {seed}: non-finite loss at round {first[seed]} of 2000"):
+        run_episodes(cfg, seeds)
+    assert len(steps) == first[seed] - 1
+    assert np.isfinite(steps[-1]).all()
+    return first
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_run_stops_at_first_non_finite_loss(monkeypatch):
-    # ridge OGD with alpha = 1 has its first non-finite loss at round 148
-    steps = []
+    # seed 1 has its first non-finite loss at round 148
+    assert assert_stops_at_earliest_divergence(monkeypatch, [1]) == {1: 148}
 
-    def counting_ogd_step(state, s, loss):
-        steps.append(1)
-        return ogd_step(state, s, loss)
 
-    ogd_step = harness.ogd_step
-    monkeypatch.setattr(harness, "ogd_step", counting_ogd_step)
-    cfg = preset_config("ridge", T=2000, seeds=[1], learner=harness.OGD, k=0, alpha=1.0)
-    with pytest.raises(RuntimeError, match="seed 1: non-finite loss at round 148 of 2000"):
-        run_episode(cfg, 1)
-    assert len(steps) <= 147
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_batch_stops_at_earliest_non_finite_loss(monkeypatch):
+    first = assert_stops_at_earliest_divergence(monkeypatch, [1, 3, 2])
+    assert min(first.values()) < first[1]   # the earliest is not the batch's first seed
 
 
 def test_learn_round_evaluates_loss_once(monkeypatch):
     from robust_oco import losses
 
-    calls = []
+    for seeds in ([1], [1, 2, 3]):
+        with monkeypatch.context() as m:
+            calls = []
 
-    def counting(fn):
-        def wrapped(*args):
-            calls.append(1)
-            return fn(*args)
-        return wrapped
+            def counting(fn):
+                def wrapped(*args):
+                    calls.append(1)
+                    return fn(*args)
+                return wrapped
 
-    monkeypatch.setattr(harness, "eval_f", counting(harness.eval_f))
-    monkeypatch.setattr(losses, "eval_f", counting(losses.eval_f))
-    cfg = preset_config("svm", T=80, seeds=[1], learner=harness.LEARN, k=8)
-    run_episode(cfg, 1)
-    assert len(calls) == 80
+            m.setattr(harness, "eval_f", counting(harness.eval_f))
+            m.setattr(losses, "eval_f", counting(losses.eval_f))
+            evaluated = record_losses(m)
+            steps = count_steps(m)
+            cfg = preset_config("svm", T=80, seeds=seeds, learner=harness.LEARN, k=8)
+            run_episodes(cfg, seeds)
+            assert calls == []   # the per-round functions are not called
+            assert len(evaluated) == 80 and all(proj.shape == (len(seeds),) for proj, _ in evaluated)
+            assert len(steps) == 79   # the action of round T is the last one played
+
+
+# --- the batched kernel against the per-seed loop ------------------------------
+
+T_REF = 60
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+@pytest.mark.parametrize("k", [0, st.floor_power(T_REF, 2, 3)])
+@pytest.mark.parametrize("radius", [math.inf, 0.05])
+@pytest.mark.parametrize("family", ["svm", "ridge"])
+@pytest.mark.parametrize("learner", [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK])
+def test_batched_episodes_match_per_seed_loop(learner, family, radius, k, n_seeds):
+    # every dot product is the same BLAS dot and every other operation is
+    # element-wise, so the batch equals the per-seed loop bit for bit
+    seeds = [4, 5, 6][:n_seeds]
+    cfg = preset_config(family, T=T_REF, seeds=seeds, learner=learner, k=k, radius=radius)
+    traces = run_episodes(cfg, seeds)
+    assert len(traces) == n_seeds
+    for seed, trace in zip(seeds, traces):
+        f_emitted, theta = per_seed_episode(cfg, seed)
+        np.testing.assert_array_equal(trace.f_emitted, f_emitted)
+        np.testing.assert_array_equal(trace.theta, theta)   # played in round T, before the last step
+        assert_matches_reference(cfg, seed)
+        assert_traces_equal(trace, run_episode(cfg, seed))   # the batch does not mix seeds
+
+
+def test_theoretical_step_matches_per_seed_loop():
+    # alpha depends on each seed's V_T: the comparator pass runs first, then the loop
+    cfg = preset_config("ridge", T=T_REF, seeds=[1, 2, 3], learner=harness.LEARN, k=7, radius=5.0,
+                        step_mode=harness.THEORETICAL, G=0.0, L=400.0)
+    for seed, trace in zip(cfg.seeds, run_episodes(cfg, cfg.seeds)):
+        f_emitted, theta = per_seed_episode(cfg, seed)
+        np.testing.assert_array_equal(trace.f_emitted, f_emitted)
+        np.testing.assert_array_equal(trace.theta, theta)
+        assert_matches_reference(cfg, seed)
+
+
+@pytest.mark.parametrize("config", [
+    *(dict(family=f, learner=lr) for f in ("svm", "ridge")
+      for lr in (harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK, harness.EXPERTS)),
+    dict(family="ridge", learner=harness.LEARN, radius=5.0, step_mode=harness.THEORETICAL, G=0.0, L=400.0),
+], ids=lambda c: "-".join(str(v) for v in c.values()))
+def test_chunking_does_not_change_an_episode(monkeypatch, config):
+    config = dict(config)
+    cfg = preset_config(config.pop("family"), T=T_REF, seeds=[7, 8, 9], k=15,
+                        **{"radius": 0.05, **config})
+    row_bytes = len(cfg.seeds) * cfg.generator.dim * 8
+    runs = []
+    for chunk_bytes in (1, 7 * row_bytes, T_REF * row_bytes):   # 1, 7 and T rounds per chunk
+        monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_bytes)
+        runs.append(run_episodes(cfg, cfg.seeds))
+    for traces in runs[1:]:
+        for a, b in zip(runs[0], traces):
+            assert_traces_equal(a, b)

@@ -90,11 +90,7 @@ def test_per_round_matches_block():
         for t in range(50):
             s = gen_clean_round(gen2, r2)
             np.testing.assert_array_equal(s.x, X[t])
-            # responses agree to reassociation error (dgemv vs ddot); labels exactly
-            if gen1.kind == st.SVM_MODEL:
-                assert s.y == y[t]
-            else:
-                assert s.y == pytest.approx(y[t], rel=1e-12, abs=1e-12)
+            assert s.y == y[t]   # the block takes one dot product per round too
 
 
 def test_corrupt_examples():
@@ -152,6 +148,25 @@ def test_block_corruption_matches_per_round():
             if t in idx:
                 s = corrupt(kind, s, rngs2.corruption)
             assert s.y == y_block[t]
+
+
+@pytest.mark.parametrize("maker", [st.ridge_generator, st.svm_generator])
+@pytest.mark.parametrize("k", [0, 9, 60])
+def test_chunked_draws_equal_block_draw(maker, k):
+    # uneven chunks, including single rounds and chunks with no corrupted round
+    T, sizes = 60, (1, 7, 2, 19, 1, 30)
+    gen, X, y_clean, y_emitted, mask = st.episode_stream(maker(), T, k, 23)
+    stream = st.EpisodeStream(maker(), T, k, 23)
+    np.testing.assert_array_equal(stream.gen.theta_star, gen.theta_star)
+    t0 = 0
+    for n in sizes:
+        Xc, yc, ye, idx = stream.draw(n)
+        np.testing.assert_array_equal(Xc, X[t0:t0 + n])
+        np.testing.assert_array_equal(yc, y_clean[t0:t0 + n])
+        np.testing.assert_array_equal(ye, y_emitted[t0:t0 + n])
+        np.testing.assert_array_equal(idx, np.flatnonzero(mask[t0:t0 + n]))
+        t0 += n
+    assert t0 == T
 
 
 def test_master_seed_determinism_and_k_invariance():
