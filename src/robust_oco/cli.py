@@ -84,7 +84,8 @@ KEYS = (
     Key("run", "learner", "learner", "--learner", str, str, "|".join(harness.LEARNERS)),
     Key("run", "k", "k", "--k", int, str),
     Key("run", "alpha", "alpha", "--alpha", _alpha, lambda v: v if isinstance(v, str) else _num(v),
-        "step size: number, 'default' (1/sqrt(T)) or 'theoretical'"),
+        "step size: number, 'default' (1/sqrt(T)) or 'theoretical' (needs a finite radius; "
+        "G and L are measured from the stream)"),
     Key("run", "radius", "radius", "--radius", help="domain radius, 'inf' for unbounded"),
     # scale sets the preset T when t is unset; the manifest records that t instead
     Key("run", "scale", None, "--scale", show=None, help="multiply preset T (k-grid recomputed)"),
@@ -101,9 +102,6 @@ KEYS = (
     Key("experts", "a_max", "experts.a_max"),
     Key("experts", "epsilon", "experts.epsilon"),
     Key("experts", "beta", "experts.beta"),
-    Key("bounds", "g", "G"),
-    Key("bounds", "l", "L"),
-    Key("bounds", "b", "B"),
 )
 KEY = {(key.section, key.name): key for key in KEYS}
 CELL_FLAGS = ("--learner", "--k", "--topk-budget")   # run and dump-stream only; sweep sets the cell
@@ -260,6 +258,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     reports = oracle.default_suite(samples=args.samples, seed=args.seed)
     failed = []
     for rep in oracle.group_reports(reports):
@@ -281,6 +281,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_stream(args) -> int:
+    if args.subsample is not None and args.subsample < 1:
+        raise UsageError(f"--subsample must be >= 1, got {args.subsample}")
     config = load_config(args.config, args.preset, _overrides(args))
     os.makedirs(args.out, exist_ok=True)
     seed = config.seeds[0]

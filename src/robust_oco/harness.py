@@ -17,16 +17,16 @@ utopk. The loop uses the loss kernels of `losses` and the row projection of
 exp from libm per seed, as the per-round functions do, so each seed's
 numbers equal those of ogd_step, learn_step or topk_filter_step on that
 seed alone, bit for bit, whatever the chunking and the other seeds. In the
-theoretical step mode the step size needs V_T, so the comparators are
-accounted in a first pass and the streams redrawn for the loop. The expert
-pool's row count varies by seed, so its seeds run one at a time, each on
-its own chunked stream.
+theoretical step mode the step size needs the stream's V_T, G and L, so the
+comparators are accounted in a first pass and the streams redrawn for the
+loop. The expert pool's row count varies by seed, so its seeds run one at a
+time, each on its own chunked stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +40,13 @@ from .losses import (
     RoundLoss,
     SideInfo,
     _coef,
+    _min_scale,
     _value,
     derive_constants,
     eta,
     eval_f,
     eval_f_rows,
+    growth_constants,
     minimizer_rows,
 )
 
@@ -87,9 +89,6 @@ class RunConfig:
     step_mode: str = FIXED
     topk_budget: int | None = None       # default: k for topk, floor(0.75 k) for utopk
     experts: ExpertsSettings = field(default_factory=ExpertsSettings)
-    G: float | None = None               # gradient-bound constants, used by the
-    L: float | None = None               # theoretical step size and bound checks
-    B: float | None = None               # clean-round loss bound; None = measure it
 
     def __post_init__(self):
         if self.T < 1:
@@ -110,11 +109,8 @@ class RunConfig:
             raise ValueError(f"topk_budget must be >= 0, got {self.topk_budget!r}")
         if self.step_mode not in (FIXED, THEORETICAL):
             raise ValueError(f"unknown step mode {self.step_mode!r}")
-        if self.step_mode == THEORETICAL:
-            if not math.isfinite(self.radius):
-                raise ValueError("theoretical step size needs a finite domain radius")
-            if self.G is None or self.L is None:
-                raise ValueError("theoretical step size needs the gradient-bound constants G and L")
+        if self.step_mode == THEORETICAL and not math.isfinite(self.radius):
+            raise ValueError("theoretical step size needs a finite domain radius")
 
     def resolve_topk_budget(self) -> int:
         if self.topk_budget is not None:
@@ -143,6 +139,7 @@ class EpisodeTrace:
     f_at_comparator: np.ndarray      # (T,) f_t(s_t, theta_t*) on the emitted stream
     v_t: float                       # sum_t ||theta_t* - theta_{t+1}*||
     comparator_radius: float         # max_t ||theta_t*||
+    growth: tuple                    # (G, L): max_t of growth_constants on the emitted stream
 
     def __len__(self):
         return len(self.f_emitted)
@@ -180,10 +177,10 @@ def _expert_pool(config: RunConfig, dim: int) -> ExpertPool:
     return init_pool(grid, dim, beta)
 
 
-def _resolve_alpha(config: RunConfig, v_t: float | None = None) -> float:
-    """The step size; the theoretical one needs the episode's V_T."""
+def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | None = None) -> float:
+    """The step size; the theoretical one needs the episode's V_T and (G, L)."""
     if config.step_mode == THEORETICAL:
-        psi = derive_constants(config.params, G=config.G, L=config.L, m=config.loss.lam).psi
+        psi = derive_constants(config.params, *growth, m=config.loss.lam).psi
         return theoretical_stepsize(config.radius, v_t, psi, config.T)
     if config.alpha is not None:
         return config.alpha
@@ -203,9 +200,9 @@ class _Comparators:
 
     Keeps the outlier mask, f_t at theta_t* on the emitted stream, the step
     norms ||theta_t* - theta_{t+1}*|| (summed once, so V_T sums in one order
-    whatever the chunking), each chunk's largest ||theta_t*||, and theta_t* and
-    omega_t* on the corrupted rounds. A chunk's comparators do not outlive its
-    `add`.
+    whatever the chunking), each chunk's largest ||theta_t*||, the largest
+    (G, L) of the emitted rounds, and theta_t* and omega_t* on the corrupted
+    rounds. A chunk's comparators do not outlive its `add`.
     """
 
     def __init__(self, config: RunConfig):
@@ -215,6 +212,7 @@ class _Comparators:
         self.steps = np.empty(config.T - 1)
         self.norm_max = []
         self.clean, self.emitted = [], []
+        self.growth = np.zeros(2)
         self.last = np.empty((0, config.generator.dim))   # theta* of the round before the chunk
 
     def add(self, t0: int, X, y_clean, y_emitted, idx):
@@ -230,6 +228,10 @@ class _Comparators:
         self.last = comp[-1:]
         self.clean.append(comp[idx])
         self.emitted.append(_minimizers(self.config, X[idx], y_emitted[idx]))
+        nx2 = np.einsum("ij,ij->i", X, X)
+        omega_norm = np.abs(_min_scale(self.config.loss, nx2, y_emitted)) * np.sqrt(nx2)
+        G, L = growth_constants(self.config.loss, nx2, omega_norm)
+        self.growth = np.maximum(self.growth, (np.max(G), np.max(L)))
 
     @property
     def v_t(self) -> float:
@@ -245,6 +247,7 @@ class _Comparators:
             f_at_comparator=self.f_at_comparator,
             v_t=self.v_t,
             comparator_radius=float(np.max(self.norm_max)),
+            growth=tuple(self.growth.tolist()),
         )
 
 
@@ -360,9 +363,9 @@ def run_episodes(config: RunConfig, seeds) -> list:
     accounts = [_Comparators(config) for _ in seeds]
     chunks = _chunks(config, seeds, accounts)
     if config.step_mode == THEORETICAL:
-        for _ in chunks:   # the step size needs V_T: account first, then redraw the streams
+        for _ in chunks:   # the step size needs V_T, G and L: account first, then redraw the streams
             pass
-        alpha = [_resolve_alpha(config, acc.v_t) for acc in accounts]
+        alpha = [_resolve_alpha(config, acc.v_t, acc.growth) for acc in accounts]
         chunks = _chunks(config, seeds, [])
     else:
         alpha = [_resolve_alpha(config)] * len(seeds)
@@ -459,19 +462,14 @@ def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5
     """One theoretical-step-size ridge run inside a ball, checked against the
     clean-dynamic-regret bound. Returns (BoundCheck, RegretCurve, ProblemConstants).
 
-    The gradient-growth constants come from the seed-deterministic stream
-    itself: G = 0 (ridge gradients vanish at the interior minimizer) and
-    L = lam + 2 max_t ||x_t||^2, an exact Hessian bound valid on corrupted
-    rounds too since it does not involve y.
+    G and L are the episode's own (for ridge, G = 0 and L = lam + 2 max_t
+    ||x_t||^2, the Hessian bound, which does not involve y), and B is the
+    measured clean-round loss bound b_clean.
     """
-    base = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, k=k)
-    X = st.episode_stream(base.generator, T, k, seed)[1]
-    L = base.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max())
-    config = replace(base, radius=radius, step_mode=THEORETICAL, G=0.0, L=L)
+    config = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, k=k, radius=radius, step_mode=THEORETICAL)
     trace = run_episode(config, seed)
     curve = clean_dynamic_regret(trace)
-    b_val = config.B if config.B is not None else curve.b_clean
-    constants = derive_constants(config.params, G=config.G, L=config.L, m=config.loss.lam, B=b_val)
+    constants = derive_constants(config.params, *trace.growth, m=config.loss.lam, B=curve.b_clean)
     return check_regret_bound(curve, constants, config), curve, constants
 
 

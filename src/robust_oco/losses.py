@@ -1,5 +1,5 @@
 """Per-round strongly convex losses, the redescending log-exp transform and its
-gated gradient, and the derived problem constants.
+gated gradient, and the gradient growth and derived problem constants.
 
 Two loss families are supported, both lambda-strongly convex and non-negative:
 
@@ -228,6 +228,18 @@ def derive_constants(params: LearnParams, G: float, L: float, m: float, B: float
     except OverflowError:
         xi = math.inf
     return ProblemConstants(G=G, L=L, m=m, B=B, psi=psi, phi=phi, kappa=kappa, nu=params.nu, xi=xi)
+
+
+def growth_constants(loss: RoundLoss, nx2, omega_norm):
+    """(G, L) of the gradient growth ||grad_f(theta)|| <= G + L ||theta - omega*||
+    on a round with nx2 = ||x||^2 and omega_norm = ||omega*||, floats or arrays.
+
+    ridge:      G = 0, L = lam + 2||x||^2 (grad_f(omega*) = 0, and the Hessian's norm)
+    hinge_svm:  G = lam ||omega*|| + ||x||, L = lam (||grad_f|| <= lam ||theta|| + ||x||)
+    """
+    if loss.family == RIDGE:
+        return 0.0, loss.lam + 2.0 * nx2
+    return loss.lam * omega_norm + np.sqrt(nx2), loss.lam
 
 
 def eval_f_many(loss: RoundLoss, s: SideInfo, thetas: np.ndarray) -> np.ndarray:

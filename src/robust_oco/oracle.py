@@ -35,6 +35,7 @@ from .losses import (
     eval_g,
     grad_f,
     grad_g,
+    growth_constants,
     minimizer_f,
 )
 
@@ -253,6 +254,8 @@ def default_suite(samples: int = 100_000, seed: int = 2024) -> list:
     where the pointwise chain actually holds; its sup-level consequences are
     exercised without restriction by the eta_grad/eta_dist checks.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     ridge_mid = RoundLoss(family=RIDGE, lam=0.5)
     ridge_small = RoundLoss(family=RIDGE, lam=1e-4)
@@ -263,16 +266,9 @@ def default_suite(samples: int = 100_000, seed: int = 2024) -> list:
     unit = LearnParams(a=1.0, b=1.0)
     plot = LearnParams(a=2.0, b=math.exp(-2.0))
 
-    # G and L valid for everything _sample_instance draws (x norm <= 3):
-    # ridge has grad_f(omega*) = 0 and Hessian norm <= lam + 2 ||x||^2;
-    # hinge has ||grad_f|| <= lam dist + lam ||omega*|| + ||x||.
+    # G, L valid for all _sample_instance draws: ||x|| in [0.3, 3], so ||omega*|| <= min(3/lam, 1/0.3)
     def consts(params, loss):
-        x_max = 3.0
-        if loss.family == RIDGE:
-            G, L = 0.0, loss.lam + 2.0 * x_max * x_max
-        else:
-            omega_max = min(x_max / loss.lam, 1.0 / 0.3)
-            G, L = loss.lam * omega_max + x_max, loss.lam
+        G, L = growth_constants(loss, 3.0 * 3.0, min(3.0 / loss.lam, 1.0 / 0.3))
         return derive_constants(params, G=G, L=L, m=loss.lam)
 
     n4 = samples // 4 + 1

@@ -203,7 +203,7 @@ FLAG_CASES = {
     "alpha": (["--alpha", "0.05"], {("run", "alpha"): "0.2"}, lambda c: c.alpha, 0.05, 0.2),
     "alpha-theoretical": (
         ["--alpha", "theoretical", "--radius", "2"],
-        {("run", "alpha"): "0.2", ("bounds", "g"): "1", ("bounds", "l"): "3"},
+        {("run", "alpha"): "0.2"},
         lambda c: (c.step_mode, c.alpha, c.radius),
         (harness.THEORETICAL, None, 2.0), (harness.FIXED, 0.2, math.inf)),
     "radius": (["--radius", "3"], {("run", "radius"): "5.5"}, lambda c: c.radius, 3.0, 5.5),
@@ -270,13 +270,35 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("", ["--radius", "-2"], "radius must be positive", id="radius-negative"),
     pytest.param("", ["--radius", "nan"], "radius must be positive", id="radius-nan"),
     pytest.param("", ["--topk-budget", "-1"], "topk_budget must be >= 0", id="topk-budget-negative"),
+    # G and L are measured from the stream, B from the clean losses
+    pytest.param("[bounds]\nb = 5\ng = 1\nl = 2\n", [], "unknown config section [bounds]", id="bounds-section"),
+    pytest.param("", ["dump-stream", "--subsample", "-1"], "--subsample must be >= 1", id="subsample-negative"),
+    pytest.param(None, ["verify", "--samples", "0"], "--samples must be >= 1", id="samples-zero"),
 ])
 def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text("[run]\npreset = svm\nt = 20\nseeds = 1\n" + text)
-    assert cli.main(["run", "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 2
+    if text is None:   # verify reads no config file
+        assert cli.main(argv) == 2
+    else:
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[run]\npreset = svm\nt = 20\nseeds = 1\n" + text)
+        command, argv = (argv[0], argv[1:]) if argv[:1] == ["dump-stream"] else ("run", argv)
+        assert cli.main([command, "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == (["exp.ini"] if text is not None else [])
+
+
+@pytest.mark.parametrize("preset", ["ridge", "svm"])
+def test_theoretical_step_from_flags_alone(tmp_path, preset):
+    argv = ["run", "--preset", preset, "--T", "60", "--seeds", "1 2", "--k", "7",
+            "--alpha", "theoretical", "--radius", "5"]
+    config = config_of(argv)
+    assert (config.step_mode, config.radius) == (harness.THEORETICAL, 5.0)
+    out1, out2 = tmp_path / "first", tmp_path / "second"
+    assert cli.main([*argv, "--out", str(out1)]) == 0
+    manifest = out1 / "manifest_learn_k7.ini"
+    assert config_of(["run", "--config", str(manifest)]) == config
+    assert cli.main(["run", "--config", str(manifest), "--out", str(out2)]) == 0
+    assert (out1 / "regret_learn_k7.csv").read_bytes() == (out2 / "regret_learn_k7.csv").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

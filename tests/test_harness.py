@@ -30,6 +30,9 @@ from robust_oco.losses import (
     derive_constants,
     eval_f,
     eval_f_rows,
+    grad_f,
+    growth_constants,
+    minimizer_f,
     minimizer_rows,
 )
 
@@ -49,15 +52,18 @@ def make_trace(f_emitted, f_at_comp, is_outlier, comp_clean=None, comp_emitted=N
         f_at_comparator=np.asarray(f_at_comp, float),
         v_t=0.0,
         comparator_radius=0.0,
+        growth=(0.0, 0.0),
     )
 
 
 def reference_accounting(cfg, seed):
     """The episode's full (T, d) clean and emitted comparators, recomputed from
-    its stream, and the regret statistics read off them."""
+    its stream, the regret statistics read off them, and the gradient growth
+    constants (G, L) of the whole emitted stream."""
     _, X, y_clean, y_emitted, is_outlier = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
     comp_clean = minimizer_rows(cfg.loss, X, y_clean)
     comp_emitted = minimizer_rows(cfg.loss, X, y_emitted)
+    G, L = growth_constants(cfg.loss, np.einsum("ij,ij->i", X, X), np.linalg.norm(comp_emitted, axis=1))
     if math.isfinite(cfg.radius):
         project_rows(comp_clean, cfg.radius)
         project_rows(comp_emitted, cfg.radius)
@@ -70,6 +76,7 @@ def reference_accounting(cfg, seed):
         comparator_radius=float(np.linalg.norm(comp_clean, axis=1).max()),
         f_at_comparator=eval_f_rows(cfg.loss, X, y_emitted, comp_clean),
         delta_s=float(np.linalg.norm(diff, axis=1).max()) if is_outlier.any() else 0.0,
+        growth=(float(np.max(G)), float(np.max(L))),
     )
 
 
@@ -78,7 +85,8 @@ def per_seed_episode(cfg, seed):
     reference: one SideInfo and one step of a LearnerState per round.
     Returns f_t(s_t, theta_t) of every round and the action played in round T."""
     gen, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
-    alpha = harness._resolve_alpha(cfg, reference_accounting(cfg, seed)["v_t"])
+    ref = reference_accounting(cfg, seed)
+    alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
     state = LearnerState(theta=np.zeros(gen.dim), step_size=alpha, radius=cfg.radius)
     budget = cfg.resolve_topk_budget()
     f_emitted = np.empty(cfg.T)
@@ -150,6 +158,8 @@ def assert_matches_reference(cfg, seed):
     np.testing.assert_array_equal(trace.comparator_clean, ref["comp_clean"][mask])
     np.testing.assert_array_equal(trace.comparator_emitted, ref["comp_emitted"][mask])
     assert delta_S(trace) == ref["delta_s"]
+    # ||omega_t*|| is taken as |c| ||x_t|| against the norm of the row c x_t here
+    assert trace.growth == pytest.approx(ref["growth"], rel=1e-15, abs=0.0)
     curve = clean_dynamic_regret(trace)
     assert (curve.v_t, curve.delta_s, curve.comparator_radius) == (
         ref["v_t"], ref["delta_s"], ref["comparator_radius"])
@@ -333,7 +343,7 @@ def test_config_validation():
     with pytest.raises(ValueError):  # the bound constants need m = lam > 0
         RunConfig(T=5, loss=RoundLoss("hinge_svm", 0.0), params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1])
-    with pytest.raises(ValueError):  # theoretical mode needs finite radius + G, L
+    with pytest.raises(ValueError, match="finite domain radius"):  # G and L come from the stream
         RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1],
                   step_mode=harness.THEORETICAL)
@@ -362,7 +372,7 @@ def test_bound_reduces_to_simple_form_when_no_outliers():
     curve = RegretCurve(series=np.zeros(16), v_t=0.0, delta_s=0.0,
                         comparator_radius=0.0, b_clean=0.0, n_outliers=0)
     cfg = preset_config("ridge", T=16, seeds=[1], learner=harness.LEARN, k=0,
-                        radius=2.0, step_mode=harness.THEORETICAL, G=1.0, L=3.0)
+                        radius=2.0, step_mode=harness.THEORETICAL)
     consts = derive_constants(cfg.params, G=1.0, L=3.0, m=cfg.loss.lam, B=0.0)
     chk = check_regret_bound(curve, consts, cfg)
     assert chk.bound == pytest.approx(consts.xi * consts.psi * 2.0 * 2.0 * 4.0, rel=1e-12)
@@ -378,6 +388,46 @@ def test_theorem_check_holds_across_k():
         # L is the Hessian bound lam + 2 max ||x_t||^2 of the episode's own stream
         X = st.episode_stream(base.generator, 200, k, 7)[1]
         assert consts.L == base.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max())
+
+
+@pytest.mark.parametrize("family", ["ridge", "svm"])
+def test_growth_constants_hold_on_the_stream(family):
+    # ||grad_f_t(theta)|| <= G + L ||theta - omega_t*|| on every emitted round,
+    # corrupted ones included, at theta around the unprojected minimizer
+    # omega_t*: along +-x_t, where the ridge pair is tight, and in random
+    # directions, at log-uniform distances
+    rng = np.random.default_rng(11)
+    cfg = preset_config(family, T=300, seeds=[3], learner=harness.LEARN, k=30, radius=5.0,
+                        step_mode=harness.THEORETICAL)
+    G, L = run_episode(cfg, 3).growth
+    _, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, 3)
+    margins = []
+    for x, y in zip(X, y_emitted):
+        s = SideInfo(x=x, y=float(y))
+        omega = minimizer_f(cfg.loss, s)
+        dirs = rng.standard_normal((6, len(x)))
+        dirs[:2] = x, -x
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for r, u in zip(np.exp(rng.uniform(math.log(1e-3), math.log(1e4), len(dirs))), dirs):
+            theta = omega + r * u
+            lhs = float(np.linalg.norm(grad_f(cfg.loss, s, theta)))
+            rhs = G + L * float(np.linalg.norm(theta - omega))
+            margins.append((rhs - lhs) / max(1.0, lhs, rhs))
+    assert min(margins) >= -1e-12
+    if family == "ridge":
+        assert G == 0.0 and min(margins) <= 1e-12   # attained on the round of largest ||x_t||
+    else:
+        assert L == cfg.loss.lam
+
+
+def test_ridge_growth_is_the_streams_hessian_bound(monkeypatch):
+    # L = lam + 2 max_t ||x_t||^2 exactly, over every chunk of every seed
+    seeds = [1, 2, 3]
+    cfg = preset_config("ridge", T=200, seeds=seeds, learner=harness.OGD, k=20)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * len(seeds) * cfg.generator.dim * 8)
+    for seed, trace in zip(seeds, run_episodes(cfg, seeds)):
+        X = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)[1]
+        assert trace.growth == (0.0, cfg.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max()))
 
 
 def test_run_cell_aggregates():
@@ -481,7 +531,7 @@ def test_batched_episodes_match_per_seed_loop(learner, family, radius, k, n_seed
 def test_theoretical_step_matches_per_seed_loop():
     # alpha depends on each seed's V_T: the comparator pass runs first, then the loop
     cfg = preset_config("ridge", T=T_REF, seeds=[1, 2, 3], learner=harness.LEARN, k=7, radius=5.0,
-                        step_mode=harness.THEORETICAL, G=0.0, L=400.0)
+                        step_mode=harness.THEORETICAL)
     for seed, trace in zip(cfg.seeds, run_episodes(cfg, cfg.seeds)):
         f_emitted, theta = per_seed_episode(cfg, seed)
         np.testing.assert_array_equal(trace.f_emitted, f_emitted)
@@ -492,7 +542,8 @@ def test_theoretical_step_matches_per_seed_loop():
 @pytest.mark.parametrize("config", [
     *(dict(family=f, learner=lr) for f in ("svm", "ridge")
       for lr in (harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK, harness.EXPERTS)),
-    dict(family="ridge", learner=harness.LEARN, radius=5.0, step_mode=harness.THEORETICAL, G=0.0, L=400.0),
+    dict(family="ridge", learner=harness.LEARN, radius=5.0, step_mode=harness.THEORETICAL),
+    dict(family="svm", learner=harness.LEARN, radius=5.0, step_mode=harness.THEORETICAL),
 ], ids=lambda c: "-".join(str(v) for v in c.values()))
 def test_chunking_does_not_change_an_episode(monkeypatch, config):
     config = dict(config)

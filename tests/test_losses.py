@@ -22,6 +22,7 @@ from robust_oco.losses import (
     grad_f,
     grad_f_many,
     grad_g,
+    growth_constants,
     minimizer_f,
     minimizer_rows,
 )
@@ -287,6 +288,23 @@ def test_derive_constants_examples():
     assert c2.psi == pytest.approx(1.0 + max(0.7 * 3 / (2 * 2 * 0.5), 4 * 4 * 3 / (0.49 * 0.5)))
     assert c2.phi == pytest.approx(2.0 * max(0.7 / 4.0, 16.0 / 0.49))
     assert c2.kappa == pytest.approx(2.0 * max(0.7 / 4.0, 4.0 / 0.7))
+
+
+def test_growth_constants(rng):
+    assert growth_constants(RoundLoss(RIDGE, 0.5), 4.0, 7.0) == (0.0, 8.5)
+    assert growth_constants(RoundLoss(HINGE_SVM, 0.5), 4.0, 0.25) == (2.125, 0.5)
+    G, L = growth_constants(RoundLoss(RIDGE, 0.5), np.array([1.0, 4.0]), np.zeros(2))
+    assert G == 0.0
+    np.testing.assert_array_equal(L, [2.5, 8.5])   # one L per round
+    # each round's own pair bounds its gradient growth at any theta
+    for family in (RIDGE, HINGE_SVM):
+        for _ in range(500):
+            loss, s = random_instance(rng, family)
+            omega = minimizer_f(loss, s)
+            G, L = growth_constants(loss, float(s.x @ s.x), float(np.linalg.norm(omega)))
+            theta = omega + math.exp(rng.uniform(-7.0, 7.0)) * rng.standard_normal(s.x.shape)
+            rhs = G + L * np.linalg.norm(theta - omega)
+            assert np.linalg.norm(grad_f(loss, s, theta)) <= rhs * (1.0 + 1e-12)
 
 
 def test_derive_constants_errors():

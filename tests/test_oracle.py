@@ -130,3 +130,12 @@ def test_default_suite_quick():
     # determinism under a fixed seed
     again = oracle.group_reports(oracle.default_suite(samples=400, seed=5))
     assert [(r.name, r.worst_slack) for r in grouped] == [(r.name, r.worst_slack) for r in again]
+
+
+def test_default_suite_needs_a_sample():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            oracle.default_suite(samples=samples)
+    reports = oracle.default_suite(samples=1, seed=5)   # every check still draws one
+    assert min(r.samples for r in reports) >= 1
+    assert all(math.isfinite(r.worst_slack) for r in reports)
