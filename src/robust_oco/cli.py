@@ -89,8 +89,6 @@ KEYS = (
     Key("run", "radius", "radius", "--radius", help="domain radius, 'inf' for unbounded"),
     # scale sets the preset T when t is unset; the manifest records that t instead
     Key("run", "scale", None, "--scale", show=None, help="multiply preset T (k-grid recomputed)"),
-    Key("run", "topk_budget", "topk_budget", "--topk-budget", int, str),
-    Key("loss", "family", "loss.family", parse=str, show=str),
     Key("loss", "lam", "loss.lam", "--lam"),
     Key("learn", "a", "params.a", "--a"),
     Key("learn", "b", "params.b", "--b"),
@@ -99,12 +97,8 @@ KEYS = (
     Key("stream", "noise_std", "generator.noise_std"),
     Key("stream", "mislabel_prob", "generator.mislabel_prob"),
     Key("stream", "margin_band", "generator.margin_band"),
-    Key("experts", "a_max", "experts.a_max"),
-    Key("experts", "epsilon", "experts.epsilon"),
-    Key("experts", "beta", "experts.beta"),
 )
 KEY = {(key.section, key.name): key for key in KEYS}
-CELL_FLAGS = ("--learner", "--k", "--topk-budget")   # run and dump-stream only; sweep sets the cell
 
 
 def _default_seeds(n: int) -> list:
@@ -121,8 +115,7 @@ def _values(config: RunConfig) -> dict:
     """Every key's value in `config` (None: unset); the inverse of _build."""
     values = {key: attrgetter(key.attr)(config) for key in KEYS if key.attr}
     values[KEY["run", "preset"]] = _preset_name(config)
-    values[KEY["run", "alpha"]] = (harness.THEORETICAL if config.step_mode == harness.THEORETICAL
-                                   else "default" if config.alpha is None else config.alpha)
+    values[KEY["run", "alpha"]] = "default" if config.alpha is None else config.alpha
     return values
 
 
@@ -136,9 +129,7 @@ def _build(base: RunConfig, values: dict) -> RunConfig:
                 parts.setdefault(head, {})[attr] = value
             else:
                 top[head] = value
-    alpha = top["alpha"]
-    top["alpha"] = None if isinstance(alpha, str) else alpha
-    top["step_mode"] = harness.THEORETICAL if alpha == harness.THEORETICAL else harness.FIXED
+    top["alpha"] = None if top["alpha"] == "default" else top["alpha"]
     for head, attrs in parts.items():
         top[head] = replace(getattr(base, head), **attrs)
     return replace(base, **top)
@@ -251,7 +242,7 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config, args.preset, _overrides(args))
     for k in st.k_grid(config.T):
         for learner in SWEEP_LEARNERS:
-            cell = replace(config, learner=learner, k=k, topk_budget=None)
+            cell = replace(config, learner=learner, k=k)
             path = _run_one_cell(cell, args.out)
             print(f"wrote {path}")
     return 0
@@ -307,7 +298,7 @@ def cmd_dump_stream(args) -> int:
 
     thetas = {"theta_star": [float(v) for v in gen.theta_star]}
     for learner in SWEEP_LEARNERS:
-        cell = replace(config, learner=learner, seeds=[seed], topk_budget=None)
+        cell = replace(config, learner=learner, seeds=[seed])
         trace = harness.run_episode(cell, seed)
         thetas[learner] = [float(v) for v in trace.theta]
     thetas_path = os.path.join(args.out, "final_thetas.json")
@@ -329,12 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="outlier-robust online convex optimization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_cell=True):
+    def add_common(p, skip=()):
+        """--config, --preset, --out and every key's flag but those in `skip`, which the command sets."""
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=("ridge", "svm"))
         p.add_argument("--out", default="out", help="output directory")
         for key in KEYS:
-            if key.flag and (with_cell or key.flag not in CELL_FLAGS):
+            if key.flag and key.flag not in skip:
                 p.add_argument(key.flag, dest=key.dest, type=key.parse,
                                help=key.help or f"overrides [{key.section}] {key.name}")
 
@@ -343,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the full learner x k grid")
-    add_common(p_sweep, with_cell=False)
+    add_common(p_sweep, skip=("--learner", "--k"))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the numerical verification suite")
@@ -352,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_dump = sub.add_parser("dump-stream", help="dump the generated stream and final actions")
-    add_common(p_dump)
+    add_common(p_dump, skip=("--learner",))
     p_dump.add_argument("--subsample", type=int, help="randomly keep this many rounds")
     p_dump.set_defaults(func=cmd_dump_stream)
     return parser

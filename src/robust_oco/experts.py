@@ -30,7 +30,8 @@ class ExpertGrid:
 
     Step sizes are min(2^i, A_max)/sqrt(T) for i = 1..ceil(log2 A_max);
     radii are min(eps 2^j, eps 2^T)/T for j = 1..T. Radii beyond float64
-    range collapse to a single unbounded expert (math.inf).
+    range collapse to a single unbounded expert (math.inf). So N <=
+    T ceil(log2 A_max); T log2 A_max can be smaller than N.
     """
 
     a_max: float

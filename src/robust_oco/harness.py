@@ -21,12 +21,17 @@ theoretical step mode the step size needs the stream's V_T, G and L, so the
 comparators are accounted in a first pass and the streams redrawn for the
 loop. The expert pool's row count varies by seed, so its seeds run one at a
 time, each on its own chunked stream.
+
+What the paper's experiments fix is derived here, not set: the Top-k budget
+(k for topk, floor(0.75 k) for utopk), the expert grid (A_max = max(sqrt(T),
+2), epsilon = 1, beta = sqrt(8 log N / (T nu^2))) and, through the preset,
+the loss family of the data model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +40,8 @@ from .experts import ExpertPool, aggregate_action, beta_default, build_grid, ini
 from .learners import project_rows, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import (
+    HINGE_SVM,
+    RIDGE,
     LearnParams,
     ProblemConstants,
     RoundLoss,
@@ -57,20 +64,10 @@ UTOPK = "utopk"
 EXPERTS = "experts"
 LEARNERS = (OGD, LEARN, TOPK, UTOPK, EXPERTS)
 
-FIXED = "fixed"
 THEORETICAL = "theoretical"
+MODEL_LOSS = {st.RIDGE_MODEL: RIDGE, st.SVM_MODEL: HINGE_SVM}   # the loss family of each data model
 
 CHUNK_BYTES = 4 << 20   # features per time chunk of run_episodes, summed over the seeds
-
-
-@dataclass
-class ExpertsSettings:
-    """Algorithm-2 knobs. a_max defaults to max(sqrt(T), 2); beta to the
-    sqrt(8 log N / (T nu^2)) choice."""
-
-    a_max: float | None = None
-    epsilon: float = 1.0
-    beta: float | None = None
 
 
 @dataclass
@@ -85,10 +82,7 @@ class RunConfig:
     k: int
     seeds: list
     radius: float = math.inf
-    alpha: float | None = None           # fixed step size; None = 1/sqrt(T)
-    step_mode: str = FIXED
-    topk_budget: int | None = None       # default: k for topk, floor(0.75 k) for utopk
-    experts: ExpertsSettings = field(default_factory=ExpertsSettings)
+    alpha: float | str | None = None     # fixed step size, None for 1/sqrt(T), or THEORETICAL
 
     def __post_init__(self):
         if self.T < 1:
@@ -101,28 +95,23 @@ class RunConfig:
             raise ValueError("need 0 <= k <= T")
         if self.loss.lam <= 0:
             raise ValueError("lam must be positive: it is the strong convexity modulus m of the bound constants")
-        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if self.alpha not in (None, THEORETICAL) and (
+                isinstance(self.alpha, str) or not (math.isfinite(self.alpha) and self.alpha > 0)):
+            raise ValueError(f"alpha must be finite and positive, None or {THEORETICAL!r}, "
+                             f"got {self.alpha!r}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive (inf for unbounded), got {self.radius!r}")
-        if self.topk_budget is not None and self.topk_budget < 0:
-            raise ValueError(f"topk_budget must be >= 0, got {self.topk_budget!r}")
-        if self.step_mode not in (FIXED, THEORETICAL):
-            raise ValueError(f"unknown step mode {self.step_mode!r}")
-        if self.step_mode == THEORETICAL and not math.isfinite(self.radius):
+        if self.alpha == THEORETICAL and not math.isfinite(self.radius):
             raise ValueError("theoretical step size needs a finite domain radius")
+        if self.learner == EXPERTS and self.alpha is not None:
+            raise ValueError("the expert pool takes its step sizes from its grid: alpha must be unset")
+        if self.loss.family != MODEL_LOSS[self.generator.kind]:
+            raise ValueError(f"the {self.generator.kind} data model takes the "
+                             f"{MODEL_LOSS[self.generator.kind]} loss, got {self.loss.family!r}")
 
     def resolve_topk_budget(self) -> int:
-        if self.topk_budget is not None:
-            return self.topk_budget
-        if self.learner == UTOPK:
-            return int(math.floor(0.75 * self.k))
-        return self.k
-
-    def resolve_a_max(self) -> float:
-        if self.experts.a_max is not None:
-            return self.experts.a_max
-        return max(math.sqrt(self.T), 2.0)
+        """The gradient norms a Top-k filter keeps: k for topk, floor(0.75 k) for utopk, 0 otherwise."""
+        return {TOPK: self.k, UTOPK: int(math.floor(0.75 * self.k))}.get(self.learner, 0)
 
 
 @dataclass
@@ -169,17 +158,15 @@ class BoundCheck:
 
 
 def _expert_pool(config: RunConfig, dim: int) -> ExpertPool:
-    """A fresh Algorithm-2 pool over the (step size, radius) grid of the config."""
-    grid = build_grid(config.resolve_a_max(), config.experts.epsilon, config.T)
-    beta = config.experts.beta
-    if beta is None:
-        beta = beta_default(grid.n, config.T, config.params.nu)
-    return init_pool(grid, dim, beta)
+    """A fresh Algorithm-2 pool over the (step size, radius) grid of A_max =
+    max(sqrt(T), 2) and epsilon = 1, with beta = sqrt(8 log N / (T nu^2))."""
+    grid = build_grid(max(math.sqrt(config.T), 2.0), 1.0, config.T)
+    return init_pool(grid, dim, beta_default(grid.n, config.T, config.params.nu))
 
 
 def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | None = None) -> float:
     """The step size; the theoretical one needs the episode's V_T and (G, L)."""
-    if config.step_mode == THEORETICAL:
+    if config.alpha == THEORETICAL:
         psi = derive_constants(config.params, *growth, m=config.loss.lam).psi
         return theoretical_stepsize(config.radius, v_t, psi, config.T)
     if config.alpha is not None:
@@ -278,7 +265,7 @@ def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
     learn_step or topk_filter_step makes of it, bit for bit."""
     loss, params, radius = config.loss, config.params, config.radius
     gated = config.learner == LEARN
-    budget = config.resolve_topk_budget() if config.learner in (TOPK, UTOPK) else 0
+    budget = config.resolve_topk_budget()
     top = np.empty((n_seeds, budget))   # each seed's `budget` largest gradient norms
     seen = 0                            # rounds that went into filling `top`
     rows = np.arange(n_seeds)
@@ -362,7 +349,7 @@ def run_episodes(config: RunConfig, seeds) -> list:
         return [_experts_episode(config, seed) for seed in seeds]
     accounts = [_Comparators(config) for _ in seeds]
     chunks = _chunks(config, seeds, accounts)
-    if config.step_mode == THEORETICAL:
+    if config.alpha == THEORETICAL:
         for _ in chunks:   # the step size needs V_T, G and L: account first, then redraw the streams
             pass
         alpha = [_resolve_alpha(config, acc.v_t, acc.growth) for acc in accounts]
@@ -424,8 +411,8 @@ def check_regret_bound(curve: RegretCurve, constants: ProblemConstants, config: 
 
     Only valid for runs that used the matching theoretical step size.
     """
-    if config.step_mode != THEORETICAL:
-        raise ValueError("bound check requires a run with step_mode='theoretical'")
+    if config.alpha != THEORETICAL:
+        raise ValueError(f"bound check requires a run with alpha={THEORETICAL!r}")
     D = config.radius
     T = len(curve.series)
     k = curve.n_outliers
@@ -466,7 +453,8 @@ def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5
     ||x_t||^2, the Hessian bound, which does not involve y), and B is the
     measured clean-round loss bound b_clean.
     """
-    config = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, k=k, radius=radius, step_mode=THEORETICAL)
+    config = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, k=k, radius=radius,
+                           alpha=THEORETICAL)
     trace = run_episode(config, seed)
     curve = clean_dynamic_regret(trace)
     constants = derive_constants(config.params, *trace.growth, m=config.loss.lam, B=curve.b_clean)
@@ -478,22 +466,14 @@ def preset_config(family: str, T: int | None = None, seeds: list | None = None, 
     both with lam=1e-4, alpha=1/sqrt(T), unbounded domain, seeds 1..30."""
     if family == "ridge":
         T = 10 ** 5 if T is None else T
-        base = dict(
-            T=T,
-            loss=RoundLoss(family="ridge", lam=1e-4),
-            params=LearnParams(a=10.0, b=10.0),
-            generator=st.ridge_generator(dim=100),
-        )
+        params, generator = LearnParams(a=10.0, b=10.0), st.ridge_generator(dim=100)
     elif family == "svm":
         T = 10 ** 4 if T is None else T
-        base = dict(
-            T=T,
-            loss=RoundLoss(family="hinge_svm", lam=1e-4),
-            params=LearnParams(a=1e4, b=10.0),
-            generator=st.svm_generator(dim=2),
-        )
+        params, generator = LearnParams(a=1e4, b=10.0), st.svm_generator(dim=2)
     else:
         raise ValueError(f"unknown preset {family!r}")
-    base.update(learner=LEARN, k=0, seeds=seeds if seeds is not None else list(range(1, 31)))
+    base = dict(T=T, loss=RoundLoss(family=MODEL_LOSS[generator.kind], lam=1e-4), params=params,
+                generator=generator, learner=LEARN, k=0,
+                seeds=seeds if seeds is not None else list(range(1, 31)))
     base.update(overrides)
     return RunConfig(**base)

@@ -20,7 +20,6 @@ import robust_oco as ro
 from conftest import capture_pools
 from robust_oco import oracle
 from robust_oco import stream as st
-from robust_oco.harness import ExpertsSettings
 
 SEEDS = list(range(1, 11))
 T = 10_000
@@ -211,26 +210,25 @@ def test_5_quarter_corruption_regime():
 def test_6_expert_framework(monkeypatch):
     t0 = time.perf_counter()
     T6 = 2000
-    a_max = float(math.ceil(math.sqrt(T6)))
+    n_max = T6 * math.ceil(math.log2(max(math.sqrt(T6), 2.0)))   # N <= T ceil(log2 A_max), default A_max
     k6 = math.isqrt(T6)
     ratios = []
     weights_ok, n_ok = True, True
     pools = capture_pools(monkeypatch)
     for seed in (1, 2, 3):
-        cfg_e = ro.preset_config("svm", T=T6, seeds=[seed], learner="experts", k=k6,
-                                 experts=ExpertsSettings(a_max=a_max, epsilon=1.0))
+        cfg_e = ro.preset_config("svm", T=T6, seeds=[seed], learner="experts", k=k6)
         f_experts = ro.clean_dynamic_regret(ro.run_episode(cfg_e, seed)).final
         pool = pools[-1]
         cfg_l = ro.preset_config("svm", T=T6, seeds=[seed], learner="learn", k=k6)
         f_learn = ro.clean_dynamic_regret(ro.run_episode(cfg_l, seed)).final
         ratios.append(f_experts / f_learn)
         weights_ok &= bool(np.all(np.isfinite(pool.log_weights)))
-        n_ok &= pool.grid.n <= T6 * math.log2(a_max)
+        n_ok &= pool.grid.n <= n_max
     elapsed = time.perf_counter() - t0
     ok = max(ratios) <= 3.0 and weights_ok and n_ok and elapsed <= 180.0
     assert report(6, "expert pool within 3x of single learner, grid bound, finite weights",
                   ok, f"ratios {[f'{r:.2f}' for r in ratios]}, N={pool.grid.n} <= "
-                      f"{T6 * math.log2(a_max):.0f}, {elapsed:.0f}s")
+                      f"{n_max}, {elapsed:.0f}s")
 
 
 # --- 7: determinism end to end ---------------------------------------------------

@@ -39,7 +39,7 @@ def test_run_writes_csv_and_manifest(tmp_path):
     man = configparser.ConfigParser()
     man.read(tmp_path / "manifest_learn_k6.ini")
     assert man["run"]["t"] == "60" and man["run"]["k"] == "6"
-    assert man["loss"]["family"] == "hinge_svm"
+    assert man["run"]["preset"] == "svm" and "family" not in man["loss"]   # the preset fixes the loss
     assert "result.seed.1" in man and "v_t" in man["result.seed.1"]
     assert float(man["result"]["mean_final_regret"]) >= 0.0
 
@@ -64,14 +64,15 @@ def test_run_determinism_byte_identical(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    out1 = tmp_path / "first"
-    rc = cli.main(["run", "--preset", "svm", "--T", "50", "--seeds", "5",
-                   "--learner", "topk", "--k", "5", "--out", str(out1)])
-    assert rc == 0
-    out2 = tmp_path / "second"
-    rc = cli.main(["run", "--config", str(out1 / "manifest_topk_k5.ini"), "--out", str(out2)])
-    assert rc == 0
-    assert (out1 / "regret_topk_k5.csv").read_bytes() == (out2 / "regret_topk_k5.csv").read_bytes()
+    for learner in ("topk", "experts"):
+        argv = ["run", "--preset", "svm", "--T", "50", "--seeds", "5", "--learner", learner, "--k", "5"]
+        out1, out2 = tmp_path / learner / "first", tmp_path / learner / "second"
+        assert cli.main([*argv, "--out", str(out1)]) == 0
+        manifest = out1 / f"manifest_{learner}_k5.ini"
+        assert config_of(["run", "--config", str(manifest)]) == config_of(argv)
+        assert cli.main(["run", "--config", str(manifest), "--out", str(out2)]) == 0
+        csv = f"regret_{learner}_k5.csv"
+        assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -204,13 +205,11 @@ FLAG_CASES = {
     "alpha-theoretical": (
         ["--alpha", "theoretical", "--radius", "2"],
         {("run", "alpha"): "0.2"},
-        lambda c: (c.step_mode, c.alpha, c.radius),
-        (harness.THEORETICAL, None, 2.0), (harness.FIXED, 0.2, math.inf)),
+        lambda c: (c.alpha, c.radius),
+        (harness.THEORETICAL, 2.0), (0.2, math.inf)),
     "radius": (["--radius", "3"], {("run", "radius"): "5.5"}, lambda c: c.radius, 3.0, 5.5),
     "scale": (["--scale", "0.004"], {("run", "t"): None, ("run", "scale"): "0.006"},
               lambda c: c.T, 40, 60),
-    "topk-budget0": (["--topk-budget", "0"], {("run", "topk_budget"): "3"},
-                     lambda c: c.topk_budget, 0, 3),
     "lam": (["--lam", "0.01"], {("loss", "lam"): "0.5"}, lambda c: c.loss.lam, 0.01, 0.5),
     "a": (["--a", "500"], {("learn", "a"): "20"}, lambda c: c.params.a, 500.0, 20.0),
     "b": (["--b", "2"], {("learn", "b"): "3"}, lambda c: c.params.b, 2.0, 3.0),
@@ -261,7 +260,7 @@ def test_config_file_with_overrides(tmp_path, case):
 
 @pytest.mark.parametrize("text, argv, message", [
     pytest.param("[corruption]\noperator = label_flip\n", [], "[corruption]", id="unknown-section"),
-    pytest.param("[experts]\nc = 1\n", [], "'c' in [experts]", id="unknown-key"),
+    pytest.param("[learn]\nc = 1\n", [], "'c' in [learn]", id="unknown-key"),
     pytest.param("", ["--lam", "0"], "lam must be positive", id="lam-zero"),
     pytest.param("[loss]\nlam = -1\n", [], "lam must be", id="lam-negative"),
     pytest.param("", ["--alpha", "0"], "alpha must be finite and positive", id="alpha-zero"),
@@ -269,20 +268,39 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("alpha = nan\n", [], "alpha must be finite and positive", id="alpha-nan"),
     pytest.param("", ["--radius", "-2"], "radius must be positive", id="radius-negative"),
     pytest.param("", ["--radius", "nan"], "radius must be positive", id="radius-nan"),
-    pytest.param("", ["--topk-budget", "-1"], "topk_budget must be >= 0", id="topk-budget-negative"),
+    # what the learner or the preset fixes is no key and no flag: the Top-k budget, the
+    # expert grid and the loss family
+    pytest.param("", ["--topk-budget", "-1"], "unrecognized arguments: --topk-budget",
+                 id="topk-budget-negative"),
+    pytest.param("topk_budget = 3\n", [], "'topk_budget' in [run]", id="topk-budget-key"),
+    pytest.param("[experts]\na_max = 64\n", [], "unknown config section [experts]", id="experts-section"),
+    pytest.param("[loss]\nfamily = ridge\n", [], "'family' in [loss]", id="loss-family"),
+    # the expert pool reads no alpha
+    pytest.param("", ["--learner", "experts", "--alpha", "0.3"], "alpha must be unset", id="experts-alpha"),
+    pytest.param("", ["--learner", "experts", "--alpha", "theoretical", "--radius", "3"],
+                 "alpha must be unset", id="experts-alpha-theoretical"),
+    # dump-stream plays the four sweep learners
+    pytest.param("", ["dump-stream", "--learner", "ogd"], "unrecognized arguments: --learner",
+                 id="dump-stream-learner"),
     # G and L are measured from the stream, B from the clean losses
     pytest.param("[bounds]\nb = 5\ng = 1\nl = 2\n", [], "unknown config section [bounds]", id="bounds-section"),
     pytest.param("", ["dump-stream", "--subsample", "-1"], "--subsample must be >= 1", id="subsample-negative"),
     pytest.param(None, ["verify", "--samples", "0"], "--samples must be >= 1", id="samples-zero"),
 ])
 def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
+    def exit_code(argv):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:   # argparse rejects an unknown flag itself
+            return exc.code
+
     if text is None:   # verify reads no config file
-        assert cli.main(argv) == 2
+        assert exit_code(argv) == 2
     else:
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[run]\npreset = svm\nt = 20\nseeds = 1\n" + text)
         command, argv = (argv[0], argv[1:]) if argv[:1] == ["dump-stream"] else ("run", argv)
-        assert cli.main([command, "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 2
+        assert exit_code([command, "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == (["exp.ini"] if text is not None else [])
 
@@ -292,7 +310,7 @@ def test_theoretical_step_from_flags_alone(tmp_path, preset):
     argv = ["run", "--preset", preset, "--T", "60", "--seeds", "1 2", "--k", "7",
             "--alpha", "theoretical", "--radius", "5"]
     config = config_of(argv)
-    assert (config.step_mode, config.radius) == (harness.THEORETICAL, 5.0)
+    assert (config.alpha, config.radius) == (harness.THEORETICAL, 5.0)
     out1, out2 = tmp_path / "first", tmp_path / "second"
     assert cli.main([*argv, "--out", str(out1)]) == 0
     manifest = out1 / "manifest_learn_k7.ini"

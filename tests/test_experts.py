@@ -97,11 +97,17 @@ def test_build_grid_edges():
 
 
 def test_grid_size_bound():
-    # N <= T log2(A_max) across tested configurations (huge radii collapse to
-    # one unbounded expert once 2^j/T leaves float range)
+    # N <= T ceil(log2 A_max): ceil(log2 A_max) step sizes times at most T
+    # radii (huge radii collapse to one unbounded expert once 2^j/T leaves
+    # float range). At the default A_max = max(sqrt T, 2) the looser
+    # T log2(A_max) fails for 5 <= T <= 1000, e.g. N = 600 > 542 at T = 150.
+    for T in (20, 150, 500, 2000, 10 ** 4):
+        a_max = max(math.sqrt(T), 2.0)
+        assert build_grid(a_max, 1.0, T).n <= T * math.ceil(math.log2(a_max))
+    assert build_grid(math.sqrt(150), 1.0, 150).n > 150 * math.log2(math.sqrt(150))
     for T, a_max in ((4, 4.0), (64, 8.0), (128, 2.0), (500, 16.0), (2000, 45.0)):
         grid = build_grid(a_max, 1.0, T)
-        assert grid.n <= T * math.log2(a_max)
+        assert grid.n <= T * math.ceil(math.log2(a_max))
 
 
 def test_grid_radii_capped_and_deduplicated():

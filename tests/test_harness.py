@@ -9,7 +9,6 @@ from robust_oco import harness
 from robust_oco import stream as st
 from robust_oco.harness import (
     EpisodeTrace,
-    ExpertsSettings,
     RegretCurve,
     RunConfig,
     aggregate_runs,
@@ -88,7 +87,7 @@ def per_seed_episode(cfg, seed):
     ref = reference_accounting(cfg, seed)
     alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
     state = LearnerState(theta=np.zeros(gen.dim), step_size=alpha, radius=cfg.radius)
-    budget = cfg.resolve_topk_budget()
+    budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
     f_emitted = np.empty(cfg.T)
     for t in range(cfg.T):
         s = SideInfo(x=X[t], y=float(y_emitted[t]))
@@ -314,8 +313,8 @@ def test_utopk_budget_is_three_quarters():
     assert cfg.resolve_topk_budget() == 7
     cfg = preset_config("svm", T=10, seeds=[1], learner=harness.TOPK, k=10)
     assert cfg.resolve_topk_budget() == 10
-    cfg = preset_config("svm", T=10, seeds=[1], learner=harness.TOPK, k=10, topk_budget=3)
-    assert cfg.resolve_topk_budget() == 3
+    for learner in (harness.OGD, harness.LEARN, harness.EXPERTS):   # they filter no round
+        assert preset_config("svm", T=10, seeds=[1], learner=learner, k=10).resolve_topk_budget() == 0
 
 
 def test_curve_statistics_recomputable_from_trace():
@@ -346,12 +345,21 @@ def test_config_validation():
     with pytest.raises(ValueError, match="finite domain radius"):  # G and L come from the stream
         RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1],
-                  step_mode=harness.THEORETICAL)
+                  alpha=harness.THEORETICAL)
     for bad in (dict(alpha=0.0), dict(alpha=-1.0), dict(alpha=math.inf), dict(alpha=math.nan),
-                dict(radius=0.0), dict(radius=-2.0), dict(radius=math.nan), dict(topk_budget=-1)):
+                dict(alpha="fixed"), dict(alpha="default"),
+                dict(radius=0.0), dict(radius=-2.0), dict(radius=math.nan)):
         with pytest.raises(ValueError):
             preset_config("svm", T=5, seeds=[1], **bad)
-    preset_config("svm", T=5, seeds=[1], alpha=0.5, radius=math.inf, topk_budget=0)   # legal edges
+    preset_config("svm", T=5, seeds=[1], alpha=0.5, radius=math.inf)   # legal edges
+    # the expert pool reads no alpha, and each data model is fit with its own loss
+    for bad in (dict(alpha=0.5), dict(alpha=harness.THEORETICAL, radius=3.0)):
+        with pytest.raises(ValueError, match="alpha must be unset"):
+            preset_config("svm", T=5, seeds=[1], learner=harness.EXPERTS, **bad)
+    with pytest.raises(ValueError, match="the svm data model takes the hinge_svm loss, got 'ridge'"):
+        preset_config("svm", T=5, seeds=[1], loss=RoundLoss("ridge", 1e-4))
+    with pytest.raises(ValueError, match="the ridge data model takes the ridge loss, got 'hinge_svm'"):
+        preset_config("ridge", T=5, seeds=[1], loss=RoundLoss("hinge_svm", 1e-4))
     for learner in harness.LEARNERS:   # run_episodes checks its own seed list too
         with pytest.raises(ValueError, match="seeds must be nonempty"):
             run_episodes(preset_config("svm", T=5, seeds=[1], learner=learner), [])
@@ -372,7 +380,7 @@ def test_bound_reduces_to_simple_form_when_no_outliers():
     curve = RegretCurve(series=np.zeros(16), v_t=0.0, delta_s=0.0,
                         comparator_radius=0.0, b_clean=0.0, n_outliers=0)
     cfg = preset_config("ridge", T=16, seeds=[1], learner=harness.LEARN, k=0,
-                        radius=2.0, step_mode=harness.THEORETICAL)
+                        radius=2.0, alpha=harness.THEORETICAL)
     consts = derive_constants(cfg.params, G=1.0, L=3.0, m=cfg.loss.lam, B=0.0)
     chk = check_regret_bound(curve, consts, cfg)
     assert chk.bound == pytest.approx(consts.xi * consts.psi * 2.0 * 2.0 * 4.0, rel=1e-12)
@@ -398,7 +406,7 @@ def test_growth_constants_hold_on_the_stream(family):
     # directions, at log-uniform distances
     rng = np.random.default_rng(11)
     cfg = preset_config(family, T=300, seeds=[3], learner=harness.LEARN, k=30, radius=5.0,
-                        step_mode=harness.THEORETICAL)
+                        alpha=harness.THEORETICAL)
     G, L = run_episode(cfg, 3).growth
     _, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, 3)
     margins = []
@@ -438,14 +446,15 @@ def test_run_cell_aggregates():
 
 
 def test_experts_learner_through_harness(monkeypatch):
-    cfg = preset_config("svm", T=150, seeds=[1], learner=harness.EXPERTS, k=12,
-                        experts=ExpertsSettings(a_max=16.0, epsilon=1.0))
+    cfg = preset_config("svm", T=150, seeds=[1], learner=harness.EXPERTS, k=12)
     pools = capture_pools(monkeypatch)
     curve = clean_dynamic_regret(run_episode(cfg, 1))
     assert math.isfinite(curve.final)
     assert len(pools) == 1
     assert np.all(np.isfinite(pools[0].log_weights))
-    assert pools[0].grid.n <= 150 * math.log2(16.0)
+    grid = pools[0].grid
+    assert (grid.a_max, grid.epsilon) == (math.sqrt(150), 1.0)   # the pool the paper's experiments run
+    assert grid.n == 600 <= 150 * math.ceil(math.log2(grid.a_max))
 
 
 def assert_stops_at_earliest_divergence(monkeypatch, seeds):
@@ -531,7 +540,7 @@ def test_batched_episodes_match_per_seed_loop(learner, family, radius, k, n_seed
 def test_theoretical_step_matches_per_seed_loop():
     # alpha depends on each seed's V_T: the comparator pass runs first, then the loop
     cfg = preset_config("ridge", T=T_REF, seeds=[1, 2, 3], learner=harness.LEARN, k=7, radius=5.0,
-                        step_mode=harness.THEORETICAL)
+                        alpha=harness.THEORETICAL)
     for seed, trace in zip(cfg.seeds, run_episodes(cfg, cfg.seeds)):
         f_emitted, theta = per_seed_episode(cfg, seed)
         np.testing.assert_array_equal(trace.f_emitted, f_emitted)
@@ -542,8 +551,8 @@ def test_theoretical_step_matches_per_seed_loop():
 @pytest.mark.parametrize("config", [
     *(dict(family=f, learner=lr) for f in ("svm", "ridge")
       for lr in (harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK, harness.EXPERTS)),
-    dict(family="ridge", learner=harness.LEARN, radius=5.0, step_mode=harness.THEORETICAL),
-    dict(family="svm", learner=harness.LEARN, radius=5.0, step_mode=harness.THEORETICAL),
+    dict(family="ridge", learner=harness.LEARN, radius=5.0, alpha=harness.THEORETICAL),
+    dict(family="svm", learner=harness.LEARN, radius=5.0, alpha=harness.THEORETICAL),
 ], ids=lambda c: "-".join(str(v) for v in c.values()))
 def test_chunking_does_not_change_an_episode(monkeypatch, config):
     config = dict(config)
