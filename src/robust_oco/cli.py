@@ -89,7 +89,7 @@ KEYS = (
     Key("run", "radius", "radius", "--radius", help="domain radius, 'inf' for unbounded"),
     # scale sets the preset T when t is unset; the manifest records that t instead
     Key("run", "scale", None, "--scale", show=None, help="multiply preset T (k-grid recomputed)"),
-    Key("loss", "lam", "loss.lam", "--lam"),
+    Key("loss", "lam", "lam", "--lam"),
     Key("learn", "a", "params.a", "--a"),
     Key("learn", "b", "params.b", "--b"),
     Key("stream", "dim", "generator.dim", parse=int, show=str),
@@ -163,12 +163,17 @@ def _read_file(path: str | None) -> dict:
     return values
 
 
-def load_config(path: str | None, preset: str | None, overrides: dict) -> RunConfig:
+def load_config(path: str | None, preset: str | None, overrides: dict, fixed: tuple = ()) -> RunConfig:
     """Build the effective RunConfig: preset defaults < config file < CLI flags.
 
     `overrides` maps a flag's dest to its parsed value; None means not given.
+    `fixed` holds the flags of the keys the command sets itself, which the
+    file may not set either.
     """
     given = _read_file(path)
+    for key in given:
+        if key.flag in fixed:
+            raise UsageError(f"{path}: [{key.section}] {key.name} is set by the command, not by a config file")
     given.update({key: overrides[key.dest] for key in KEYS
                   if key.flag and overrides.get(key.dest) is not None})
     if preset is None:
@@ -231,15 +236,19 @@ def _run_one_cell(config: RunConfig, outdir: str) -> str:
     return csv_path
 
 
+def _load(args) -> RunConfig:
+    return load_config(args.config, args.preset, _overrides(args), args.fixed)
+
+
 def cmd_run(args) -> int:
-    config = load_config(args.config, args.preset, _overrides(args))
+    config = _load(args)
     path = _run_one_cell(config, args.out)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config, args.preset, _overrides(args))
+    config = _load(args)
     for k in st.k_grid(config.T):
         for learner in SWEEP_LEARNERS:
             cell = replace(config, learner=learner, k=k)
@@ -274,7 +283,9 @@ def cmd_verify(args) -> int:
 def cmd_dump_stream(args) -> int:
     if args.subsample is not None and args.subsample < 1:
         raise UsageError(f"--subsample must be >= 1, got {args.subsample}")
-    config = load_config(args.config, args.preset, _overrides(args))
+    config = _load(args)
+    if len(config.seeds) != 1:
+        raise UsageError(f"dump-stream plays one seed, got {len(config.seeds)}: give one with --seeds")
     os.makedirs(args.out, exist_ok=True)
     seed = config.seeds[0]
     gen, X, y_clean, y_emitted, mask = st.episode_stream(config.generator, config.T, config.k, seed)
@@ -298,7 +309,7 @@ def cmd_dump_stream(args) -> int:
 
     thetas = {"theta_star": [float(v) for v in gen.theta_star]}
     for learner in SWEEP_LEARNERS:
-        cell = replace(config, learner=learner, seeds=[seed])
+        cell = replace(config, learner=learner)
         trace = harness.run_episode(cell, seed)
         thetas[learner] = [float(v) for v in trace.theta]
     thetas_path = os.path.join(args.out, "final_thetas.json")
@@ -322,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, skip=()):
         """--config, --preset, --out and every key's flag but those in `skip`, which the command sets."""
+        p.set_defaults(fixed=skip)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=("ridge", "svm"))
         p.add_argument("--out", default="out", help="output directory")

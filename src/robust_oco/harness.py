@@ -11,21 +11,21 @@ the domain ball when the radius is finite).
 `run_episodes` plays all seeds of a cell at once. Each seed's stream is
 drawn in time chunks of at most CHUNK_BYTES of features over all seeds; a
 chunk feeds every seed's comparator accounting, then the learner loop, which
-advances one (R, d) array of actions per round for ogd, learn, topk and
-utopk. The loop uses the loss kernels of `losses` and the row projection of
-`learners`, takes every dot product as one BLAS dot per row and the gate's
-exp from libm per seed, as the per-round functions do, so each seed's
-numbers equal those of ogd_step, learn_step or topk_filter_step on that
-seed alone, bit for bit, whatever the chunking and the other seeds. In the
-theoretical step mode the step size needs the stream's V_T, G and L, so the
-comparators are accounted in a first pass and the streams redrawn for the
-loop. The expert pool's row count varies by seed, so its seeds run one at a
-time, each on its own chunked stream.
+advances one (R, d) array of actions per round for every learner. The loop
+uses the loss kernels of `losses` and the row projection of `learners`,
+takes every dot product as one BLAS dot per row and the gate's exp from libm
+per seed, as the per-round functions do, so each seed's numbers equal those
+of ogd_step, learn_step or topk_filter_step on that seed alone, bit for bit,
+whatever the chunking and the other seeds. The expert pool's row count
+varies by seed, so each seed keeps a pool of its own, stepped by pool_step,
+and its row of actions is that pool's aggregate_action. In the theoretical
+step mode the step size needs the stream's V_T, G and L, so the comparators
+are accounted in a first pass and the streams redrawn for the loop.
 
 What the paper's experiments fix is derived here, not set: the Top-k budget
 (k for topk, floor(0.75 k) for utopk), the expert grid (A_max = max(sqrt(T),
-2), epsilon = 1, beta = sqrt(8 log N / (T nu^2))) and, through the preset,
-the loss family of the data model.
+2), epsilon = 1, beta = sqrt(8 log N / (T nu^2))) and the loss family, that
+of the data model (RunConfig.loss).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from . import stream as st
 from .experts import ExpertPool, aggregate_action, beta_default, build_grid, init_pool, pool_step
 from .learners import project_rows, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
+from .losses import eval_f  # noqa: F401 (bench/tracing.py wraps this name here)
 from .losses import (
     HINGE_SVM,
     RIDGE,
@@ -51,7 +52,6 @@ from .losses import (
     _value,
     derive_constants,
     eta,
-    eval_f,
     eval_f_rows,
     growth_constants,
     minimizer_rows,
@@ -75,7 +75,7 @@ class RunConfig:
     """Everything one (learner, k) cell needs, including the seed list."""
 
     T: int
-    loss: RoundLoss
+    lam: float                           # the loss's regularization weight, its strong convexity modulus m
     params: LearnParams
     generator: st.CleanGenerator
     learner: str
@@ -93,7 +93,7 @@ class RunConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         if not (0 <= self.k <= self.T):
             raise ValueError("need 0 <= k <= T")
-        if self.loss.lam <= 0:
+        if self.lam <= 0:
             raise ValueError("lam must be positive: it is the strong convexity modulus m of the bound constants")
         if self.alpha not in (None, THEORETICAL) and (
                 isinstance(self.alpha, str) or not (math.isfinite(self.alpha) and self.alpha > 0)):
@@ -105,9 +105,11 @@ class RunConfig:
             raise ValueError("theoretical step size needs a finite domain radius")
         if self.learner == EXPERTS and self.alpha is not None:
             raise ValueError("the expert pool takes its step sizes from its grid: alpha must be unset")
-        if self.loss.family != MODEL_LOSS[self.generator.kind]:
-            raise ValueError(f"the {self.generator.kind} data model takes the "
-                             f"{MODEL_LOSS[self.generator.kind]} loss, got {self.loss.family!r}")
+
+    @property
+    def loss(self) -> RoundLoss:
+        """The loss family of the data model, with regularization weight lam."""
+        return RoundLoss(family=MODEL_LOSS[self.generator.kind], lam=self.lam)
 
     def resolve_topk_budget(self) -> int:
         """The gradient norms a Top-k filter keeps: k for topk, floor(0.75 k) for utopk, 0 otherwise."""
@@ -157,29 +159,21 @@ class BoundCheck:
     bound: float
 
 
-def _expert_pool(config: RunConfig, dim: int) -> ExpertPool:
+def _expert_pool(config: RunConfig) -> ExpertPool:
     """A fresh Algorithm-2 pool over the (step size, radius) grid of A_max =
     max(sqrt(T), 2) and epsilon = 1, with beta = sqrt(8 log N / (T nu^2))."""
     grid = build_grid(max(math.sqrt(config.T), 2.0), 1.0, config.T)
-    return init_pool(grid, dim, beta_default(grid.n, config.T, config.params.nu))
+    return init_pool(grid, config.generator.dim, beta_default(grid.n, config.T, config.params.nu))
 
 
 def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | None = None) -> float:
     """The step size; the theoretical one needs the episode's V_T and (G, L)."""
     if config.alpha == THEORETICAL:
-        psi = derive_constants(config.params, *growth, m=config.loss.lam).psi
+        psi = derive_constants(config.params, *growth, m=config.lam).psi
         return theoretical_stepsize(config.radius, v_t, psi, config.T)
     if config.alpha is not None:
         return config.alpha
     return 1.0 / math.sqrt(config.T)
-
-
-def _minimizers(config: RunConfig, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """theta* of each row, projected onto the domain ball when the radius is finite."""
-    comp = minimizer_rows(config.loss, X, y)
-    if math.isfinite(config.radius):
-        project_rows(comp, config.radius)
-    return comp
 
 
 class _Comparators:
@@ -193,7 +187,7 @@ class _Comparators:
     """
 
     def __init__(self, config: RunConfig):
-        self.config = config
+        self.loss, self.radius = config.loss, config.radius
         self.is_outlier = np.zeros(config.T, dtype=bool)
         self.f_at_comparator = np.empty(config.T)
         self.steps = np.empty(config.T - 1)
@@ -202,22 +196,29 @@ class _Comparators:
         self.growth = np.zeros(2)
         self.last = np.empty((0, config.generator.dim))   # theta* of the round before the chunk
 
+    def _minimizers(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """theta* of each row, projected onto the domain ball when the radius is finite."""
+        comp = minimizer_rows(self.loss, X, y)
+        if math.isfinite(self.radius):
+            project_rows(comp, self.radius)
+        return comp
+
     def add(self, t0: int, X, y_clean, y_emitted, idx):
         """Account rounds t0 .. t0 + len(X) - 1; idx are the chunk's corrupted rows."""
         t1 = t0 + len(X)
-        comp = _minimizers(self.config, X, y_clean)
+        comp = self._minimizers(X, y_clean)
         self.is_outlier[t0 + idx] = True
-        self.f_at_comparator[t0:t1] = eval_f_rows(self.config.loss, X, y_emitted, comp)
+        self.f_at_comparator[t0:t1] = eval_f_rows(self.loss, X, y_emitted, comp)
         self.norm_max.append(np.linalg.norm(comp, axis=1).max())
         step = np.diff(np.concatenate((self.last, comp)), axis=0)
         step *= step   # squared in place: np.linalg.norm's row sums without its temporary
         self.steps[t1 - 1 - len(step):t1 - 1] = np.sqrt(np.add.reduce(step, axis=1))
         self.last = comp[-1:]
         self.clean.append(comp[idx])
-        self.emitted.append(_minimizers(self.config, X[idx], y_emitted[idx]))
+        self.emitted.append(self._minimizers(X[idx], y_emitted[idx]))
         nx2 = np.einsum("ij,ij->i", X, X)
-        omega_norm = np.abs(_min_scale(self.config.loss, nx2, y_emitted)) * np.sqrt(nx2)
-        G, L = growth_constants(self.config.loss, nx2, omega_norm)
+        omega_norm = np.abs(_min_scale(self.loss, nx2, y_emitted)) * np.sqrt(nx2)
+        G, L = growth_constants(self.loss, nx2, omega_norm)
         self.growth = np.maximum(self.growth, (np.max(G), np.max(L)))
 
     @property
@@ -262,25 +263,30 @@ def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
     """The learner's step of all seeds' actions at once: step(theta, x, y,
     proj, f) returns the next (R, d) actions from this round's actions, side
     information, proj = <x, theta> and losses. Each row gets what ogd_step,
-    learn_step or topk_filter_step makes of it, bit for bit."""
+    learn_step or topk_filter_step makes of it, bit for bit; for the expert
+    pool, what its seed's own pool aggregates after pool_step."""
     loss, params, radius = config.loss, config.params, config.radius
+    if config.learner == EXPERTS:
+        pools = [_expert_pool(config) for _ in range(n_seeds)]
+
+        def pool_steps(theta, x, y, proj, f):
+            for r, pool in enumerate(pools):
+                pool_step(pool, SideInfo(x=x[r], y=float(y[r])), loss, params)
+                theta[r] = aggregate_action(pool)
+            return theta
+
+        return pool_steps
     gated = config.learner == LEARN
     budget = config.resolve_topk_budget()
-    top = np.empty((n_seeds, budget))   # each seed's `budget` largest gradient norms
-    seen = 0                            # rounds that went into filling `top`
+    top = np.full((n_seeds, budget), -np.inf)   # each seed's `budget` largest gradient norms; -inf is empty
     rows = np.arange(n_seeds)
 
     def step(theta, x, y, proj, f):
-        nonlocal seen
         g = loss.lam * theta - _coef(loss, proj, y)[:, None] * x
         if gated:   # eta per seed: numpy's vector exp can differ from libm's in the last bit
             g *= np.array([eta(params, v) for v in f.tolist()])[:, None]
-        if budget:
+        if budget:   # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
             n = np.sqrt(np.vecdot(g, g))
-            if seen < budget:   # every seed fills its buffer in the same first rounds, all filtered
-                top[:, seen] = n
-                seen += 1
-                return theta
             j = top.argmin(axis=1)
             low = top[rows, j]
             update = n < 2.0 * low
@@ -317,24 +323,6 @@ def _play(config: RunConfig, seeds, chunks, alpha: np.ndarray):
     return f_emitted, theta
 
 
-def _experts_episode(config: RunConfig, seed: int) -> EpisodeTrace:
-    """One seed's episode of the expert pool, whose action is the weighted
-    expert average; the pool's row count varies by seed, so seeds run alone."""
-    T = config.T
-    comparators = _Comparators(config)
-    pool = _expert_pool(config, config.generator.dim)
-    f_emitted = np.empty(T)
-    for t0, X, Y in _chunks(config, [seed], [comparators]):
-        for t, x, y in zip(range(t0, T), X[:, 0], Y[:, 0]):
-            s = SideInfo(x=x, y=float(y))
-            theta = aggregate_action(pool)
-            f_emitted[t] = eval_f(config.loss, s, theta)
-            if not math.isfinite(f_emitted[t]):
-                raise RuntimeError(f"seed {seed}: non-finite loss at round {t + 1} of {T}; the run diverged")
-            pool_step(pool, s, config.loss, config.params)
-    return comparators.trace(f_emitted, theta)
-
-
 def run_episodes(config: RunConfig, seeds) -> list:
     """Play the seeded episodes of the config and return what their regret
     accounting reads, one EpisodeTrace per seed, in order.
@@ -345,8 +333,6 @@ def run_episodes(config: RunConfig, seeds) -> list:
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    if config.learner == EXPERTS:
-        return [_experts_episode(config, seed) for seed in seeds]
     accounts = [_Comparators(config) for _ in seeds]
     chunks = _chunks(config, seeds, accounts)
     if config.alpha == THEORETICAL:
@@ -457,7 +443,7 @@ def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5
                            alpha=THEORETICAL)
     trace = run_episode(config, seed)
     curve = clean_dynamic_regret(trace)
-    constants = derive_constants(config.params, *trace.growth, m=config.loss.lam, B=curve.b_clean)
+    constants = derive_constants(config.params, *trace.growth, m=config.lam, B=curve.b_clean)
     return check_regret_bound(curve, constants, config), curve, constants
 
 
@@ -472,8 +458,7 @@ def preset_config(family: str, T: int | None = None, seeds: list | None = None, 
         params, generator = LearnParams(a=1e4, b=10.0), st.svm_generator(dim=2)
     else:
         raise ValueError(f"unknown preset {family!r}")
-    base = dict(T=T, loss=RoundLoss(family=MODEL_LOSS[generator.kind], lam=1e-4), params=params,
-                generator=generator, learner=LEARN, k=0,
+    base = dict(T=T, lam=1e-4, params=params, generator=generator, learner=LEARN, k=0,
                 seeds=seeds if seeds is not None else list(range(1, 31)))
     base.update(overrides)
     return RunConfig(**base)

@@ -210,7 +210,7 @@ FLAG_CASES = {
     "radius": (["--radius", "3"], {("run", "radius"): "5.5"}, lambda c: c.radius, 3.0, 5.5),
     "scale": (["--scale", "0.004"], {("run", "t"): None, ("run", "scale"): "0.006"},
               lambda c: c.T, 40, 60),
-    "lam": (["--lam", "0.01"], {("loss", "lam"): "0.5"}, lambda c: c.loss.lam, 0.01, 0.5),
+    "lam": (["--lam", "0.01"], {("loss", "lam"): "0.5"}, lambda c: c.lam, 0.01, 0.5),
     "a": (["--a", "500"], {("learn", "a"): "20"}, lambda c: c.params.a, 500.0, 20.0),
     "b": (["--b", "2"], {("learn", "b"): "3"}, lambda c: c.params.b, 2.0, 3.0),
 }
@@ -279,9 +279,17 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("", ["--learner", "experts", "--alpha", "0.3"], "alpha must be unset", id="experts-alpha"),
     pytest.param("", ["--learner", "experts", "--alpha", "theoretical", "--radius", "3"],
                  "alpha must be unset", id="experts-alpha-theoretical"),
-    # dump-stream plays the four sweep learners
+    # dump-stream sets the learner, and sweep the learner and k: no flag or file key sets
+    # them; dump-stream plays one seed
     pytest.param("", ["dump-stream", "--learner", "ogd"], "unrecognized arguments: --learner",
                  id="dump-stream-learner"),
+    pytest.param("learner = ogd\n", ["dump-stream"], "[run] learner is set by the command",
+                 id="dump-stream-learner-key"),
+    pytest.param("learner = experts\n", ["sweep"], "[run] learner is set by the command",
+                 id="sweep-learner-key"),
+    pytest.param("k = 3\n", ["sweep"], "[run] k is set by the command", id="sweep-k-key"),
+    pytest.param("", ["dump-stream", "--seeds", "1 2 3"], "dump-stream plays one seed, got 3",
+                 id="dump-stream-seeds"),
     # G and L are measured from the stream, B from the clean losses
     pytest.param("[bounds]\nb = 5\ng = 1\nl = 2\n", [], "unknown config section [bounds]", id="bounds-section"),
     pytest.param("", ["dump-stream", "--subsample", "-1"], "--subsample must be >= 1", id="subsample-negative"),
@@ -299,7 +307,7 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
     else:
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[run]\npreset = svm\nt = 20\nseeds = 1\n" + text)
-        command, argv = (argv[0], argv[1:]) if argv[:1] == ["dump-stream"] else ("run", argv)
+        command, argv = (argv[0], argv[1:]) if argv[:1] in (["dump-stream"], ["sweep"]) else ("run", argv)
         assert exit_code([command, "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == (["exp.ini"] if text is not None else [])

@@ -7,6 +7,7 @@ import pytest
 from conftest import capture_pools
 from robust_oco import harness
 from robust_oco import stream as st
+from robust_oco.experts import aggregate_action, pool_step
 from robust_oco.harness import (
     EpisodeTrace,
     RegretCurve,
@@ -81,17 +82,19 @@ def reference_accounting(cfg, seed):
 
 def per_seed_episode(cfg, seed):
     """The per-seed episode loop that run_episodes replaced, kept as its
-    reference: one SideInfo and one step of a LearnerState per round.
-    Returns f_t(s_t, theta_t) of every round and the action played in round T."""
+    reference: one SideInfo and one step of a LearnerState, or of the expert
+    pool, per round. Returns f_t(s_t, theta_t) of every round and the action
+    played in round T."""
     gen, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
     ref = reference_accounting(cfg, seed)
     alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
     state = LearnerState(theta=np.zeros(gen.dim), step_size=alpha, radius=cfg.radius)
     budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
+    pool = harness._expert_pool(cfg) if cfg.learner == harness.EXPERTS else None
     f_emitted = np.empty(cfg.T)
     for t in range(cfg.T):
         s = SideInfo(x=X[t], y=float(y_emitted[t]))
-        theta = state.theta   # steps replace the action array, never write into it
+        theta = state.theta if pool is None else aggregate_action(pool)   # steps never write into theta
         f_emitted[t] = eval_f(cfg.loss, s, theta)
         if not math.isfinite(f_emitted[t]):
             raise RuntimeError(f"seed {seed}: non-finite loss at round {t + 1} of {cfg.T}; the run diverged")
@@ -99,6 +102,8 @@ def per_seed_episode(cfg, seed):
             ogd_step(state, s, cfg.loss)
         elif cfg.learner == harness.LEARN:
             learn_step(state, s, cfg.loss, cfg.params, f_emitted[t])
+        elif pool is not None:
+            pool_step(pool, s, cfg.loss, cfg.params)
         else:
             topk_filter_step(state, s, cfg.loss, budget)
     return f_emitted, theta
@@ -240,7 +245,7 @@ def test_episode_regret_zero_when_started_at_minimizer():
     # y = 0 stream makes the origin the exact minimizer, which is theta_1
     gen = st.CleanGenerator(kind="ridge", dim=3, noise_std=0.0,
                             theta_star=np.zeros(3))
-    cfg = RunConfig(T=1, loss=RoundLoss("ridge", 0.5), params=LearnParams(1, 1),
+    cfg = RunConfig(T=1, lam=0.5, params=LearnParams(1, 1),
                     generator=gen, learner=harness.LEARN, k=0, seeds=[1])
     curve = clean_dynamic_regret(run_episode(cfg, 1))
     assert curve.final == pytest.approx(0.0, abs=1e-15)
@@ -334,16 +339,16 @@ def test_finite_radius_accounting_matches_reference(family, learner):
 def test_config_validation():
     gen = st.svm_generator()
     with pytest.raises(ValueError):
-        RunConfig(T=0, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
+        RunConfig(T=0, lam=1e-4, params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1])
     with pytest.raises(ValueError):
-        RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
+        RunConfig(T=5, lam=1e-4, params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[])
     with pytest.raises(ValueError):  # the bound constants need m = lam > 0
-        RunConfig(T=5, loss=RoundLoss("hinge_svm", 0.0), params=LearnParams(1, 1),
+        RunConfig(T=5, lam=0.0, params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1])
     with pytest.raises(ValueError, match="finite domain radius"):  # G and L come from the stream
-        RunConfig(T=5, loss=RoundLoss("hinge_svm", 1e-4), params=LearnParams(1, 1),
+        RunConfig(T=5, lam=1e-4, params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1],
                   alpha=harness.THEORETICAL)
     for bad in (dict(alpha=0.0), dict(alpha=-1.0), dict(alpha=math.inf), dict(alpha=math.nan),
@@ -352,14 +357,13 @@ def test_config_validation():
         with pytest.raises(ValueError):
             preset_config("svm", T=5, seeds=[1], **bad)
     preset_config("svm", T=5, seeds=[1], alpha=0.5, radius=math.inf)   # legal edges
-    # the expert pool reads no alpha, and each data model is fit with its own loss
+    # the expert pool reads no alpha
     for bad in (dict(alpha=0.5), dict(alpha=harness.THEORETICAL, radius=3.0)):
         with pytest.raises(ValueError, match="alpha must be unset"):
             preset_config("svm", T=5, seeds=[1], learner=harness.EXPERTS, **bad)
-    with pytest.raises(ValueError, match="the svm data model takes the hinge_svm loss, got 'ridge'"):
-        preset_config("svm", T=5, seeds=[1], loss=RoundLoss("ridge", 1e-4))
-    with pytest.raises(ValueError, match="the ridge data model takes the ridge loss, got 'hinge_svm'"):
-        preset_config("ridge", T=5, seeds=[1], loss=RoundLoss("hinge_svm", 1e-4))
+    # each data model is fit with its own loss, whose lam the config sets
+    assert preset_config("svm", T=5, seeds=[1]).loss == RoundLoss("hinge_svm", 1e-4)
+    assert preset_config("ridge", T=5, seeds=[1], lam=0.5).loss == RoundLoss("ridge", 0.5)
     for learner in harness.LEARNERS:   # run_episodes checks its own seed list too
         with pytest.raises(ValueError, match="seeds must be nonempty"):
             run_episodes(preset_config("svm", T=5, seeds=[1], learner=learner), [])
@@ -518,13 +522,14 @@ T_REF = 60
 
 
 @pytest.mark.parametrize("n_seeds", [1, 3])
-@pytest.mark.parametrize("k", [0, st.floor_power(T_REF, 2, 3)])
+@pytest.mark.parametrize("k", [0, st.floor_power(T_REF, 2, 3), T_REF])   # k = T: every round warms Top-k up
 @pytest.mark.parametrize("radius", [math.inf, 0.05])
 @pytest.mark.parametrize("family", ["svm", "ridge"])
-@pytest.mark.parametrize("learner", [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK])
+@pytest.mark.parametrize("learner", harness.LEARNERS)
 def test_batched_episodes_match_per_seed_loop(learner, family, radius, k, n_seeds):
     # every dot product is the same BLAS dot and every other operation is
-    # element-wise, so the batch equals the per-seed loop bit for bit
+    # element-wise, so the batch equals the per-seed loop bit for bit; each
+    # seed of the expert pool keeps a pool of its own
     seeds = [4, 5, 6][:n_seeds]
     cfg = preset_config(family, T=T_REF, seeds=seeds, learner=learner, k=k, radius=radius)
     traces = run_episodes(cfg, seeds)
