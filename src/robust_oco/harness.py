@@ -12,11 +12,12 @@ the domain ball when the radius is finite).
 drawn in time chunks of at most CHUNK_BYTES of features over all seeds; a
 chunk feeds every seed's comparator accounting, then the learner loop, which
 advances one (R, d) array of actions per round for every learner. The loop
-uses the loss kernels of `losses` and the row projection of `learners`,
-takes every dot product as one BLAS dot per row and the gate's exp from libm
-per seed, as the per-round functions do, so each seed's numbers equal those
-of ogd_step, learn_step or topk_filter_step on that seed alone, bit for bit,
-whatever the chunking and the other seeds. The expert pool's row count
+uses the loss kernels of `losses` and the row steps of `learners`
+(learn_rows, the gated projected step that the oracle checks, and
+descend_rows), takes every dot product as one BLAS dot per row and the
+gate's exp from libm per seed, as the per-round functions do, so each seed's
+numbers equal those of ogd_step, learn_step or topk_filter_step on that seed
+alone, bit for bit, whatever the chunking and the other seeds. The expert pool's row count
 varies by seed, so each seed keeps a pool of its own, stepped by pool_step,
 and its row of actions is that pool's aggregate_action. In the theoretical
 step mode the step size needs the stream's V_T, G and L, so the comparators
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import stream as st
 from .experts import ExpertPool, aggregate_action, beta_default, build_grid, init_pool, pool_step
-from .learners import project_rows, theoretical_stepsize
+from .learners import descend_rows, learn_rows, project_rows, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import eval_f  # noqa: F401 (bench/tracing.py wraps this name here)
 from .losses import (
@@ -47,12 +48,11 @@ from .losses import (
     ProblemConstants,
     RoundLoss,
     SideInfo,
-    _coef,
     _min_scale,
     _value,
     derive_constants,
-    eta,
     eval_f_rows,
+    grad_f_rows,
     growth_constants,
     minimizer_rows,
 )
@@ -105,6 +105,8 @@ class RunConfig:
             raise ValueError("theoretical step size needs a finite domain radius")
         if self.learner == EXPERTS and self.alpha is not None:
             raise ValueError("the expert pool takes its step sizes from its grid: alpha must be unset")
+        if self.learner == EXPERTS and math.isfinite(self.radius):
+            raise ValueError("the expert pool takes its radii from its grid: radius must be inf (unbounded)")
 
     @property
     def loss(self) -> RoundLoss:
@@ -276,26 +278,24 @@ def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
             return theta
 
         return pool_steps
-    gated = config.learner == LEARN
+    if config.learner == LEARN:
+        return lambda theta, x, y, proj, f: learn_rows(theta, x, y, proj, f, loss, params, alpha, radius)
     budget = config.resolve_topk_budget()
     top = np.full((n_seeds, budget), -np.inf)   # each seed's `budget` largest gradient norms; -inf is empty
     rows = np.arange(n_seeds)
 
     def step(theta, x, y, proj, f):
-        g = loss.lam * theta - _coef(loss, proj, y)[:, None] * x
-        if gated:   # eta per seed: numpy's vector exp can differ from libm's in the last bit
-            g *= np.array([eta(params, v) for v in f.tolist()])[:, None]
-        if budget:   # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
-            n = np.sqrt(np.vecdot(g, g))
-            j = top.argmin(axis=1)
-            low = top[rows, j]
-            update = n < 2.0 * low
-            grow = ~update & (n > low)
-            top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
-        new = theta - alpha * g
-        if math.isfinite(radius):
-            project_rows(new, radius, np.vecdot(new, new))   # squared norms as project_ball sums them
-        return np.where(update[:, None], new, theta) if budget else new
+        g = grad_f_rows(loss, x, y, theta, proj)
+        if not budget:
+            return descend_rows(theta, g, alpha, radius)
+        # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
+        n = np.sqrt(np.vecdot(g, g))
+        j = top.argmin(axis=1)
+        low = top[rows, j]
+        update = n < 2.0 * low
+        grow = ~update & (n > low)
+        top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
+        return np.where(update[:, None], descend_rows(theta, g, alpha, radius), theta)
 
     return step
 

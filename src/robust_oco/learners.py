@@ -4,7 +4,8 @@ Top-k gradient-norm filter baselines.
 
 All step functions mutate the passed state in place and return it. A state is
 single-owner: independent runs may execute concurrently, but one state must
-not be stepped from two places at once.
+not be stepped from two places at once. The row steps descend_rows and
+learn_rows take many actions at once, one per row, and return new arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LearnParams, RoundLoss, SideInfo, grad_f, grad_g
+from .losses import LearnParams, RoundLoss, SideInfo, eta, grad_f, grad_f_rows, grad_g
 
 
 @dataclass
@@ -62,6 +63,28 @@ def project_rows(thetas: np.ndarray, radii, sq: np.ndarray | None = None) -> np.
     norms = np.sqrt(np.add.reduce(thetas * thetas, axis=1) if sq is None else sq)
     thetas *= np.where(norms > radii, radii / np.maximum(norms, 1e-300), 1.0)[:, None]
     return norms
+
+
+def descend_rows(theta: np.ndarray, g: np.ndarray, alpha, radius) -> np.ndarray:
+    """theta - alpha g for every row, projected as ogd_step and learn_step
+    project one action. alpha is one step size or one per row, (n, 1); radius
+    is one radius or one per row, (n,), math.inf where unbounded."""
+    new = theta - alpha * g
+    if isinstance(radius, np.ndarray) or radius < math.inf:
+        project_rows(new, radius, np.vecdot(new, new))   # squared norms as project_ball sums them
+    return new
+
+
+def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray, f: np.ndarray,
+               loss: RoundLoss, params: LearnParams, alpha, radius) -> np.ndarray:
+    """learn_step of every row at once: the projected step on the gated
+    gradient eta(f) grad_f from the actions theta (n, d), the side information
+    x (n, d) and y (n,), proj = <x, theta> and the losses f (n,) at theta;
+    alpha and radius as in descend_rows. Each row equals learn_step's, bit for
+    bit."""
+    g = grad_f_rows(loss, x, y, theta, proj)
+    g *= np.array([eta(params, v) for v in f.tolist()])[:, None]   # libm's exp per row, as eta on a float
+    return descend_rows(theta, g, alpha, radius)
 
 
 def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:

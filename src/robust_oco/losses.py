@@ -24,11 +24,14 @@ the inner products a loss depends on, as floats or as arrays:
     _coef(loss, proj, y)         the c in grad_f = lam theta - c x
     _min_scale(loss, nx2, y)     the c in the minimizer theta* = c x, nx2 = ||x||^2
 
+and the transform g of a loss value f is _transform(params, f).
+
 The public functions only form those inner products for their shape: one
 round at one action (eval_f, grad_f, minimizer_f), one round at many actions
 (eval_f_many, grad_f_many) or many rounds at one action each (eval_f_rows,
-minimizer_rows). The harness's seed-batched episode loop calls _value and
-_coef itself, on one round of many seeds.
+grad_f_rows, minimizer_rows). The harness's seed-batched episode loop calls
+_value and grad_f_rows on one round of many seeds; the oracle calls the
+kernels on blocks of sampled instances.
 """
 
 from __future__ import annotations
@@ -146,6 +149,14 @@ def _min_scale(loss: RoundLoss, nx2, y):
     return y / (np.maximum(loss.lam, nx2) if isinstance(nx2, np.ndarray) else max(loss.lam, nx2))
 
 
+def _transform(params: LearnParams, f):
+    """The robust transform g of the loss f, -a log(b) - a log1p(exp(-f/a)/b):
+    exact algebraically, and the exp underflow for huge f lands on the
+    asymptote -a log(b)."""
+    a, b = params.a, params.b
+    return -a * math.log(b) - a * np.log1p(np.exp(-f / a) / b)
+
+
 def _check_dims(s: SideInfo, theta: np.ndarray):
     if theta.shape != s.x.shape:
         raise ValueError(f"dimension mismatch: theta {theta.shape} vs x {s.x.shape}")
@@ -179,9 +190,8 @@ def eta(params: LearnParams, f_val):
     if isinstance(f_val, np.ndarray):
         if np.any(f_val < 0):
             raise ValueError("loss values must be non-negative")
-        with np.errstate(over="ignore"):
-            z = b * np.exp(f_val / a)
-        return np.where(np.isinf(z), 0.0, 1.0 / (1.0 + z))
+        with np.errstate(over="ignore"):   # an overflow to inf gives 1/(1 + inf) = 0 exactly
+            return 1.0 / (1.0 + b * np.exp(f_val / a))
     if f_val < 0:
         raise ValueError("loss values must be non-negative")
     try:
@@ -194,15 +204,9 @@ def eta(params: LearnParams, f_val):
 
 
 def eval_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> float:
-    """Robust transform g = -a log(exp(-f/a) + b), evaluated stably.
-
-    Computed as -a log(b) - a log1p(exp(-f/a)/b): exact algebraically, and the
-    exp underflow for huge f lands on the asymptote -a log(b).
-    Monotone increasing in f; range [-a log(1+b), -a log(b)).
-    """
-    a, b = params.a, params.b
-    f = eval_f(loss, s, theta)
-    return -a * math.log(b) - a * math.log1p(math.exp(-f / a) / b)
+    """Robust transform g = -a log(exp(-f/a) + b), evaluated stably (see
+    _transform). Monotone increasing in f; range [-a log(1+b), -a log(b))."""
+    return float(_transform(params, eval_f(loss, s, theta)))
 
 
 def grad_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray,
@@ -250,6 +254,13 @@ def eval_f_many(loss: RoundLoss, s: SideInfo, thetas: np.ndarray) -> np.ndarray:
 def grad_f_many(loss: RoundLoss, s: SideInfo, thetas: np.ndarray) -> np.ndarray:
     """(Sub)gradients of one round at many actions; shape (N, d)."""
     return loss.lam * thetas - _coef(loss, thetas @ s.x, s.y)[:, None] * s.x
+
+
+def grad_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray,
+                proj: np.ndarray) -> np.ndarray:
+    """(Sub)gradient of round t at action Theta[t], for all rounds; shape (T, d).
+    proj holds <X[t], Theta[t]>, which a caller also forms for the loss value."""
+    return loss.lam * Theta - _coef(loss, proj, y)[:, None] * X
 
 
 def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -21,25 +21,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import LearnerState, learn_step, project_ball
+from .learners import learn_rows, project_rows
 from .losses import (
     HINGE_SVM,
     RIDGE,
     LearnParams,
     ProblemConstants,
     RoundLoss,
-    SideInfo,
+    _transform,
+    _value,
     derive_constants,
     eta,
-    eval_f,
-    eval_g,
-    grad_f,
-    grad_g,
+    eval_f_rows,
+    grad_f_rows,
     growth_constants,
-    minimizer_f,
+    minimizer_rows,
 )
 
 DEFAULT_TOL = 1e-9
+MAX_DIM = 6           # instance dimensions are uniform in 1..MAX_DIM
+BLOCK_ROWS = 1 << 13  # instances per drawn block, which bounds the working arrays at any sample count
 
 
 @dataclass
@@ -56,8 +57,9 @@ class CheckReport:
                 f"worst_slack={self.worst_slack: .3e}  [{status}]")
 
 
-def _report(name: str, margins: np.ndarray, tol: float = DEFAULT_TOL) -> CheckReport:
-    margins = np.asarray(margins, dtype=float)
+def _report(name: str, blocks: list, tol: float = DEFAULT_TOL) -> CheckReport:
+    """The report of a check whose margins came in the given blocks."""
+    margins = np.concatenate([np.empty(0), *blocks])
     return CheckReport(
         name=name,
         samples=int(margins.size),
@@ -67,25 +69,38 @@ def _report(name: str, margins: np.ndarray, tol: float = DEFAULT_TOL) -> CheckRe
     )
 
 
-def _margin(lhs, rhs) -> float:
-    return (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
+def _margins(lhs, rhs) -> np.ndarray:
+    """(rhs - lhs) / max(1, |lhs|, |rhs|), elementwise."""
+    return (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _sample_instance(loss: RoundLoss, rng: np.random.Generator, max_dim: int = 6,
-                     x_norm_range=(0.3, 3.0), r_range=(1e-6, 1e6)):
-    """One random (s, omega*, theta): random feature direction and response,
-    action at a log-uniform distance from the minimizer."""
-    d = int(rng.integers(1, max_dim + 1))
-    x = rng.standard_normal(d)
-    x *= rng.uniform(*x_norm_range) / np.linalg.norm(x)
-    y = float(rng.normal(0.0, 2.0)) if loss.family == RIDGE else float(rng.choice([-1.0, 1.0]))
-    s = SideInfo(x=x, y=y)
-    omega = minimizer_f(loss, s)
-    r = math.exp(rng.uniform(math.log(r_range[0]), math.log(r_range[1])))
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
-    theta = omega + r * u
-    return s, omega, theta
+def _dims(rng: np.random.Generator, n: int):
+    """The block shapes (d, m) of n draws with d uniform in 1..MAX_DIM, grouped
+    by d, at most BLOCK_ROWS rows each."""
+    for d, count in enumerate(rng.multinomial(n, [1.0 / MAX_DIM] * MAX_DIM), start=1):
+        for start in range(0, count, BLOCK_ROWS):
+            yield d, min(BLOCK_ROWS, count - start)
+
+
+def _sample(loss: RoundLoss, rng: np.random.Generator, n: int, r_range=(1e-6, 1e6)):
+    """n random instances (s, omega*, theta) in blocks (X, y, omega, theta) of
+    one dimension each: a random feature direction with ||x|| uniform in
+    [0.3, 3], a response y ~ N(0, 2^2) (ridge) or a label y = +-1 (svm), and
+    the action at a log-uniform distance from the minimizer omega*."""
+    for d, m in _dims(rng, n):
+        X = rng.standard_normal((m, d))
+        X *= (rng.uniform(0.3, 3.0, m) / np.linalg.norm(X, axis=1))[:, None]
+        y = rng.normal(0.0, 2.0, m) if loss.family == RIDGE else rng.choice([-1.0, 1.0], m)
+        omega = minimizer_rows(loss, X, y)
+        r = np.exp(rng.uniform(math.log(r_range[0]), math.log(r_range[1]), m))
+        U = rng.standard_normal((m, d))
+        yield X, y, omega, omega + (r / np.linalg.norm(U, axis=1))[:, None] * U
+
+
+def _f_grad(loss: RoundLoss, X, y, theta):
+    """Loss values (m,) and gradients (m, d) of each row's round at its action."""
+    proj = np.vecdot(X, theta)
+    return _value(loss, proj, np.vecdot(theta, theta), y), grad_f_rows(loss, X, y, theta, proj)
 
 
 def check_invexity(params: LearnParams, loss: RoundLoss, samples: int,
@@ -95,13 +110,12 @@ def check_invexity(params: LearnParams, loss: RoundLoss, samples: int,
     This is the invexity inequality with the direction field
     zeta(omega*, theta) = (omega* - theta)/eta, using grad_g = eta grad_f.
     """
-    margins = np.empty(samples)
-    for i in range(samples):
-        s, omega, theta = _sample_instance(loss, rng)
-        lhs = eval_g(params, loss, s, theta) - eval_g(params, loss, s, omega)
-        rhs = float(grad_f(loss, s, theta) @ (theta - omega))
-        margins[i] = _margin(lhs, rhs)
-    return _report(f"invexity[{loss.family}]", margins)
+    blocks = []
+    for X, y, omega, theta in _sample(loss, rng, samples):
+        f, grad = _f_grad(loss, X, y, theta)
+        lhs = _transform(params, f) - _transform(params, eval_f_rows(loss, X, y, omega))
+        blocks.append(_margins(lhs, np.vecdot(grad, theta - omega)))
+    return _report(f"invexity[{loss.family}]", blocks)
 
 
 def check_exp_trumps_poly(c: float, r: float, s_exp: float, grid: np.ndarray) -> CheckReport:
@@ -116,10 +130,8 @@ def check_exp_trumps_poly(c: float, r: float, s_exp: float, grid: np.ndarray) ->
     left = np.exp(-c * xs) * grid ** r
     mid = 1.0 / xs
     right = c ** (-s_exp / r)
-    scale1 = np.maximum(1.0, np.maximum(np.abs(left), np.abs(mid)))
-    scale2 = np.maximum(1.0, np.maximum(np.abs(mid), abs(right)))
-    margins = np.concatenate([(mid - left) / scale1, (right - mid) / scale2])
-    return _report(f"exp_trumps_poly[c={c:g},r={r:g},s={s_exp:g}]", margins)
+    return _report(f"exp_trumps_poly[c={c:g},r={r:g},s={s_exp:g}]",
+                   [_margins(left, mid), _margins(mid, right)])
 
 
 def check_eta_grad_bound(params: LearnParams, constants: ProblemConstants, loss: RoundLoss,
@@ -130,75 +142,74 @@ def check_eta_grad_bound(params: LearnParams, constants: ProblemConstants, loss:
     ||grad_f|| <= G + L ||theta - omega*|| for everything the sampler can
     draw; the suite derives them from the sampler's feature-norm cap.
     """
-    margins = np.empty(samples)
-    for i in range(samples):
-        s, omega, theta = _sample_instance(loss, rng)
-        f = eval_f(loss, s, theta)
-        lhs = eta(params, f) * float(np.linalg.norm(grad_f(loss, s, theta)))
-        margins[i] = _margin(lhs, constants.psi)
-    return _report(f"eta_grad_bound[{loss.family}]", margins)
+    blocks = []
+    for X, y, omega, theta in _sample(loss, rng, samples):
+        f, grad = _f_grad(loss, X, y, theta)
+        blocks.append(_margins(eta(params, f) * np.linalg.norm(grad, axis=1), constants.psi))
+    return _report(f"eta_grad_bound[{loss.family}]", blocks)
 
 
 def check_eta_f_bound(params: LearnParams, samples: int) -> CheckReport:
     """eta(f) * f <= nu on a log grid of losses spanning [0, 1e12]."""
     f = np.concatenate([[0.0], np.logspace(-9, 12, samples - 1)])
-    nu = params.nu
-    lhs = eta(params, f) * f
-    scale = np.maximum(1.0, np.maximum(lhs, nu))
-    return _report(f"eta_f_bound[a={params.a:g},b={params.b:g}]", (nu - lhs) / scale)
+    return _report(f"eta_f_bound[a={params.a:g},b={params.b:g}]", [_margins(eta(params, f) * f, params.nu)])
 
 
 def check_eta_dist_bounds(params: LearnParams, constants: ProblemConstants, loss: RoundLoss,
                           samples: int, rng: np.random.Generator) -> CheckReport:
     """eta ||theta - omega*|| <= phi and eta ||theta - omega*||^2 <= kappa."""
-    margins = np.empty(2 * samples)
-    for i in range(samples):
-        s, omega, theta = _sample_instance(loss, rng)
-        dist = float(np.linalg.norm(theta - omega))
-        e = eta(params, eval_f(loss, s, theta))
-        margins[2 * i] = _margin(e * dist, constants.phi)
-        margins[2 * i + 1] = _margin(e * dist * dist, constants.kappa)
-    return _report(f"eta_dist_bounds[{loss.family}]", margins)
+    blocks = []
+    for X, y, omega, theta in _sample(loss, rng, samples):
+        dist = np.linalg.norm(theta - omega, axis=1)
+        e_dist = eta(params, eval_f_rows(loss, X, y, theta)) * dist
+        blocks += [_margins(e_dist, constants.phi), _margins(e_dist * dist, constants.kappa)]
+    return _report(f"eta_dist_bounds[{loss.family}]", blocks)
 
 
 def check_grad_fd(params: LearnParams, loss: RoundLoss, samples: int,
                   rng: np.random.Generator, rel_tol: float = 1e-5) -> CheckReport:
-    """Central finite differences of eval_g match grad_g to relative error <= rel_tol.
+    """Central finite differences of g match grad_g = eta grad_f to relative
+    error <= rel_tol.
 
     Step h = 1e-6 (1 + ||theta||). Points within 1e-3 of the hinge kink are
     excluded. Sampling keeps the differences above the floating-point noise
     floor of the difference quotient: actions are pulled toward the minimizer
-    until f <= 3.5 a, and points whose gated gradient is below 1e-2 are
-    redrawn (the gate's far-field crushing is covered by the bound checks).
+    (at most 80 halvings) until f <= 3.5 a, and points whose gated gradient is
+    below 1e-2 are redrawn (the gate's far-field crushing is covered by the
+    bound checks). Each round of draws redraws the rows still missing, over at
+    most 50 samples draws in all.
     """
-    margins = []
-    attempts = 0
-    while len(margins) < samples and attempts < 50 * samples:
-        attempts += 1
-        s, omega, theta = _sample_instance(loss, rng, r_range=(0.05, 5.0))
-        f = eval_f(loss, s, theta)
-        for _ in range(80):
-            if f <= 3.5 * params.a:
-                break
-            theta = omega + 0.5 * (theta - omega)
-            f = eval_f(loss, s, theta)
-        if f > 3.5 * params.a:  # f(omega*) itself exceeds the cap; skip the sample
-            continue
-        if loss.family == HINGE_SVM and abs(1.0 - s.y * float(s.x @ theta)) < 1e-3:
-            continue
-        g = grad_g(params, loss, s, theta)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-2:
-            continue
-        h = 1e-6 * (1.0 + float(np.linalg.norm(theta)))
-        fd = np.empty_like(theta)
-        for j in range(theta.size):
-            e_j = np.zeros_like(theta)
-            e_j[j] = h
-            fd[j] = (eval_g(params, loss, s, theta + e_j) - eval_g(params, loss, s, theta - e_j)) / (2.0 * h)
-        rel = float(np.linalg.norm(fd - g)) / gnorm
-        margins.append(-rel)
-    return _report(f"grad_fd[{loss.family}]", np.array(margins), tol=rel_tol)
+    cap = 3.5 * params.a
+    blocks, kept, drawn = [], 0, 0
+    while kept < samples and drawn < 50 * samples:
+        n = samples - kept
+        drawn += n
+        for X, y, omega, theta in _sample(loss, rng, n, r_range=(0.05, 5.0)):
+            f = eval_f_rows(loss, X, y, theta)
+            for _ in range(80):
+                far = f > cap
+                if not far.any():
+                    break
+                theta[far] = omega[far] + 0.5 * (theta[far] - omega[far])
+                f[far] = eval_f_rows(loss, X[far], y[far], theta[far])
+            f, grad = _f_grad(loss, X, y, theta)
+            g = eta(params, f)[:, None] * grad
+            gnorm = np.linalg.norm(g, axis=1)
+            keep = (f <= cap) & (gnorm >= 1e-2)   # f(omega*) itself may exceed the cap
+            if loss.family == HINGE_SVM:
+                keep &= np.abs(1.0 - y * np.vecdot(X, theta)) >= 1e-3
+            X, y, theta, g, gnorm = X[keep], y[keep], theta[keep], g[keep], gnorm[keep]
+            h = 1e-6 * (1.0 + np.linalg.norm(theta, axis=1))
+            fd = np.empty_like(theta)
+            for j in range(theta.shape[1]):
+                up, down = theta.copy(), theta.copy()
+                up[:, j] += h
+                down[:, j] -= h
+                fd[:, j] = (_transform(params, eval_f_rows(loss, X, y, up))
+                            - _transform(params, eval_f_rows(loss, X, y, down))) / (2.0 * h)
+            blocks.append(-np.linalg.norm(fd - g, axis=1) / gnorm)
+            kept += len(theta)
+    return _report(f"grad_fd[{loss.family}]", blocks, tol=rel_tol)
 
 
 def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> CheckReport:
@@ -206,45 +217,53 @@ def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> Check
 
     (1) generalized law of cosines with unit constants:
         ||v2-v1||^2 <= ||v2-v3||^2 + ||v3-v1||^2 + 2 ||v2-v3|| ||v3-v1||
-    (2) the first-order update property of the gated projected step, with the
-        direction field zeta(theta*, theta) = (theta* - theta)/eta:
+    (2) the first-order update property of the gated projected step that the
+        runs take (learners.learn_rows), with the direction field
+        zeta(theta*, theta) = (theta* - theta)/eta:
         ||theta' - theta*||^2 <= ||theta - theta*||^2 + alpha^2 ||grad_g||^2
                                  - 2 alpha eta <-grad_g, zeta(theta*, theta)>
+        The unprojected step meets (2) with equality, so on every row with a
+        finite radius the step's feasibility, radius - ||theta'|| >= 0, is
+        checked too (normalized as a margin).
     """
     n1 = samples // 2
-    margins = np.empty(samples)
-    for i in range(n1):
-        d = int(rng.integers(1, 7))
-        v1, v2, v3 = (rng.normal(0, 10.0, d) for _ in range(3))
-        a = float(np.linalg.norm(v2 - v3))
-        b = float(np.linalg.norm(v3 - v1))
-        margins[i] = _margin(float((v2 - v1) @ (v2 - v1)), a * a + b * b + 2.0 * a * b)
+    blocks = []
+    for d, m in _dims(rng, n1):
+        v1, v2, v3 = rng.normal(0.0, 10.0, (3, m, d))
+        a = np.linalg.norm(v2 - v3, axis=1)
+        b = np.linalg.norm(v3 - v1, axis=1)
+        blocks.append(_margins(np.vecdot(v2 - v1, v2 - v1), a * a + b * b + 2.0 * a * b))
 
     params = LearnParams(a=2.0, b=0.5)
-    families = [RoundLoss(family=RIDGE, lam=0.7), RoundLoss(family=HINGE_SVM, lam=0.7)]
-    i = n1
-    while i < samples:
-        loss = families[i % 2]
-        # radius capped so the gate stays strictly positive and zeta = diff/eta finite
-        s, omega, theta = _sample_instance(loss, rng, r_range=(1e-3, 10.0))
-        radius = math.inf if rng.uniform() < 0.5 else float(rng.uniform(0.1, 5.0))
-        theta = project_ball(theta, radius)
-        theta_star = project_ball(omega.copy(), radius)
-        alpha = float(rng.uniform(0.01, 2.0))
-        e = eta(params, eval_f(loss, s, theta))
-        if e == 0.0:
-            continue
-        g = grad_g(params, loss, s, theta)
-        state = LearnerState(theta=theta.copy(), step_size=alpha, radius=radius)
-        theta_next = learn_step(state, s, loss, params).theta
-        zeta = (theta_star - theta) / e
-        lhs = float((theta_next - theta_star) @ (theta_next - theta_star))
-        rhs = (float((theta - theta_star) @ (theta - theta_star))
-               + alpha * alpha * float(g @ g)
-               - 2.0 * alpha * e * float((-g) @ zeta))
-        margins[i] = _margin(lhs, rhs)
-        i += 1
-    return _report("euclidean_assumptions", margins)
+    n2 = samples - n1
+    for family, n in ((RIDGE, n2 - n2 // 2), (HINGE_SVM, n2 // 2)):
+        loss = RoundLoss(family=family, lam=0.7)
+        while n > 0:
+            # distance capped so the gate stays strictly positive and zeta = diff/eta finite
+            for X, y, omega, theta in _sample(loss, rng, n, r_range=(1e-3, 10.0)):
+                m = len(X)
+                radius = np.where(rng.uniform(size=m) < 0.5, math.inf, rng.uniform(0.1, 5.0, m))
+                alpha = rng.uniform(0.01, 2.0, m)
+                theta_star = omega
+                project_rows(theta, radius)
+                project_rows(theta_star, radius)
+                f, grad = _f_grad(loss, X, y, theta)
+                e = eta(params, f)
+                ok = e > 0.0   # a row whose gate underflowed is redrawn
+                X, y, theta, theta_star, radius, alpha, f, grad, e = (
+                    v[ok] for v in (X, y, theta, theta_star, radius, alpha, f, grad, e))
+                theta_next = learn_rows(theta, X, y, np.vecdot(X, theta), f, loss, params,
+                                        alpha[:, None], radius)
+                g = e[:, None] * grad
+                zeta = (theta_star - theta) / e[:, None]
+                lhs = np.vecdot(theta_next - theta_star, theta_next - theta_star)
+                rhs = (np.vecdot(theta - theta_star, theta - theta_star) + alpha * alpha * np.vecdot(g, g)
+                       - 2.0 * alpha * e * np.vecdot(-g, zeta))
+                bounded = radius < math.inf
+                blocks += [_margins(lhs, rhs),
+                           _margins(np.linalg.norm(theta_next[bounded], axis=1), radius[bounded])]
+                n -= len(X)
+    return _report("euclidean_assumptions", blocks)
 
 
 def default_suite(samples: int = 100_000, seed: int = 2024) -> list:

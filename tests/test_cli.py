@@ -279,6 +279,8 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("", ["--learner", "experts", "--alpha", "0.3"], "alpha must be unset", id="experts-alpha"),
     pytest.param("", ["--learner", "experts", "--alpha", "theoretical", "--radius", "3"],
                  "alpha must be unset", id="experts-alpha-theoretical"),
+    # nor a radius: its grid holds its own, and the comparators would be projected alone
+    pytest.param("", ["--learner", "experts", "--radius", "0.05"], "radius must be inf", id="experts-radius"),
     # dump-stream sets the learner, and sweep the learner and k: no flag or file key sets
     # them; dump-stream plays one seed
     pytest.param("", ["dump-stream", "--learner", "ogd"], "unrecognized arguments: --learner",

@@ -361,6 +361,8 @@ def test_config_validation():
     for bad in (dict(alpha=0.5), dict(alpha=harness.THEORETICAL, radius=3.0)):
         with pytest.raises(ValueError, match="alpha must be unset"):
             preset_config("svm", T=5, seeds=[1], learner=harness.EXPERTS, **bad)
+    with pytest.raises(ValueError, match="radius must be inf"):   # nor a radius: its grid holds its own
+        preset_config("svm", T=5, seeds=[1], learner=harness.EXPERTS, radius=0.05)
     # each data model is fit with its own loss, whose lam the config sets
     assert preset_config("svm", T=5, seeds=[1]).loss == RoundLoss("hinge_svm", 1e-4)
     assert preset_config("ridge", T=5, seeds=[1], lam=0.5).loss == RoundLoss("ridge", 0.5)
@@ -531,6 +533,10 @@ def test_batched_episodes_match_per_seed_loop(learner, family, radius, k, n_seed
     # element-wise, so the batch equals the per-seed loop bit for bit; each
     # seed of the expert pool keeps a pool of its own
     seeds = [4, 5, 6][:n_seeds]
+    if learner == harness.EXPERTS and math.isfinite(radius):   # the pool's grid holds its own radii
+        with pytest.raises(ValueError, match="radius must be inf"):
+            preset_config(family, T=T_REF, seeds=seeds, learner=learner, k=k, radius=radius)
+        return
     cfg = preset_config(family, T=T_REF, seeds=seeds, learner=learner, k=k, radius=radius)
     traces = run_episodes(cfg, seeds)
     assert len(traces) == n_seeds
@@ -561,8 +567,9 @@ def test_theoretical_step_matches_per_seed_loop():
 ], ids=lambda c: "-".join(str(v) for v in c.values()))
 def test_chunking_does_not_change_an_episode(monkeypatch, config):
     config = dict(config)
+    bounded = config["learner"] != harness.EXPERTS   # the pool's grid holds its own radii
     cfg = preset_config(config.pop("family"), T=T_REF, seeds=[7, 8, 9], k=15,
-                        **{"radius": 0.05, **config})
+                        **{"radius": 0.05 if bounded else math.inf, **config})
     row_bytes = len(cfg.seeds) * cfg.generator.dim * 8
     runs = []
     for chunk_bytes in (1, 7 * row_bytes, T_REF * row_bytes):   # 1, 7 and T rounds per chunk

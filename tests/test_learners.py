@@ -6,6 +6,7 @@ import pytest
 from conftest import random_instance
 from robust_oco.learners import (
     LearnerState,
+    learn_rows,
     learn_step,
     ogd_step,
     project_ball,
@@ -122,6 +123,29 @@ def test_radius_invariant_after_every_step(rng):
             else:
                 topk_filter_step(state, s, loss, 2)
             assert np.linalg.norm(state.theta) <= 0.7 + 1e-12
+
+
+@pytest.mark.parametrize("family", [RIDGE, HINGE_SVM])
+def test_learn_rows_is_learn_step_by_rows(rng, family):
+    """The row step the runs take equals learn_step on each row, bit for bit,
+    with a step size and a radius per row, finite or not."""
+    params, loss = LearnParams(2.0, 0.5), RoundLoss(family, 0.3)
+    n, d = 64, 3
+    X = rng.normal(0, 1.5, (n, d))
+    y = rng.normal(0, 2, n) if family == RIDGE else rng.choice([-1.0, 1.0], n)
+    theta = rng.normal(0, 3, (n, d))
+    alpha = rng.uniform(0.01, 2.0, (n, 1))
+    radius = np.where(rng.uniform(size=n) < 0.5, math.inf, rng.uniform(0.1, 5.0, n))
+    proj = np.vecdot(X, theta)
+    f = np.array([eval_f(loss, SideInfo(X[i], float(y[i])), theta[i]) for i in range(n)])
+    rows = learn_rows(theta, X, y, proj, f, loss, params, alpha, radius)
+    projected = 0
+    for i in range(n):
+        state = LearnerState(theta=theta[i].copy(), step_size=float(alpha[i, 0]), radius=float(radius[i]))
+        ref = learn_step(state, SideInfo(X[i], float(y[i])), loss, params).theta
+        np.testing.assert_array_equal(rows[i], ref)
+        projected += bool(np.linalg.norm(ref) == pytest.approx(radius[i]))
+    assert projected > 0   # some rows leave their ball and are projected back
 
 
 def test_topk_examples():

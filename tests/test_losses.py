@@ -21,6 +21,7 @@ from robust_oco.losses import (
     eval_g,
     grad_f,
     grad_f_many,
+    grad_f_rows,
     grad_g,
     growth_constants,
     minimizer_f,
@@ -170,6 +171,10 @@ def test_eta_array_matches_scalar(rng):
     arr = eta(params, fs)
     for fval, e in zip(fs, arr):
         assert eta(params, float(fval)) == pytest.approx(e, rel=1e-15)
+    # b exp(f/a) overflows to inf on the last two: the gate is exactly 0, without a warning
+    big = eta(params, np.array([0.0, 2.5 * 700.0, 2.5 * 710.0, 1e308]))
+    assert big[0] == 1.0 / (1.0 + 4.0) and big[1] > 0.0
+    np.testing.assert_array_equal(big[2:], 0.0)
 
 
 # --- eval_g / grad_g --------------------------------------------------------
@@ -338,10 +343,12 @@ def test_batch_helpers_match_scalar_ops(family, lam, d, seed):
 
     M = minimizer_rows(loss, X, y)
     F = eval_f_rows(loss, X, y, Theta)
+    G = grad_f_rows(loss, X, y, Theta, np.vecdot(X, Theta))
     for t in range(T):
         s = SideInfo(X[t], float(y[t]))
         np.testing.assert_allclose(M[t], minimizer_f(loss, s), rtol=1e-12, atol=1e-12)
         assert F[t] == pytest.approx(eval_f(loss, s, Theta[t]), rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(G[t], grad_f(loss, s, Theta[t]), rtol=1e-12, atol=1e-12)
         fs = eval_f_many(loss, s, Theta)
         gs = grad_f_many(loss, s, Theta)
         assert fs[t] == pytest.approx(F[t], rel=1e-12, abs=1e-12)
@@ -362,6 +369,7 @@ def test_batch_helpers_match_scalar_ops(family, lam, d, seed):
         reg = 0.5 * lam * float(theta1 @ theta1)
         np.testing.assert_array_equal(grad_f(loss, s1, theta1), lam * theta1)
         np.testing.assert_array_equal(grad_f_many(loss, s1, Theta[1:2])[0], lam * theta1)
+        np.testing.assert_array_equal(G[1], lam * theta1)
         assert eval_f(loss, s1, theta1) == F[1] == eval_f_many(loss, s1, Theta[1:2])[0] == reg
 
     radii = rng.uniform(0.1, 5.0, T)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robust_oco import oracle
+from robust_oco import learners, losses, oracle
 from robust_oco.losses import (
     HINGE_SVM,
     RIDGE,
@@ -43,10 +43,74 @@ def test_invexity_lemma_example_values():
 
 
 def test_invexity_detects_sign_error(monkeypatch):
-    # injected sign error in the gradient must trip the invexity check
-    import robust_oco.oracle as orc
-    monkeypatch.setattr(orc, "grad_f", lambda loss, s, th: -grad_f(loss, s, th))
-    rep = orc.check_invexity(LearnParams(1, 1), RoundLoss(RIDGE, 0.5), 500, rng())
+    # injected sign error in the batched gradient path must trip the invexity check
+    grad_f_rows = oracle.grad_f_rows
+    monkeypatch.setattr(oracle, "grad_f_rows", lambda *args: -grad_f_rows(*args))
+    rep = oracle.check_invexity(LearnParams(1, 1), RoundLoss(RIDGE, 0.5), 500, rng())
+    assert rep.violations > 0
+    assert rep.worst_slack < -rep.tol
+
+
+def _block(loss):
+    """One block (X, y, omega, theta) of the oracle's own sampler."""
+    return next(oracle._sample(loss, rng(), 200, r_range=(0.05, 5.0)))
+
+
+def test_suite_detects_wrong_gate_constant(monkeypatch):
+    # b replaced by b/10 in the gate only: the transform g keeps b, so the
+    # gated gradient no longer is g's gradient
+    params = LearnParams(10.0, 10.0)
+    f = np.logspace(-3, 3, 50)
+
+    def wrong_gate(p, f_val):
+        return eta(LearnParams(p.a, p.b / 10.0), f_val)
+
+    assert np.all(wrong_gate(params, f) > eta(params, f))   # the mutant changes the gate
+    monkeypatch.setattr(oracle, "eta", wrong_gate)
+    for params, loss in ((params, RoundLoss(RIDGE, 0.5)),
+                         (LearnParams(2.0, math.exp(-2)), RoundLoss(HINGE_SVM, 0.5))):
+        rep = oracle.check_grad_fd(params, loss, 400, rng())
+        assert rep.violations > 0, rep.line()
+    assert oracle.check_euclidean_assumptions(2000, rng()).violations > 0
+
+
+def test_euclidean_check_detects_wrong_gate_in_the_step(monkeypatch):
+    # the same wrong constant in the gate of the runs' step (learners.learn_rows)
+    loss, params = RoundLoss(RIDGE, 0.7), LearnParams(2.0, 0.5)
+    X, y, omega, theta = _block(loss)
+    proj, f = np.vecdot(X, theta), oracle.eval_f_rows(loss, X, y, theta)
+    right = learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf)
+    monkeypatch.setattr(learners, "eta", lambda p, f_val: eta(LearnParams(p.a, p.b / 10.0), f_val))
+    assert not np.allclose(learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf), right)
+    assert oracle.check_euclidean_assumptions(2000, rng()).violations > 0
+
+
+def test_suite_detects_flipped_hinge_inequality(monkeypatch):
+    # the active-hinge test of _coef flipped: y <x, theta> > 1 in place of < 1
+    loss = RoundLoss(HINGE_SVM, 0.5)
+    X, y, omega, theta = _block(loss)
+    proj = np.vecdot(X, theta)
+    right = losses.grad_f_rows(loss, X, y, theta, proj)
+    coef = losses._coef
+    monkeypatch.setattr(losses, "_coef", lambda loss, proj, y: (y * proj > 1.0) * y
+                        if loss.family == HINGE_SVM else coef(loss, proj, y))
+    assert not np.allclose(losses.grad_f_rows(loss, X, y, theta, proj), right)   # the mutant changes grad_f
+    for params in (LearnParams(2.0, math.exp(-2)), LearnParams(1e4, 10.0)):
+        assert oracle.check_invexity(params, loss, 500, rng()).violations > 0
+        assert oracle.check_grad_fd(params, loss, 400, rng()).violations > 0
+
+
+def test_euclidean_check_detects_step_without_projection(monkeypatch):
+    # the unprojected step meets the update property with equality: only the
+    # feasibility margin radius - ||theta'|| catches it
+    loss, params = RoundLoss(RIDGE, 0.7), LearnParams(2.0, 0.5)
+    X, y, omega, theta = _block(loss)
+    proj, f = np.vecdot(X, theta), oracle.eval_f_rows(loss, X, y, theta)
+    radius = np.full(len(X), 0.5)
+    monkeypatch.setattr(learners, "descend_rows", lambda theta, g, alpha, radius: theta - alpha * g)
+    stepped = learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, radius)
+    assert np.any(np.linalg.norm(stepped, axis=1) > radius)   # the mutant leaves the ball
+    rep = oracle.check_euclidean_assumptions(2000, rng())
     assert rep.violations > 0
     assert rep.worst_slack < -rep.tol
 
