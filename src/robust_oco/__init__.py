@@ -16,10 +16,8 @@ from .losses import (
     derive_constants,
     eta,
     eval_f,
-    eval_g,
     grad_f,
     grad_g,
-    minimizer_f,
 )
 from .learners import (
     LearnerState,

@@ -183,6 +183,8 @@ def load_config(path: str | None, preset: str | None, overrides: dict, fixed: tu
     scale = given.get(KEY["run", "scale"], 1.0)
     if not scale > 0:
         raise UsageError(f"scale must be positive, got {scale!r}")
+    if KEY["run", "scale"] in given and KEY["run", "t"] in given:
+        raise UsageError("scale multiplies the preset T: it cannot be given with t (--T)")
     try:
         base = preset_config(preset)
         values = _values(base)
@@ -260,6 +262,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     reports = oracle.default_suite(samples=args.samples, seed=args.seed)
     failed = []
     for rep in oracle.group_reports(reports):

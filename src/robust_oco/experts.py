@@ -16,7 +16,7 @@ exponentially and would underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,25 @@ from .losses import LearnParams, RoundLoss, SideInfo, eta, eval_f_many, grad_f_m
 
 @dataclass
 class ExpertGrid:
-    """Deduplicated product grid of per-expert (step size, radius) pairs.
+    """The experts' (step size, radius) product grid, held as its two axes:
+    expert (i, j) has step size step_sizes[i] and radius radii[j].
 
     Step sizes are min(2^i, A_max)/sqrt(T) for i = 1..ceil(log2 A_max);
-    radii are min(eps 2^j, eps 2^T)/T for j = 1..T. Radii beyond float64
-    range collapse to a single unbounded expert (math.inf). So N <=
-    T ceil(log2 A_max); T log2 A_max can be smaller than N.
+    radii are min(eps 2^j, eps 2^T)/T for j = 1..T. Each axis is ascending
+    and deduplicated; radii beyond float64 range collapse to a single
+    unbounded expert (math.inf). So N <= T ceil(log2 A_max); T log2 A_max
+    can be smaller than N.
     """
 
     a_max: float
     epsilon: float
     T: int
-    entries: list = field(default_factory=list)
+    step_sizes: np.ndarray   # (S,)
+    radii: np.ndarray        # (J,) the radius ladder
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.step_sizes.size * self.radii.size
 
 
 def build_grid(a_max: float, epsilon: float, T: int) -> ExpertGrid:
@@ -52,20 +55,19 @@ def build_grid(a_max: float, epsilon: float, T: int) -> ExpertGrid:
         raise ValueError("epsilon must be positive")
     if T < 1:
         raise ValueError("T must be >= 1")
-    sqrt_t = math.sqrt(T)
-    n1 = math.ceil(math.log2(a_max))
-    step_sizes = list(dict.fromkeys(min(2.0 ** i, a_max) / sqrt_t for i in range(1, n1 + 1)))
+    i = np.arange(1, math.ceil(math.log2(a_max)) + 1)
+    step_sizes = _distinct(np.minimum(np.ldexp(1.0, i), a_max) / math.sqrt(T))
+    j = np.arange(1, min(T, 1023) + 1)   # 2.0 ** j leaves float64 range from j = 1024 on
+    with np.errstate(over="ignore"):     # an eps 2^j beyond that range is inf too
+        radii = np.ldexp(float(epsilon), j) / T
+    radii = _distinct(np.append(radii, [math.inf] if T >= 1024 else []))
+    return ExpertGrid(a_max=float(a_max), epsilon=float(epsilon), T=T, step_sizes=step_sizes, radii=radii)
 
-    def _radius(j: int) -> float:
-        try:
-            return epsilon * (2.0 ** j) / T
-        except OverflowError:
-            return math.inf
 
-    cap = _radius(T)
-    radii = list(dict.fromkeys(min(_radius(j), cap) for j in range(1, T + 1)))
-    entries = [(alpha, D) for alpha in step_sizes for D in radii]
-    return ExpertGrid(a_max=float(a_max), epsilon=float(epsilon), T=T, entries=entries)
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The array without its repeats. Not np.unique: its first call in a
+    process adds 1.6 MB to the peak RSS, and the input is sorted already."""
+    return ascending[np.append(True, ascending[1:] != ascending[:-1])]
 
 
 def beta_default(N: int, T: int, nu: float) -> float:
@@ -82,14 +84,15 @@ class ExpertPool:
     """Expert states stored by rows, one row per group of identical experts.
 
     Row r is the action thetas[r] of counts[r] experts with step size
-    step_sizes[r]. The first len(members) rows are the shared rows, one per
-    step size: radius inf, so never projected, and members[i] holds the radii
-    (ascending) of the experts whose iterate has so far equalled that
-    unprojected iterate. The round the shared row's norm first exceeds a
-    member's radius, the member splits off as a row of its own (count 1, its
-    own radius, the shared row's log-weight). A shared row left with no members
-    is dropped. next_radius[i] is members[i][0], so a round without a split
-    costs one comparison.
+    step_sizes[r]. Rows 0 .. first.size - 1 are the shared rows, one per step
+    size at first: radius inf, so never projected. Shared row i holds the
+    experts with radii grid.radii[first[i]:], whose iterates have so far
+    equalled its unprojected one. The round its norm first exceeds
+    grid.radii[first[i]], each of those experts with a radius below the norm
+    splits off as a row of its own (count 1, its own radius, the shared row's
+    log-weight) and first[i] moves past them; a shared row left with none
+    (first[i] == grid.radii.size) is dropped. Pools read their grid and never
+    change it, so the pools of a cell's seeds share one.
 
     log_weights start at 0 (all weights 1) and only decrease.
     """
@@ -101,8 +104,7 @@ class ExpertPool:
     radii: np.ndarray        # (R,) inf on a shared row
     log_weights: np.ndarray  # (R,)
     counts: np.ndarray       # (R,) experts per row
-    members: list            # per shared row, its members' radii ascending
-    next_radius: np.ndarray  # (len(members),) smallest member radius of each shared row
+    first: np.ndarray        # (shared rows,) where each shared row's radii start in grid.radii
 
 
 def init_pool(grid: ExpertGrid, dim: int, beta: float) -> ExpertPool:
@@ -111,21 +113,16 @@ def init_pool(grid: ExpertGrid, dim: int, beta: float) -> ExpertPool:
         raise ValueError("beta must be positive")
     if grid.n == 0:
         raise ValueError("grid has no entries")
-    groups: dict = {}
-    for alpha, D in grid.entries:
-        groups.setdefault(alpha, []).append(D)
-    members = [np.sort(np.array(radii, dtype=float)) for radii in groups.values()]
-    n = len(members)
+    n = grid.step_sizes.size
     return ExpertPool(
         grid=grid,
         beta=beta,
         thetas=np.zeros((n, dim)),
-        step_sizes=np.array(list(groups), dtype=float),
+        step_sizes=grid.step_sizes.copy(),
         radii=np.full(n, math.inf),
         log_weights=np.zeros(n),
-        counts=np.array([m.size for m in members]),
-        members=members,
-        next_radius=np.array([m[0] for m in members]),
+        counts=np.full(n, grid.radii.size),
+        first=np.zeros(n, dtype=int),
     )
 
 
@@ -156,24 +153,23 @@ def pool_step(pool: ExpertPool, s: SideInfo, loss: RoundLoss, params: LearnParam
 
     eta_min = float(etas.min())
     pool.log_weights -= pool.beta * eta_min * f_vals
-    shared_norms = norms[:len(pool.members)]
-    if np.any(shared_norms > pool.next_radius):
-        _split(pool, shared_norms)
+    shared_norms = norms[:pool.first.size]
+    over = shared_norms > pool.grid.radii[pool.first]   # a NaN norm splits nothing
+    if over.any():
+        _split(pool, np.flatnonzero(over), shared_norms[over])
     return pool
 
 
-def _split(pool: ExpertPool, shared_norms: np.ndarray):
-    """Give every member whose radius is below its shared row's new norm a row
-    of its own, its shared row's iterate projected onto its ball."""
-    rows, radii = [], []
-    for i in np.flatnonzero(shared_norms > pool.next_radius):
-        n = int(np.searchsorted(pool.members[i], shared_norms[i]))   # radii < norm
-        rows.append(np.full(n, i))
-        radii.append(pool.members[i][:n])
-        pool.members[i] = pool.members[i][n:]
-        pool.counts[i] -= n
-        pool.next_radius[i] = pool.members[i][0] if pool.members[i].size else math.inf
-    rows, radii = np.concatenate(rows), np.concatenate(radii)
+def _split(pool: ExpertPool, shared: np.ndarray, norms: np.ndarray):
+    """Give every expert of the shared rows `shared` whose radius is below its
+    row's new norm a row of its own, the shared row's iterate projected onto
+    its ball; the new rows go by ascending shared row, then ascending radius."""
+    ladder = pool.grid.radii
+    start, stop = pool.first[shared], np.searchsorted(ladder, norms)   # radii < norm
+    rows = np.repeat(shared, stop - start)
+    radii = np.concatenate([ladder[a:b] for a, b in zip(start, stop)])
+    pool.first[shared] = stop
+    pool.counts[shared] -= stop - start
     split = pool.thetas[rows]
     project_rows(split, radii)
     pool.thetas = np.vstack([pool.thetas, split])
@@ -182,9 +178,7 @@ def _split(pool: ExpertPool, shared_norms: np.ndarray):
     pool.log_weights = np.concatenate([pool.log_weights, pool.log_weights[rows]])
     pool.counts = np.concatenate([pool.counts, np.ones(rows.size, dtype=pool.counts.dtype)])
 
-    empty = [i for i, m in enumerate(pool.members) if m.size == 0]
-    if empty:
-        for name in ("thetas", "step_sizes", "radii", "log_weights", "counts"):
+    empty = np.flatnonzero(pool.first == ladder.size)
+    if empty.size:
+        for name in ("thetas", "step_sizes", "radii", "log_weights", "counts", "first"):
             setattr(pool, name, np.delete(getattr(pool, name), empty, axis=0))
-        pool.members = [m for m in pool.members if m.size]
-        pool.next_radius = np.delete(pool.next_radius, empty)

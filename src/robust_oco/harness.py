@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stream as st
-from .experts import ExpertPool, aggregate_action, beta_default, build_grid, init_pool, pool_step
+from .experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
 from .learners import descend_rows, learn_rows, project_rows, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import eval_f  # noqa: F401 (bench/tracing.py wraps this name here)
@@ -89,6 +89,10 @@ class RunConfig:
             raise ValueError("T must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.learner not in LEARNERS:
             raise ValueError(f"unknown learner {self.learner!r}")
         if not (0 <= self.k <= self.T):
@@ -161,11 +165,13 @@ class BoundCheck:
     bound: float
 
 
-def _expert_pool(config: RunConfig) -> ExpertPool:
-    """A fresh Algorithm-2 pool over the (step size, radius) grid of A_max =
-    max(sqrt(T), 2) and epsilon = 1, with beta = sqrt(8 log N / (T nu^2))."""
+def _expert_pools(config: RunConfig, n_seeds: int) -> list:
+    """n_seeds fresh Algorithm-2 pools over one shared (step size, radius)
+    grid of A_max = max(sqrt(T), 2) and epsilon = 1, with beta =
+    sqrt(8 log N / (T nu^2))."""
     grid = build_grid(max(math.sqrt(config.T), 2.0), 1.0, config.T)
-    return init_pool(grid, config.generator.dim, beta_default(grid.n, config.T, config.params.nu))
+    beta = beta_default(grid.n, config.T, config.params.nu)
+    return [init_pool(grid, config.generator.dim, beta) for _ in range(n_seeds)]
 
 
 def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | None = None) -> float:
@@ -269,7 +275,7 @@ def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
     pool, what its seed's own pool aggregates after pool_step."""
     loss, params, radius = config.loss, config.params, config.radius
     if config.learner == EXPERTS:
-        pools = [_expert_pool(config) for _ in range(n_seeds)]
+        pools = _expert_pools(config, n_seeds)
 
         def pool_steps(theta, x, y, proj, f):
             for r, pool in enumerate(pools):

@@ -27,7 +27,7 @@ the inner products a loss depends on, as floats or as arrays:
 and the transform g of a loss value f is _transform(params, f).
 
 The public functions only form those inner products for their shape: one
-round at one action (eval_f, grad_f, minimizer_f), one round at many actions
+round at one action (eval_f, grad_f), one round at many actions
 (eval_f_many, grad_f_many) or many rounds at one action each (eval_f_rows,
 grad_f_rows, minimizer_rows). The harness's seed-batched episode loop calls
 _value and grad_f_rows on one round of many seeds; the oracle calls the
@@ -176,11 +176,6 @@ def grad_f(loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> np.ndarray:
     return g - c * s.x if c else g   # c = 0 on an inactive hinge round: no array op
 
 
-def minimizer_f(loss: RoundLoss, s: SideInfo) -> np.ndarray:
-    """Unconstrained minimizer of the per-round loss (closed form, see _min_scale)."""
-    return _min_scale(loss, float(s.x @ s.x), s.y) * s.x
-
-
 def eta(params: LearnParams, f_val):
     """Gate eta = 1/(1 + b exp(f/a)) in (0, 1/(1+b)], saturating to 0 on overflow.
 
@@ -201,12 +196,6 @@ def eta(params: LearnParams, f_val):
     if math.isinf(z):
         return 0.0
     return 1.0 / (1.0 + z)
-
-
-def eval_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> float:
-    """Robust transform g = -a log(exp(-f/a) + b), evaluated stably (see
-    _transform). Monotone increasing in f; range [-a log(1+b), -a log(b))."""
-    return float(_transform(params, eval_f(loss, s, theta)))
 
 
 def grad_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray,

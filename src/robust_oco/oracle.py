@@ -105,7 +105,7 @@ def _f_grad(loss: RoundLoss, X, y, theta):
 
 def check_invexity(params: LearnParams, loss: RoundLoss, samples: int,
                    rng: np.random.Generator) -> CheckReport:
-    """g(theta) - g(omega*) <= <grad_f(theta), theta - omega*>, omega* = minimizer_f.
+    """g(theta) - g(omega*) <= <grad_f(theta), theta - omega*>, omega* = minimizer_rows.
 
     This is the invexity inequality with the direction field
     zeta(omega*, theta) = (omega* - theta)/eta, using grad_g = eta grad_f.

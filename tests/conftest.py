@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robust_oco import harness
-from robust_oco.losses import RIDGE, RoundLoss, SideInfo
+from robust_oco.losses import RIDGE, LearnParams, RoundLoss, SideInfo, _min_scale, _transform, eval_f
 
 
 @pytest.fixture
@@ -21,6 +21,19 @@ def random_instance(rng, family, lam=None, max_dim=6):
         y = float(rng.choice([-1.0, 1.0]))
     lam = float(rng.uniform(1e-4, 2.0)) if lam is None else lam
     return RoundLoss(family=family, lam=lam), SideInfo(x=x, y=y)
+
+
+def minimizer_f(loss: RoundLoss, s: SideInfo) -> np.ndarray:
+    """Unconstrained minimizer of one round's loss: the one-round form of
+    losses.minimizer_rows, through the same closed-form kernel."""
+    return _min_scale(loss, float(s.x @ s.x), s.y) * s.x
+
+
+def eval_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> float:
+    """Robust transform g = -a log(exp(-f/a) + b) of one round's loss at theta,
+    evaluated stably (see losses._transform). Monotone increasing in f; range
+    [-a log(1+b), -a log(b))."""
+    return float(_transform(params, eval_f(loss, s, theta)))
 
 
 def capture_pools(monkeypatch):

@@ -180,6 +180,14 @@ def test_env_seed_override(tmp_path):
     assert seeds[0] == "100" and len(seeds) == 30
 
 
+def test_negative_env_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ROBUST_OCO_SEED", "-3")
+    assert cli.main(["run", "--preset", "svm", "--T", "30", "--learner", "ogd",
+                     "--k", "0", "--out", str(tmp_path)]) == 2
+    assert "seeds must be non-negative, got -3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_explicit_seeds_beat_env(tmp_path):
     res = run_cli(["run", "--preset", "svm", "--T", "30", "--learner", "ogd",
                    "--k", "0", "--seeds", "7", "--out", str(tmp_path)],
@@ -296,6 +304,13 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("[bounds]\nb = 5\ng = 1\nl = 2\n", [], "unknown config section [bounds]", id="bounds-section"),
     pytest.param("", ["dump-stream", "--subsample", "-1"], "--subsample must be >= 1", id="subsample-negative"),
     pytest.param(None, ["verify", "--samples", "0"], "--samples must be >= 1", id="samples-zero"),
+    # a repeated seed would count twice in the mean; a negative one seeds nothing
+    pytest.param("", ["--seeds", "3 3 4"], "seeds must be distinct, got [3, 3, 4]", id="seeds-repeated"),
+    pytest.param("", ["--seeds", "-3"], "seeds must be non-negative, got -3", id="seeds-negative"),
+    pytest.param(None, ["verify", "--seed", "-1"], "--seed must be >= 0", id="verify-seed-negative"),
+    # scale sets T only where t is unset: with t from the file, a flag or a manifest it would be dropped
+    pytest.param("", ["--scale", "0.5"], "cannot be given with t", id="scale-with-t"),
+    pytest.param("scale = 0.5\n", [], "cannot be given with t", id="scale-with-t-key"),
 ])
 def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
     def exit_code(argv):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,14 +29,18 @@ RIDGE0 = RoundLoss(family=RIDGE, lam=0.0)
 
 # --- reference: the uncompressed pool, one row per logical expert ------------
 
+def entries(grid):
+    """Every expert's (step size, radius), in grid order: step-size major."""
+    return np.repeat(grid.step_sizes, grid.radii.size), np.tile(grid.radii, grid.step_sizes.size)
+
+
 class RefPool:
     """Every expert of the grid as its own row, in grid order."""
 
     def __init__(self, grid, dim, beta):
         self.grid, self.beta = grid, beta
         self.thetas = np.zeros((grid.n, dim))
-        self.step_sizes = np.array([a for a, _ in grid.entries])
-        self.radii = np.array([d for _, d in grid.entries])
+        self.step_sizes, self.radii = entries(grid)
         self.log_weights = np.zeros(grid.n)
 
 
@@ -60,36 +65,34 @@ def ref_pool_step(pool, s, loss, params):
 def expand(pool):
     """Each grid entry's action and log-weight, in grid order, read off the
     row that holds it: its own row once split, else its step size's shared row."""
-    n_shared = len(pool.members)
+    n_shared = pool.first.size
     assert pool.counts.sum() == pool.grid.n
-    assert list(pool.counts[:n_shared]) == [m.size for m in pool.members]
+    assert np.all(pool.counts[:n_shared] == pool.grid.radii.size - pool.first)
     assert np.all(pool.counts[n_shared:] == 1)
     assert np.all(np.isinf(pool.radii[:n_shared])) and np.all(np.isfinite(pool.radii[n_shared:]))
     own = {(a, d): r for r, (a, d) in enumerate(zip(pool.step_sizes, pool.radii)) if r >= n_shared}
     shared = {pool.step_sizes[r]: r for r in range(n_shared)}
     rows = []
-    for a, d in pool.grid.entries:
+    for a, d in zip(*entries(pool.grid)):
         r = own.get((a, d))
         if r is None:
             r = shared[a]
-            assert d in pool.members[r], (a, d)
+            assert d >= pool.grid.radii[pool.first[r]], (a, d)
         rows.append(r)
     return pool.thetas[rows], pool.log_weights[rows]
 
 
 def test_build_grid_example():
     grid = build_grid(4.0, 1.0, 4)
-    alphas = sorted(set(a for a, _ in grid.entries))
-    radii = sorted(set(d for _, d in grid.entries))
-    assert alphas == [1.0, 2.0]
-    assert radii == [0.5, 1.0, 2.0, 4.0]
+    assert grid.step_sizes.tolist() == [1.0, 2.0]
+    assert grid.radii.tolist() == [0.5, 1.0, 2.0, 4.0]
     assert grid.n == 8
     assert grid.n <= 4 * math.log2(4.0)
 
 
 def test_build_grid_edges():
-    assert len(set(a for a, _ in build_grid(2.0, 1.0, 16).entries)) == 1
-    assert len(set(d for _, d in build_grid(4.0, 1.0, 1).entries)) == 1
+    assert build_grid(2.0, 1.0, 16).step_sizes.size == 1
+    assert build_grid(4.0, 1.0, 1).radii.size == 1
     with pytest.raises(ValueError):
         build_grid(1.5, 1.0, 4)
     with pytest.raises(ValueError):
@@ -112,12 +115,24 @@ def test_grid_size_bound():
 
 def test_grid_radii_capped_and_deduplicated():
     grid = build_grid(8.0, 2.0, 6)
-    radii = sorted(set(d for _, d in grid.entries))
-    assert radii == [2.0 * 2.0 ** j / 6.0 for j in range(1, 7)]
+    assert grid.radii.tolist() == [2.0 * 2.0 ** j / 6.0 for j in range(1, 7)]
     big = build_grid(4.0, 1.0, 3000)
-    radii = [d for _, d in big.entries]
-    assert math.inf in radii
-    assert len([d for d in set(radii) if d == math.inf]) == 1
+    assert big.radii[-1] == math.inf and np.all(np.isfinite(big.radii[:-1]))
+
+
+@pytest.mark.parametrize("T", [1, 6, 1023, 1024, 1025, 2000])
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+def test_radius_ladder_matches_per_j_formula(T, epsilon):
+    # min(eps 2^j, eps 2^T)/T for j = 1..T, one j at a time in Python floats,
+    # where 2.0 ** j raises from j = 1024 on and eps 2^j overflows to inf
+    def radius(j):
+        try:
+            return epsilon * 2.0 ** j / T
+        except OverflowError:
+            return math.inf
+
+    expected = list(dict.fromkeys(min(radius(j), radius(T)) for j in range(1, T + 1)))
+    assert build_grid(4.0, epsilon, T).radii.tolist() == expected
 
 
 def test_beta_default():
@@ -130,8 +145,7 @@ def test_beta_default():
 
 def _pool2(thetas, log_weights, beta=1.0):
     # two unbounded experts with different step sizes: one shared row each
-    grid = build_grid(4.0, 1.0, 4)
-    grid.entries = [(0.5, math.inf), (0.25, math.inf)]
+    grid = replace(build_grid(4.0, 1.0, 4), step_sizes=v(0.5, 0.25), radii=v(math.inf))
     pool = init_pool(grid, thetas.shape[1], beta)
     pool.thetas[:] = thetas
     pool.log_weights[:] = log_weights
@@ -200,7 +214,7 @@ def test_aggregate_stays_in_expert_hull(rng=np.random.default_rng(11)):
     grid = build_grid(8.0, 1.0, 64)
     pool = init_pool(grid, 2, 0.05)
     loss = RoundLoss(family=RIDGE, lam=1e-4)
-    d_max = max(d for _, d in grid.entries if math.isfinite(d))
+    d_max = grid.radii[np.isfinite(grid.radii)].max()
     for _ in range(100):
         s = SideInfo(rng.normal(0, 1, 2), float(rng.normal()))
         pool_step(pool, s, loss, params)
@@ -214,7 +228,7 @@ def test_pool_matches_independent_learn_steps(rng=np.random.default_rng(3)):
     grid = build_grid(4.0, 1.0, 8)
     pool = init_pool(grid, 3, 0.21)
     loss = RoundLoss(family=RIDGE, lam=0.3)
-    states = [LearnerState(theta=np.zeros(3), step_size=a, radius=d) for a, d in grid.entries]
+    states = [LearnerState(theta=np.zeros(3), step_size=a, radius=d) for a, d in zip(*entries(grid))]
     for _ in range(40):
         s = SideInfo(rng.normal(0, 1, 3), float(rng.normal()))
         pool_step(pool, s, loss, params)
@@ -225,7 +239,7 @@ def test_pool_matches_independent_learn_steps(rng=np.random.default_rng(3)):
             # accumulated dot-product reassociation drift only
             np.testing.assert_allclose(thetas[i], st.theta, rtol=1e-9, atol=1e-12)
     assert len(pool.thetas) < grid.n   # some experts still share a row
-    assert len(pool.thetas) > len(pool.members)   # and some have split off
+    assert len(pool.thetas) > pool.first.size   # and some have split off
 
 
 def test_several_members_split_in_one_round():
@@ -238,9 +252,8 @@ def test_several_members_split_in_one_round():
     s = SideInfo(v(7.0710678, 0.0), 4.0)
     pool_step(pool, s, RIDGE0, params)
     ref_pool_step(ref, s, RIDGE0, params)
-    assert len(pool.members) == 1
-    np.testing.assert_array_equal(pool.members[0], [32.0])
-    assert pool.next_radius.tolist() == [32.0]
+    assert pool.first.tolist() == [7]   # one shared row left, holding radii[7:]
+    assert grid.radii[pool.first].tolist() == [32.0]
     assert pool.counts.tolist() == [1] * 16
     thetas, log_weights = expand(pool)
     np.testing.assert_array_equal(thetas, ref.thetas)
@@ -274,7 +287,7 @@ def test_compressed_pool_matches_uncompressed_regret(seed, monkeypatch):
 
 def test_ridge_full_scale_pool_is_nine_rows():
     config = harness.preset_config("ridge", seeds=[1], learner=harness.EXPERTS)
-    pool = harness._expert_pool(config)
+    pool, = harness._expert_pools(config, 1)
     assert config.T == 10 ** 5
     assert pool.grid.n == 9216
     assert pool.thetas.shape == (9, 100)
@@ -298,3 +311,14 @@ def test_pool_determinism(rng=None):
     t1, w1 = run()
     t2, w2 = run()
     assert np.array_equal(t1, t2) and np.array_equal(w1, w2)
+
+
+def test_seeds_pools_share_one_grid_and_leave_it_unchanged(monkeypatch):
+    config = harness.preset_config("svm", T=300, seeds=[1, 2, 3], learner=harness.EXPERTS, k=17)
+    pools = capture_pools(monkeypatch)
+    harness.run_cell(config)
+    grid, fresh = pools[0].grid, build_grid(math.sqrt(300), 1.0, 300)
+    assert len(pools) == 3 and all(pool.grid is grid for pool in pools)
+    assert all(len(pool.thetas) > pool.first.size for pool in pools)   # every pool has split rows
+    np.testing.assert_array_equal(grid.step_sizes, fresh.step_sizes)
+    np.testing.assert_array_equal(grid.radii, fresh.radii)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import capture_pools
+from conftest import capture_pools, minimizer_f
 from robust_oco import harness
 from robust_oco import stream as st
 from robust_oco.experts import aggregate_action, pool_step
@@ -32,7 +32,6 @@ from robust_oco.losses import (
     eval_f_rows,
     grad_f,
     growth_constants,
-    minimizer_f,
     minimizer_rows,
 )
 
@@ -90,7 +89,7 @@ def per_seed_episode(cfg, seed):
     alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
     state = LearnerState(theta=np.zeros(gen.dim), step_size=alpha, radius=cfg.radius)
     budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
-    pool = harness._expert_pool(cfg) if cfg.learner == harness.EXPERTS else None
+    pool = harness._expert_pools(cfg, 1)[0] if cfg.learner == harness.EXPERTS else None
     f_emitted = np.empty(cfg.T)
     for t in range(cfg.T):
         s = SideInfo(x=X[t], y=float(y_emitted[t]))
@@ -357,6 +356,10 @@ def test_config_validation():
         with pytest.raises(ValueError):
             preset_config("svm", T=5, seeds=[1], **bad)
     preset_config("svm", T=5, seeds=[1], alpha=0.5, radius=math.inf)   # legal edges
+    preset_config("svm", T=5, seeds=[0, 2, 1])
+    for bad, message in (([3, 3, 4], "distinct"), ([-3], "non-negative"), ([2, -1], "non-negative")):
+        with pytest.raises(ValueError, match=f"seeds must be {message}"):
+            preset_config("svm", T=5, seeds=bad)
     # the expert pool reads no alpha
     for bad in (dict(alpha=0.5), dict(alpha=harness.THEORETICAL, radius=3.0)):
         with pytest.raises(ValueError, match="alpha must be unset"):

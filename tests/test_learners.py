@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import minimizer_f, random_instance
 from robust_oco.learners import (
     LearnerState,
     learn_rows,
@@ -21,7 +21,6 @@ from robust_oco.losses import (
     SideInfo,
     derive_constants,
     eval_f,
-    minimizer_f,
 )
 
 RIDGE0 = RoundLoss(family=RIDGE, lam=0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import golden_minimize, random_instance
+from conftest import eval_g, golden_minimize, minimizer_f, random_instance
 from robust_oco.learners import project_ball, project_rows
 from robust_oco.losses import (
     HINGE_SVM,
@@ -18,13 +18,11 @@ from robust_oco.losses import (
     eval_f,
     eval_f_many,
     eval_f_rows,
-    eval_g,
     grad_f,
     grad_f_many,
     grad_f_rows,
     grad_g,
     growth_constants,
-    minimizer_f,
     minimizer_rows,
 )
 

@@ -30,7 +30,8 @@ def test_invexity_check_passes():
 def test_invexity_lemma_example_values():
     # f(theta) = theta^2, theta = 1, omega* = 0, a = b = 1:
     # lhs = g(1) - g(0) ~ 0.379885, rhs = <grad f(1), 1> = 2
-    from robust_oco.losses import SideInfo, eval_g, minimizer_f
+    from conftest import eval_g, minimizer_f
+    from robust_oco.losses import SideInfo
     loss = RoundLoss(RIDGE, 0.0)
     s = SideInfo(np.array([1.0]), 0.0)
     params = LearnParams(1.0, 1.0)
