@@ -47,6 +47,7 @@ from .harness import (
     delta_S,
     preset_config,
     run_cell,
+    run_cells,
     run_episode,
     run_episodes,
     run_theorem_check,

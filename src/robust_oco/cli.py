@@ -198,7 +198,7 @@ def load_config(path: str | None, preset: str | None, overrides: dict, fixed: tu
 
 def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
     """The effective configuration, one section per table section, then the results."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)   # as _read_file reads it
     values = _values(config)
     for key in KEYS:
         value = values.get(key)
@@ -229,9 +229,9 @@ def write_cell_csv(path: str, result: harness.CellResult):
             fh.write(f"{t + 1},{_fmt(result.mean[t])},{_fmt(result.stderr[t])}\n")
 
 
-def _run_one_cell(config: RunConfig, outdir: str) -> str:
+def _write_cell(result: harness.CellResult, outdir: str) -> str:
+    config = result.config
     os.makedirs(outdir, exist_ok=True)
-    result = run_cell(config)
     csv_path = os.path.join(outdir, f"regret_{config.learner}_k{config.k}.csv")
     write_cell_csv(csv_path, result)
     write_manifest(os.path.join(outdir, f"manifest_{config.learner}_k{config.k}.ini"), config, result)
@@ -243,19 +243,17 @@ def _load(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    config = _load(args)
-    path = _run_one_cell(config, args.out)
+    path = _write_cell(run_cell(_load(args)), args.out)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = _load(args)
-    for k in st.k_grid(config.T):
-        for learner in SWEEP_LEARNERS:
-            cell = replace(config, learner=learner, k=k)
-            path = _run_one_cell(cell, args.out)
-            print(f"wrote {path}")
+    for k in st.k_grid(config.T):   # the learners of one k share its streams and comparators
+        cells = [replace(config, learner=learner, k=k) for learner in SWEEP_LEARNERS]
+        for result in harness.run_cells(cells):
+            print(f"wrote {_write_cell(result, args.out)}")
     return 0
 
 
@@ -312,10 +310,9 @@ def cmd_dump_stream(args) -> int:
             fh.write(json.dumps(rec) + "\n")
 
     thetas = {"theta_star": [float(v) for v in gen.theta_star]}
-    for learner in SWEEP_LEARNERS:
-        cell = replace(config, learner=learner)
-        trace = harness.run_episode(cell, seed)
-        thetas[learner] = [float(v) for v in trace.theta]
+    cells = [replace(config, learner=learner) for learner in SWEEP_LEARNERS]
+    for result in harness.run_cells(cells):
+        thetas[result.config.learner] = [float(v) for v in result.final_thetas[0]]
     thetas_path = os.path.join(args.out, "final_thetas.json")
     with open(thetas_path, "w", newline="\n") as fh:
         json.dump(thetas, fh, indent=2, sort_keys=True)

@@ -8,20 +8,22 @@ dynamic regret sums f_t(s_t, theta_t) - f_t(s_t, theta_t*) over uncorrupted
 rounds only, where theta_t* minimizes the clean-round loss (projected onto
 the domain ball when the radius is finite).
 
-`run_episodes` plays all seeds of a cell at once. Each seed's stream is
-drawn in time chunks of at most CHUNK_BYTES of features over all seeds; a
-chunk feeds every seed's comparator accounting, then the learner loop, which
-advances one (R, d) array of actions per round for every learner. The loop
-uses the loss kernels of `losses` and the row steps of `learners`
-(learn_rows, the gated projected step that the oracle checks, and
-descend_rows), takes every dot product as one BLAS dot per row and the
-gate's exp from libm per seed, as the per-round functions do, so each seed's
-numbers equal those of ogd_step, learn_step or topk_filter_step on that seed
-alone, bit for bit, whatever the chunking and the other seeds. The expert pool's row count
-varies by seed, so each seed keeps a pool of its own, stepped by pool_step,
-and its row of actions is that pool's aggregate_action. In the theoretical
-step mode the step size needs the stream's V_T, G and L, so the comparators
-are accounted in a first pass and the streams redrawn for the loop.
+`run_cells` plays all seeds of the cells that share one stream setting (T,
+k, seeds, generator, ...) and differ only in the learner. Each seed's stream
+is drawn once, in time chunks of at most CHUNK_BYTES of features over all
+seeds; a chunk feeds every seed's comparator accounting, then every
+learner's loop in turn, which advances one (R, d) array of actions per round
+and keeps its state from chunk to chunk. The loop uses the loss kernels of
+`losses` and the row steps of `learners` (learn_rows, the gated projected
+step that the oracle checks, and descend_rows), takes every dot product as
+one BLAS dot per row and the gate's exp from libm per seed, as the per-round
+functions do, so each seed's numbers equal those of ogd_step, learn_step or
+topk_filter_step on that seed alone, bit for bit, whatever the chunking, the
+other seeds and the other learners. The expert pool's row count varies by
+seed, so each seed keeps a pool of its own, stepped by pool_step, and its
+row of actions is that pool's aggregate_action. In the theoretical step mode
+the step size needs the stream's V_T, G and L, so the comparators are
+accounted in a first pass and the streams redrawn once for all learners.
 
 What the paper's experiments fix is derived here, not set: the Top-k budget
 (k for topk, floor(0.75 k) for utopk), the expert grid (A_max = max(sqrt(T),
@@ -32,7 +34,7 @@ of the data model (RunConfig.loss).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -306,39 +308,41 @@ def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
     return step
 
 
-def _play(config: RunConfig, seeds, chunks, alpha: np.ndarray):
-    """The learner loop of all seeds at once, one (R, d) update per round;
-    alpha holds each seed's step size, (R, 1). Returns f_t(s_t, theta_t) of
-    every seed and round, (R, T), and the actions played in round T, (R, d).
-    Every dot product is one BLAS dot per row, as eval_f and grad_f take it."""
-    T, loss = config.T, config.loss
-    theta = np.zeros((len(seeds), config.generator.dim))
-    f_emitted = np.empty((len(seeds), T))
-    step = _stepper(config, alpha, len(seeds))
-    for t0, X, Y in chunks:
+class _Play:
+    """One learner's loop over all seeds at once, one (R, d) update per round,
+    fed chunk by chunk in round order; alpha holds each seed's step size,
+    (R, 1). Keeps f_t(s_t, theta_t) of every seed and round, (R, T), and the
+    actions played in round T, (R, d). Every dot product is one BLAS dot per
+    row, as eval_f and grad_f take it."""
+
+    def __init__(self, config: RunConfig, seeds, alpha: np.ndarray):
+        self.config, self.seeds = config, seeds
+        self.theta = np.zeros((len(seeds), config.generator.dim))
+        self.f_emitted = np.empty((len(seeds), config.T))
+        self.step = _stepper(config, alpha, len(seeds))
+
+    def feed(self, t0: int, X: np.ndarray, Y: np.ndarray):
+        config, theta, step, f_emitted = self.config, self.theta, self.step, self.f_emitted
+        T, loss = config.T, config.loss
         for t, x, y in zip(range(t0, T), X, Y):
             proj = np.vecdot(x, theta)
             f = _value(loss, proj, np.vecdot(theta, theta), y)
             finite = np.isfinite(f)
             if not finite.all():
-                raise RuntimeError(f"seed {seeds[int(finite.argmin())]}: non-finite loss at round {t + 1} "
-                                   f"of {T}; the run diverged")
+                seed = self.seeds[int(finite.argmin())]
+                raise RuntimeError(f"learner {config.learner}, k {config.k}, seed {seed}: non-finite loss "
+                                   f"at round {t + 1} of {T}; the run diverged")
             f_emitted[:, t] = f
             if t + 1 < T:   # theta stays the action played in round T
                 theta = step(theta, x, y, proj, f)
-    return f_emitted, theta
+        self.theta = theta
 
 
-def run_episodes(config: RunConfig, seeds) -> list:
-    """Play the seeded episodes of the config and return what their regret
-    accounting reads, one EpisodeTrace per seed, in order.
-
-    Raises RuntimeError naming the seed and the round of the batch's earliest
-    non-finite loss (a diverged run; the first such seed on a tie), before any
-    step of that round.
-    """
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
+def _episodes(configs: list, seeds) -> list:
+    """Each config's EpisodeTraces of `seeds`, in order. The configs differ
+    only in learner: one draw of each seed's stream and one comparator pass
+    feed every config's loop, chunk by chunk."""
+    config = configs[0]
     accounts = [_Comparators(config) for _ in seeds]
     chunks = _chunks(config, seeds, accounts)
     if config.alpha == THEORETICAL:
@@ -348,8 +352,25 @@ def run_episodes(config: RunConfig, seeds) -> list:
         chunks = _chunks(config, seeds, [])
     else:
         alpha = [_resolve_alpha(config)] * len(seeds)
-    f_emitted, theta = _play(config, seeds, chunks, np.array(alpha)[:, None])
-    return [acc.trace(f, th) for acc, f, th in zip(accounts, f_emitted, theta)]
+    alpha = np.array(alpha)[:, None]
+    plays = [_Play(cfg, seeds, alpha) for cfg in configs]
+    for t0, X, Y in chunks:
+        for play in plays:
+            play.feed(t0, X, Y)
+    return [[acc.trace(f, th) for acc, f, th in zip(accounts, play.f_emitted, play.theta)] for play in plays]
+
+
+def run_episodes(config: RunConfig, seeds) -> list:
+    """Play the seeded episodes of the config and return what their regret
+    accounting reads, one EpisodeTrace per seed, in order.
+
+    Raises RuntimeError naming the learner, k, seed and round of the batch's
+    earliest non-finite loss (a diverged run; the first such seed on a tie),
+    before any step of that round.
+    """
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    return _episodes([config], seeds)[0]
 
 
 def run_episode(config: RunConfig, seed: int) -> EpisodeTrace:
@@ -428,13 +449,45 @@ class CellResult:
     stderr: np.ndarray
 
 
+def _same(a, b) -> bool:
+    """Equality that also holds field by field for dataclasses with array fields."""
+    if is_dataclass(a) and type(a) is type(b):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return a == b
+
+
+def run_cells(configs: list) -> list:
+    """Run cells that differ only in learner on one draw of their seeds'
+    streams and one comparator pass, and aggregate each: one CellResult per
+    config, in order, equal to what run_cell gives on that config alone.
+
+    Raises ValueError on an empty list or on configs that differ in anything
+    but the learner. A diverged run raises RuntimeError naming the learner,
+    k, seed and round; learners meet each chunk in the order of `configs`.
+    """
+    if not configs:
+        raise ValueError("run_cells needs at least one config")
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [f.name for f in fields(RunConfig)
+                  if f.name != "learner" and not _same(getattr(config, f.name), getattr(first, f.name))]
+        if differ:
+            raise ValueError(f"run_cells plays cells that differ only in learner; these differ in "
+                             f"{', '.join(differ)}")
+    results = []
+    for config, traces in zip(configs, _episodes(configs, first.seeds)):
+        curves = [clean_dynamic_regret(trace) for trace in traces]
+        mean, stderr = aggregate_runs(curves)
+        results.append(CellResult(config=config, curves=curves,
+                                  final_thetas=[trace.theta for trace in traces], mean=mean, stderr=stderr))
+    return results
+
+
 def run_cell(config: RunConfig) -> CellResult:
-    """Run every seed of the cell in one batch and aggregate."""
-    traces = run_episodes(config, config.seeds)
-    curves = [clean_dynamic_regret(trace) for trace in traces]
-    mean, stderr = aggregate_runs(curves)
-    return CellResult(config=config, curves=curves, final_thetas=[trace.theta for trace in traces],
-                      mean=mean, stderr=stderr)
+    """Run every seed of the cell in one batch and aggregate; see run_cells."""
+    return run_cells([config])[0]
 
 
 def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5.0):

@@ -75,6 +75,15 @@ def test_manifest_round_trip(tmp_path):
         assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
 
+def test_manifest_reads_back_through_the_config_reader(tmp_path):
+    config = config_of(["run", "--preset", "ridge", "--T", "30", "--seeds", "2 4", "--learner", "utopk",
+                        "--k", "5", "--radius", "2.5", "--lam", "0.003", "--a", "7.5"])
+    path = str(tmp_path / "manifest.ini")
+    cli.write_manifest(path, config, harness.run_cell(config))
+    values = cli._values(config)
+    assert cli._read_file(path) == {key: values[key] for key in cli.KEYS if key.show is not None}
+
+
 def test_missing_config_is_usage_error(tmp_path):
     res = run_cli(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
     assert res.returncode == 2
@@ -95,6 +104,34 @@ def test_sweep_grid(tmp_path):
     expected = sorted(f"regret_{m}_k{k}.csv" for m in ("ogd", "learn", "topk", "utopk") for k in ks)
     assert files == expected
     assert len(files) == 16
+
+
+def test_sweep_draws_each_stream_once_per_k(tmp_path, monkeypatch):
+    # the four learners of a k share one stream and one comparator pass per seed
+    seeds, rows = [1, 2, 3], 40
+    monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * 2 * 8)   # svm: d = 2
+    streams, adds = [], []
+
+    class CountedStream(st.EpisodeStream):
+        def __init__(self, *args):
+            streams.append(args)
+            super().__init__(*args)
+
+    add = harness._Comparators.add
+
+    def counted_add(self, t0, *args):
+        adds.append(t0)
+        return add(self, t0, *args)
+
+    monkeypatch.setattr(st, "EpisodeStream", CountedStream)
+    monkeypatch.setattr(harness._Comparators, "add", counted_add)
+    assert cli.main(["sweep", "--preset", "svm", "--scale", "0.01", "--seeds", "1 2 3",
+                     "--out", str(tmp_path)]) == 0
+    T = 100
+    chunks = -(-T // rows)
+    assert len(list(tmp_path.glob("regret_*.csv"))) == 16
+    assert len(streams) == len(st.k_grid(T)) * len(seeds)
+    assert len(adds) == len(st.k_grid(T)) * len(seeds) * chunks == 36
 
 
 def test_sweep_scale_flag(tmp_path):

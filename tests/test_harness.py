@@ -581,3 +581,82 @@ def test_chunking_does_not_change_an_episode(monkeypatch, config):
     for traces in runs[1:]:
         for a, b in zip(runs[0], traces):
             assert_traces_equal(a, b)
+
+
+# --- run_cells: the learners of one stream setting share its draw ----------------
+
+def assert_cells_equal(a, b):
+    assert a.config == b.config
+    for ca, cb in zip(a.curves, b.curves, strict=True):
+        np.testing.assert_array_equal(ca.series, cb.series)
+        assert (ca.v_t, ca.delta_s, ca.comparator_radius, ca.b_clean, ca.n_outliers) == \
+            (cb.v_t, cb.delta_s, cb.comparator_radius, cb.b_clean, cb.n_outliers)
+    for ta, tb in zip(a.final_thetas, b.final_thetas, strict=True):
+        np.testing.assert_array_equal(ta, tb)
+    np.testing.assert_array_equal(a.mean, b.mean)
+    np.testing.assert_array_equal(a.stderr, b.stderr)
+
+
+@pytest.mark.parametrize("family", ["svm", "ridge"])
+@pytest.mark.parametrize("setting", [
+    dict(),                                                  # the expert pool runs too
+    dict(radius=0.05),
+    dict(radius=5.0, alpha=harness.THEORETICAL),             # one accounting pass, one redraw
+], ids=["unbounded", "radius", "theoretical"])
+def test_run_cells_match_run_cell(monkeypatch, family, setting):
+    # every learner of the shared pass equals its cell run alone, bit for bit,
+    # with each episode spread over 4 chunks of the shared X/Y buffers
+    learners = [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK]
+    if not setting:   # the pool's grid holds its own radii and step sizes
+        learners.append(harness.EXPERTS)
+    seeds = [4, 5, 6]
+    configs = [preset_config(family, T=T_REF, seeds=seeds, learner=lr, k=15, **setting) for lr in learners]
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * configs[0].generator.dim * 8)
+    chunks = []
+    draw = st.EpisodeStream.draw
+    monkeypatch.setattr(st.EpisodeStream, "draw", lambda self, n: chunks.append(n) or draw(self, n))
+    shared = harness.run_cells(configs)
+    assert chunks[:len(seeds) * 4] == [17] * len(seeds) * 3 + [9] * len(seeds)
+    assert [res.config.learner for res in shared] == learners
+    for config, res in zip(configs, shared):
+        assert_cells_equal(res, run_cell(config))
+
+
+def test_run_cells_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="at least one config"):
+        harness.run_cells([])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("T", 61), ("k", 3), ("seeds", [1, 3]), ("radius", 5.0), ("alpha", 0.1), ("lam", 1e-3),
+    ("params", LearnParams(a=10.0, b=5.0)), ("generator", st.svm_generator(dim=3)),
+])
+def test_run_cells_rejects_cells_that_differ_beyond_the_learner(field, value):
+    cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.OGD, k=6)
+    other = dataclasses.replace(cfg, learner=harness.LEARN, **{field: value})
+    with pytest.raises(ValueError, match=f"differ in {field}$"):
+        harness.run_cells([cfg, other])
+
+
+def test_run_cells_compares_generators_with_arrays():
+    theta = np.array([0.6, 0.8])
+    cfg = preset_config("svm", T=T_REF, seeds=[1], learner=harness.OGD, k=6,
+                        generator=st.CleanGenerator(kind=st.SVM_MODEL, dim=2, theta_star=theta))
+    same = dataclasses.replace(cfg, learner=harness.LEARN,
+                               generator=dataclasses.replace(cfg.generator, theta_star=theta.copy()))
+    assert len(harness.run_cells([cfg, same])) == 2
+    other = dataclasses.replace(same, generator=dataclasses.replace(cfg.generator, theta_star=-theta))
+    with pytest.raises(ValueError, match="differ in generator$"):
+        harness.run_cells([cfg, other])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", [(harness.OGD, harness.LEARN), (harness.LEARN, harness.OGD)])
+def test_divergence_in_a_shared_pass_names_the_learner(order):
+    # ridge OGD with alpha = 1 diverges and the gated learner does not; the
+    # error names the learner and k along with the seed and round
+    cfg = preset_config("ridge", T=2000, seeds=[1, 3, 2], learner=harness.OGD, k=10, alpha=1.0)
+    with pytest.raises(RuntimeError, match=r"^learner ogd, k 10, seed \d+: non-finite loss at round \d+ "
+                                           r"of 2000; the run diverged$"):
+        harness.run_cells([dataclasses.replace(cfg, learner=lr) for lr in order])
+    assert math.isfinite(run_cell(dataclasses.replace(cfg, learner=harness.LEARN)).mean[-1])
