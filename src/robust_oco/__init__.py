@@ -19,14 +19,7 @@ from .losses import (
     grad_f,
     grad_g,
 )
-from .learners import (
-    LearnerState,
-    learn_step,
-    ogd_step,
-    project_ball,
-    theoretical_stepsize,
-    topk_filter_step,
-)
+from .learners import theoretical_stepsize
 from .experts import ExpertGrid, ExpertPool, aggregate_action, beta_default, build_grid, init_pool, pool_step
 from .stream import (
     CleanGenerator,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -181,8 +182,8 @@ def load_config(path: str | None, preset: str | None, overrides: dict, fixed: tu
     if preset is None:
         raise UsageError("no preset given (use --preset ridge|svm or set [run] preset)")
     scale = given.get(KEY["run", "scale"], 1.0)
-    if not scale > 0:
-        raise UsageError(f"scale must be positive, got {scale!r}")
+    if not 0 < scale < math.inf:
+        raise UsageError(f"scale must be positive and finite, got {scale!r}")
     if KEY["run", "scale"] in given and KEY["run", "t"] in given:
         raise UsageError("scale multiplies the preset T: it cannot be given with t (--T)")
     try:
@@ -251,8 +252,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     for k in st.k_grid(config.T):   # the learners of one k share its streams and comparators
-        cells = [replace(config, learner=learner, k=k) for learner in SWEEP_LEARNERS]
-        for result in harness.run_cells(cells):
+        for result in harness.run_cells(replace(config, k=k), SWEEP_LEARNERS):
             print(f"wrote {_write_cell(result, args.out)}")
     return 0
 
@@ -310,8 +310,7 @@ def cmd_dump_stream(args) -> int:
             fh.write(json.dumps(rec) + "\n")
 
     thetas = {"theta_star": [float(v) for v in gen.theta_star]}
-    cells = [replace(config, learner=learner) for learner in SWEEP_LEARNERS]
-    for result in harness.run_cells(cells):
+    for result in harness.run_cells(config, SWEEP_LEARNERS):
         thetas[result.config.learner] = [float(v) for v in result.final_thetas[0]]
     thetas_path = os.path.join(args.out, "final_thetas.json")
     with open(thetas_path, "w", newline="\n") as fh:

@@ -8,16 +8,17 @@ dynamic regret sums f_t(s_t, theta_t) - f_t(s_t, theta_t*) over uncorrupted
 rounds only, where theta_t* minimizes the clean-round loss (projected onto
 the domain ball when the radius is finite).
 
-`run_cells` plays all seeds of the cells that share one stream setting (T,
-k, seeds, generator, ...) and differ only in the learner. Each seed's stream
-is drawn once, in time chunks of at most CHUNK_BYTES of features over all
-seeds; a chunk feeds every seed's comparator accounting, then every
-learner's loop in turn, which advances one (R, d) array of actions per round
-and keeps its state from chunk to chunk. The loop uses the loss kernels of
-`losses` and the row steps of `learners` (learn_rows, the gated projected
-step that the oracle checks, and descend_rows), takes every dot product as
-one BLAS dot per row and the gate's exp from libm per seed, as the per-round
-functions do, so each seed's numbers equal those of ogd_step, learn_step or
+A call takes one RunConfig and plays its own seeds: `run_episodes(config)`
+gives one trace per seed of config.seeds, and `run_cells(config, learners)`
+plays those seeds under each of the learners. Each seed's stream is drawn
+once, in time chunks of at most CHUNK_BYTES of features over all seeds; a
+chunk feeds every seed's comparator accounting, then every learner's loop in
+turn, which advances one (R, d) array of actions per round and keeps its
+state from chunk to chunk. The loop uses the loss kernels of `losses` and
+the row steps of `learners` (learn_rows, the gated projected step that the
+oracle checks, and descend_rows), takes every dot product as one BLAS dot
+per row and the gate's exp from libm per seed, as the per-round functions
+do, so each seed's numbers equal those of ogd_step, learn_step or
 topk_filter_step on that seed alone, bit for bit, whatever the chunking, the
 other seeds and the other learners. The expert pool's row count varies by
 seed, so each seed keeps a pool of its own, stepped by pool_step, and its
@@ -34,7 +35,7 @@ of the data model (RunConfig.loss).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,8 +100,9 @@ class RunConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         if not (0 <= self.k <= self.T):
             raise ValueError("need 0 <= k <= T")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive: it is the strong convexity modulus m of the bound constants")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite: it is the strong convexity modulus m of the "
+                             "bound constants")
         if self.alpha not in (None, THEORETICAL) and (
                 isinstance(self.alpha, str) or not (math.isfinite(self.alpha) and self.alpha > 0)):
             raise ValueError(f"alpha must be finite and positive, None or {THEORETICAL!r}, "
@@ -167,13 +169,13 @@ class BoundCheck:
     bound: float
 
 
-def _expert_pools(config: RunConfig, n_seeds: int) -> list:
-    """n_seeds fresh Algorithm-2 pools over one shared (step size, radius)
+def _expert_pools(config: RunConfig) -> list:
+    """A fresh Algorithm-2 pool per seed over one shared (step size, radius)
     grid of A_max = max(sqrt(T), 2) and epsilon = 1, with beta =
     sqrt(8 log N / (T nu^2))."""
     grid = build_grid(max(math.sqrt(config.T), 2.0), 1.0, config.T)
     beta = beta_default(grid.n, config.T, config.params.nu)
-    return [init_pool(grid, config.generator.dim, beta) for _ in range(n_seeds)]
+    return [init_pool(grid, config.generator.dim, beta) for _ in config.seeds]
 
 
 def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | None = None) -> float:
@@ -249,15 +251,15 @@ class _Comparators:
         )
 
 
-def _chunks(config: RunConfig, seeds, accounts: list):
-    """The seeds' streams in lockstep time chunks of at most CHUNK_BYTES of
-    features over all seeds (at least one round each). Each seed's part of a
-    chunk goes to its accounting, if any, and into one (rounds, R, d) array
-    of features and one (rounds, R) array of emitted responses, refilled for
-    every chunk: yields (t0, X, Y)."""
-    R, dim = len(seeds), config.generator.dim
+def _chunks(config: RunConfig, accounts: list):
+    """The streams of the config's seeds in lockstep time chunks of at most
+    CHUNK_BYTES of features over all seeds (at least one round each). Each
+    seed's part of a chunk goes to its accounting, if any, and into one
+    (rounds, R, d) array of features and one (rounds, R) array of emitted
+    responses, refilled for every chunk: yields (t0, X, Y)."""
+    R, dim = len(config.seeds), config.generator.dim
     rows = min(config.T, max(1, CHUNK_BYTES // (R * dim * 8)))
-    streams = [st.EpisodeStream(config.generator, config.T, config.k, seed) for seed in seeds]
+    streams = [st.EpisodeStream(config.generator, config.T, config.k, seed) for seed in config.seeds]
     X, Y = np.empty((rows, R, dim)), np.empty((rows, R))
     for t0 in range(0, config.T, rows):
         n = min(rows, config.T - t0)
@@ -269,7 +271,7 @@ def _chunks(config: RunConfig, seeds, accounts: list):
         yield t0, X[:n], Y[:n]
 
 
-def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
+def _stepper(config: RunConfig, alpha: np.ndarray):
     """The learner's step of all seeds' actions at once: step(theta, x, y,
     proj, f) returns the next (R, d) actions from this round's actions, side
     information, proj = <x, theta> and losses. Each row gets what ogd_step,
@@ -277,7 +279,7 @@ def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
     pool, what its seed's own pool aggregates after pool_step."""
     loss, params, radius = config.loss, config.params, config.radius
     if config.learner == EXPERTS:
-        pools = _expert_pools(config, n_seeds)
+        pools = _expert_pools(config)
 
         def pool_steps(theta, x, y, proj, f):
             for r, pool in enumerate(pools):
@@ -289,8 +291,8 @@ def _stepper(config: RunConfig, alpha: np.ndarray, n_seeds: int):
     if config.learner == LEARN:
         return lambda theta, x, y, proj, f: learn_rows(theta, x, y, proj, f, loss, params, alpha, radius)
     budget = config.resolve_topk_budget()
-    top = np.full((n_seeds, budget), -np.inf)   # each seed's `budget` largest gradient norms; -inf is empty
-    rows = np.arange(n_seeds)
+    rows = np.arange(len(config.seeds))
+    top = np.full((len(rows), budget), -np.inf)   # each seed's `budget` largest gradient norms; -inf is empty
 
     def step(theta, x, y, proj, f):
         g = grad_f_rows(loss, x, y, theta, proj)
@@ -315,11 +317,11 @@ class _Play:
     actions played in round T, (R, d). Every dot product is one BLAS dot per
     row, as eval_f and grad_f take it."""
 
-    def __init__(self, config: RunConfig, seeds, alpha: np.ndarray):
-        self.config, self.seeds = config, seeds
-        self.theta = np.zeros((len(seeds), config.generator.dim))
-        self.f_emitted = np.empty((len(seeds), config.T))
-        self.step = _stepper(config, alpha, len(seeds))
+    def __init__(self, config: RunConfig, alpha: np.ndarray):
+        self.config = config
+        self.theta = np.zeros((len(config.seeds), config.generator.dim))
+        self.f_emitted = np.empty((len(config.seeds), config.T))
+        self.step = _stepper(config, alpha)
 
     def feed(self, t0: int, X: np.ndarray, Y: np.ndarray):
         config, theta, step, f_emitted = self.config, self.theta, self.step, self.f_emitted
@@ -329,7 +331,7 @@ class _Play:
             f = _value(loss, proj, np.vecdot(theta, theta), y)
             finite = np.isfinite(f)
             if not finite.all():
-                seed = self.seeds[int(finite.argmin())]
+                seed = config.seeds[int(finite.argmin())]
                 raise RuntimeError(f"learner {config.learner}, k {config.k}, seed {seed}: non-finite loss "
                                    f"at round {t + 1} of {T}; the run diverged")
             f_emitted[:, t] = f
@@ -338,44 +340,43 @@ class _Play:
         self.theta = theta
 
 
-def _episodes(configs: list, seeds) -> list:
-    """Each config's EpisodeTraces of `seeds`, in order. The configs differ
-    only in learner: one draw of each seed's stream and one comparator pass
-    feed every config's loop, chunk by chunk."""
-    config = configs[0]
-    accounts = [_Comparators(config) for _ in seeds]
-    chunks = _chunks(config, seeds, accounts)
+def _episodes(cells: list) -> list:
+    """Each cell's EpisodeTraces of its seeds, in order. The cells are one
+    config under several learners: one draw of each seed's stream and one
+    comparator pass feed every cell's loop, chunk by chunk."""
+    config = cells[0]
+    accounts = [_Comparators(config) for _ in config.seeds]
+    chunks = _chunks(config, accounts)
     if config.alpha == THEORETICAL:
         for _ in chunks:   # the step size needs V_T, G and L: account first, then redraw the streams
             pass
         alpha = [_resolve_alpha(config, acc.v_t, acc.growth) for acc in accounts]
-        chunks = _chunks(config, seeds, [])
+        chunks = _chunks(config, [])
     else:
-        alpha = [_resolve_alpha(config)] * len(seeds)
+        alpha = [_resolve_alpha(config)] * len(config.seeds)
     alpha = np.array(alpha)[:, None]
-    plays = [_Play(cfg, seeds, alpha) for cfg in configs]
+    plays = [_Play(cell, alpha) for cell in cells]
     for t0, X, Y in chunks:
         for play in plays:
             play.feed(t0, X, Y)
     return [[acc.trace(f, th) for acc, f, th in zip(accounts, play.f_emitted, play.theta)] for play in plays]
 
 
-def run_episodes(config: RunConfig, seeds) -> list:
-    """Play the seeded episodes of the config and return what their regret
-    accounting reads, one EpisodeTrace per seed, in order.
+def run_episodes(config: RunConfig) -> list:
+    """Play the config's episode on each of its seeds and return what their
+    regret accounting reads, one EpisodeTrace per seed of config.seeds, in
+    order.
 
     Raises RuntimeError naming the learner, k, seed and round of the batch's
     earliest non-finite loss (a diverged run; the first such seed on a tie),
     before any step of that round.
     """
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    return _episodes([config], seeds)[0]
+    return _episodes([config])[0]
 
 
 def run_episode(config: RunConfig, seed: int) -> EpisodeTrace:
-    """One seed's episode; see run_episodes."""
-    return run_episodes(config, [seed])[0]
+    """The episode of the config on one seed; see run_episodes."""
+    return run_episodes(replace(config, seeds=[seed]))[0]
 
 
 def delta_S(trace: EpisodeTrace) -> float:
@@ -449,45 +450,32 @@ class CellResult:
     stderr: np.ndarray
 
 
-def _same(a, b) -> bool:
-    """Equality that also holds field by field for dataclasses with array fields."""
-    if is_dataclass(a) and type(a) is type(b):
-        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
-    return a == b
-
-
-def run_cells(configs: list) -> list:
-    """Run cells that differ only in learner on one draw of their seeds'
+def run_cells(config: RunConfig, learners) -> list:
+    """Play the config under each of the learners on one draw of its seeds'
     streams and one comparator pass, and aggregate each: one CellResult per
-    config, in order, equal to what run_cell gives on that config alone.
+    learner, in order, whose config is replace(config, learner=learner) and
+    which equals what run_cell gives on that config alone.
 
-    Raises ValueError on an empty list or on configs that differ in anything
-    but the learner. A diverged run raises RuntimeError naming the learner,
-    k, seed and round; learners meet each chunk in the order of `configs`.
+    Raises ValueError on no learners or on a learner the setting does not
+    admit (RunConfig's own checks), before any stream is drawn. A diverged
+    run raises RuntimeError naming the learner, k, seed and round; learners
+    meet each chunk in the order given.
     """
-    if not configs:
-        raise ValueError("run_cells needs at least one config")
-    first = configs[0]
-    for config in configs[1:]:
-        differ = [f.name for f in fields(RunConfig)
-                  if f.name != "learner" and not _same(getattr(config, f.name), getattr(first, f.name))]
-        if differ:
-            raise ValueError(f"run_cells plays cells that differ only in learner; these differ in "
-                             f"{', '.join(differ)}")
+    cells = [replace(config, learner=learner) for learner in learners]
+    if not cells:
+        raise ValueError("run_cells needs at least one learner")
     results = []
-    for config, traces in zip(configs, _episodes(configs, first.seeds)):
+    for cell, traces in zip(cells, _episodes(cells)):
         curves = [clean_dynamic_regret(trace) for trace in traces]
         mean, stderr = aggregate_runs(curves)
-        results.append(CellResult(config=config, curves=curves,
+        results.append(CellResult(config=cell, curves=curves,
                                   final_thetas=[trace.theta for trace in traces], mean=mean, stderr=stderr))
     return results
 
 
 def run_cell(config: RunConfig) -> CellResult:
     """Run every seed of the cell in one batch and aggregate; see run_cells."""
-    return run_cells([config])[0]
+    return run_cells(config, [config.learner])[0]
 
 
 def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5.0):

@@ -84,8 +84,8 @@ class LearnParams:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("a and b must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("a and b must be positive and finite")
 
     @property
     def nu(self) -> float:

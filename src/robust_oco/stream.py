@@ -44,9 +44,10 @@ class CleanGenerator:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.feature_std <= 0:
-            raise ValueError("feature_std must be positive")
-        if self.noise_std < 0 or not (0.0 <= self.mislabel_prob <= 1.0) or self.margin_band < 0:
+        if not 0 < self.feature_std < math.inf:
+            raise ValueError("feature_std must be positive and finite")
+        if not (0.0 <= self.noise_std < math.inf and 0.0 <= self.mislabel_prob <= 1.0
+                and 0.0 <= self.margin_band < math.inf):
             raise ValueError("invalid noise/mislabel configuration")
 
 

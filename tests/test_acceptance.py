@@ -34,9 +34,8 @@ def cell(family, k, learner):
     """The cached cell; one shared pass fills all four sweep learners of (family, k)."""
     if (family, k, learner) not in _cells:
         t0 = time.perf_counter()
-        cfgs = [ro.preset_config(family, T=T, seeds=SEEDS, learner=lr, k=k)
-                for lr in ("ogd", "learn", "topk", "utopk")]
-        for res in ro.run_cells(cfgs):
+        cfg = ro.preset_config(family, T=T, seeds=SEEDS, k=k)
+        for res in ro.run_cells(cfg, ("ogd", "learn", "topk", "utopk")):
             _cells[family, k, res.config.learner] = res
         _cell_time[family] += time.perf_counter() - t0
     return _cells[family, k, learner]

@@ -308,6 +308,13 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("[learn]\nc = 1\n", [], "'c' in [learn]", id="unknown-key"),
     pytest.param("", ["--lam", "0"], "lam must be positive", id="lam-zero"),
     pytest.param("[loss]\nlam = -1\n", [], "lam must be", id="lam-negative"),
+    # a non-finite model setting would run: b = inf shuts the gate, a = inf fixes it at 1/(1+b), a
+    # NaN margin band flips no label, and a NaN lam diverges
+    pytest.param("", ["--lam", "nan"], "lam must be positive and finite", id="lam-nan"),
+    pytest.param("", ["--a", "inf"], "a and b must be positive and finite", id="a-inf"),
+    pytest.param("[learn]\nb = inf\n", [], "a and b must be positive and finite", id="b-inf"),
+    pytest.param("[stream]\nmargin_band = nan\n", [], "invalid noise/mislabel configuration",
+                 id="margin-band-nan"),
     pytest.param("", ["--alpha", "0"], "alpha must be finite and positive", id="alpha-zero"),
     pytest.param("", ["--alpha", "inf"], "alpha must be finite and positive", id="alpha-inf"),
     pytest.param("alpha = nan\n", [], "alpha must be finite and positive", id="alpha-nan"),
@@ -348,6 +355,7 @@ def test_config_file_with_overrides(tmp_path, case):
     # scale sets T only where t is unset: with t from the file, a flag or a manifest it would be dropped
     pytest.param("", ["--scale", "0.5"], "cannot be given with t", id="scale-with-t"),
     pytest.param("scale = 0.5\n", [], "cannot be given with t", id="scale-with-t-key"),
+    pytest.param("", ["--scale", "inf"], "scale must be positive and finite", id="scale-inf"),
 ])
 def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
     def exit_code(argv):
@@ -420,3 +428,13 @@ def test_benchmark_contract(tmp_path, monkeypatch):
         argv = wl.argv(str(tmp_path), 1)
         if argv[0] in ("run", "sweep"):
             config_of(argv)
+
+
+def test_bench_selftest_passes():
+    """The benchmark's own self-test plays every workload at tiny sizes
+    through the package and checks its outputs; it writes under .bench_out/."""
+    env = {k: v for k, v in os.environ.items() if k != "ROBUST_OCO_SEED"}
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-test passed" in proc.stdout

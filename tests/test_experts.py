@@ -287,7 +287,7 @@ def test_compressed_pool_matches_uncompressed_regret(seed, monkeypatch):
 
 def test_ridge_full_scale_pool_is_nine_rows():
     config = harness.preset_config("ridge", seeds=[1], learner=harness.EXPERTS)
-    pool, = harness._expert_pools(config, 1)
+    pool, = harness._expert_pools(config)
     assert config.T == 10 ** 5
     assert pool.grid.n == 9216
     assert pool.thetas.shape == (9, 100)

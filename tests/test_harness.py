@@ -89,7 +89,9 @@ def per_seed_episode(cfg, seed):
     alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
     state = LearnerState(theta=np.zeros(gen.dim), step_size=alpha, radius=cfg.radius)
     budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
-    pool = harness._expert_pools(cfg, 1)[0] if cfg.learner == harness.EXPERTS else None
+    pool = None
+    if cfg.learner == harness.EXPERTS:
+        pool, = harness._expert_pools(dataclasses.replace(cfg, seeds=[seed]))
     f_emitted = np.empty(cfg.T)
     for t in range(cfg.T):
         s = SideInfo(x=X[t], y=float(y_emitted[t]))
@@ -346,6 +348,19 @@ def test_config_validation():
     with pytest.raises(ValueError):  # the bound constants need m = lam > 0
         RunConfig(T=5, lam=0.0, params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1])
+    for lam in (math.inf, math.nan):   # a run on either would diverge
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            preset_config("svm", T=5, seeds=[1], lam=lam)
+    # b = inf shuts the gate for good and a = inf fixes it at 1/(1+b)
+    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="a and b must be positive and finite"):
+            LearnParams(a, b)
+    with pytest.raises(ValueError, match="feature_std must be positive and finite"):
+        dataclasses.replace(gen, feature_std=math.inf)
+    for bad in (dict(noise_std=math.inf), dict(noise_std=math.nan), dict(margin_band=math.nan),
+                dict(margin_band=math.inf)):   # a NaN margin band would flip no label
+        with pytest.raises(ValueError, match="invalid noise/mislabel configuration"):
+            dataclasses.replace(gen, **bad)
     with pytest.raises(ValueError, match="finite domain radius"):  # G and L come from the stream
         RunConfig(T=5, lam=1e-4, params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1],
@@ -369,9 +384,8 @@ def test_config_validation():
     # each data model is fit with its own loss, whose lam the config sets
     assert preset_config("svm", T=5, seeds=[1]).loss == RoundLoss("hinge_svm", 1e-4)
     assert preset_config("ridge", T=5, seeds=[1], lam=0.5).loss == RoundLoss("ridge", 0.5)
-    for learner in harness.LEARNERS:   # run_episodes checks its own seed list too
-        with pytest.raises(ValueError, match="seeds must be nonempty"):
-            run_episodes(preset_config("svm", T=5, seeds=[1], learner=learner), [])
+    with pytest.raises(ValueError, match="seeds must be non-negative, got -1"):   # run_episode's seed too
+        run_episode(preset_config("svm", T=5, seeds=[1]), -1)
 
 
 # --- theoretical step size and the regret bound -------------------------------
@@ -442,7 +456,7 @@ def test_ridge_growth_is_the_streams_hessian_bound(monkeypatch):
     seeds = [1, 2, 3]
     cfg = preset_config("ridge", T=200, seeds=seeds, learner=harness.OGD, k=20)
     monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * len(seeds) * cfg.generator.dim * 8)
-    for seed, trace in zip(seeds, run_episodes(cfg, seeds)):
+    for seed, trace in zip(seeds, run_episodes(cfg)):
         X = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)[1]
         assert trace.growth == (0.0, cfg.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max()))
 
@@ -479,7 +493,7 @@ def assert_stops_at_earliest_divergence(monkeypatch, seeds):
     seed = min(seeds, key=lambda s: (first[s], seeds.index(s)))
     steps = count_steps(monkeypatch)
     with pytest.raises(RuntimeError, match=f"seed {seed}: non-finite loss at round {first[seed]} of 2000"):
-        run_episodes(cfg, seeds)
+        run_episodes(cfg)
     assert len(steps) == first[seed] - 1
     assert np.isfinite(steps[-1]).all()
     return first
@@ -515,7 +529,7 @@ def test_learn_round_evaluates_loss_once(monkeypatch):
             evaluated = record_losses(m)
             steps = count_steps(m)
             cfg = preset_config("svm", T=80, seeds=seeds, learner=harness.LEARN, k=8)
-            run_episodes(cfg, seeds)
+            run_episodes(cfg)
             assert calls == []   # the per-round functions are not called
             assert len(evaluated) == 80 and all(proj.shape == (len(seeds),) for proj, _ in evaluated)
             assert len(steps) == 79   # the action of round T is the last one played
@@ -541,7 +555,7 @@ def test_batched_episodes_match_per_seed_loop(learner, family, radius, k, n_seed
             preset_config(family, T=T_REF, seeds=seeds, learner=learner, k=k, radius=radius)
         return
     cfg = preset_config(family, T=T_REF, seeds=seeds, learner=learner, k=k, radius=radius)
-    traces = run_episodes(cfg, seeds)
+    traces = run_episodes(cfg)
     assert len(traces) == n_seeds
     for seed, trace in zip(seeds, traces):
         f_emitted, theta = per_seed_episode(cfg, seed)
@@ -555,7 +569,7 @@ def test_theoretical_step_matches_per_seed_loop():
     # alpha depends on each seed's V_T: the comparator pass runs first, then the loop
     cfg = preset_config("ridge", T=T_REF, seeds=[1, 2, 3], learner=harness.LEARN, k=7, radius=5.0,
                         alpha=harness.THEORETICAL)
-    for seed, trace in zip(cfg.seeds, run_episodes(cfg, cfg.seeds)):
+    for seed, trace in zip(cfg.seeds, run_episodes(cfg)):
         f_emitted, theta = per_seed_episode(cfg, seed)
         np.testing.assert_array_equal(trace.f_emitted, f_emitted)
         np.testing.assert_array_equal(trace.theta, theta)
@@ -577,7 +591,7 @@ def test_chunking_does_not_change_an_episode(monkeypatch, config):
     runs = []
     for chunk_bytes in (1, 7 * row_bytes, T_REF * row_bytes):   # 1, 7 and T rounds per chunk
         monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_bytes)
-        runs.append(run_episodes(cfg, cfg.seeds))
+        runs.append(run_episodes(cfg))
     for traces in runs[1:]:
         for a, b in zip(runs[0], traces):
             assert_traces_equal(a, b)
@@ -610,44 +624,38 @@ def test_run_cells_match_run_cell(monkeypatch, family, setting):
     if not setting:   # the pool's grid holds its own radii and step sizes
         learners.append(harness.EXPERTS)
     seeds = [4, 5, 6]
-    configs = [preset_config(family, T=T_REF, seeds=seeds, learner=lr, k=15, **setting) for lr in learners]
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * configs[0].generator.dim * 8)
+    config = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=15, **setting)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * config.generator.dim * 8)
     chunks = []
     draw = st.EpisodeStream.draw
     monkeypatch.setattr(st.EpisodeStream, "draw", lambda self, n: chunks.append(n) or draw(self, n))
-    shared = harness.run_cells(configs)
+    shared = harness.run_cells(config, learners)
     assert chunks[:len(seeds) * 4] == [17] * len(seeds) * 3 + [9] * len(seeds)
-    assert [res.config.learner for res in shared] == learners
-    for config, res in zip(configs, shared):
-        assert_cells_equal(res, run_cell(config))
+    assert len(shared) == len(learners)
+    for lr, res in zip(learners, shared):
+        assert res.config == dataclasses.replace(config, learner=lr)
+        assert_cells_equal(res, run_cell(res.config))
 
 
 def test_run_cells_rejects_an_empty_list():
-    with pytest.raises(ValueError, match="at least one config"):
-        harness.run_cells([])
+    with pytest.raises(ValueError, match="at least one learner"):
+        harness.run_cells(preset_config("svm", T=T_REF, seeds=[1]), [])
 
 
-@pytest.mark.parametrize("field,value", [
-    ("T", 61), ("k", 3), ("seeds", [1, 3]), ("radius", 5.0), ("alpha", 0.1), ("lam", 1e-3),
-    ("params", LearnParams(a=10.0, b=5.0)), ("generator", st.svm_generator(dim=3)),
-])
-def test_run_cells_rejects_cells_that_differ_beyond_the_learner(field, value):
-    cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.OGD, k=6)
-    other = dataclasses.replace(cfg, learner=harness.LEARN, **{field: value})
-    with pytest.raises(ValueError, match=f"differ in {field}$"):
-        harness.run_cells([cfg, other])
+def test_run_cells_rejects_a_learner_the_setting_does_not_admit(monkeypatch):
+    # RunConfig's own check, before any stream is built: the pool's grid holds its own radii
+    streams = []
 
+    class CountedStream(st.EpisodeStream):
+        def __init__(self, *args):
+            streams.append(args)
+            super().__init__(*args)
 
-def test_run_cells_compares_generators_with_arrays():
-    theta = np.array([0.6, 0.8])
-    cfg = preset_config("svm", T=T_REF, seeds=[1], learner=harness.OGD, k=6,
-                        generator=st.CleanGenerator(kind=st.SVM_MODEL, dim=2, theta_star=theta))
-    same = dataclasses.replace(cfg, learner=harness.LEARN,
-                               generator=dataclasses.replace(cfg.generator, theta_star=theta.copy()))
-    assert len(harness.run_cells([cfg, same])) == 2
-    other = dataclasses.replace(same, generator=dataclasses.replace(cfg.generator, theta_star=-theta))
-    with pytest.raises(ValueError, match="differ in generator$"):
-        harness.run_cells([cfg, other])
+    monkeypatch.setattr(st, "EpisodeStream", CountedStream)
+    cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.OGD, k=6, radius=0.05)
+    with pytest.raises(ValueError, match="radius must be inf"):
+        harness.run_cells(cfg, [harness.OGD, harness.EXPERTS])
+    assert streams == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -658,5 +666,5 @@ def test_divergence_in_a_shared_pass_names_the_learner(order):
     cfg = preset_config("ridge", T=2000, seeds=[1, 3, 2], learner=harness.OGD, k=10, alpha=1.0)
     with pytest.raises(RuntimeError, match=r"^learner ogd, k 10, seed \d+: non-finite loss at round \d+ "
                                            r"of 2000; the run diverged$"):
-        harness.run_cells([dataclasses.replace(cfg, learner=lr) for lr in order])
+        harness.run_cells(cfg, order)
     assert math.isfinite(run_cell(dataclasses.replace(cfg, learner=harness.LEARN)).mean[-1])
