@@ -25,10 +25,8 @@ from .stream import (
     CleanGenerator,
     gen_clean_block,
     k_grid,
-    ridge_generator,
     sample_outlier_rounds,
     stream_rngs,
-    svm_generator,
 )
 from .harness import (
     EpisodeTrace,

@@ -108,14 +108,10 @@ def _default_seeds(n: int) -> list:
     return list(range(start, start + n))
 
 
-def _preset_name(config: RunConfig) -> str:
-    return "ridge" if config.generator.kind == st.RIDGE_MODEL else "svm"
-
-
 def _values(config: RunConfig) -> dict:
     """Every key's value in `config` (None: unset); the inverse of _build."""
     values = {key: attrgetter(key.attr)(config) for key in KEYS if key.attr}
-    values[KEY["run", "preset"]] = _preset_name(config)
+    values[KEY["run", "preset"]] = config.generator.kind   # the PRESETS key of its data model
     values[KEY["run", "alpha"]] = "default" if config.alpha is None else config.alpha
     return values
 
@@ -144,7 +140,8 @@ def _read_file(path: str | None) -> dict:
         raise UsageError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
+        if not cp.read(path):   # read skips a path it cannot open, such as a directory
+            raise UsageError(f"config file not readable: {path}")
     except configparser.Error as exc:
         raise UsageError(f"{path}: {exc}") from exc
     values = {}
@@ -290,7 +287,7 @@ def cmd_dump_stream(args) -> int:
         raise UsageError(f"dump-stream plays one seed, got {len(config.seeds)}: give one with --seeds")
     os.makedirs(args.out, exist_ok=True)
     seed = config.seeds[0]
-    gen, X, y_clean, y_emitted, mask = st.episode_stream(config.generator, config.T, config.k, seed)
+    theta_star, X, y_clean, y_emitted, mask = st.episode_stream(config.generator, config.T, config.k, seed)
 
     rounds = np.arange(config.T)
     if args.subsample is not None and args.subsample < config.T:
@@ -309,7 +306,7 @@ def cmd_dump_stream(args) -> int:
             }
             fh.write(json.dumps(rec) + "\n")
 
-    thetas = {"theta_star": [float(v) for v in gen.theta_star]}
+    thetas = {"theta_star": [float(v) for v in theta_star]}
     for result in harness.run_cells(config, SWEEP_LEARNERS):
         thetas[result.config.learner] = [float(v) for v in result.final_thetas[0]]
     thetas_path = os.path.join(args.out, "final_thetas.json")
@@ -335,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         """--config, --preset, --out and every key's flag but those in `skip`, which the command sets."""
         p.set_defaults(fixed=skip)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--preset", choices=("ridge", "svm"))
+        p.add_argument("--preset", choices=tuple(harness.PRESETS))
         p.add_argument("--out", default="out", help="output directory")
         for key in KEYS:
             if key.flag and key.flag not in skip:

@@ -5,9 +5,9 @@ is itself gated by the smallest eta across the pool.
 Experts with one step size share a state until their projections first
 differ: every radius above the largest norm a trajectory reaches leaves that
 expert a copy of the unbounded one. The pool therefore stores one row per
-group of identical experts with its count, and splits a group only when an
-iterate's norm crosses a member's radius. The grid size N, and with it the
-weight rate beta, stays that of the logical grid.
+group of identical experts, and splits a group only when an iterate's norm
+crosses a member's radius. The grid size N, and with it the weight rate
+beta, stays that of the logical grid.
 
 Weights are kept in the log domain: over 1e4+ rounds the raw weights decay
 exponentially and would underflow.
@@ -83,15 +83,15 @@ def beta_default(N: int, T: int, nu: float) -> float:
 class ExpertPool:
     """Expert states stored by rows, one row per group of identical experts.
 
-    Row r is the action thetas[r] of counts[r] experts with step size
-    step_sizes[r]. Rows 0 .. first.size - 1 are the shared rows, one per step
-    size at first: radius inf, so never projected. Shared row i holds the
-    experts with radii grid.radii[first[i]:], whose iterates have so far
-    equalled its unprojected one. The round its norm first exceeds
-    grid.radii[first[i]], each of those experts with a radius below the norm
-    splits off as a row of its own (count 1, its own radius, the shared row's
-    log-weight) and first[i] moves past them; a shared row left with none
-    (first[i] == grid.radii.size) is dropped. Pools read their grid and never
+    Row r is the action thetas[r] of experts with step size step_sizes[r].
+    Rows 0 .. first.size - 1 are the shared rows, one per step size at
+    first: radius inf, so never projected. Shared row i holds the
+    grid.radii.size - first[i] experts with radii grid.radii[first[i]:],
+    whose iterates have so far equalled its unprojected one. The round its
+    norm first exceeds grid.radii[first[i]], each of those experts with a
+    radius below the norm splits off as a row of its own (one expert, its own
+    radius, the shared row's log-weight) and first[i] moves past them; a
+    shared row left with none (first[i] == grid.radii.size) is dropped. Pools read their grid and never
     change it, so the pools of a cell's seeds share one.
 
     log_weights start at 0 (all weights 1) and only decrease.
@@ -103,7 +103,6 @@ class ExpertPool:
     step_sizes: np.ndarray   # (R,)
     radii: np.ndarray        # (R,) inf on a shared row
     log_weights: np.ndarray  # (R,)
-    counts: np.ndarray       # (R,) experts per row
     first: np.ndarray        # (shared rows,) where each shared row's radii start in grid.radii
 
 
@@ -121,18 +120,19 @@ def init_pool(grid: ExpertGrid, dim: int, beta: float) -> ExpertPool:
         step_sizes=grid.step_sizes.copy(),
         radii=np.full(n, math.inf),
         log_weights=np.zeros(n),
-        counts=np.full(n, grid.radii.size),
         first=np.zeros(n, dtype=int),
     )
 
 
 def aggregate_action(pool: ExpertPool) -> np.ndarray:
     """Weight-normalized convex combination of expert actions (log-sum-exp
-    normalized), each row weighted by its count."""
+    normalized), each row weighted by its expert count: grid.radii.size -
+    first[i] on shared row i, one on a split row."""
     lw = pool.log_weights
     if lw.size == 0:
         raise ValueError("empty pool")
-    w = pool.counts * np.exp(lw - lw.max())
+    w = np.exp(lw - lw.max())
+    w[:pool.first.size] *= pool.grid.radii.size - pool.first
     w /= w.sum()
     return w @ pool.thetas
 
@@ -169,16 +169,14 @@ def _split(pool: ExpertPool, shared: np.ndarray, norms: np.ndarray):
     rows = np.repeat(shared, stop - start)
     radii = np.concatenate([ladder[a:b] for a, b in zip(start, stop)])
     pool.first[shared] = stop
-    pool.counts[shared] -= stop - start
     split = pool.thetas[rows]
     project_rows(split, radii)
     pool.thetas = np.vstack([pool.thetas, split])
     pool.step_sizes = np.concatenate([pool.step_sizes, pool.step_sizes[rows]])
     pool.radii = np.concatenate([pool.radii, radii])
     pool.log_weights = np.concatenate([pool.log_weights, pool.log_weights[rows]])
-    pool.counts = np.concatenate([pool.counts, np.ones(rows.size, dtype=pool.counts.dtype)])
 
     empty = np.flatnonzero(pool.first == ladder.size)
     if empty.size:
-        for name in ("thetas", "step_sizes", "radii", "log_weights", "counts", "first"):
+        for name in ("thetas", "step_sizes", "radii", "log_weights", "first"):
             setattr(pool, name, np.delete(getattr(pool, name), empty, axis=0))

@@ -72,6 +72,17 @@ MODEL_LOSS = {st.RIDGE_MODEL: RIDGE, st.SVM_MODEL: HINGE_SVM}   # the loss famil
 
 CHUNK_BYTES = 4 << 20   # features per time chunk of run_episodes, summed over the seeds
 
+# The paper's two experiments, keyed by data model: every preset value lives
+# here, and each config of a preset shares its frozen params and generator.
+PRESETS = {
+    st.RIDGE_MODEL: dict(T=10 ** 5, lam=1e-4, params=LearnParams(a=10.0, b=10.0),
+                         generator=st.CleanGenerator(kind=st.RIDGE_MODEL, dim=100, feature_std=1.0,
+                                                     noise_std=1e-3)),
+    st.SVM_MODEL: dict(T=10 ** 4, lam=1e-4, params=LearnParams(a=1e4, b=10.0),
+                       generator=st.CleanGenerator(kind=st.SVM_MODEL, dim=2, feature_std=10.0,
+                                                   mislabel_prob=0.05, margin_band=0.1)),
+}
+
 
 @dataclass
 class RunConfig:
@@ -494,18 +505,9 @@ def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5
     return check_regret_bound(curve, constants, config), curve, constants
 
 
-def preset_config(family: str, T: int | None = None, seeds: list | None = None, **overrides) -> RunConfig:
-    """Experiment presets: ridge (T=1e5, d=100, a=b=10) and svm (T=1e4, d=2, a=1e4, b=10),
-    both with lam=1e-4, alpha=1/sqrt(T), unbounded domain, seeds 1..30."""
-    if family == "ridge":
-        T = 10 ** 5 if T is None else T
-        params, generator = LearnParams(a=10.0, b=10.0), st.ridge_generator(dim=100)
-    elif family == "svm":
-        T = 10 ** 4 if T is None else T
-        params, generator = LearnParams(a=1e4, b=10.0), st.svm_generator(dim=2)
-    else:
+def preset_config(family: str, **overrides) -> RunConfig:
+    """The PRESETS entry of `family` with learner learn, k = 0, seeds 1..30,
+    alpha = 1/sqrt(T) and an unbounded domain, then the overrides."""
+    if family not in PRESETS:
         raise ValueError(f"unknown preset {family!r}")
-    base = dict(T=T, lam=1e-4, params=params, generator=generator, learner=LEARN, k=0,
-                seeds=seeds if seeds is not None else list(range(1, 31)))
-    base.update(overrides)
-    return RunConfig(**base)
+    return RunConfig(**{"learner": LEARN, "k": 0, "seeds": list(range(1, 31)), **PRESETS[family], **overrides})

@@ -76,7 +76,7 @@ class RoundLoss:
             raise ValueError("lam must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnParams:
     """The (a, b) pair of the robust loss transform."""
 

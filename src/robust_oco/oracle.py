@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import harness
 from .learners import learn_rows, project_rows
 from .losses import (
     HINGE_SVM,
@@ -271,17 +272,15 @@ def default_suite(samples: int = 100_000, seed: int = 2024) -> list:
 
     The exp-trumps-poly combinations stay in the regime c >= (r+s)/(s e)
     where the pointwise chain actually holds; its sup-level consequences are
-    exercised without restriction by the eta_grad/eta_dist checks.
+    exercised without restriction by the eta_grad/eta_dist checks. The
+    presets' (a, b) and lam are read from harness.PRESETS at each call.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
+    ridge, svm = harness.preset_config("ridge"), harness.preset_config("svm")
     ridge_mid = RoundLoss(family=RIDGE, lam=0.5)
-    ridge_small = RoundLoss(family=RIDGE, lam=1e-4)
     svm_mid = RoundLoss(family=HINGE_SVM, lam=0.5)
-    svm_small = RoundLoss(family=HINGE_SVM, lam=1e-4)
-    preset_ridge = LearnParams(a=10.0, b=10.0)
-    preset_svm = LearnParams(a=1e4, b=10.0)
     unit = LearnParams(a=1.0, b=1.0)
     plot = LearnParams(a=2.0, b=math.exp(-2.0))
 
@@ -293,8 +292,8 @@ def default_suite(samples: int = 100_000, seed: int = 2024) -> list:
     n4 = samples // 4 + 1
     reports = []
 
-    for params, loss in ((preset_ridge, ridge_small), (unit, ridge_mid),
-                         (preset_svm, svm_small), (plot, svm_mid)):
+    for params, loss in ((ridge.params, ridge.loss), (unit, ridge_mid),
+                         (svm.params, svm.loss), (plot, svm_mid)):
         reports.append(check_invexity(params, loss, n4, rng))
 
     grid_combos = [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0),
@@ -304,18 +303,18 @@ def default_suite(samples: int = 100_000, seed: int = 2024) -> list:
         lo = math.log10(c ** (1.0 / r))
         reports.append(check_exp_trumps_poly(c, r, s_exp, np.logspace(lo, 6, n_grid)))
 
-    for params, loss in ((preset_ridge, ridge_small), (unit, ridge_mid),
-                         (preset_svm, svm_small), (unit, svm_mid)):
+    for params, loss in ((ridge.params, ridge.loss), (unit, ridge_mid),
+                         (svm.params, svm.loss), (unit, svm_mid)):
         reports.append(check_eta_grad_bound(params, consts(params, loss), loss, n4, rng))
 
-    for params in (preset_ridge, preset_svm, unit, plot):
+    for params in (ridge.params, svm.params, unit, plot):
         reports.append(check_eta_f_bound(params, n4))
 
-    for params, loss in ((preset_ridge, ridge_small), (unit, ridge_mid),
-                         (preset_svm, svm_small), (unit, svm_mid)):
+    for params, loss in ((ridge.params, ridge.loss), (unit, ridge_mid),
+                         (svm.params, svm.loss), (unit, svm_mid)):
         reports.append(check_eta_dist_bounds(params, consts(params, loss), loss, n4 // 2 + 1, rng))
 
-    for params, loss in ((preset_ridge, ridge_mid), (plot, svm_mid)):
+    for params, loss in ((ridge.params, ridge_mid), (plot, svm_mid)):
         reports.append(check_grad_fd(params, loss, samples // 2 + 1, rng))
 
     reports.append(check_euclidean_assumptions(samples, rng))

@@ -9,8 +9,10 @@ svm:    y = sign(<theta*, x>) with theta* uniform in [1,11]^d, x entries
         when |<theta*, x>| <= margin_band; corrupted rounds flip the sign
         of y.
 
-One master seed fully determines theta*, every round, the outlier set and
-the mislabel coin flips. Each purpose draws from its own substream of the
+A generator holds the data model's settings only; the presets' values are
+in `harness.PRESETS`. One master seed fully determines theta*, every round,
+the outlier set and the mislabel coin flips: the seed's EpisodeStream draws
+and holds its theta*. Each purpose draws from its own substream of the
 master seed, so changing the corruption count k never perturbs the clean
 stream (paired comparisons across k stay paired). Each substream is read in
 round order, so a stream drawn in time chunks equals the one-block draw.
@@ -19,7 +21,7 @@ round order, so a stream drawn in time chunks equals the one-block draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +29,13 @@ RIDGE_MODEL = "ridge"
 SVM_MODEL = "svm"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CleanGenerator:
-    """Clean-round data model. theta_star = None means: draw it from the seed."""
+    """Clean-round data model: plain settings, with no seed and no theta*,
+    so one instance serves every config and seed."""
 
     kind: str
     dim: int
-    theta_star: np.ndarray | None = None
     feature_std: float = 1.0
     noise_std: float = 0.0        # ridge only
     mislabel_prob: float = 0.0    # svm only
@@ -49,18 +51,6 @@ class CleanGenerator:
         if not (0.0 <= self.noise_std < math.inf and 0.0 <= self.mislabel_prob <= 1.0
                 and 0.0 <= self.margin_band < math.inf):
             raise ValueError("invalid noise/mislabel configuration")
-
-
-def ridge_generator(dim: int = 100, noise_std: float = 1e-3, feature_std: float = 1.0) -> CleanGenerator:
-    """Ridge regression preset: unit-norm theta*, N(0,1) features, noise variance 1e-6."""
-    return CleanGenerator(kind=RIDGE_MODEL, dim=dim, feature_std=feature_std, noise_std=noise_std)
-
-
-def svm_generator(dim: int = 2, feature_std: float = 10.0, mislabel_prob: float = 0.05,
-                  margin_band: float = 0.1) -> CleanGenerator:
-    """SVM preset: theta* in [1,11]^d, N(0,100) features, 5% mislabels inside the margin band."""
-    return CleanGenerator(kind=SVM_MODEL, dim=dim, feature_std=feature_std,
-                          mislabel_prob=mislabel_prob, margin_band=margin_band)
 
 
 @dataclass
@@ -80,30 +70,23 @@ def stream_rngs(seed: int) -> StreamRngs:
     return StreamRngs(*(np.random.default_rng(c) for c in children))
 
 
-def draw_theta_star(gen: CleanGenerator, rng: np.random.Generator) -> np.ndarray:
+def resolve_theta_star(gen: CleanGenerator, rngs: StreamRngs) -> np.ndarray:
+    """The seed's theta*, drawn from its theta_star substream: uniform in
+    [-1,1]^d normalized to unit norm (ridge) or uniform in [1,11]^d (svm)."""
     if gen.kind == RIDGE_MODEL:
-        v = rng.uniform(-1.0, 1.0, gen.dim)
+        v = rngs.theta_star.uniform(-1.0, 1.0, gen.dim)
         return v / np.linalg.norm(v)
-    return rng.uniform(1.0, 11.0, gen.dim)
+    return rngs.theta_star.uniform(1.0, 11.0, gen.dim)
 
 
-def resolve_theta_star(gen: CleanGenerator, rngs: StreamRngs) -> CleanGenerator:
-    """Return a generator with theta_star fixed, drawing it from the seed if unset."""
-    if gen.theta_star is not None:
-        return gen
-    return replace(gen, theta_star=draw_theta_star(gen, rngs.theta_star))
-
-
-def gen_clean_block(gen: CleanGenerator, rng: StreamRngs, T: int):
-    """Vectorized generation of the next T clean rounds; returns (X, y) with X
-    of shape (T, d)."""
-    if gen.theta_star is None:
-        raise ValueError("theta_star unset; call resolve_theta_star first")
+def gen_clean_block(gen: CleanGenerator, theta_star: np.ndarray, rng: StreamRngs, T: int):
+    """Vectorized generation of the next T clean rounds under theta_star;
+    returns (X, y) with X of shape (T, d)."""
     X = rng.features.standard_normal((T, gen.dim))
     X *= gen.feature_std
     # one dot product per round: X @ theta* sums a row differently with the
     # row's place in the block, and a chunked draw must equal the one-block draw
-    dot = np.vecdot(X, gen.theta_star)
+    dot = np.vecdot(X, theta_star)
     if gen.kind == RIDGE_MODEL:
         y = dot + gen.noise_std * rng.noise.standard_normal(T)
         return X, y
@@ -145,21 +128,23 @@ class EpisodeStream:
     """One seeded episode's stream, corrupted by the generator kind's operator
     and drawn in consecutive time chunks.
 
-    theta* and the sorted outlier rounds are drawn when the stream is made;
-    each `draw(n)` returns the next n rounds. Every substream is read in round
-    order, so chunks of any sizes concatenate to the one-block draw.
+    theta* (held as theta_star) and the sorted outlier rounds are drawn when
+    the stream is made; each `draw(n)` returns the next n rounds. Every
+    substream is read in round order, so chunks of any sizes concatenate to
+    the one-block draw.
     """
 
     def __init__(self, generator: CleanGenerator, T: int, k: int, seed: int):
+        self.gen = generator
         self.rngs = stream_rngs(seed)
-        self.gen = resolve_theta_star(generator, self.rngs)
+        self.theta_star = resolve_theta_star(generator, self.rngs)
         self.outliers = sample_outlier_rounds(T, k, self.rngs.outliers)
         self.t = 0
 
     def draw(self, n: int):
         """(X, y_clean, y_emitted, the chunk's corrupted rows) of the next n
         rounds, X of shape (n, d)."""
-        X, y_clean = gen_clean_block(self.gen, self.rngs, n)
+        X, y_clean = gen_clean_block(self.gen, self.theta_star, self.rngs, n)
         lo, hi = np.searchsorted(self.outliers, (self.t, self.t + n))
         idx = self.outliers[lo:hi] - self.t
         self.t += n
@@ -169,12 +154,12 @@ class EpisodeStream:
 def episode_stream(generator: CleanGenerator, T: int, k: int, seed: int):
     """Draw one seeded episode's stream in one block.
 
-    Returns (generator with theta_star resolved, X, y_clean, y_emitted,
-    outlier mask), X of shape (T, d).
+    Returns (the seed's theta*, X, y_clean, y_emitted, outlier mask), X of
+    shape (T, d).
     """
     stream = EpisodeStream(generator, T, k, seed)
     X, y_clean, y_emitted, _ = stream.draw(T)
-    return stream.gen, X, y_clean, y_emitted, outlier_mask(stream.outliers, T)
+    return stream.theta_star, X, y_clean, y_emitted, outlier_mask(stream.outliers, T)
 
 
 def floor_power(T: int, num: int, den: int) -> int:

@@ -60,9 +60,9 @@ def angle_to_truth(family, k, learner):
     cfg = res.config
     angles = []
     for seed, theta in zip(cfg.seeds, res.final_thetas):
-        gen = st.resolve_theta_star(cfg.generator, st.stream_rngs(seed))
-        c = float(theta @ gen.theta_star) / (
-            np.linalg.norm(theta) * np.linalg.norm(gen.theta_star) + 1e-300)
+        theta_star = st.resolve_theta_star(cfg.generator, st.stream_rngs(seed))
+        c = float(theta @ theta_star) / (
+            np.linalg.norm(theta) * np.linalg.norm(theta_star) + 1e-300)
         angles.append(math.degrees(math.acos(max(-1.0, min(1.0, c)))))
     return float(np.mean(angles))
 

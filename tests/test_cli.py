@@ -305,6 +305,8 @@ def test_config_file_with_overrides(tmp_path, case):
 
 @pytest.mark.parametrize("text, argv, message", [
     pytest.param("[corruption]\noperator = label_flip\n", [], "[corruption]", id="unknown-section"),
+    # configparser skips a path it cannot open, such as a directory; the later --config wins
+    pytest.param("", ["--config", "."], "config file not readable: .", id="config-directory"),
     pytest.param("[learn]\nc = 1\n", [], "'c' in [learn]", id="unknown-key"),
     pytest.param("", ["--lam", "0"], "lam must be positive", id="lam-zero"),
     pytest.param("[loss]\nlam = -1\n", [], "lam must be", id="lam-negative"),

@@ -62,13 +62,17 @@ def ref_pool_step(pool, s, loss, params):
     return pool
 
 
+def row_counts(pool):
+    """Experts per row: grid.radii.size - first[i] on shared row i, one on a split row."""
+    split = len(pool.thetas) - pool.first.size
+    return np.concatenate([pool.grid.radii.size - pool.first, np.ones(split, dtype=int)])
+
+
 def expand(pool):
     """Each grid entry's action and log-weight, in grid order, read off the
     row that holds it: its own row once split, else its step size's shared row."""
     n_shared = pool.first.size
-    assert pool.counts.sum() == pool.grid.n
-    assert np.all(pool.counts[:n_shared] == pool.grid.radii.size - pool.first)
-    assert np.all(pool.counts[n_shared:] == 1)
+    assert row_counts(pool).sum() == pool.grid.n
     assert np.all(np.isinf(pool.radii[:n_shared])) and np.all(np.isfinite(pool.radii[n_shared:]))
     own = {(a, d): r for r, (a, d) in enumerate(zip(pool.step_sizes, pool.radii)) if r >= n_shared}
     shared = {pool.step_sizes[r]: r for r in range(n_shared)}
@@ -254,7 +258,7 @@ def test_several_members_split_in_one_round():
     ref_pool_step(ref, s, RIDGE0, params)
     assert pool.first.tolist() == [7]   # one shared row left, holding radii[7:]
     assert grid.radii[pool.first].tolist() == [32.0]
-    assert pool.counts.tolist() == [1] * 16
+    assert row_counts(pool).tolist() == [1] * 16
     thetas, log_weights = expand(pool)
     np.testing.assert_array_equal(thetas, ref.thetas)
     np.testing.assert_array_equal(log_weights, ref.log_weights)
@@ -291,7 +295,7 @@ def test_ridge_full_scale_pool_is_nine_rows():
     assert config.T == 10 ** 5
     assert pool.grid.n == 9216
     assert pool.thetas.shape == (9, 100)
-    assert pool.counts.tolist() == [1024] * 9
+    assert row_counts(pool).tolist() == [1024] * 9
     assert pool.beta == beta_default(9216, 10 ** 5, config.params.nu)
 
 

@@ -84,10 +84,10 @@ def per_seed_episode(cfg, seed):
     reference: one SideInfo and one step of a LearnerState, or of the expert
     pool, per round. Returns f_t(s_t, theta_t) of every round and the action
     played in round T."""
-    gen, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
+    _, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
     ref = reference_accounting(cfg, seed)
     alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
-    state = LearnerState(theta=np.zeros(gen.dim), step_size=alpha, radius=cfg.radius)
+    state = LearnerState(theta=np.zeros(cfg.generator.dim), step_size=alpha, radius=cfg.radius)
     budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
     pool = None
     if cfg.learner == harness.EXPERTS:
@@ -242,10 +242,10 @@ def test_aggregate_runs():
 
 # --- run_episode -------------------------------------------------------------
 
-def test_episode_regret_zero_when_started_at_minimizer():
+def test_episode_regret_zero_when_started_at_minimizer(monkeypatch):
     # y = 0 stream makes the origin the exact minimizer, which is theta_1
-    gen = st.CleanGenerator(kind="ridge", dim=3, noise_std=0.0,
-                            theta_star=np.zeros(3))
+    monkeypatch.setattr(st, "resolve_theta_star", lambda gen, rngs: np.zeros(gen.dim))
+    gen = st.CleanGenerator(kind="ridge", dim=3, noise_std=0.0)
     cfg = RunConfig(T=1, lam=0.5, params=LearnParams(1, 1),
                     generator=gen, learner=harness.LEARN, k=0, seeds=[1])
     curve = clean_dynamic_regret(run_episode(cfg, 1))
@@ -338,7 +338,7 @@ def test_finite_radius_accounting_matches_reference(family, learner):
 
 
 def test_config_validation():
-    gen = st.svm_generator()
+    gen = preset_config("svm").generator
     with pytest.raises(ValueError):
         RunConfig(T=0, lam=1e-4, params=LearnParams(1, 1),
                   generator=gen, learner=harness.OGD, k=0, seeds=[1])
@@ -408,6 +408,21 @@ def test_bound_reduces_to_simple_form_when_no_outliers():
     chk = check_regret_bound(curve, consts, cfg)
     assert chk.bound == pytest.approx(consts.xi * consts.psi * 2.0 * 2.0 * 4.0, rel=1e-12)
     assert chk.holds
+
+
+def test_presets_are_shared_frozen_values():
+    # every config of a preset holds the table's own params and generator, which no config can change
+    cfg = preset_config("svm")
+    assert cfg.params is harness.PRESETS["svm"]["params"]
+    assert cfg.generator is harness.PRESETS["svm"]["generator"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.params.a = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.generator.dim = 7
+    again = preset_config("svm")
+    assert (again.params.a, again.generator.dim) == (1e4, 2)   # the table's values
+    with pytest.raises(ValueError, match="unknown preset 'lasso'"):
+        preset_config("lasso")
 
 
 def test_theorem_check_holds_across_k():

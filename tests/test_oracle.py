@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robust_oco import learners, losses, oracle
+from robust_oco import harness, learners, losses, oracle
 from robust_oco.losses import (
     HINGE_SVM,
     RIDGE,
@@ -204,3 +204,11 @@ def test_default_suite_needs_a_sample():
     reports = oracle.default_suite(samples=1, seed=5)   # every check still draws one
     assert min(r.samples for r in reports) >= 1
     assert all(math.isfinite(r.worst_slack) for r in reports)
+
+
+def test_default_suite_reads_the_preset_table(monkeypatch):
+    names = {r.name for r in oracle.default_suite(samples=1, seed=5)}
+    assert {"eta_f_bound[a=10,b=10]", "eta_f_bound[a=10000,b=10]"} <= names
+    monkeypatch.setitem(harness.PRESETS["svm"], "params", LearnParams(a=5.0, b=10.0))
+    names = {r.name for r in oracle.default_suite(samples=1, seed=5)}
+    assert "eta_f_bound[a=5,b=10]" in names and "eta_f_bound[a=10000,b=10]" not in names

@@ -1,17 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from robust_oco import stream as st
+from robust_oco.harness import PRESETS
 from robust_oco.losses import SideInfo
+
+RIDGE_GEN, SVM_GEN = PRESETS["ridge"]["generator"], PRESETS["svm"]["generator"]
 
 
 # Per-round references for the block functions: one round's draws, consumed
 # from the same substreams in the same order.
 
-def gen_clean_round(gen, rngs):
+def gen_clean_round(gen, theta_star, rngs):
     """One clean round, drawing what gen_clean_block draws for one row; sign(0) = +1."""
     x = gen.feature_std * rngs.features.standard_normal(gen.dim)
-    dot = float(gen.theta_star @ x)
+    dot = float(theta_star @ x)
     if gen.kind == st.RIDGE_MODEL:
         return SideInfo(x=x, y=dot + gen.noise_std * float(rngs.noise.standard_normal()))
     y = 1.0 if dot >= 0.0 else -1.0
@@ -29,31 +34,33 @@ def corrupt(kind, clean, rng):
 
 
 def test_ridge_noiseless_response():
-    gen = st.CleanGenerator(kind="ridge", dim=3, feature_std=1.0, noise_std=0.0,
-                            theta_star=np.array([1.0, 0.0, 0.0]))
+    gen = st.CleanGenerator(kind="ridge", dim=3, feature_std=1.0, noise_std=0.0)
+    theta_star = np.array([1.0, 0.0, 0.0])
     rngs = st.stream_rngs(5)
     for _ in range(19):
-        s = gen_clean_round(gen, rngs)
+        s = gen_clean_round(gen, theta_star, rngs)
         assert s.y == pytest.approx(s.x[0], rel=1e-15)
+    X, y = st.gen_clean_block(gen, theta_star, st.stream_rngs(5), 19)
+    np.testing.assert_allclose(y, X[:, 0], rtol=1e-15)
 
 
 def test_svm_no_flip_outside_band():
-    gen = st.svm_generator()
+    gen = SVM_GEN
     rngs = st.stream_rngs(7)
-    gen = st.resolve_theta_star(gen, rngs)
-    X, y = st.gen_clean_block(gen, rngs, 5000)
-    dot = X @ gen.theta_star
+    theta_star = st.resolve_theta_star(gen, rngs)
+    X, y = st.gen_clean_block(gen, theta_star, rngs, 5000)
+    dot = X @ theta_star
     outside = np.abs(dot) > gen.margin_band
     assert np.array_equal(y[outside], np.where(dot[outside] >= 0, 1.0, -1.0))
     assert set(np.unique(y)) <= {-1.0, 1.0}
 
 
 def test_svm_mislabels_only_inside_band():
-    gen = st.svm_generator(margin_band=5.0, mislabel_prob=0.5)  # wide band to get flips
+    gen = replace(SVM_GEN, margin_band=5.0, mislabel_prob=0.5)  # wide band to get flips
     rngs = st.stream_rngs(3)
-    gen = st.resolve_theta_star(gen, rngs)
-    X, y = st.gen_clean_block(gen, rngs, 20000)
-    dot = X @ gen.theta_star
+    theta_star = st.resolve_theta_star(gen, rngs)
+    X, y = st.gen_clean_block(gen, theta_star, rngs, 20000)
+    dot = X @ theta_star
     inside = np.abs(dot) <= 5.0
     flipped = y != np.where(dot >= 0, 1.0, -1.0)
     assert np.all(inside[flipped])
@@ -62,33 +69,33 @@ def test_svm_mislabels_only_inside_band():
 
 
 def test_ridge_feature_moments():
-    gen = st.ridge_generator(dim=100)
+    gen = RIDGE_GEN
+    assert gen.dim == 100
     rngs = st.stream_rngs(11)
-    gen = st.resolve_theta_star(gen, rngs)
-    X, _ = st.gen_clean_block(gen, rngs, 1000)  # 1e5 feature entries
+    theta_star = st.resolve_theta_star(gen, rngs)
+    X, _ = st.gen_clean_block(gen, theta_star, rngs, 1000)  # 1e5 feature entries
     assert abs(X.mean()) < 0.02
     assert abs(X.var() - 1.0) < 0.05
-    assert abs(np.linalg.norm(gen.theta_star) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(theta_star) - 1.0) < 1e-12
 
 
 def test_theta_star_ranges():
     rngs = st.stream_rngs(2)
-    ridge_star = st.draw_theta_star(st.ridge_generator(), rngs.theta_star)
+    ridge_star = st.resolve_theta_star(RIDGE_GEN, rngs)
     assert np.linalg.norm(ridge_star) == pytest.approx(1.0)
-    svm_star = st.draw_theta_star(st.svm_generator(), rngs.theta_star)
+    svm_star = st.resolve_theta_star(SVM_GEN, rngs)
     assert np.all((svm_star >= 1.0) & (svm_star <= 11.0))
 
 
 def test_per_round_matches_block():
-    for maker in (st.ridge_generator, st.svm_generator):
-        gen = maker()
+    for gen in (RIDGE_GEN, SVM_GEN):
         r1, r2 = st.stream_rngs(99), st.stream_rngs(99)
-        gen1 = st.resolve_theta_star(gen, r1)
-        gen2 = st.resolve_theta_star(gen, r2)
-        np.testing.assert_array_equal(gen1.theta_star, gen2.theta_star)
-        X, y = st.gen_clean_block(gen1, r1, 50)
+        theta1 = st.resolve_theta_star(gen, r1)
+        theta2 = st.resolve_theta_star(gen, r2)
+        np.testing.assert_array_equal(theta1, theta2)
+        X, y = st.gen_clean_block(gen, theta1, r1, 50)
         for t in range(50):
-            s = gen_clean_round(gen2, r2)
+            s = gen_clean_round(gen, theta2, r2)
             np.testing.assert_array_equal(s.x, X[t])
             assert s.y == y[t]   # the block takes one dot product per round too
 
@@ -150,14 +157,16 @@ def test_block_corruption_matches_per_round():
             assert s.y == y_block[t]
 
 
-@pytest.mark.parametrize("maker", [st.ridge_generator, st.svm_generator])
+@pytest.mark.parametrize("gen", [RIDGE_GEN, SVM_GEN], ids=["ridge_generator", "svm_generator"])
 @pytest.mark.parametrize("k", [0, 9, 60])
-def test_chunked_draws_equal_block_draw(maker, k):
+def test_chunked_draws_equal_block_draw(gen, k):
     # uneven chunks, including single rounds and chunks with no corrupted round
     T, sizes = 60, (1, 7, 2, 19, 1, 30)
-    gen, X, y_clean, y_emitted, mask = st.episode_stream(maker(), T, k, 23)
-    stream = st.EpisodeStream(maker(), T, k, 23)
-    np.testing.assert_array_equal(stream.gen.theta_star, gen.theta_star)
+    theta_star, X, y_clean, y_emitted, mask = st.episode_stream(gen, T, k, 23)
+    stream = st.EpisodeStream(gen, T, k, 23)
+    # theta* belongs to the seed's stream, drawn from its theta_star substream
+    np.testing.assert_array_equal(stream.theta_star, theta_star)
+    np.testing.assert_array_equal(theta_star, st.resolve_theta_star(gen, st.stream_rngs(23)))
     t0 = 0
     for n in sizes:
         Xc, yc, ye, idx = stream.draw(n)
@@ -170,26 +179,26 @@ def test_chunked_draws_equal_block_draw(maker, k):
 
 
 def test_master_seed_determinism_and_k_invariance():
-    gen = st.ridge_generator(dim=5)
+    gen = replace(RIDGE_GEN, dim=5)
     outs = []
     for _ in range(2):
         rngs = st.stream_rngs(321)
-        g = st.resolve_theta_star(gen, rngs)
-        X, y = st.gen_clean_block(g, rngs, 30)
+        theta_star = st.resolve_theta_star(gen, rngs)
+        X, y = st.gen_clean_block(gen, theta_star, rngs, 30)
         rounds = st.sample_outlier_rounds(30, 6, rngs.outliers)
-        outs.append((g.theta_star, X, y, rounds))
+        outs.append((theta_star, X, y, rounds))
     np.testing.assert_array_equal(outs[0][1], outs[1][1])
     np.testing.assert_array_equal(outs[0][2], outs[1][2])
     np.testing.assert_array_equal(outs[0][3], outs[1][3])
 
     # changing k must not perturb the clean stream
     rngs_a, rngs_b = st.stream_rngs(55), st.stream_rngs(55)
-    ga = st.resolve_theta_star(gen, rngs_a)
-    gb = st.resolve_theta_star(gen, rngs_b)
+    theta_a = st.resolve_theta_star(gen, rngs_a)
+    theta_b = st.resolve_theta_star(gen, rngs_b)
     st.sample_outlier_rounds(30, 0, rngs_a.outliers)
     st.sample_outlier_rounds(30, 15, rngs_b.outliers)
-    Xa, ya = st.gen_clean_block(ga, rngs_a, 30)
-    Xb, yb = st.gen_clean_block(gb, rngs_b, 30)
+    Xa, ya = st.gen_clean_block(gen, theta_a, rngs_a, 30)
+    Xb, yb = st.gen_clean_block(gen, theta_b, rngs_b, 30)
     np.testing.assert_array_equal(Xa, Xb)
     np.testing.assert_array_equal(ya, yb)
 
