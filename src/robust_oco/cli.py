@@ -195,29 +195,29 @@ def load_config(path: str | None, preset: str | None, overrides: dict, fixed: tu
 
 
 def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
-    """The effective configuration, one section per table section, then the results."""
-    cp = configparser.ConfigParser(interpolation=None)   # as _read_file reads it
+    """The effective configuration, one section per table section, then the
+    results, as the INI text that ConfigParser.write gives and _read_file reads."""
+    sections = {}
     values = _values(config)
     for key in KEYS:
         value = values.get(key)
         if value is not None and key.show is not None:
-            if not cp.has_section(key.section):
-                cp.add_section(key.section)
-            cp.set(key.section, key.name, key.show(value))
+            sections.setdefault(key.section, []).append((key.name, key.show(value)))
     for seed, curve in zip(config.seeds, result.curves):
-        cp[f"result.seed.{seed}"] = {
-            "final_regret": _fmt(curve.final),
-            "v_t": _fmt(curve.v_t),
-            "delta_s": _fmt(curve.delta_s),
-            "comparator_radius": _fmt(curve.comparator_radius),
-            "b_clean": _fmt(curve.b_clean),
-        }
-    cp["result"] = {
-        "mean_final_regret": _fmt(float(result.mean[-1])),
-        "stderr_final_regret": _fmt(float(result.stderr[-1])),
-    }
+        sections[f"result.seed.{seed}"] = [
+            ("final_regret", _fmt(curve.final)),
+            ("v_t", _fmt(curve.v_t)),
+            ("delta_s", _fmt(curve.delta_s)),
+            ("comparator_radius", _fmt(curve.comparator_radius)),
+            ("b_clean", _fmt(curve.b_clean)),
+        ]
+    sections["result"] = [
+        ("mean_final_regret", _fmt(float(result.mean[-1]))),
+        ("stderr_final_regret", _fmt(float(result.stderr[-1]))),
+    ]
     with open(path, "w", newline="\n") as fh:
-        cp.write(fh)
+        for name, items in sections.items():
+            fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items) + "\n")
 
 
 def write_cell_csv(path: str, result: harness.CellResult):

@@ -12,13 +12,14 @@ A call takes one RunConfig and plays its own seeds: `run_episodes(config)`
 gives one trace per seed of config.seeds, and `run_cells(config, learners)`
 plays those seeds under each of the learners. Each seed's stream is drawn
 once, in time chunks of at most CHUNK_BYTES of features over all seeds; a
-chunk feeds every seed's comparator accounting, then every learner's loop in
-turn, which advances one (R, d) array of actions per round and keeps its
-state from chunk to chunk. The loop uses the loss kernels of `losses` and
-the row steps of `learners` (learn_rows, the gated projected step that the
-oracle checks, and descend_rows), takes every dot product as one BLAS dot
-per row and the gate's exp from libm per seed, as the per-round functions
-do, so each seed's numbers equal those of ogd_step, learn_step or
+chunk feeds every seed's comparator accounting, then one loop for all the
+learners (a single learner is a stack of one), which advances the stacked
+(L, R, d) actions of L learners and R seeds per round and keeps its state
+from chunk to chunk. The loop uses the loss kernels of `losses` and the row
+steps of `learners` (descend_rows, and gate_rows, the gate of learn_rows,
+the gated projected step that the oracle checks), takes every dot product as
+one BLAS dot per row and the gate's exp from libm per seed, as the per-round
+functions do, so each seed's numbers equal those of ogd_step, learn_step or
 topk_filter_step on that seed alone, bit for bit, whatever the chunking, the
 other seeds and the other learners. The expert pool's row count varies by
 seed, so each seed keeps a pool of its own, stepped by pool_step, and its
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import stream as st
 from .experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
-from .learners import descend_rows, learn_rows, project_rows, theoretical_stepsize
+from .learners import descend_rows, gate_rows, project_rows, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import eval_f  # noqa: F401 (bench/tracing.py wraps this name here)
 from .losses import (
@@ -206,7 +207,8 @@ class _Comparators:
     norms ||theta_t* - theta_{t+1}*|| (summed once, so V_T sums in one order
     whatever the chunking), each chunk's largest ||theta_t*||, the largest
     (G, L) of the emitted rounds, and theta_t* and omega_t* on the corrupted
-    rounds. A chunk's comparators do not outlive its `add`.
+    rounds, (k, d) each, which every learner's trace shares. A chunk's
+    comparators do not outlive its `add`.
     """
 
     def __init__(self, config: RunConfig):
@@ -215,7 +217,8 @@ class _Comparators:
         self.f_at_comparator = np.empty(config.T)
         self.steps = np.empty(config.T - 1)
         self.norm_max = []
-        self.clean, self.emitted = [], []
+        self.clean, self.emitted = np.empty((2, config.k, config.generator.dim))
+        self.n_corrupted = 0   # the corrupted rounds accounted so far
         self.growth = np.zeros(2)
         self.last = np.empty((0, config.generator.dim))   # theta* of the round before the chunk
 
@@ -237,8 +240,9 @@ class _Comparators:
         step *= step   # squared in place: np.linalg.norm's row sums without its temporary
         self.steps[t1 - 1 - len(step):t1 - 1] = np.sqrt(np.add.reduce(step, axis=1))
         self.last = comp[-1:]
-        self.clean.append(comp[idx])
-        self.emitted.append(self._minimizers(X[idx], y_emitted[idx]))
+        j = slice(self.n_corrupted, self.n_corrupted + len(idx))
+        self.clean[j], self.emitted[j] = comp[idx], self._minimizers(X[idx], y_emitted[idx])
+        self.n_corrupted += len(idx)
         nx2 = np.einsum("ij,ij->i", X, X)
         omega_norm = np.abs(_min_scale(self.loss, nx2, y_emitted)) * np.sqrt(nx2)
         G, L = growth_constants(self.loss, nx2, omega_norm)
@@ -253,8 +257,8 @@ class _Comparators:
             is_outlier=self.is_outlier,
             theta=theta,
             f_emitted=f_emitted,
-            comparator_clean=np.concatenate(self.clean),
-            comparator_emitted=np.concatenate(self.emitted),
+            comparator_clean=self.clean,
+            comparator_emitted=self.emitted,
             f_at_comparator=self.f_at_comparator,
             v_t=self.v_t,
             comparator_radius=float(np.max(self.norm_max)),
@@ -282,70 +286,85 @@ def _chunks(config: RunConfig, accounts: list):
         yield t0, X[:n], Y[:n]
 
 
-def _stepper(config: RunConfig, alpha: np.ndarray):
-    """The learner's step of all seeds' actions at once: step(theta, x, y,
-    proj, f) returns the next (R, d) actions from this round's actions, side
-    information, proj = <x, theta> and losses. Each row gets what ogd_step,
-    learn_step or topk_filter_step makes of it, bit for bit; for the expert
-    pool, what its seed's own pool aggregates after pool_step."""
+def _stepper(cells: list, alpha: np.ndarray):
+    """The step of a play's stacked actions, one (R, d) block per cell:
+    step(theta, x, y, proj, f) returns the next (L, R, d) actions from this
+    round's actions, side information x (1, R, d) and y (1, R), proj =
+    <x, theta> and losses f, (L, R). One grad_f_rows and one descend_rows
+    serve every block: ogd descends as it is, learn on the gradient scaled
+    by its gate (learners.gate_rows), and a Top-k seed only where its filter
+    lets the round through; a filtered seed keeps its action by selection.
+    An expert pool's block is what each seed's own pool aggregates after
+    pool_step. Each row gets what ogd_step, learn_step, topk_filter_step or
+    the pool makes of that seed alone, bit for bit."""
+    config = cells[0]
     loss, params, radius = config.loss, config.params, config.radius
-    if config.learner == EXPERTS:
-        pools = _expert_pools(config)
-
-        def pool_steps(theta, x, y, proj, f):
-            for r, pool in enumerate(pools):
-                pool_step(pool, SideInfo(x=x[r], y=float(y[r])), loss, params)
-                theta[r] = aggregate_action(pool)
-            return theta
-
-        return pool_steps
-    if config.learner == LEARN:
-        return lambda theta, x, y, proj, f: learn_rows(theta, x, y, proj, f, loss, params, alpha, radius)
-    budget = config.resolve_topk_budget()
     rows = np.arange(len(config.seeds))
-    top = np.full((len(rows), budget), -np.inf)   # each seed's `budget` largest gradient norms; -inf is empty
+    gated, filters, pools = [], [], []
+    for i, cell in enumerate(cells):
+        budget = cell.resolve_topk_budget()
+        if cell.learner == LEARN:
+            gated.append(i)
+        elif cell.learner == EXPERTS:
+            pools.append((i, _expert_pools(cell)))
+        elif budget:   # each seed's `budget` largest gradient norms; -inf is empty
+            filters.append((i, np.full((len(rows), budget), -np.inf)))
+    descends = len(pools) < len(cells)
 
     def step(theta, x, y, proj, f):
-        g = grad_f_rows(loss, x, y, theta, proj)
-        if not budget:
-            return descend_rows(theta, g, alpha, radius)
-        # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
-        n = np.sqrt(np.vecdot(g, g))
-        j = top.argmin(axis=1)
-        low = top[rows, j]
-        update = n < 2.0 * low
-        grow = ~update & (n > low)
-        top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
-        return np.where(update[:, None], descend_rows(theta, g, alpha, radius), theta)
+        new = theta
+        if descends:
+            g = grad_f_rows(loss, x, y, theta, proj)
+            for i in gated:
+                g[i] *= gate_rows(params, f[i])[:, None]
+            new = descend_rows(theta, g, alpha, radius)
+        for i, top in filters:
+            # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
+            n = np.sqrt(np.vecdot(g[i], g[i]))
+            j = top.argmin(axis=1)
+            low = top[rows, j]
+            update = n < 2.0 * low
+            grow = ~update & (n > low)
+            top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
+            new[i] = np.where(update[:, None], new[i], theta[i])
+        for i, seed_pools in pools:
+            for r, pool in enumerate(seed_pools):
+                pool_step(pool, SideInfo(x=x[0, r], y=float(y[0, r])), loss, params)
+                new[i, r] = aggregate_action(pool)
+        return new
 
     return step
 
 
 class _Play:
-    """One learner's loop over all seeds at once, one (R, d) update per round,
-    fed chunk by chunk in round order; alpha holds each seed's step size,
-    (R, 1). Keeps f_t(s_t, theta_t) of every seed and round, (R, T), and the
-    actions played in round T, (R, d). Every dot product is one BLAS dot per
+    """The loop of a config's learners over all its seeds at once, one stacked
+    (L, R, d) update per round for L cells of R seeds, fed chunk by chunk in
+    round order; alpha holds each seed's step size, (1, R, 1). Keeps
+    f_t(s_t, theta_t) of every cell, seed and round, (L, R, T), and the actions
+    played in round T, (L, R, d). Each round's features, (1, R, d),
+    broadcast against the stack, and every dot product is one BLAS dot per
     row, as eval_f and grad_f take it."""
 
-    def __init__(self, config: RunConfig, alpha: np.ndarray):
-        self.config = config
-        self.theta = np.zeros((len(config.seeds), config.generator.dim))
-        self.f_emitted = np.empty((len(config.seeds), config.T))
-        self.step = _stepper(config, alpha)
+    def __init__(self, cells: list, alpha: np.ndarray):
+        config = cells[0]
+        self.cells = cells
+        self.theta = np.zeros((len(cells), len(config.seeds), config.generator.dim))
+        self.f_emitted = np.empty((len(cells), len(config.seeds), config.T))
+        self.step = _stepper(cells, alpha)
 
     def feed(self, t0: int, X: np.ndarray, Y: np.ndarray):
-        config, theta, step, f_emitted = self.config, self.theta, self.step, self.f_emitted
-        T, loss = config.T, config.loss
-        for t, x, y in zip(range(t0, T), X, Y):
+        cells, theta, step, f_emitted = self.cells, self.theta, self.step, self.f_emitted
+        T, loss = cells[0].T, cells[0].loss
+        for t, x, y in zip(range(t0, T), X[:, None], Y[:, None]):
             proj = np.vecdot(x, theta)
             f = _value(loss, proj, np.vecdot(theta, theta), y)
             finite = np.isfinite(f)
-            if not finite.all():
-                seed = config.seeds[int(finite.argmin())]
-                raise RuntimeError(f"learner {config.learner}, k {config.k}, seed {seed}: non-finite loss "
+            if not finite.all():   # the first non-finite row in (cell, seed) order
+                i, r = np.unravel_index(finite.argmin(), finite.shape)
+                cell = cells[i]
+                raise RuntimeError(f"learner {cell.learner}, k {cell.k}, seed {cell.seeds[r]}: non-finite loss "
                                    f"at round {t + 1} of {T}; the run diverged")
-            f_emitted[:, t] = f
+            f_emitted[..., t] = f
             if t + 1 < T:   # theta stays the action played in round T
                 theta = step(theta, x, y, proj, f)
         self.theta = theta
@@ -354,7 +373,8 @@ class _Play:
 def _episodes(cells: list) -> list:
     """Each cell's EpisodeTraces of its seeds, in order. The cells are one
     config under several learners: one draw of each seed's stream and one
-    comparator pass feed every cell's loop, chunk by chunk."""
+    comparator pass feed one play of every cell's stacked actions, chunk by
+    chunk."""
     config = cells[0]
     accounts = [_Comparators(config) for _ in config.seeds]
     chunks = _chunks(config, accounts)
@@ -365,12 +385,11 @@ def _episodes(cells: list) -> list:
         chunks = _chunks(config, [])
     else:
         alpha = [_resolve_alpha(config)] * len(config.seeds)
-    alpha = np.array(alpha)[:, None]
-    plays = [_Play(cell, alpha) for cell in cells]
+    play = _Play(cells, np.array(alpha)[None, :, None])
     for t0, X, Y in chunks:
-        for play in plays:
-            play.feed(t0, X, Y)
-    return [[acc.trace(f, th) for acc, f, th in zip(accounts, play.f_emitted, play.theta)] for play in plays]
+        play.feed(t0, X, Y)
+    return [[acc.trace(f, th) for acc, f, th in zip(accounts, fs, ths)]
+            for fs, ths in zip(play.f_emitted, play.theta)]
 
 
 def run_episodes(config: RunConfig) -> list:
@@ -469,8 +488,9 @@ def run_cells(config: RunConfig, learners) -> list:
 
     Raises ValueError on no learners or on a learner the setting does not
     admit (RunConfig's own checks), before any stream is drawn. A diverged
-    run raises RuntimeError naming the learner, k, seed and round; learners
-    meet each chunk in the order given.
+    run raises RuntimeError naming the learner, k, seed and round of the
+    earliest non-finite loss over all learners and seeds (the first learner
+    given, then the first seed, on a tie), before any step of that round.
     """
     cells = [replace(config, learner=learner) for learner in learners]
     if not cells:

@@ -55,20 +55,23 @@ def project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
 
 
 def project_rows(thetas: np.ndarray, radii, sq: np.ndarray | None = None) -> np.ndarray:
-    """Project each row of thetas onto the origin-centered ball of its radius,
-    in place; radii is one radius for all rows or one per row (math.inf for
-    unbounded). sq, when given, holds the squared row norms. Returns the row
-    norms before projection, by default summed in the order
-    np.linalg.norm(thetas, axis=1) sums them."""
-    norms = np.sqrt(np.add.reduce(thetas * thetas, axis=1) if sq is None else sq)
-    thetas *= np.where(norms > radii, radii / np.maximum(norms, 1e-300), 1.0)[:, None]
+    """Project each row of thetas, (n, d) or a stack of them, onto the
+    origin-centered ball of its radius, in place; radii is one radius for all
+    rows or one per row (math.inf for unbounded). sq, when given, holds the
+    squared row norms. Returns the row norms before projection, by default
+    summed in the order np.linalg.norm(thetas, axis=-1) sums them."""
+    norms = np.sqrt(np.add.reduce(thetas * thetas, axis=-1) if sq is None else sq)
+    outside = norms > radii
+    if np.count_nonzero(outside):   # a row inside its ball would be multiplied by exactly 1.0
+        thetas *= np.where(outside, radii / np.maximum(norms, 1e-300), 1.0)[..., None]
     return norms
 
 
 def descend_rows(theta: np.ndarray, g: np.ndarray, alpha, radius) -> np.ndarray:
     """theta - alpha g for every row, projected as ogd_step and learn_step
-    project one action. alpha is one step size or one per row, (n, 1); radius
-    is one radius or one per row, (n,), math.inf where unbounded."""
+    project one action. theta is (n, d) or a stack of them; alpha is one step
+    size or one per row, (n, 1); radius is one radius or one per row, (n,),
+    math.inf where unbounded."""
     new = theta - alpha * g
     if isinstance(radius, np.ndarray) or radius < math.inf:
         project_rows(new, radius, np.vecdot(new, new))   # squared norms as project_ball sums them
@@ -83,8 +86,13 @@ def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray
     alpha and radius as in descend_rows. Each row equals learn_step's, bit for
     bit."""
     g = grad_f_rows(loss, x, y, theta, proj)
-    g *= np.array([eta(params, v) for v in f.tolist()])[:, None]   # libm's exp per row, as eta on a float
+    g *= gate_rows(params, f)[:, None]
     return descend_rows(theta, g, alpha, radius)
+
+
+def gate_rows(params: LearnParams, f: np.ndarray) -> np.ndarray:
+    """eta of each loss of f, (n,), with libm's exp per loss, as eta takes it on a float."""
+    return np.array([eta(params, v) for v in f.tolist()])
 
 
 def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:

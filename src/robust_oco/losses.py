@@ -248,8 +248,9 @@ def grad_f_many(loss: RoundLoss, s: SideInfo, thetas: np.ndarray) -> np.ndarray:
 def grad_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray,
                 proj: np.ndarray) -> np.ndarray:
     """(Sub)gradient of round t at action Theta[t], for all rounds; shape (T, d).
-    proj holds <X[t], Theta[t]>, which a caller also forms for the loss value."""
-    return loss.lam * Theta - _coef(loss, proj, y)[:, None] * X
+    proj holds <X[t], Theta[t]>, which a caller also forms for the loss value.
+    Theta and proj may stack several actions per round, (L, T, d) and (L, T)."""
+    return loss.lam * Theta - _coef(loss, proj, y)[..., None] * X
 
 
 def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -218,8 +218,9 @@ def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> Check
 
     (1) generalized law of cosines with unit constants:
         ||v2-v1||^2 <= ||v2-v3||^2 + ||v3-v1||^2 + 2 ||v2-v3|| ||v3-v1||
-    (2) the first-order update property of the gated projected step that the
-        runs take (learners.learn_rows), with the direction field
+    (2) the first-order update property of the gated projected step
+        (learners.learn_rows, whose gate_rows and descend_rows the runs
+        take), with the direction field
         zeta(theta*, theta) = (theta* - theta)/eta:
         ||theta' - theta*||^2 <= ||theta - theta*||^2 + alpha^2 ||grad_g||^2
                                  - 2 alpha eta <-grad_g, zeta(theta*, theta)>

@@ -1,4 +1,5 @@
 import configparser
+import io
 import json
 import math
 import os
@@ -82,6 +83,44 @@ def test_manifest_reads_back_through_the_config_reader(tmp_path):
     cli.write_manifest(path, config, harness.run_cell(config))
     values = cli._values(config)
     assert cli._read_file(path) == {key: values[key] for key in cli.KEYS if key.show is not None}
+
+
+def configparser_manifest(config, result) -> str:
+    """The manifest text as ConfigParser.write gives it: the reference of write_manifest."""
+    cp = configparser.ConfigParser(interpolation=None)
+    values = cli._values(config)
+    for key in cli.KEYS:
+        if values.get(key) is not None and key.show is not None:
+            if not cp.has_section(key.section):
+                cp.add_section(key.section)
+            cp.set(key.section, key.name, key.show(values[key]))
+    for seed, curve in zip(config.seeds, result.curves):
+        cp[f"result.seed.{seed}"] = {name: cli._fmt(getattr(curve, attr)) for name, attr in (
+            ("final_regret", "final"), ("v_t", "v_t"), ("delta_s", "delta_s"),
+            ("comparator_radius", "comparator_radius"), ("b_clean", "b_clean"))}
+    cp["result"] = {"mean_final_regret": cli._fmt(float(result.mean[-1])),
+                    "stderr_final_regret": cli._fmt(float(result.stderr[-1]))}
+    text = io.StringIO()
+    cp.write(text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "svm", "--T", "40", "--learner", "learn", "--k", "4"],   # 30 seeds, default alpha
+    ["--preset", "ridge", "--T", "30", "--seeds", "1 2", "--learner", "learn", "--k", "3",
+     "--alpha", "theoretical", "--radius", "5"],
+], ids=["default-alpha-30-seeds", "theoretical-radius"])
+def test_manifest_bytes_are_configparser_bytes(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("ROBUST_OCO_SEED", raising=False)
+    path = tmp_path / "manifest.ini"
+    seeds = [1, 2] if "--seeds" in argv else list(range(1, 31))
+    for _ in range(2):   # then the manifest as it reloads through --config
+        config = config_of(["run", *argv])
+        assert config.seeds == seeds
+        result = harness.run_cell(config)
+        cli.write_manifest(str(path), config, result)
+        assert path.read_bytes() == configparser_manifest(config, result).encode()
+        argv = ["--config", str(path)]
 
 
 def test_missing_config_is_usage_error(tmp_path):

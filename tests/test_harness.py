@@ -116,8 +116,9 @@ def assert_traces_equal(a, b):
 
 
 def count_steps(monkeypatch, returned=None):
-    """Record the seeds' actions at each call of the batched kernel's step,
-    and into `returned`, if given, the actions each call returns."""
+    """Record the stacked (learners, seeds, d) actions at each call of the
+    batched kernel's step, and into `returned`, if given, the actions each
+    call returns."""
     steps = []
     stepper = harness._stepper
 
@@ -190,8 +191,8 @@ def test_path_length_examples(monkeypatch):
         comp = np.asarray(comp, float)
         T = len(comp)
         monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y: comp[X[:, 0].astype(int)])
-        cfg = preset_config("svm", T=T, seeds=[1], k=0, radius=radius)
         mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
+        cfg = preset_config("svm", T=T, seeds=[1], k=int(mask.sum()), radius=radius)
         acc = harness._Comparators(cfg)
         X = np.repeat(np.arange(T, dtype=float)[:, None], 2, axis=1)   # row t looks up comp[t]
         for t0 in range(0, T, chunk or T):
@@ -294,10 +295,10 @@ def test_finite_radius_constrains_comparator_and_actions(monkeypatch):
     trace = run_episode(cfg, 5)
     assert trace.comparator_radius <= 0.05 + 1e-12
     assert len(losses) == 100
-    played = np.concatenate(taken + returned[-1:])   # the actions of rounds 1 .. T
+    played = np.concatenate(taken + returned[-1:])[:, 0]   # the actions of rounds 1 .. T
     assert len(played) == 100
     assert np.linalg.norm(played, axis=1).max() <= 0.05 + 1e-12
-    np.testing.assert_array_equal(np.concatenate([sq for _, sq in losses]), np.vecdot(played, played))
+    np.testing.assert_array_equal(np.concatenate([sq[0] for _, sq in losses]), np.vecdot(played, played))
     # the trace keeps the action played in round T, before the last step
     np.testing.assert_array_equal(trace.theta, played[-1])
     # regret terms stay essentially nonnegative for the projected ridge comparator
@@ -546,7 +547,7 @@ def test_learn_round_evaluates_loss_once(monkeypatch):
             cfg = preset_config("svm", T=80, seeds=seeds, learner=harness.LEARN, k=8)
             run_episodes(cfg)
             assert calls == []   # the per-round functions are not called
-            assert len(evaluated) == 80 and all(proj.shape == (len(seeds),) for proj, _ in evaluated)
+            assert len(evaluated) == 80 and all(proj.shape == (1, len(seeds)) for proj, _ in evaluated)
             assert len(steps) == 79   # the action of round T is the last one played
 
 
@@ -614,16 +615,21 @@ def test_chunking_does_not_change_an_episode(monkeypatch, config):
 
 # --- run_cells: the learners of one stream setting share its draw ----------------
 
+def bits(a):
+    """The float64 bit patterns of a: equal only where the floats are, signs of zero included."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
 def assert_cells_equal(a, b):
     assert a.config == b.config
     for ca, cb in zip(a.curves, b.curves, strict=True):
-        np.testing.assert_array_equal(ca.series, cb.series)
+        np.testing.assert_array_equal(bits(ca.series), bits(cb.series))
         assert (ca.v_t, ca.delta_s, ca.comparator_radius, ca.b_clean, ca.n_outliers) == \
             (cb.v_t, cb.delta_s, cb.comparator_radius, cb.b_clean, cb.n_outliers)
     for ta, tb in zip(a.final_thetas, b.final_thetas, strict=True):
-        np.testing.assert_array_equal(ta, tb)
-    np.testing.assert_array_equal(a.mean, b.mean)
-    np.testing.assert_array_equal(a.stderr, b.stderr)
+        np.testing.assert_array_equal(bits(ta), bits(tb))
+    np.testing.assert_array_equal(bits(a.mean), bits(b.mean))
+    np.testing.assert_array_equal(bits(a.stderr), bits(b.stderr))
 
 
 @pytest.mark.parametrize("family", ["svm", "ridge"])
@@ -633,8 +639,10 @@ def assert_cells_equal(a, b):
     dict(radius=5.0, alpha=harness.THEORETICAL),             # one accounting pass, one redraw
 ], ids=["unbounded", "radius", "theoretical"])
 def test_run_cells_match_run_cell(monkeypatch, family, setting):
-    # every learner of the shared pass equals its cell run alone, bit for bit,
-    # with each episode spread over 4 chunks of the shared X/Y buffers
+    # every learner of the stacked pass equals its cell run alone (a one-learner
+    # call) and the per-seed loop, bit for bit, with each episode spread over 4
+    # chunks of the shared X/Y buffers; at k = 15 the topk and utopk budgets
+    # differ (15 and 11), and at k = T every topk round is a warm-up
     learners = [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK]
     if not setting:   # the pool's grid holds its own radii and step sizes
         learners.append(harness.EXPERTS)
@@ -647,9 +655,38 @@ def test_run_cells_match_run_cell(monkeypatch, family, setting):
     shared = harness.run_cells(config, learners)
     assert chunks[:len(seeds) * 4] == [17] * len(seeds) * 3 + [9] * len(seeds)
     assert len(shared) == len(learners)
-    for lr, res in zip(learners, shared):
-        assert res.config == dataclasses.replace(config, learner=lr)
-        assert_cells_equal(res, run_cell(res.config))
+    for k in (15, T_REF):
+        stacked = shared if k == 15 else harness.run_cells(dataclasses.replace(config, k=k), learners)
+        for lr, res in zip(learners, stacked):
+            assert res.config == dataclasses.replace(config, learner=lr, k=k)
+            assert_cells_equal(res, run_cell(res.config))
+            for seed, theta in zip(seeds, res.final_thetas):
+                np.testing.assert_array_equal(bits(theta), bits(per_seed_episode(res.config, seed)[1]))
+    warm = stacked[learners.index(harness.TOPK)]   # every round filtered: theta stays +0.0
+    assert not any(bits(theta).any() for theta in warm.final_thetas)
+
+
+def test_a_filtered_row_keeps_its_action_bit_for_bit():
+    # a Top-k seed in its warm-up keeps theta by selection: -0.0 stays -0.0,
+    # where theta - alpha * 0 * g would give +0.0; the ogd block moves off it
+    cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.TOPK, k=T_REF)
+    step = harness._stepper([cfg, dataclasses.replace(cfg, learner=harness.OGD)], np.full((1, 2, 1), 0.5))
+    theta = np.array([[[-0.0, -0.0], [-0.0, 3.0]]] * 2)
+    x, y = np.array([[[1e100, 1e100], [1.0, -2.0]]]), np.array([[1.0, -1.0]])
+    new = step(theta.copy(), x, y, np.vecdot(x, theta), np.zeros((2, 2)))
+    np.testing.assert_array_equal(bits(new[0]), bits(theta[0]))
+    assert (bits(new[1, 0]) != bits(theta[1, 0])).all()
+
+
+def test_a_shared_pass_holds_one_copy_of_the_comparators():
+    # the learners' traces of a seed share its accounting's arrays: the corrupted
+    # rounds' comparators are filled once per seed, not copied once per learner
+    cfg = preset_config("ridge", T=T_REF, seeds=[1, 2], learner=harness.OGD, k=20)
+    cells = [dataclasses.replace(cfg, learner=lr) for lr in (harness.OGD, harness.LEARN, harness.TOPK)]
+    for seed_traces in zip(*harness._episodes(cells)):
+        for trace in seed_traces[1:]:
+            for field in ("is_outlier", "f_at_comparator", "comparator_clean", "comparator_emitted"):
+                assert getattr(trace, field) is getattr(seed_traces[0], field), field
 
 
 def test_run_cells_rejects_an_empty_list():
@@ -673,13 +710,47 @@ def test_run_cells_rejects_a_learner_the_setting_does_not_admit(monkeypatch):
     assert streams == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("order", [(harness.OGD, harness.LEARN), (harness.LEARN, harness.OGD)])
-def test_divergence_in_a_shared_pass_names_the_learner(order):
-    # ridge OGD with alpha = 1 diverges and the gated learner does not; the
-    # error names the learner and k along with the seed and round
-    cfg = preset_config("ridge", T=2000, seeds=[1, 3, 2], learner=harness.OGD, k=10, alpha=1.0)
-    with pytest.raises(RuntimeError, match=r"^learner ogd, k 10, seed \d+: non-finite loss at round \d+ "
-                                           r"of 2000; the run diverged$"):
+def assert_stack_stops_at_earliest_divergence(monkeypatch, cfg, order):
+    """The error of a stacked pass names the learner, k, seed and round of the
+    earliest non-finite loss over all its rows, the first learner and then the
+    first seed on a tie, and no step is taken at or after that round."""
+    first = {}
+    for i, learner in enumerate(order):
+        for j, seed in enumerate(cfg.seeds):
+            try:
+                per_seed_episode(dataclasses.replace(cfg, learner=learner), seed)
+            except RuntimeError as err:
+                first[int(str(err).split("round ")[1].split()[0]), i, j] = learner, seed
+    (t, _, _), (learner, seed) = min(first.items())
+    steps = count_steps(monkeypatch)
+    message = rf"^learner {learner}, k {cfg.k}, seed {seed}: non-finite loss at round {t} of {cfg.T}; the run "
+    with pytest.raises(RuntimeError, match=message + "diverged$"):
         harness.run_cells(cfg, order)
+    assert len(steps) == t - 1
+    assert np.isfinite(steps[-1]).all()
+    return {key: value[0] for key, value in first.items()}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", [(harness.OGD, harness.LEARN), (harness.LEARN, harness.OGD),
+                                   (harness.UTOPK, harness.OGD)])
+def test_divergence_in_a_shared_pass_names_the_learner(monkeypatch, order):
+    # ridge OGD with alpha = 1 diverges and the gated learner does not; utopk
+    # diverges too, later in the same (first) chunk: the earliest round wins
+    # over the learner order
+    cfg = preset_config("ridge", T=2000, seeds=[1, 3, 2], learner=harness.OGD, k=10, alpha=1.0)
+    first = assert_stack_stops_at_earliest_divergence(monkeypatch, cfg, order)
+    assert set(first.values()) == set(order) - {harness.LEARN}
+    rows = harness.CHUNK_BYTES // (len(cfg.seeds) * cfg.generator.dim * 8)   # rounds per chunk
+    assert max(t for t, _, _ in first) <= rows
     assert math.isfinite(run_cell(dataclasses.replace(cfg, learner=harness.LEARN)).mean[-1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", [(harness.TOPK, harness.OGD), (harness.OGD, harness.UTOPK, harness.TOPK)])
+def test_divergence_tie_goes_by_learner_order(monkeypatch, order):
+    # at k = 0 topk and utopk are ogd, so every learner diverges at the same rounds
+    cfg = preset_config("ridge", T=400, seeds=[1, 3, 2], learner=harness.OGD, k=0, alpha=1.0)
+    first = assert_stack_stops_at_earliest_divergence(monkeypatch, cfg, order)
+    assert len({t for t, _, _ in first}) == len(cfg.seeds)   # each seed's round, for every learner
+    assert min(first)[1:] == (0, 2)   # the first learner and seed 2 of [1, 3, 2]
