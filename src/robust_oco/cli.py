@@ -248,9 +248,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
-    for k in st.k_grid(config.T):   # the learners of one k share its streams and comparators
-        for result in harness.run_cells(replace(config, k=k), SWEEP_LEARNERS):
-            print(f"wrote {_write_cell(result, args.out)}")
+    # one pass: each seed's clean stream is drawn once and every (k, learner) cell plays it
+    results = harness.run_cells(config, SWEEP_LEARNERS, st.k_grid(config.T))
+    for result in results:
+        print(f"wrote {_write_cell(result, args.out)}")
     return 0
 
 
@@ -287,27 +288,33 @@ def cmd_dump_stream(args) -> int:
         raise UsageError(f"dump-stream plays one seed, got {len(config.seeds)}: give one with --seeds")
     os.makedirs(args.out, exist_ok=True)
     seed = config.seeds[0]
-    theta_star, X, y_clean, y_emitted, mask = st.episode_stream(config.generator, config.T, config.k, seed)
-
     rounds = np.arange(config.T)
     if args.subsample is not None and args.subsample < config.T:
         sub_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD0)))
         rounds = np.sort(sub_rng.choice(config.T, size=args.subsample, replace=False))
+    thetas = {}
 
-    dump_path = os.path.join(args.out, "stream.jsonl")
-    with open(dump_path, "w", newline="\n") as fh:
-        for t in rounds:
+    def write_rounds(stream, t0, X, y_clean, emitted):
+        """The kept rounds of a chunk the play draws, as JSON lines."""
+        if t0 == 0:
+            thetas["theta_star"] = [float(v) for v in stream.theta_star]
+        [(y_emitted, idx)] = emitted
+        is_outlier = st.outlier_mask(idx, len(X))
+        for t in rounds[np.searchsorted(rounds, t0):np.searchsorted(rounds, t0 + len(X))]:
+            i = t - t0
             rec = {
                 "t": int(t) + 1,
-                "is_outlier": bool(mask[t]),
-                "x": [float(v) for v in X[t]],
-                "y_clean": float(y_clean[t]),
-                "y_emitted": float(y_emitted[t]),
+                "is_outlier": bool(is_outlier[i]),
+                "x": [float(v) for v in X[i]],
+                "y_clean": float(y_clean[i]),
+                "y_emitted": float(y_emitted[i]),
             }
             fh.write(json.dumps(rec) + "\n")
 
-    thetas = {"theta_star": [float(v) for v in theta_star]}
-    for result in harness.run_cells(config, SWEEP_LEARNERS):
+    dump_path = os.path.join(args.out, "stream.jsonl")
+    with open(dump_path, "w", newline="\n") as fh:   # written as the one pass draws the seed's stream
+        results = harness.run_cells(config, SWEEP_LEARNERS, watch=write_rounds)
+    for result in results:
         thetas[result.config.learner] = [float(v) for v in result.final_thetas[0]]
     thetas_path = os.path.join(args.out, "final_thetas.json")
     with open(thetas_path, "w", newline="\n") as fh:

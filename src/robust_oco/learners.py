@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LearnParams, RoundLoss, SideInfo, eta, grad_f, grad_f_rows, grad_g
+from .losses import LearnParams, RoundLoss, SideInfo, grad_f, grad_f_rows, grad_g
 
 
 @dataclass
@@ -90,9 +90,18 @@ def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray
     return descend_rows(theta, g, alpha, radius)
 
 
+EXP_MAX = 709.782712893384   # the largest float whose math.exp is finite
+
+
 def gate_rows(params: LearnParams, f: np.ndarray) -> np.ndarray:
-    """eta of each loss of f, (n,), with libm's exp per loss, as eta takes it on a float."""
-    return np.array([eta(params, v) for v in f.tolist()])
+    """eta of each loss of f, an array of any shape, with libm's exp per loss,
+    as eta takes it on a float: 0 where exp(f/a) overflows, and a ValueError
+    on a negative loss."""
+    losses = f.ravel().tolist()
+    if min(losses, default=0.0) < 0:
+        raise ValueError("loss values must be non-negative")
+    a, b, exp = params.a, params.b, math.exp
+    return np.array([0.0 if (v := x / a) > EXP_MAX else 1.0 / (1.0 + b * exp(v)) for x in losses]).reshape(f.shape)
 
 
 def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:

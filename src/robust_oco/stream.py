@@ -14,8 +14,9 @@ in `harness.PRESETS`. One master seed fully determines theta*, every round,
 the outlier set and the mislabel coin flips: the seed's EpisodeStream draws
 and holds its theta*. Each purpose draws from its own substream of the
 master seed, so changing the corruption count k never perturbs the clean
-stream (paired comparisons across k stay paired). Each substream is read in
-round order, so a stream drawn in time chunks equals the one-block draw.
+stream (paired comparisons across k stay paired), and one draw of the clean
+rounds serves every k of a sweep. Each substream is read in round order, so
+a stream drawn in time chunks equals the one-block draw.
 """
 
 from __future__ import annotations
@@ -124,31 +125,43 @@ def apply_corruption_block(kind: str, idx: np.ndarray, y_clean: np.ndarray,
     return y
 
 
-class EpisodeStream:
-    """One seeded episode's stream, corrupted by the generator kind's operator
-    and drawn in consecutive time chunks.
+def _restart(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator at the start of rng's substream."""
+    return np.random.default_rng(rng.bit_generator.seed_seq)
 
-    theta* (held as theta_star) and the sorted outlier rounds are drawn when
-    the stream is made; each `draw(n)` returns the next n rounds. Every
-    substream is read in round order, so chunks of any sizes concatenate to
-    the one-block draw.
+
+class EpisodeStream:
+    """One seeded episode's stream under each corruption count of ks, drawn
+    in consecutive time chunks: the clean rounds are drawn once and corrupted
+    once per k by the generator kind's operator.
+
+    theta* (held as theta_star) and each k's sorted outlier rounds are drawn
+    when the stream is made; each `draw(n)` returns the next n rounds. Each k
+    reads its outlier rounds and corruption draws from its own start of the
+    seed's outliers and corruption substreams, so it equals the stream of
+    that k alone. Every substream is read in round order, so chunks of any
+    sizes concatenate to the one-block draw.
     """
 
-    def __init__(self, generator: CleanGenerator, T: int, k: int, seed: int):
+    def __init__(self, generator: CleanGenerator, T: int, ks, seed: int):
         self.gen = generator
         self.rngs = stream_rngs(seed)
         self.theta_star = resolve_theta_star(generator, self.rngs)
-        self.outliers = sample_outlier_rounds(T, k, self.rngs.outliers)
+        self.outliers = [sample_outlier_rounds(T, k, _restart(self.rngs.outliers)) for k in ks]
+        self.corruption = [_restart(self.rngs.corruption) for _ in ks]
         self.t = 0
 
     def draw(self, n: int):
-        """(X, y_clean, y_emitted, the chunk's corrupted rows) of the next n
-        rounds, X of shape (n, d)."""
+        """(X, y_clean, emitted) of the next n rounds, X of shape (n, d);
+        emitted holds (y_emitted, the chunk's corrupted rows) for each k."""
         X, y_clean = gen_clean_block(self.gen, self.theta_star, self.rngs, n)
-        lo, hi = np.searchsorted(self.outliers, (self.t, self.t + n))
-        idx = self.outliers[lo:hi] - self.t
+        emitted = []
+        for outliers, rng in zip(self.outliers, self.corruption):
+            lo, hi = np.searchsorted(outliers, (self.t, self.t + n))
+            idx = outliers[lo:hi] - self.t
+            emitted.append((apply_corruption_block(self.gen.kind, idx, y_clean, rng), idx))
         self.t += n
-        return X, y_clean, apply_corruption_block(self.gen.kind, idx, y_clean, self.rngs.corruption), idx
+        return X, y_clean, emitted
 
 
 def episode_stream(generator: CleanGenerator, T: int, k: int, seed: int):
@@ -157,9 +170,9 @@ def episode_stream(generator: CleanGenerator, T: int, k: int, seed: int):
     Returns (the seed's theta*, X, y_clean, y_emitted, outlier mask), X of
     shape (T, d).
     """
-    stream = EpisodeStream(generator, T, k, seed)
-    X, y_clean, y_emitted, _ = stream.draw(T)
-    return stream.theta_star, X, y_clean, y_emitted, outlier_mask(stream.outliers, T)
+    stream = EpisodeStream(generator, T, [k], seed)
+    X, y_clean, [(y_emitted, _)] = stream.draw(T)
+    return stream.theta_star, X, y_clean, y_emitted, outlier_mask(stream.outliers[0], T)
 
 
 def floor_power(T: int, num: int, den: int) -> int:

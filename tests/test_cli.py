@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import robust_oco
@@ -145,32 +147,83 @@ def test_sweep_grid(tmp_path):
     assert len(files) == 16
 
 
-def test_sweep_draws_each_stream_once_per_k(tmp_path, monkeypatch):
-    # the four learners of a k share one stream and one comparator pass per seed
+def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
+    # the sixteen (k, learner) cells share one stream, one comparator pass per
+    # seed and one loop: each seed's stream object is made once per sweep
     seeds, rows = [1, 2, 3], 40
-    monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * 2 * 8)   # svm: d = 2
-    streams, adds = [], []
+    monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * (2 + 16) * 8)   # svm: d = 2, 16 cells
+    streams, adds, feeds = [], [], []
 
     class CountedStream(st.EpisodeStream):
         def __init__(self, *args):
             streams.append(args)
             super().__init__(*args)
 
-    add = harness._Comparators.add
+    add, feed = harness._Comparators.add, harness._Play.feed
 
     def counted_add(self, t0, *args):
         adds.append(t0)
         return add(self, t0, *args)
 
+    def counted_feed(self, t0, *args):
+        feeds.append((len(self.cells), t0))
+        return feed(self, t0, *args)
+
     monkeypatch.setattr(st, "EpisodeStream", CountedStream)
     monkeypatch.setattr(harness._Comparators, "add", counted_add)
+    monkeypatch.setattr(harness._Play, "feed", counted_feed)
     assert cli.main(["sweep", "--preset", "svm", "--scale", "0.01", "--seeds", "1 2 3",
                      "--out", str(tmp_path)]) == 0
     T = 100
     chunks = -(-T // rows)
     assert len(list(tmp_path.glob("regret_*.csv"))) == 16
-    assert len(streams) == len(st.k_grid(T)) * len(seeds)
-    assert len(adds) == len(st.k_grid(T)) * len(seeds) * chunks == 36
+    assert [args[2] for args in streams] == [st.k_grid(T)] * len(seeds)
+    assert len(adds) == len(seeds) * chunks == 9
+    assert feeds == [(16, 0), (16, 40), (16, 80)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "svm", "--T", "70"],
+    ["--preset", "ridge", "--T", "40"],
+    ["--preset", "ridge", "--T", "40", "--alpha", "theoretical", "--radius", "5"],   # a step size per (k, seed)
+], ids=["svm", "ridge", "ridge-theoretical"])
+def test_sweep_files_equal_each_cells_own_run(tmp_path, argv):
+    # the one pass over all sixteen cells writes what each cell's `run` writes, byte for byte
+    argv = [*argv, "--seeds", "1 2 3"]
+    assert cli.main(["sweep", *argv, "--out", str(tmp_path / "sweep")]) == 0
+    T = int(argv[argv.index("--T") + 1])
+    names = []
+    for k in st.k_grid(T):
+        for learner in cli.SWEEP_LEARNERS:
+            out = tmp_path / f"run_{learner}_{k}"
+            assert cli.main(["run", *argv, "--learner", learner, "--k", str(k), "--out", str(out)]) == 0
+            for name in (f"regret_{learner}_k{k}.csv", f"manifest_{learner}_k{k}.ini"):
+                assert (tmp_path / "sweep" / name).read_bytes() == (out / name).read_bytes(), name
+                names.append(name)
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == sorted(set(names)) and len(set(names)) == 32
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_sweep_names_the_earliest_cell_and_writes_nothing(tmp_path, capsys):
+    # ridge with alpha = 1 diverges in some cells: the error names the earliest
+    # non-finite round over all cells, in k order, then learner order, then seed
+    # order on a tie, and the sweep writes no file, not even the cells that finished
+    argv = ["--preset", "ridge", "--T", "400", "--seeds", "1 3 2", "--alpha", "1"]
+    config = config_of(["sweep", *argv])
+    first = {}
+    for i, k in enumerate(st.k_grid(config.T)):
+        for j, learner in enumerate(cli.SWEEP_LEARNERS):
+            for r, seed in enumerate(config.seeds):
+                cell = replace(config, k=k, learner=learner)
+                try:
+                    harness.run_episode(cell, seed)
+                except RuntimeError as err:
+                    first[int(str(err).split("round ")[1].split()[0]), i, j, r] = f"learner {learner}, k {k}, seed {seed}"
+    (t, *_), name = min(first.items())
+    assert len({key[1] for key in first}) > 1   # cells of more than one k diverge
+    assert cli.main(["sweep", *argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"{name}: non-finite loss at round {t} of 400; the run diverged" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_scale_flag(tmp_path):
@@ -220,6 +273,39 @@ def test_dump_stream(tmp_path):
     thetas = json.loads((tmp_path / "final_thetas.json").read_text())
     assert set(thetas) == {"theta_star", "ogd", "learn", "topk", "utopk"}
     assert len(thetas["learn"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "svm", "--T", "300", "--seeds", "2", "--k", "30", "--subsample", "100"],
+    ["--preset", "ridge", "--T", "120", "--seeds", "4", "--k", "20"],
+], ids=["svm-subsample", "ridge"])
+def test_dump_stream_draws_its_seed_once(tmp_path, monkeypatch, argv):
+    # stream.jsonl comes from the chunks the one pass draws: one stream object,
+    # and the records of the seed's one-block draw, whatever the chunking
+    streams = []
+
+    class CountedStream(st.EpisodeStream):
+        def __init__(self, *args):
+            streams.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(st, "EpisodeStream", CountedStream)
+    config = config_of(["dump-stream", *argv])
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * (config.generator.dim + 4) * 8)   # 7 rounds per chunk
+    assert cli.main(["dump-stream", *argv, "--out", str(tmp_path)]) == 0
+    assert len(streams) == 1
+    seed = config.seeds[0]
+    theta_star, X, y_clean, y_emitted, mask = st.episode_stream(config.generator, config.T, config.k, seed)
+    rounds = range(config.T)
+    if "--subsample" in argv:
+        sub_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD0)))
+        rounds = np.sort(sub_rng.choice(config.T, size=int(argv[-1]), replace=False))
+    expected = "".join(json.dumps({"t": int(t) + 1, "is_outlier": bool(mask[t]), "x": [float(v) for v in X[t]],
+                                   "y_clean": float(y_clean[t]), "y_emitted": float(y_emitted[t])}) + "\n"
+                       for t in rounds)
+    assert (tmp_path / "stream.jsonl").read_text() == expected
+    thetas = json.loads((tmp_path / "final_thetas.json").read_text())
+    assert thetas["theta_star"] == [float(v) for v in theta_star]
 
 
 def test_dump_stream_stable_subsample(tmp_path):

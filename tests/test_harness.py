@@ -193,12 +193,12 @@ def test_path_length_examples(monkeypatch):
         monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y: comp[X[:, 0].astype(int)])
         mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
         cfg = preset_config("svm", T=T, seeds=[1], k=int(mask.sum()), radius=radius)
-        acc = harness._Comparators(cfg)
+        acc = harness._Comparators(cfg, [cfg.k], keep=True)
         X = np.repeat(np.arange(T, dtype=float)[:, None], 2, axis=1)   # row t looks up comp[t]
         for t0 in range(0, T, chunk or T):
             rows = slice(t0, t0 + (chunk or T))
-            acc.add(t0, X[rows], np.zeros(T)[rows], np.zeros(T)[rows], np.flatnonzero(mask[rows]))
-        trace = acc.trace(np.zeros(T), np.zeros(2))
+            acc.add(t0, X[rows], np.zeros(T)[rows], [(np.zeros(T)[rows], np.flatnonzero(mask[rows]))])
+        trace = acc.trace(0, np.zeros(T), np.zeros(2))
         return trace.v_t, trace.comparator_radius, trace.comparator_clean
 
     for chunk in (None, 1, 2):   # the chunking does not change a figure
@@ -211,6 +211,17 @@ def test_path_length_examples(monkeypatch):
     v_t, radius, rows = clean_comparators([[3.0, 4.0], [0.0, 0.5]], [True, False], radius=1.0, chunk=1)
     assert v_t == pytest.approx(math.hypot(0.6, 0.3)) and radius == pytest.approx(1.0)
     np.testing.assert_allclose(rows, [[0.6, 0.8]])
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_accounting_rejects_more_corrupted_rounds_than_k(keep):
+    # a k fed k + 1 corrupted rounds is an error, not a silently dropped row
+    cfg = preset_config("svm", T=10, seeds=[1], k=2)
+    X, y = np.ones((10, 2)), np.ones(10)
+    acc = harness._Comparators(cfg, [2, 5], keep=keep)
+    acc.add(0, X[:4], y[:4], [(-y[:4], np.array([1])), (-y[:4], np.array([0, 1, 2]))])
+    with pytest.raises(ValueError, match="3 corrupted rounds fed to the accounting of k = 2"):
+        acc.add(4, X[4:], y[4:], [(-y[4:], np.array([0, 5])), (-y[4:], np.array([0]))])
 
 
 def test_delta_s_examples():
@@ -471,7 +482,7 @@ def test_ridge_growth_is_the_streams_hessian_bound(monkeypatch):
     # L = lam + 2 max_t ||x_t||^2 exactly, over every chunk of every seed
     seeds = [1, 2, 3]
     cfg = preset_config("ridge", T=200, seeds=seeds, learner=harness.OGD, k=20)
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * len(seeds) * cfg.generator.dim * 8)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * len(seeds) * (cfg.generator.dim + 1) * 8)
     for seed, trace in zip(seeds, run_episodes(cfg)):
         X = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)[1]
         assert trace.growth == (0.0, cfg.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max()))
@@ -603,7 +614,7 @@ def test_chunking_does_not_change_an_episode(monkeypatch, config):
     bounded = config["learner"] != harness.EXPERTS   # the pool's grid holds its own radii
     cfg = preset_config(config.pop("family"), T=T_REF, seeds=[7, 8, 9], k=15,
                         **{"radius": 0.05 if bounded else math.inf, **config})
-    row_bytes = len(cfg.seeds) * cfg.generator.dim * 8
+    row_bytes = len(cfg.seeds) * (cfg.generator.dim + 1) * 8   # a round's features and losses, one cell
     runs = []
     for chunk_bytes in (1, 7 * row_bytes, T_REF * row_bytes):   # 1, 7 and T rounds per chunk
         monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_bytes)
@@ -623,7 +634,7 @@ def bits(a):
 def assert_cells_equal(a, b):
     assert a.config == b.config
     for ca, cb in zip(a.curves, b.curves, strict=True):
-        np.testing.assert_array_equal(bits(ca.series), bits(cb.series))
+        assert bits(ca.final) == bits(cb.final)
         assert (ca.v_t, ca.delta_s, ca.comparator_radius, ca.b_clean, ca.n_outliers) == \
             (cb.v_t, cb.delta_s, cb.comparator_radius, cb.b_clean, cb.n_outliers)
     for ta, tb in zip(a.final_thetas, b.final_thetas, strict=True):
@@ -639,31 +650,58 @@ def assert_cells_equal(a, b):
     dict(radius=5.0, alpha=harness.THEORETICAL),             # one accounting pass, one redraw
 ], ids=["unbounded", "radius", "theoretical"])
 def test_run_cells_match_run_cell(monkeypatch, family, setting):
-    # every learner of the stacked pass equals its cell run alone (a one-learner
-    # call) and the per-seed loop, bit for bit, with each episode spread over 4
-    # chunks of the shared X/Y buffers; at k = 15 the topk and utopk budgets
-    # differ (15 and 11), and at k = T every topk round is a warm-up
+    # every (k, learner) cell of the stacked pass equals its cell run alone (a
+    # one-cell call) and the per-seed loop, bit for bit, with each episode spread
+    # over 4 chunks of the shared X/Y buffers; at k = 15 the topk and utopk
+    # budgets differ (15 and 11), and at k = T every topk round is a warm-up
     learners = [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK]
     if not setting:   # the pool's grid holds its own radii and step sizes
         learners.append(harness.EXPERTS)
-    seeds = [4, 5, 6]
+    seeds, ks = [4, 5, 6], [15, T_REF]
     config = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=15, **setting)
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * config.generator.dim * 8)
+    cells = len(ks) * len(learners)   # a chunk holds the features and every cell's losses
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * (config.generator.dim + cells) * 8)
     chunks = []
     draw = st.EpisodeStream.draw
     monkeypatch.setattr(st.EpisodeStream, "draw", lambda self, n: chunks.append(n) or draw(self, n))
-    shared = harness.run_cells(config, learners)
+    stacked = harness.run_cells(config, learners, ks)
     assert chunks[:len(seeds) * 4] == [17] * len(seeds) * 3 + [9] * len(seeds)
-    assert len(shared) == len(learners)
-    for k in (15, T_REF):
-        stacked = shared if k == 15 else harness.run_cells(dataclasses.replace(config, k=k), learners)
-        for lr, res in zip(learners, stacked):
-            assert res.config == dataclasses.replace(config, learner=lr, k=k)
-            assert_cells_equal(res, run_cell(res.config))
-            for seed, theta in zip(seeds, res.final_thetas):
-                np.testing.assert_array_equal(bits(theta), bits(per_seed_episode(res.config, seed)[1]))
-    warm = stacked[learners.index(harness.TOPK)]   # every round filtered: theta stays +0.0
+    assert len(stacked) == len(ks) * len(learners)
+    for (k, lr), res in zip([(k, lr) for k in ks for lr in learners], stacked, strict=True):
+        assert res.config == dataclasses.replace(config, learner=lr, k=k)
+        assert_cells_equal(res, run_cell(res.config))
+        for seed, theta in zip(seeds, res.final_thetas):
+            np.testing.assert_array_equal(bits(theta), bits(per_seed_episode(res.config, seed)[1]))
+    warm = stacked[len(learners) + learners.index(harness.TOPK)]   # k = T, every round filtered: theta stays +0.0
     assert not any(bits(theta).any() for theta in warm.final_thetas)
+
+
+@pytest.mark.parametrize("family, setting", [
+    ("svm", dict()),
+    ("ridge", dict(radius=0.05)),
+    ("ridge", dict(radius=5.0, alpha=harness.THEORETICAL)),   # a step size per (k, seed)
+], ids=["svm", "ridge-radius", "ridge-theoretical"])
+def test_regret_accounting_matches_the_traces(monkeypatch, family, setting):
+    # the chunk-by-chunk accounting of a stacked pass equals clean_dynamic_regret
+    # and aggregate_runs on each cell's whole traces, bit for bit: 17-round chunks
+    # and a last one of one round, over 10 seeds, where a lone column would sum
+    # its seeds pairwise
+    T, seeds, ks = 52, list(range(1, 11)), [0, 5, 13]
+    learners = [harness.OGD, harness.LEARN, harness.UTOPK]
+    config = preset_config(family, T=T, seeds=seeds, k=0, **setting)
+    cells = len(ks) * len(learners)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * (config.generator.dim + cells) * 8)
+    results = harness.run_cells(config, learners, ks)
+    for res in results:
+        curves = [clean_dynamic_regret(trace) for trace in run_episodes(res.config)]
+        mean, stderr = aggregate_runs(curves)
+        np.testing.assert_array_equal(bits(res.mean), bits(mean))
+        np.testing.assert_array_equal(bits(res.stderr), bits(stderr))
+        for got, want in zip(res.curves, curves, strict=True):
+            assert got.series is None and bits(got.final) == bits(want.final)
+            assert (got.v_t, got.delta_s, got.comparator_radius, got.b_clean, got.n_outliers) == \
+                (want.v_t, want.delta_s, want.comparator_radius, want.b_clean, want.n_outliers)
+    assert any(c.delta_s > 0 for res in results for c in res.curves)
 
 
 def test_a_filtered_row_keeps_its_action_bit_for_bit():
@@ -741,7 +779,7 @@ def test_divergence_in_a_shared_pass_names_the_learner(monkeypatch, order):
     cfg = preset_config("ridge", T=2000, seeds=[1, 3, 2], learner=harness.OGD, k=10, alpha=1.0)
     first = assert_stack_stops_at_earliest_divergence(monkeypatch, cfg, order)
     assert set(first.values()) == set(order) - {harness.LEARN}
-    rows = harness.CHUNK_BYTES // (len(cfg.seeds) * cfg.generator.dim * 8)   # rounds per chunk
+    rows = harness.CHUNK_BYTES // (len(cfg.seeds) * (cfg.generator.dim + len(order)) * 8)   # rounds per chunk
     assert max(t for t, _, _ in first) <= rows
     assert math.isfinite(run_cell(dataclasses.replace(cfg, learner=harness.LEARN)).mean[-1])
 

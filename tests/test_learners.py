@@ -5,7 +5,9 @@ import pytest
 
 from conftest import minimizer_f, random_instance
 from robust_oco.learners import (
+    EXP_MAX,
     LearnerState,
+    gate_rows,
     learn_rows,
     learn_step,
     ogd_step,
@@ -20,6 +22,7 @@ from robust_oco.losses import (
     RoundLoss,
     SideInfo,
     derive_constants,
+    eta,
     eval_f,
 )
 
@@ -145,6 +148,29 @@ def test_learn_rows_is_learn_step_by_rows(rng, family):
         np.testing.assert_array_equal(rows[i], ref)
         projected += bool(np.linalg.norm(ref) == pytest.approx(radius[i]))
     assert projected > 0   # some rows leave their ball and are projected back
+
+
+@pytest.mark.parametrize("b", [10.0, 0.5])   # below b = 1, b exp(f/a) stays finite up to exp's own overflow
+@pytest.mark.parametrize("a", [1e4, 10.0, 0.01])
+def test_gate_rows_is_eta_by_loss(a, b):
+    # one libm exp per loss, as eta takes it on a float, bit for bit: log-uniform
+    # losses over f/a in [1e-6, 800], and the edges where b exp(f/a) and then
+    # exp(f/a) itself overflow, a few ulps either side
+    params = LearnParams(a=a, b=b)
+    rng = np.random.default_rng(17)
+    f = a * np.exp(rng.uniform(math.log(1e-6), math.log(800.0), 66_298))
+    edges = [a * EXP_MAX, a * (EXP_MAX - math.log(params.b)), a * 1e-300, 0.0]
+    f = np.concatenate([f, *(e + np.arange(-50, 51) * math.ulp(e) for e in edges)])
+    f = np.abs(f).reshape(-1, 6)   # 6 x 11117 losses
+    gates = gate_rows(params, f)
+    assert gates.shape == f.shape
+    expected = np.array([eta(params, v) for v in f.ravel().tolist()]).reshape(f.shape)
+    np.testing.assert_array_equal(gates.view(np.uint64), expected.view(np.uint64))
+    assert (gates == 0.0).any() and (gates == 1.0 / (1.0 + params.b)).any()
+    for negative in (-1e-300, -5e-324):   # the second divides to -0.0 at a > 1
+        with pytest.raises(ValueError, match="loss values must be non-negative"):
+            gate_rows(params, np.array([[1.0, negative]]))
+    np.testing.assert_array_equal(gate_rows(params, np.array([-0.0, 0.0])), 1.0 / (1.0 + params.b))
 
 
 def test_topk_examples():

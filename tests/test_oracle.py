@@ -81,7 +81,8 @@ def test_euclidean_check_detects_wrong_gate_in_the_step(monkeypatch):
     X, y, omega, theta = _block(loss)
     proj, f = np.vecdot(X, theta), oracle.eval_f_rows(loss, X, y, theta)
     right = learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf)
-    monkeypatch.setattr(learners, "eta", lambda p, f_val: eta(LearnParams(p.a, p.b / 10.0), f_val))
+    gate_rows = learners.gate_rows
+    monkeypatch.setattr(learners, "gate_rows", lambda p, f: gate_rows(LearnParams(p.a, p.b / 10.0), f))
     assert not np.allclose(learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf), right)
     assert oracle.check_euclidean_assumptions(2000, rng()).violations > 0
 

@@ -160,20 +160,25 @@ def test_block_corruption_matches_per_round():
 @pytest.mark.parametrize("gen", [RIDGE_GEN, SVM_GEN], ids=["ridge_generator", "svm_generator"])
 @pytest.mark.parametrize("k", [0, 9, 60])
 def test_chunked_draws_equal_block_draw(gen, k):
-    # uneven chunks, including single rounds and chunks with no corrupted round
+    # uneven chunks, including single rounds and chunks with no corrupted round;
+    # a stream of several k's corrupts its one clean draw as each k's own stream does
     T, sizes = 60, (1, 7, 2, 19, 1, 30)
+    ks = [k, 5, k]
     theta_star, X, y_clean, y_emitted, mask = st.episode_stream(gen, T, k, 23)
-    stream = st.EpisodeStream(gen, T, k, 23)
+    *_, y_emitted5, mask5 = st.episode_stream(gen, T, 5, 23)
+    stream = st.EpisodeStream(gen, T, ks, 23)
     # theta* belongs to the seed's stream, drawn from its theta_star substream
     np.testing.assert_array_equal(stream.theta_star, theta_star)
     np.testing.assert_array_equal(theta_star, st.resolve_theta_star(gen, st.stream_rngs(23)))
     t0 = 0
     for n in sizes:
-        Xc, yc, ye, idx = stream.draw(n)
+        Xc, yc, emitted = stream.draw(n)
         np.testing.assert_array_equal(Xc, X[t0:t0 + n])
         np.testing.assert_array_equal(yc, y_clean[t0:t0 + n])
-        np.testing.assert_array_equal(ye, y_emitted[t0:t0 + n])
-        np.testing.assert_array_equal(idx, np.flatnonzero(mask[t0:t0 + n]))
+        assert len(emitted) == len(ks)
+        for (ye, idx), (y_ref, mask_ref) in zip(emitted, [(y_emitted, mask), (y_emitted5, mask5)] * 2):
+            np.testing.assert_array_equal(ye, y_ref[t0:t0 + n])
+            np.testing.assert_array_equal(idx, np.flatnonzero(mask_ref[t0:t0 + n]))
         t0 += n
     assert t0 == T
 
