@@ -220,11 +220,16 @@ def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
             fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items) + "\n")
 
 
+CSV_BLOCK = 1024   # rounds per block of the regret CSV: a block's floats become Python floats at once
+
+
 def write_cell_csv(path: str, result: harness.CellResult):
     with open(path, "w", newline="\n") as fh:
         fh.write("t,mean_regret,stderr_regret\n")
-        for t in range(len(result.mean)):
-            fh.write(f"{t + 1},{_fmt(result.mean[t])},{_fmt(result.stderr[t])}\n")
+        for t0 in range(0, len(result.mean), CSV_BLOCK):
+            block = slice(t0, t0 + CSV_BLOCK)
+            rows = zip(range(t0 + 1, t0 + CSV_BLOCK + 1), result.mean[block].tolist(), result.stderr[block].tolist())
+            fh.writelines(f"{t},{_fmt(m)},{_fmt(s)}\n" for t, m, s in rows)
 
 
 def _write_cell(result: harness.CellResult, outdir: str) -> str:

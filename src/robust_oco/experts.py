@@ -11,6 +11,15 @@ beta, stays that of the logical grid.
 
 Weights are kept in the log domain: over 1e4+ rounds the raw weights decay
 exponentially and would underflow.
+
+One ExpertPool holds the pools of a cell's R seeds, stacked and padded to the
+largest seed's row count, and one pool_step advances them all. Each seed's
+numbers are those of its pool stepped alone, bit for bit, whatever seeds
+share the stack: every element-wise step and every max or min runs on the
+stack, while a sum whose order depends on the row count (the BLAS products
+<x, theta> and w @ thetas, and the weight total) is taken over the seed's
+own rows. A batched product over the stack is that only for a seed whose
+rows fill it, so a padded seed takes its <x, theta> again on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import project_rows
-from .losses import LearnParams, RoundLoss, SideInfo, eta, eval_f_many, grad_f_many
+from .losses import LearnParams, RoundLoss, _link, _link_coef, _link_value, eta
+from .losses import eval_f_many, grad_f_many  # noqa: F401 (bench/tracing.py wraps these names here)
 
 
 @dataclass
@@ -81,33 +91,54 @@ def beta_default(N: int, T: int, nu: float) -> float:
 
 @dataclass
 class ExpertPool:
-    """Expert states stored by rows, one row per group of identical experts.
+    """The pools of R seeds over one grid, stacked: seed r's rows are
+    thetas[r, :rows[r]], one row per group of identical experts, and its
+    rows past that, up to M = max(rows), are padding.
 
-    Row r is the action thetas[r] of experts with step size step_sizes[r].
-    Rows 0 .. first.size - 1 are the shared rows, one per step size at
-    first: radius inf, so never projected. Shared row i holds the
-    grid.radii.size - first[i] experts with radii grid.radii[first[i]:],
-    whose iterates have so far equalled its unprojected one. The round its
-    norm first exceeds grid.radii[first[i]], each of those experts with a
-    radius below the norm splits off as a row of its own (one expert, its own
-    radius, the shared row's log-weight) and first[i] moves past them; a
-    shared row left with none (first[i] == grid.radii.size) is dropped. Pools read their grid and never
-    change it, so the pools of a cell's seeds share one.
+    Row i of a seed is the action thetas[r, i] of experts with step size
+    step_sizes[r, i]. Its first shared rows (first[r] < grid.radii.size)
+    are one per step size at first: radius inf, so never projected. Shared
+    row i holds the grid.radii.size - first[r, i] experts with radii
+    grid.radii[first[r, i]:], whose iterates have so far equalled its
+    unprojected one. The round its norm first exceeds grid.radii[first[r,
+    i]], each of those experts with a radius below the norm splits off as a
+    row of its own at the end of the seed's rows (one expert, its own
+    radius, the shared row's log-weight), and first[r, i] moves past them; a
+    shared row left with none is dropped, and first[r] is padded with
+    grid.radii.size. Pools read their grid and never change it, so the
+    seeds of a cell share one.
 
-    log_weights start at 0 (all weights 1) and only decrease.
+    log_weights start at 0 (all weights 1) and only decrease. A padded row
+    sits at the origin with step size 0, radius inf, log-weight -inf (no
+    aggregation weight) and no experts. pool_step evaluates it as if
+    <x, theta> were y, where the ridge loss and the hinge loss of a label
+    y = +-1 are 0 at the origin, so its gate is 1/(1+b), the largest there
+    is, and it never sets eta_min.
+    counts and limits cache, per split, what the rounds read of first: each
+    row's expert count and each shared row's smallest radius (inf past the
+    shared rows).
     """
 
     grid: ExpertGrid
     beta: float
-    thetas: np.ndarray       # (R, d)
-    step_sizes: np.ndarray   # (R,)
-    radii: np.ndarray        # (R,) inf on a shared row
-    log_weights: np.ndarray  # (R,)
-    first: np.ndarray        # (shared rows,) where each shared row's radii start in grid.radii
+    thetas: np.ndarray       # (R, M, d)
+    step_sizes: np.ndarray   # (R, M)
+    radii: np.ndarray        # (R, M) inf on a shared row
+    log_weights: np.ndarray  # (R, M)
+    first: np.ndarray        # (R, S) where each shared row's radii start in grid.radii
+    rows: np.ndarray         # (R,) each seed's row count
+    counts: np.ndarray       # (R, M) experts per row, as floats: 0 on padding
+    limits: np.ndarray       # (R, S) grid.radii[first], inf past a seed's shared rows
 
 
-def init_pool(grid: ExpertGrid, dim: int, beta: float) -> ExpertPool:
-    """Fresh pool: one shared row per step size at the origin, unit weights."""
+# what a padded row holds, per stacked field
+_PADDING = (("thetas", 0.0), ("step_sizes", 0.0), ("radii", math.inf), ("log_weights", -math.inf),
+            ("counts", 0.0))
+
+
+def init_pool(grid: ExpertGrid, dim: int, beta: float, pools: int = 1) -> ExpertPool:
+    """`pools` fresh pools, stacked: one shared row per step size at the
+    origin, unit weights."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     if grid.n == 0:
@@ -116,67 +147,112 @@ def init_pool(grid: ExpertGrid, dim: int, beta: float) -> ExpertPool:
     return ExpertPool(
         grid=grid,
         beta=beta,
-        thetas=np.zeros((n, dim)),
-        step_sizes=grid.step_sizes.copy(),
-        radii=np.full(n, math.inf),
-        log_weights=np.zeros(n),
-        first=np.zeros(n, dtype=int),
+        thetas=np.zeros((pools, n, dim)),
+        step_sizes=np.tile(grid.step_sizes, (pools, 1)),
+        radii=np.full((pools, n), math.inf),
+        log_weights=np.zeros((pools, n)),
+        first=np.zeros((pools, n), dtype=int),
+        rows=np.full(pools, n),
+        counts=np.full((pools, n), float(grid.radii.size)),
+        limits=np.full((pools, n), grid.radii[0]),
     )
 
 
 def aggregate_action(pool: ExpertPool) -> np.ndarray:
-    """Weight-normalized convex combination of expert actions (log-sum-exp
-    normalized), each row weighted by its expert count: grid.radii.size -
-    first[i] on shared row i, one on a split row."""
+    """Each seed's weight-normalized convex combination of its expert
+    actions (log-sum-exp normalized), each row weighted by its expert count;
+    (R, d). The weight total and the combination are per seed, over its own
+    rows."""
     lw = pool.log_weights
-    if lw.size == 0:
-        raise ValueError("empty pool")
-    w = np.exp(lw - lw.max())
-    w[:pool.first.size] *= pool.grid.radii.size - pool.first
-    w /= w.sum()
-    return w @ pool.thetas
+    w = np.exp(lw - np.maximum.reduce(lw, axis=1, keepdims=True))
+    w *= pool.counts
+    actions = np.empty((len(w), pool.thetas.shape[2]))
+    for r, n in enumerate(pool.rows.tolist()):
+        seed_w = w[r, :n]
+        seed_w /= np.add.reduce(seed_w, keepdims=True)   # a (1,) divisor: a numpy scalar would take the slower path
+        np.matmul(seed_w, pool.thetas[r, :n], out=actions[r])
+    return actions
 
 
-def pool_step(pool: ExpertPool, s: SideInfo, loss: RoundLoss, params: LearnParams) -> ExpertPool:
-    """Advance every expert one round and decay the weights.
+def pool_step(pool: ExpertPool, X: np.ndarray, Y: np.ndarray, loss: RoundLoss, params: LearnParams) -> ExpertPool:
+    """Advance every expert of every seed one round, on seed r's side
+    information X[r] (d,) and Y[r], and decay the weights.
 
     The weight update uses the pre-update loss values f_t(s, theta^tau) and
-    the minimum gate eta_min over those same values, so a single wildly
-    corrupted round cannot collapse the weights.
+    each seed's minimum gate eta_min over those same values, so a single
+    wildly corrupted round cannot collapse the weights.
     """
-    f_vals = eval_f_many(loss, s, pool.thetas)
+    thetas, y = pool.thetas, Y[:, None]
+    proj = np.matmul(thetas, X[..., None])[..., 0]   # <x, theta>
+    M = thetas.shape[1]
+    for r, n in enumerate(pool.rows.tolist()):
+        if n < M:   # a batched product equals the seed's own only over a full stack
+            np.matmul(thetas[r, :n], X[r], out=proj[r, :n])
+            proj[r, n:] = Y[r]   # a padded row's loss is then 0, and its gate the largest there is
+    u = _link(loss, proj, y)
+    f_vals = _link_value(loss, u, np.einsum("rij,rij->ri", thetas, thetas))
     etas = eta(params, f_vals)
 
-    grads = grad_f_many(loss, s, pool.thetas)
-    pool.thetas -= (pool.step_sizes * etas)[:, None] * grads
-    norms = project_rows(pool.thetas, pool.radii)
+    grads = loss.lam * thetas - _link_coef(loss, u, y)[..., None] * X[:, None]
+    thetas -= (pool.step_sizes * etas)[..., None] * grads
+    norms = project_rows(thetas, pool.radii)
 
-    eta_min = float(etas.min())
-    pool.log_weights -= pool.beta * eta_min * f_vals
-    shared_norms = norms[:pool.first.size]
-    over = shared_norms > pool.grid.radii[pool.first]   # a NaN norm splits nothing
-    if over.any():
-        _split(pool, np.flatnonzero(over), shared_norms[over])
+    pool.log_weights -= pool.beta * np.minimum.reduce(etas, axis=1, keepdims=True) * f_vals
+    over = norms[:, :pool.limits.shape[1]] > pool.limits   # a NaN norm splits nothing
+    if np.count_nonzero(over):
+        for r in np.flatnonzero(over.any(axis=1)):
+            shared = np.flatnonzero(over[r])
+            _split(pool, r, shared, norms[r, shared])
     return pool
 
 
-def _split(pool: ExpertPool, shared: np.ndarray, norms: np.ndarray):
-    """Give every expert of the shared rows `shared` whose radius is below its
-    row's new norm a row of its own, the shared row's iterate projected onto
-    its ball; the new rows go by ascending shared row, then ascending radius."""
+def _split(pool: ExpertPool, r: int, shared: np.ndarray, norms: np.ndarray):
+    """Give every expert of seed r's shared rows `shared` whose radius is
+    below its row's new norm a row of its own, the shared row's iterate
+    projected onto its ball; the new rows go by ascending shared row, then
+    ascending radius, after the seed's rows, and the stack grows to hold
+    them. Then drop the seed's emptied shared rows, and trim the stack to
+    the largest seed's row count."""
     ladder = pool.grid.radii
-    start, stop = pool.first[shared], np.searchsorted(ladder, norms)   # radii < norm
-    rows = np.repeat(shared, stop - start)
+    first = pool.first[r]
+    n_shared = np.count_nonzero(first < ladder.size)
+    start, stop = first[shared], np.searchsorted(ladder, norms)   # radii < norm
+    new = np.repeat(shared, stop - start)
     radii = np.concatenate([ladder[a:b] for a, b in zip(start, stop)])
-    pool.first[shared] = stop
-    split = pool.thetas[rows]
+    first[shared] = stop
+    n, m = pool.rows[r], pool.rows[r] + new.size
+    if m > pool.thetas.shape[1]:
+        _resize(pool, m)
+    split = pool.thetas[r, new]
     project_rows(split, radii)
-    pool.thetas = np.vstack([pool.thetas, split])
-    pool.step_sizes = np.concatenate([pool.step_sizes, pool.step_sizes[rows]])
-    pool.radii = np.concatenate([pool.radii, radii])
-    pool.log_weights = np.concatenate([pool.log_weights, pool.log_weights[rows]])
+    pool.thetas[r, n:m] = split
+    pool.step_sizes[r, n:m] = pool.step_sizes[r, new]
+    pool.radii[r, n:m] = radii
+    pool.log_weights[r, n:m] = pool.log_weights[r, new]
 
-    empty = np.flatnonzero(pool.first == ladder.size)
+    empty = np.flatnonzero(first[:n_shared] == ladder.size)
     if empty.size:
-        for name in ("thetas", "step_sizes", "radii", "log_weights", "first"):
-            setattr(pool, name, np.delete(getattr(pool, name), empty, axis=0))
+        keep = np.delete(np.arange(m), empty)
+        for name, pad in _PADDING:
+            seed = getattr(pool, name)[r]
+            seed[:keep.size] = seed[keep]
+            seed[keep.size:m] = pad
+        first[:n_shared] = np.append(np.delete(first[:n_shared], empty), [ladder.size] * empty.size)
+        n_shared, m = n_shared - empty.size, keep.size
+    pool.rows[r] = m
+    pool.counts[r, :n_shared] = ladder.size - first[:n_shared]
+    pool.counts[r, n_shared:m] = 1.0
+    pool.counts[r, m:] = 0.0
+    pool.limits[r] = np.append(ladder, math.inf)[first]
+    if pool.rows.max() < pool.thetas.shape[1]:
+        _resize(pool, int(pool.rows.max()))
+
+
+def _resize(pool: ExpertPool, M: int):
+    """Pad or trim the stack to M rows per seed."""
+    for name, pad in _PADDING:
+        rows = getattr(pool, name)
+        resized = np.full(rows.shape[:1] + (M,) + rows.shape[2:], pad)
+        keep = min(M, rows.shape[1])
+        resized[:, :keep] = rows[:, :keep]
+        setattr(pool, name, resized)

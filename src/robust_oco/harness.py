@@ -28,11 +28,14 @@ projected step that the oracle checks), takes every dot product as one BLAS
 dot per row and the gate's exp from libm per seed, as the per-round
 functions do, so each seed's numbers equal those of ogd_step, learn_step or
 topk_filter_step on that seed alone, bit for bit, whatever the chunking, the
-other seeds and the other cells. The expert pool's row count varies by seed,
-so each seed keeps a pool of its own, stepped by pool_step, and its row of
-actions is that pool's aggregate_action. In the theoretical step mode the
-step size needs each seed's V_T and each k's G and L, so the comparators are
-accounted in a first pass and the streams redrawn once for all cells.
+other seeds and the other cells. An experts cell holds its seeds' pools as
+one stack, padded to the largest seed's row count, which one pool_step per
+round advances and whose aggregate_action is the cell's (R, d) block of
+actions; the pool takes the sums that depend on a seed's row count over that
+seed's own rows, so each seed's pool too is what it is alone, bit for bit.
+In the theoretical step mode the step size needs each seed's V_T and each
+k's G and L, so the comparators are accounted in a first pass and the
+streams redrawn once for all cells.
 
 What the paper's experiments fix is derived here, not set: the Top-k budget
 (k for topk, floor(0.75 k) for utopk), the expert grid (A_max = max(sqrt(T),
@@ -58,7 +61,6 @@ from .losses import (
     LearnParams,
     ProblemConstants,
     RoundLoss,
-    SideInfo,
     _min_scale,
     _value,
     derive_constants,
@@ -192,13 +194,13 @@ class BoundCheck:
     bound: float
 
 
-def _expert_pools(config: RunConfig) -> list:
-    """A fresh Algorithm-2 pool per seed over one shared (step size, radius)
-    grid of A_max = max(sqrt(T), 2) and epsilon = 1, with beta =
-    sqrt(8 log N / (T nu^2))."""
+def _expert_pool(config: RunConfig):
+    """A fresh Algorithm-2 pool for each seed, stacked, over one shared (step
+    size, radius) grid of A_max = max(sqrt(T), 2) and epsilon = 1, with beta
+    = sqrt(8 log N / (T nu^2))."""
     grid = build_grid(max(math.sqrt(config.T), 2.0), 1.0, config.T)
     beta = beta_default(grid.n, config.T, config.params.nu)
-    return [init_pool(grid, config.generator.dim, beta) for _ in config.seeds]
+    return init_pool(grid, config.generator.dim, beta, len(config.seeds))
 
 
 def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | None = None) -> float:
@@ -239,9 +241,10 @@ class _Comparators:
             self.clean = [np.empty((k, dim)) for k in ks]
             self.emitted = [np.empty((k, dim)) for k in ks]
 
-    def _minimizers(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """theta* of each row, projected onto the domain ball when the radius is finite."""
-        comp = minimizer_rows(self.loss, X, y)
+    def _minimizers(self, X: np.ndarray, y: np.ndarray, nx2: np.ndarray) -> np.ndarray:
+        """theta* of each row, from nx2 = ||x_t||^2, projected onto the domain
+        ball when the radius is finite."""
+        comp = minimizer_rows(self.loss, X, y, nx2)
         if math.isfinite(self.radius):
             project_rows(comp, self.radius)
         return comp
@@ -260,21 +263,21 @@ class _Comparators:
         clean regret counts. Raises ValueError when a k is fed more corrupted
         rounds than it has."""
         t1 = t0 + len(X)
-        comp = self._minimizers(X, y_clean)
+        nx2 = np.einsum("ij,ij->i", X, X)
+        comp = self._minimizers(X, y_clean, nx2)
         f_star = eval_f_rows(self.loss, X, y_clean, comp)
         self.norm_max = max(self.norm_max, float(np.linalg.norm(comp, axis=1).max()))
         step = np.diff(np.concatenate((self.last, comp)), axis=0)
         step *= step   # squared in place: np.linalg.norm's row sums without its temporary
         self.steps[t1 - 1 - len(step):t1 - 1] = np.sqrt(np.add.reduce(step, axis=1))
         self.last = comp[-1:].copy()   # not a view that would keep the chunk's comparators
-        nx2 = np.einsum("ij,ij->i", X, X)
         clean_growth = self._growth(nx2, y_clean)
         for j, (y, idx) in enumerate(emitted):
             m0, m1 = self.n_corrupted[j], self.n_corrupted[j] + len(idx)
             if m1 > self.ks[j]:
                 raise ValueError(f"{m1} corrupted rounds fed to the accounting of k = {self.ks[j]}")
             self.n_corrupted[j] = m1
-            omega = self._minimizers(X[idx], y[idx])
+            omega = self._minimizers(X[idx], y[idx], nx2[idx])
             diff = np.linalg.norm(omega - comp[idx], axis=1)
             self.delta_s[j] = max(self.delta_s[j], diff.max(initial=0.0))
             growth = clean_growth.copy()
@@ -346,10 +349,10 @@ def _stepper(cells: list, alpha: np.ndarray):
     descend_rows serve every block: ogd descends as it is, learn on the
     gradient scaled by its gate (one learners.gate_rows for all learn
     blocks), and a Top-k seed only where its filter lets the round through; a
-    filtered seed keeps its action by selection. An expert pool's block is
-    what each seed's own pool aggregates after pool_step. Each row gets what
-    ogd_step, learn_step, topk_filter_step or the pool makes of that seed
-    alone, bit for bit."""
+    filtered seed keeps its action by selection. An experts cell's block is
+    what its stacked pool aggregates after one pool_step for all its seeds.
+    Each row gets what ogd_step, learn_step, topk_filter_step or the pool
+    makes of that seed alone, bit for bit."""
     config = cells[0]
     loss, params, radius = config.loss, config.params, config.radius
     rows = np.arange(len(config.seeds))
@@ -359,7 +362,7 @@ def _stepper(cells: list, alpha: np.ndarray):
         if cell.learner == LEARN:
             gated.append(i)
         elif cell.learner == EXPERTS:
-            pools.append((i, _expert_pools(cell)))
+            pools.append((i, _expert_pool(cell)))
         elif budget:   # each seed's `budget` largest gradient norms; -inf is empty
             filters.append((i, np.full((len(rows), budget), -np.inf)))
     descends = len(pools) < len(cells)
@@ -384,10 +387,9 @@ def _stepper(cells: list, alpha: np.ndarray):
             grow = ~update & (n > low)
             top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
             new[i] = np.where(update[:, None], new[i], theta[i])
-        for i, seed_pools in pools:
-            for r, pool in enumerate(seed_pools):
-                pool_step(pool, SideInfo(x=x[0, r], y=float(y[i, r])), loss, params)
-                new[i, r] = aggregate_action(pool)
+        for i, pool in pools:
+            pool_step(pool, x[0], y[i], loss, params)
+            new[i] = aggregate_action(pool)
         return new
 
     return step
@@ -425,7 +427,7 @@ class _Play:
             proj = np.vecdot(x, theta)
             f = _value(loss, proj, np.vecdot(theta, theta), y)
             finite = np.isfinite(f)
-            if not finite.all():   # the first non-finite row in (cell, seed) order
+            if np.count_nonzero(finite) < f.size:   # the first non-finite row in (cell, seed) order
                 i, r = np.unravel_index(finite.argmin(), finite.shape)
                 cell = cells[i]
                 raise RuntimeError(f"learner {cell.learner}, k {cell.k}, seed {cell.seeds[r]}: non-finite loss "

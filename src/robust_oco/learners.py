@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LearnParams, RoundLoss, SideInfo, grad_f, grad_f_rows, grad_g
+from .losses import _ONE, _TINY, EXP_MAX, LearnParams, RoundLoss, SideInfo, grad_f, grad_f_rows, grad_g
 
 
 @dataclass
@@ -63,7 +63,7 @@ def project_rows(thetas: np.ndarray, radii, sq: np.ndarray | None = None) -> np.
     norms = np.sqrt(np.add.reduce(thetas * thetas, axis=-1) if sq is None else sq)
     outside = norms > radii
     if np.count_nonzero(outside):   # a row inside its ball would be multiplied by exactly 1.0
-        thetas *= np.where(outside, radii / np.maximum(norms, 1e-300), 1.0)[..., None]
+        thetas *= np.where(outside, radii / np.maximum(norms, _TINY), _ONE)[..., None]
     return norms
 
 
@@ -88,9 +88,6 @@ def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray
     g = grad_f_rows(loss, x, y, theta, proj)
     g *= gate_rows(params, f)[:, None]
     return descend_rows(theta, g, alpha, radius)
-
-
-EXP_MAX = 709.782712893384   # the largest float whose math.exp is finite
 
 
 def gate_rows(params: LearnParams, f: np.ndarray) -> np.ndarray:

@@ -17,14 +17,17 @@ whose gradient is eta * grad_f with the gate
 eta decays to zero as f grows, which damps gradient updates on rounds whose
 loss is abnormally large (the redescending property).
 
-Each family's formulas are written once, in three private kernels that take
-the inner products a loss depends on, as floats or as arrays:
+Each family's formulas are written once, in private kernels that take the
+inner products a loss depends on, as floats or as arrays:
 
     _value(loss, proj, sq, y)    f from proj = <x, theta>, sq = ||theta||^2 and y
     _coef(loss, proj, y)         the c in grad_f = lam theta - c x
     _min_scale(loss, nx2, y)     the c in the minimizer theta* = c x, nx2 = ||x||^2
 
-and the transform g of a loss value f is _transform(params, f).
+and the transform g of a loss value f is _transform(params, f). The value and
+the coefficient both read one product of proj and y, _link: the residual
+y - proj or the margin y proj. A caller that needs both, as the expert pool's
+round does, forms it once and calls _link_value and _link_coef.
 
 The public functions only form those inner products for their shape: one
 round at one action (eval_f, grad_f), one round at many actions
@@ -44,6 +47,14 @@ import numpy as np
 RIDGE = "ridge"
 HINGE_SVM = "hinge_svm"
 FAMILIES = (RIDGE, HINGE_SVM)
+
+EXP_MAX = 709.782712893384   # the largest float whose math.exp is finite
+
+# The literal constants of the array kernels, as 0-d arrays: numpy takes a
+# Python float operand as a weak scalar, which costs about 0.4 us more per
+# call on an episode's small arrays than a 0-d float64 array, and gives the
+# same float64 result.
+_ONE, _TINY = np.array(1.0), np.array(1e-300)
 
 
 @dataclass
@@ -118,22 +129,38 @@ class ProblemConstants:
 # The kernels below take floats or arrays alike: a comparison times a value is
 # that value where the comparison holds and zero elsewhere, in either type.
 
-def _value(loss: RoundLoss, proj, sq, y):
-    """The loss from proj = <x, theta>, sq = ||theta||^2 and y."""
+def _link(loss: RoundLoss, proj, y):
+    """What a family's value and gradient coefficient read of proj = <x, theta>
+    and y: the residual y - proj (ridge) or the margin y proj (hinge)."""
+    return y - proj if loss.family == RIDGE else y * proj
+
+
+def _link_value(loss: RoundLoss, u, sq):
+    """The loss from u = _link(loss, proj, y) and sq = ||theta||^2. The hinge
+    1 - u is positive exactly where u < 1."""
     reg = 0.5 * loss.lam * sq
     if loss.family == RIDGE:
-        r = y - proj
-        return reg + r * r
-    h = 1.0 - y * proj
-    return reg + (h > 0.0) * h
+        return reg + u * u
+    return reg + (u < _ONE) * (_ONE - u)
+
+
+def _link_coef(loss: RoundLoss, u, y):
+    """The c in grad_f = lam theta - c x from u = _link(loss, proj, y). At the
+    hinge kink (margin exactly 1) c = 0, the zero-hinge branch; any
+    subgradient is valid there."""
+    if loss.family == RIDGE:
+        return 2.0 * u
+    return (u < _ONE) * y
+
+
+def _value(loss: RoundLoss, proj, sq, y):
+    """The loss from proj = <x, theta>, sq = ||theta||^2 and y."""
+    return _link_value(loss, _link(loss, proj, y), sq)
 
 
 def _coef(loss: RoundLoss, proj, y):
-    """The c in grad_f = lam theta - c x. At the hinge kink (margin exactly 1)
-    c = 0, the zero-hinge branch; any subgradient is valid there."""
-    if loss.family == RIDGE:
-        return 2.0 * (y - proj)
-    return (y * proj < 1.0) * y
+    """The c in grad_f = lam theta - c x."""
+    return _link_coef(loss, _link(loss, proj, y), y)
 
 
 def _min_scale(loss: RoundLoss, nx2, y):
@@ -183,10 +210,12 @@ def eta(params: LearnParams, f_val):
     """
     a, b = params.a, params.b
     if isinstance(f_val, np.ndarray):
-        if np.any(f_val < 0):
+        if f_val.size and np.minimum.reduce(f_val, axis=None) < 0:
             raise ValueError("loss values must be non-negative")
+        if not f_val.size or np.maximum.reduce(f_val, axis=None) <= a * (EXP_MAX - 1.0 - max(math.log(b), 0.0)):
+            return _ONE / (_ONE + b * np.exp(f_val / a))   # no exp nor b exp overflows
         with np.errstate(over="ignore"):   # an overflow to inf gives 1/(1 + inf) = 0 exactly
-            return 1.0 / (1.0 + b * np.exp(f_val / a))
+            return _ONE / (_ONE + b * np.exp(f_val / a))
     if f_val < 0:
         raise ValueError("loss values must be non-negative")
     try:
@@ -253,9 +282,12 @@ def grad_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray
     return loss.lam * Theta - _coef(loss, proj, y)[..., None] * X
 
 
-def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Closed-form minimizers for many rounds; X is (T, d), y is (T,)."""
-    return _min_scale(loss, np.einsum("ij,ij->i", X, X), y)[:, None] * X
+def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, nx2: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form minimizers for many rounds; X is (T, d), y is (T,). nx2,
+    when given, holds the squared row norms ||X[t]||^2."""
+    if nx2 is None:
+        nx2 = np.einsum("ij,ij->i", X, X)
+    return _min_scale(loss, nx2, y)[:, None] * X
 
 
 def eval_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray) -> np.ndarray:

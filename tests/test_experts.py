@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import capture_pools
+from conftest import SeedPool, capture_pools, seed_aggregate_action, seed_pool_step, seed_rows
 from robust_oco import harness
 from robust_oco.experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
 from robust_oco.learners import LearnerState, learn_step
 from robust_oco.losses import (
+    HINGE_SVM,
     LearnParams,
     RIDGE,
     RoundLoss,
@@ -25,6 +26,11 @@ def v(*args):
 
 
 RIDGE0 = RoundLoss(family=RIDGE, lam=0.0)
+
+
+def step(pool, s, loss, params):
+    """pool_step of a one-seed pool on one SideInfo."""
+    return pool_step(pool, s.x[None], np.array([s.y]), loss, params)
 
 
 # --- reference: the uncompressed pool, one row per logical expert ------------
@@ -63,14 +69,18 @@ def ref_pool_step(pool, s, loss, params):
 
 
 def row_counts(pool):
-    """Experts per row: grid.radii.size - first[i] on shared row i, one on a split row."""
+    """Experts per row of a SeedPool (or a seed_rows view): grid.radii.size -
+    first[i] on shared row i, one on a split row."""
     split = len(pool.thetas) - pool.first.size
     return np.concatenate([pool.grid.radii.size - pool.first, np.ones(split, dtype=int)])
 
 
 def expand(pool):
     """Each grid entry's action and log-weight, in grid order, read off the
-    row that holds it: its own row once split, else its step size's shared row."""
+    row that holds it: its own row once split, else its step size's shared
+    row. A stacked pool is read as its first seed's."""
+    if not isinstance(pool, SeedPool):
+        pool = seed_rows(pool)
     n_shared = pool.first.size
     assert row_counts(pool).sum() == pool.grid.n
     assert np.all(np.isinf(pool.radii[:n_shared])) and np.all(np.isfinite(pool.radii[n_shared:]))
@@ -151,20 +161,20 @@ def _pool2(thetas, log_weights, beta=1.0):
     # two unbounded experts with different step sizes: one shared row each
     grid = replace(build_grid(4.0, 1.0, 4), step_sizes=v(0.5, 0.25), radii=v(math.inf))
     pool = init_pool(grid, thetas.shape[1], beta)
-    pool.thetas[:] = thetas
-    pool.log_weights[:] = log_weights
+    pool.thetas[0] = thetas
+    pool.log_weights[0] = log_weights
     return pool
 
 
 def test_aggregate_action_examples():
     pool = _pool2(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
-    np.testing.assert_allclose(aggregate_action(pool), v(0.5, 0.5))
+    np.testing.assert_allclose(aggregate_action(pool), [v(0.5, 0.5)])
 
     pool = _pool2(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([50.0, 0.0]))
-    np.testing.assert_allclose(aggregate_action(pool), v(1.0, 0.0), atol=1e-15)
+    np.testing.assert_allclose(aggregate_action(pool), [v(1.0, 0.0)], atol=1e-15)
 
     pool = _pool2(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.0, -math.log(3.0)]))
-    np.testing.assert_allclose(aggregate_action(pool), v(0.75, 0.0), rtol=1e-12)
+    np.testing.assert_allclose(aggregate_action(pool), [v(0.75, 0.0)], rtol=1e-12)
 
 
 def test_pool_step_example_weight_deltas():
@@ -172,7 +182,7 @@ def test_pool_step_example_weight_deltas():
     # eta_min = eta(2) = 1/(1+e^2); deltas {-0.11920292, -0.23840584}
     pool = _pool2(np.array([[1.0, 0.0], [math.sqrt(2.0), 0.0]]), np.zeros(2))
     s = SideInfo(v(1, 0), 0.0)
-    pool_step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
+    step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
     np.testing.assert_allclose(
         expand(pool)[1], [-0.11920292202211755, -0.23840584404423510], rtol=1e-12)
 
@@ -180,7 +190,7 @@ def test_pool_step_example_weight_deltas():
 def test_pool_step_zero_loss_keeps_weights():
     pool = _pool2(np.zeros((2, 2)), np.zeros(2))
     s = SideInfo(v(1, 0), 0.0)  # every expert at the common minimizer, f = 0
-    pool_step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
+    step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
     np.testing.assert_array_equal(expand(pool)[1], np.zeros(2))
 
 
@@ -188,7 +198,7 @@ def test_pool_step_outlier_damping():
     # one expert sees a huge loss -> eta_min ~ 0 -> all weight updates ~ 0
     pool = _pool2(np.array([[0.0, 0.0], [1e6, 0.0]]), np.zeros(2))
     s = SideInfo(v(1, 0), 0.0)
-    pool_step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
+    step(pool, s, RIDGE0, LearnParams(1.0, 1.0))
     log_weights = expand(pool)[1]
     assert np.all(log_weights > -1e-9)
     assert np.all(np.isfinite(log_weights))
@@ -204,7 +214,7 @@ def test_weight_monotonicity_and_bounded_decay(rng=np.random.default_rng(7)):
     prev = expand(pool)[1]
     for _ in range(200):
         s = SideInfo(rng.normal(0, 3, 2), float(rng.normal(0, 5)))
-        pool_step(pool, s, loss, params)
+        step(pool, s, loss, params)
         log_weights = expand(pool)[1]
         delta = prev - log_weights
         assert np.all(delta >= -1e-15)          # nonincreasing log-weights
@@ -221,9 +231,9 @@ def test_aggregate_stays_in_expert_hull(rng=np.random.default_rng(11)):
     d_max = grid.radii[np.isfinite(grid.radii)].max()
     for _ in range(100):
         s = SideInfo(rng.normal(0, 1, 2), float(rng.normal()))
-        pool_step(pool, s, loss, params)
-        theta = aggregate_action(pool)
-        assert np.linalg.norm(theta) <= max(np.linalg.norm(pool.thetas, axis=1).max(), d_max) + 1e-12
+        step(pool, s, loss, params)
+        theta, = aggregate_action(pool)
+        assert np.linalg.norm(theta) <= max(np.linalg.norm(pool.thetas[0], axis=1).max(), d_max) + 1e-12
 
 
 def test_pool_matches_independent_learn_steps(rng=np.random.default_rng(3)):
@@ -235,15 +245,16 @@ def test_pool_matches_independent_learn_steps(rng=np.random.default_rng(3)):
     states = [LearnerState(theta=np.zeros(3), step_size=a, radius=d) for a, d in zip(*entries(grid))]
     for _ in range(40):
         s = SideInfo(rng.normal(0, 1, 3), float(rng.normal()))
-        pool_step(pool, s, loss, params)
+        step(pool, s, loss, params)
         for st in states:
             learn_step(st, s, loss, params)
         thetas = expand(pool)[0]
         for i, st in enumerate(states):
             # accumulated dot-product reassociation drift only
             np.testing.assert_allclose(thetas[i], st.theta, rtol=1e-9, atol=1e-12)
-    assert len(pool.thetas) < grid.n   # some experts still share a row
-    assert len(pool.thetas) > pool.first.size   # and some have split off
+    seed = seed_rows(pool)
+    assert len(seed.thetas) < grid.n   # some experts still share a row
+    assert len(seed.thetas) > seed.first.size   # and some have split off
 
 
 def test_several_members_split_in_one_round():
@@ -254,19 +265,21 @@ def test_several_members_split_in_one_round():
     params = LearnParams(1e6, 1.0)
     pool, ref = init_pool(grid, 2, 0.5), RefPool(grid, 2, 0.5)
     s = SideInfo(v(7.0710678, 0.0), 4.0)
-    pool_step(pool, s, RIDGE0, params)
+    step(pool, s, RIDGE0, params)
     ref_pool_step(ref, s, RIDGE0, params)
-    assert pool.first.tolist() == [7]   # one shared row left, holding radii[7:]
-    assert grid.radii[pool.first].tolist() == [32.0]
-    assert row_counts(pool).tolist() == [1] * 16
+    seed = seed_rows(pool)
+    assert seed.first.tolist() == [7]   # one shared row left, holding radii[7:]
+    assert pool.first.tolist() == [[7, grid.radii.size]]   # the dropped shared row's slot is padding
+    assert grid.radii[seed.first].tolist() == [32.0]
+    assert row_counts(seed).tolist() == [1] * 16
     thetas, log_weights = expand(pool)
     np.testing.assert_array_equal(thetas, ref.thetas)
     np.testing.assert_array_equal(log_weights, ref.log_weights)
-    np.testing.assert_allclose(aggregate_action(pool), ref_aggregate_action(ref), rtol=1e-14)
+    np.testing.assert_allclose(aggregate_action(pool)[0], ref_aggregate_action(ref), rtol=1e-14)
     rng = np.random.default_rng(5)
     for _ in range(20):
         s = SideInfo(rng.normal(0, 3, 2), float(rng.normal(0, 30)))
-        pool_step(pool, s, RIDGE0, params)
+        step(pool, s, RIDGE0, params)
         ref_pool_step(ref, s, RIDGE0, params)
         thetas, log_weights = expand(pool)
         np.testing.assert_allclose(thetas, ref.thetas, rtol=1e-12, atol=1e-12)
@@ -279,10 +292,19 @@ def test_compressed_pool_matches_uncompressed_regret(seed, monkeypatch):
     config = harness.preset_config("svm", T=2000, seeds=[seed], learner=harness.EXPERTS, k=44)
     pools = capture_pools(monkeypatch)
     series = harness.clean_dynamic_regret(harness.run_episode(config, seed)).series
-    assert pools[0].grid.n == 6144 and len(pools[0].thetas) < 100
-    monkeypatch.setattr(harness, "init_pool", RefPool)
-    monkeypatch.setattr(harness, "pool_step", ref_pool_step)
-    monkeypatch.setattr(harness, "aggregate_action", ref_aggregate_action)
+    assert pools[0].grid.n == 6144 and pools[0].thetas.shape[1] < 100
+
+    # the uncompressed pool behind the harness's stacked-pool calls, for a cell of one seed
+    def ref_init(grid, dim, beta, pools):
+        assert pools == 1
+        return RefPool(grid, dim, beta)
+
+    def ref_step(pool, X, Y, loss, params):
+        return ref_pool_step(pool, SideInfo(x=X[0], y=float(Y[0])), loss, params)
+
+    monkeypatch.setattr(harness, "init_pool", ref_init)
+    monkeypatch.setattr(harness, "pool_step", ref_step)
+    monkeypatch.setattr(harness, "aggregate_action", lambda pool: ref_aggregate_action(pool)[None])
     ref_pools = capture_pools(monkeypatch)
     ref_trace = harness.run_episode(config, seed)
     assert len(ref_pools) == 1 and isinstance(ref_pools[0], RefPool)
@@ -291,11 +313,11 @@ def test_compressed_pool_matches_uncompressed_regret(seed, monkeypatch):
 
 def test_ridge_full_scale_pool_is_nine_rows():
     config = harness.preset_config("ridge", seeds=[1], learner=harness.EXPERTS)
-    pool, = harness._expert_pools(config)
+    pool = harness._expert_pool(config)
     assert config.T == 10 ** 5
     assert pool.grid.n == 9216
-    assert pool.thetas.shape == (9, 100)
-    assert row_counts(pool).tolist() == [1024] * 9
+    assert pool.thetas.shape == (1, 9, 100)
+    assert row_counts(seed_rows(pool)).tolist() == [1024] * 9
     assert pool.beta == beta_default(9216, 10 ** 5, config.params.nu)
 
 
@@ -309,7 +331,7 @@ def test_pool_determinism(rng=None):
         loss = RoundLoss(family=RIDGE, lam=1e-4)
         for _ in range(50):
             s = SideInfo(g.normal(0, 1, 2), float(g.normal()))
-            pool_step(pool, s, loss, params)
+            step(pool, s, loss, params)
         return pool.thetas.copy(), pool.log_weights.copy()
 
     t1, w1 = run()
@@ -322,7 +344,87 @@ def test_seeds_pools_share_one_grid_and_leave_it_unchanged(monkeypatch):
     pools = capture_pools(monkeypatch)
     harness.run_cell(config)
     grid, fresh = pools[0].grid, build_grid(math.sqrt(300), 1.0, 300)
-    assert len(pools) == 3 and all(pool.grid is grid for pool in pools)
-    assert all(len(pool.thetas) > pool.first.size for pool in pools)   # every pool has split rows
+    assert len(pools) == 1 and pools[0].thetas.shape[0] == 3   # one stack holds the three seeds' pools
+    seeds = [seed_rows(pools[0], r) for r in range(3)]
+    assert all(seed.grid is grid for seed in seeds)
+    assert all(len(seed.thetas) > seed.first.size for seed in seeds)   # every pool has split rows
     np.testing.assert_array_equal(grid.step_sizes, fresh.step_sizes)
     np.testing.assert_array_equal(grid.radii, fresh.radii)
+
+
+# --- the stacked pool: each seed is its own pool, bit for bit ------------------
+
+def test_stacked_pool_equals_each_seeds_own_pool():
+    # three seeds stepped on rounds of their own split at different rounds, and
+    # drop emptied shared rows (no unbounded radius at T = 8) at different
+    # rounds, so the stack pads them differently; each stays what its own
+    # pool is, and the stack holds just the largest seed's row count
+    grid = build_grid(4.0, 1.0, 8)
+    loss, params = RoundLoss(family=RIDGE, lam=0.01), LearnParams(1e6, 1.0)
+    pool, refs = init_pool(grid, 2, 0.5, pools=3), [SeedPool(grid, 2, 0.5) for _ in range(3)]
+    rng = np.random.default_rng(8)
+    padded = dropped = 0
+    for _ in range(60):
+        X = rng.normal(0, 1, (3, 2)) * v(0.1, 1.0, 3.0)[:, None]
+        Y = rng.normal(0, 1, 3) * v(0.1, 3.0, 30.0)
+        pool_step(pool, X, Y, loss, params)
+        for r, ref in enumerate(refs):
+            seed_pool_step(ref, SideInfo(x=X[r], y=float(Y[r])), loss, params)
+        actions = aggregate_action(pool)
+        assert pool.thetas.shape[1] == pool.rows.max()
+        padded += int(pool.rows.min() < pool.rows.max())
+        dropped += int(any(ref.first.size < grid.step_sizes.size for ref in refs))
+        for r, ref in enumerate(refs):
+            seed = seed_rows(pool, r)
+            for name in ("thetas", "step_sizes", "radii", "log_weights", "first"):
+                np.testing.assert_array_equal(getattr(seed, name), getattr(ref, name), err_msg=name)
+            np.testing.assert_array_equal(actions[r], seed_aggregate_action(ref))
+    assert padded and dropped
+
+
+def test_padded_row_never_sets_eta_min():
+    # hinge: seed 1's real rows all have f < 1 while a padded row, at the
+    # origin, has f = 1 and so the smallest gate; seed 1's weights must decay
+    # as its own unpadded pool's do
+    grid = build_grid(4.0, 1.0, 8)
+    loss, params = RoundLoss(family=HINGE_SVM, lam=1e-3), LearnParams(1.0, 1.0)
+    pool, ref = init_pool(grid, 2, 0.5, pools=2), SeedPool(grid, 2, 0.5)
+    X, Y = np.array([[100.0, 0.0], [0.01, 0.0]]), v(1.0, 1.0)
+    pool_step(pool, X, Y, loss, params)   # seed 0 splits, seed 1 does not
+    seed_pool_step(ref, SideInfo(x=X[1], y=1.0), loss, params)
+    assert pool.rows[1] < pool.rows[0]
+    x = v(1.0, 0.0)
+    f_real = eval_f_many(loss, SideInfo(x=x, y=1.0), ref.thetas)
+    assert np.all(f_real < 1.0) and eta(params, f_real).min() > eta(params, 1.0)
+    pool_step(pool, np.stack([x, x]), Y, loss, params)
+    seed_pool_step(ref, SideInfo(x=x, y=1.0), loss, params)
+    np.testing.assert_array_equal(seed_rows(pool, 1).log_weights, ref.log_weights)
+
+
+@pytest.mark.parametrize("family, T, k", [("svm", 300, 17), ("ridge", 100, 10)])
+def test_stacked_seeds_equal_their_own_episodes(family, T, k, monkeypatch):
+    # the seeds' pools end with different row counts, so the stack pads; each
+    # seed's episode is still what its pool gives alone, bit for bit
+    seeds = [1, 2, 3]
+    config = harness.preset_config(family, T=T, seeds=seeds, learner=harness.EXPERTS, k=k)
+    pools = capture_pools(monkeypatch)
+    traces = harness.run_episodes(config)
+    rows = pools[0].rows.tolist()
+    assert len(set(rows)) > 1 and pools[0].thetas.shape[1] == max(rows)
+    for seed, trace in zip(seeds, traces):
+        alone = harness.run_episode(config, seed)
+        np.testing.assert_array_equal(trace.f_emitted, alone.f_emitted)
+        np.testing.assert_array_equal(trace.theta, alone.theta)
+
+
+def test_one_pool_step_per_round_for_all_seeds(monkeypatch):
+    config = harness.preset_config("svm", T=60, seeds=[1, 2, 3], learner=harness.EXPERTS, k=7)
+    calls, pool_step = [], harness.pool_step
+
+    def counted(pool, X, Y, loss, params):
+        calls.append((X.shape, Y.shape))
+        return pool_step(pool, X, Y, loss, params)
+
+    monkeypatch.setattr(harness, "pool_step", counted)
+    harness.run_cell(config)
+    assert calls == [((3, 2), (3,))] * (config.T - 1)   # no step after the action of round T

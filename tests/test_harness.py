@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import capture_pools, minimizer_f
+from conftest import SeedPool, capture_pools, minimizer_f, seed_aggregate_action, seed_pool_step
 from robust_oco import harness
 from robust_oco import stream as st
-from robust_oco.experts import aggregate_action, pool_step
 from robust_oco.harness import (
     EpisodeTrace,
     RegretCurve,
@@ -81,9 +80,9 @@ def reference_accounting(cfg, seed):
 
 def per_seed_episode(cfg, seed):
     """The per-seed episode loop that run_episodes replaced, kept as its
-    reference: one SideInfo and one step of a LearnerState, or of the expert
-    pool, per round. Returns f_t(s_t, theta_t) of every round and the action
-    played in round T."""
+    reference: one SideInfo and one step of a LearnerState, or of the seed's
+    own expert pool (conftest.SeedPool), per round. Returns f_t(s_t, theta_t)
+    of every round and the action played in round T."""
     _, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
     ref = reference_accounting(cfg, seed)
     alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
@@ -91,11 +90,12 @@ def per_seed_episode(cfg, seed):
     budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
     pool = None
     if cfg.learner == harness.EXPERTS:
-        pool, = harness._expert_pools(dataclasses.replace(cfg, seeds=[seed]))
+        stacked = harness._expert_pool(dataclasses.replace(cfg, seeds=[seed]))   # the cell's grid and beta
+        pool = SeedPool(stacked.grid, cfg.generator.dim, stacked.beta)
     f_emitted = np.empty(cfg.T)
     for t in range(cfg.T):
         s = SideInfo(x=X[t], y=float(y_emitted[t]))
-        theta = state.theta if pool is None else aggregate_action(pool)   # steps never write into theta
+        theta = state.theta if pool is None else seed_aggregate_action(pool)   # steps never write into theta
         f_emitted[t] = eval_f(cfg.loss, s, theta)
         if not math.isfinite(f_emitted[t]):
             raise RuntimeError(f"seed {seed}: non-finite loss at round {t + 1} of {cfg.T}; the run diverged")
@@ -104,7 +104,7 @@ def per_seed_episode(cfg, seed):
         elif cfg.learner == harness.LEARN:
             learn_step(state, s, cfg.loss, cfg.params, f_emitted[t])
         elif pool is not None:
-            pool_step(pool, s, cfg.loss, cfg.params)
+            seed_pool_step(pool, s, cfg.loss, cfg.params)
         else:
             topk_filter_step(state, s, cfg.loss, budget)
     return f_emitted, theta
@@ -190,7 +190,7 @@ def test_path_length_examples(monkeypatch):
     def clean_comparators(comp, is_outlier=None, radius=math.inf, chunk=None):
         comp = np.asarray(comp, float)
         T = len(comp)
-        monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y: comp[X[:, 0].astype(int)])
+        monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y, nx2: comp[X[:, 0].astype(int)])
         mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
         cfg = preset_config("svm", T=T, seeds=[1], k=int(mask.sum()), radius=radius)
         acc = harness._Comparators(cfg, [cfg.k], keep=True)
