@@ -574,8 +574,9 @@ T_REF = 60
 @pytest.mark.parametrize("learner", harness.LEARNERS)
 def test_batched_episodes_match_per_seed_loop(learner, family, radius, k, n_seeds):
     # every dot product is the same BLAS dot and every other operation is
-    # element-wise, so the batch equals the per-seed loop bit for bit; each
-    # seed of the expert pool keeps a pool of its own
+    # element-wise, so the batch equals the per-seed loop bit for bit; the
+    # experts cell's stacked pool takes each seed's row-count-dependent sums
+    # over that seed's own rows
     seeds = [4, 5, 6][:n_seeds]
     if learner == harness.EXPERTS and math.isfinite(radius):   # the pool's grid holds its own radii
         with pytest.raises(ValueError, match="radius must be inf"):
