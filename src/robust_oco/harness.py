@@ -37,6 +37,17 @@ In the theoretical step mode the step size needs each seed's V_T and each
 k's G and L, so the comparators are accounted in a first pass and the
 streams redrawn once for all cells.
 
+What lives how long. A pass allocates its working arrays once: the chunk
+arrays _chunks refills (features, responses, comparator losses, outlier
+masks), the scratch in which every seed's comparator accounting squares and
+sums its rows, and the play's buffers (the two (C, R, d) action stacks it
+swaps every round, the gradient, each chunk's losses and a round's (C, R)
+products, link, losses and gates). A chunk's own arrays are its stream
+draws, its comparators and the regret reductions over it. A round of ogd or
+learn writes into the play's buffers and allocates only (C, R) temporaries,
+the terms of its loss values, and the list of its gates; a Top-k filter's,
+an expert pool's and a projection's round add their own.
+
 What the paper's experiments fix is derived here, not set: the Top-k budget
 (k for topk, floor(0.75 k) for utopk), the expert grid (A_max = max(sqrt(T),
 2), epsilon = 1, beta = sqrt(8 log N / (T nu^2))) and the loss family, that
@@ -61,11 +72,12 @@ from .losses import (
     LearnParams,
     ProblemConstants,
     RoundLoss,
+    _link,
+    _link_coef,
+    _link_value,
     _min_scale,
-    _value,
     derive_constants,
     eval_f_rows,
-    grad_f_rows,
     growth_constants,
     minimizer_rows,
 )
@@ -218,7 +230,11 @@ class _Comparators:
     by chunk in round order; a chunk's comparators do not outlive its `add`.
 
     Per seed: the step norms ||theta_t* - theta_{t+1}*|| (summed once, so V_T
-    sums in one order whatever the chunking) and the largest ||theta_t*||.
+    sums in one order whatever the chunking) and the largest ||theta_t*||,
+    both squared and summed by rows, as np.linalg.norm takes them, in
+    scratch, which the seeds of a pass share: rows * (d + 1) floats, a
+    contiguous (rows, d) block of squares and then the rows' sums, for
+    chunks of up to `rows` rounds.
     Per k, as running maxima: (G, L) of the emitted rounds and delta_S, the
     largest ||omega_t* - theta_t*|| over the corrupted rounds. With keep, it
     also keeps what each k's EpisodeTrace holds: the outlier mask, f_t(s_t,
@@ -226,12 +242,14 @@ class _Comparators:
     corrupted rounds, (k, d) each.
     """
 
-    def __init__(self, config: RunConfig, ks: list, keep: bool = False):
+    def __init__(self, config: RunConfig, ks: list, scratch: np.ndarray, keep: bool = False):
         T, dim = config.T, config.generator.dim
         self.loss, self.radius, self.ks, self.keep = config.loss, config.radius, ks, keep
+        rows = len(scratch) // (dim + 1)
+        self.squares, self.sums = scratch[:rows * dim].reshape(rows, dim), scratch[rows * dim:]
         self.steps = np.empty(T - 1)
         self.norm_max = 0.0
-        self.last = np.empty((0, dim))   # theta* of the round before the chunk
+        self.last = np.empty(dim)   # theta* of the round before the chunk
         self.n_corrupted = [0] * len(ks)   # each k's corrupted rounds accounted so far
         self.growth = np.zeros((len(ks), 2))
         self.delta_s = np.zeros(len(ks))
@@ -262,15 +280,21 @@ class _Comparators:
         theta_t*) on the clean stream, the emitted one on every round that
         clean regret counts. Raises ValueError when a k is fed more corrupted
         rounds than it has."""
-        t1 = t0 + len(X)
+        n, t1 = len(X), t0 + len(X)
         nx2 = np.einsum("ij,ij->i", X, X)
         comp = self._minimizers(X, y_clean, nx2)
         f_star = eval_f_rows(self.loss, X, y_clean, comp)
-        self.norm_max = max(self.norm_max, float(np.linalg.norm(comp, axis=1).max()))
-        step = np.diff(np.concatenate((self.last, comp)), axis=0)
-        step *= step   # squared in place: np.linalg.norm's row sums without its temporary
-        self.steps[t1 - 1 - len(step):t1 - 1] = np.sqrt(np.add.reduce(step, axis=1))
-        self.last = comp[-1:].copy()   # not a view that would keep the chunk's comparators
+        squares, sums = self.squares[:n], self.sums[:n]
+        np.add.reduce(np.multiply(comp, comp, out=squares), axis=1, out=sums)
+        # sqrt is monotone, so the largest norm is the root of the largest sum
+        self.norm_max = max(self.norm_max, math.sqrt(np.maximum.reduce(sums)))
+        np.subtract(comp[1:], comp[:-1], out=squares[1:])   # row i: the step into round t0 + i + 1
+        if t0:
+            np.subtract(comp[0], self.last, out=squares[0])
+        step = squares[0 if t0 else 1:]   # round 1 has no step
+        steps = self.steps[t1 - 1 - len(step):t1 - 1]
+        np.sqrt(np.add.reduce(np.multiply(step, step, out=step), axis=1, out=steps), out=steps)
+        self.last[:] = comp[-1]
         clean_growth = self._growth(nx2, y_clean)
         for j, (y, idx) in enumerate(emitted):
             m0, m1 = self.n_corrupted[j], self.n_corrupted[j] + len(idx)
@@ -310,18 +334,24 @@ class _Comparators:
         )
 
 
+def _chunk_rows(config: RunConfig, cells: int) -> int:
+    """Rounds per time chunk of a pass: at most CHUNK_BYTES, over all seeds,
+    of the features and of the losses of a play of that many cells, and at
+    least one."""
+    return min(config.T, max(1, CHUNK_BYTES // (len(config.seeds) * (config.generator.dim + cells) * 8)))
+
+
 def _chunks(config: RunConfig, ks: list, cells: int, accounts: list, watch=None):
     """The streams of the config's seeds, each drawn once for every k of ks,
-    in lockstep time chunks of at most CHUNK_BYTES, over all seeds, of the
-    features and of the losses of a play of that many cells (at least one
-    round each). Each seed's part of a chunk goes to its accounting, if any,
-    and to watch(stream, t0, X, y_clean, emitted), if given, and into arrays
-    refilled for every chunk: the features (rounds, R, d), each k's emitted
-    responses (rounds, K, R), f_t(s_t, theta_t*) on the clean stream (R,
-    rounds; filled by the accounting) and each k's outlier mask (K, R,
-    rounds). Yields (t0, X, Y, f_star, outlier)."""
+    in lockstep time chunks of _chunk_rows(config, cells) rounds. Each seed's
+    part of a chunk goes to its accounting, if any, and to watch(stream, t0,
+    X, y_clean, emitted), if given, and into arrays refilled for every chunk:
+    the features (rounds, R, d), each k's emitted responses (rounds, K, R),
+    f_t(s_t, theta_t*) on the clean stream (R, rounds; filled by the
+    accounting) and each k's outlier mask (K, R, rounds). Yields (t0, X, Y,
+    f_star, outlier)."""
     R, K, dim = len(config.seeds), len(ks), config.generator.dim
-    rows = min(config.T, max(1, CHUNK_BYTES // (R * (dim + cells) * 8)))
+    rows = _chunk_rows(config, cells)
     streams = [st.EpisodeStream(config.generator, config.T, ks, seed) for seed in config.seeds]
     X, Y = np.empty((rows, R, dim)), np.empty((rows, K, R))
     f_star, outlier = np.empty((R, rows)), np.empty((K, R, rows), dtype=bool)
@@ -341,43 +371,61 @@ def _chunks(config: RunConfig, ks: list, cells: int, accounts: list, watch=None)
         yield t0, X[:n], Y[:n], f_star[:, :n], outlier[..., :n]
 
 
-def _stepper(cells: list, alpha: np.ndarray):
-    """The step of a play's stacked actions, one (R, d) block per cell:
-    step(theta, x, y, proj, f) returns the next (C, R, d) actions from this
-    round's actions, side information x (1, R, d) and each cell's y (C, R),
-    proj = <x, theta> and losses f, (C, R). One grad_f_rows and one
-    descend_rows serve every block: ogd descends as it is, learn on the
-    gradient scaled by its gate (one learners.gate_rows for all learn
-    blocks), and a Top-k seed only where its filter lets the round through; a
-    filtered seed keeps its action by selection. An experts cell's block is
-    what its stacked pool aggregates after one pool_step for all its seeds.
-    Each row gets what ogd_step, learn_step, topk_filter_step or the pool
-    makes of that seed alone, bit for bit."""
+def _stepper(cells: list, alpha: np.ndarray, per_k: int):
+    """The step of a play's stacked actions, one (R, d) block per cell, K
+    groups of per_k cells: step(theta, new, x, y, u, f) writes the next
+    (C, R, d) actions into new and returns it, from this round's actions
+    theta, side information x (1, R, d), each k's responses y (K, 1, R), the
+    link u = losses._link of each cell and seed, (K, per_k, R), and the
+    losses f, (C, R). Neither theta nor new is an argument the step keeps.
+
+    One gradient serves every block, formed as grad_f_rows forms it, lam
+    theta - c x, from the coefficient c = _link_coef of u: ogd descends on it
+    as it is, learn on it scaled by its gate in place (one learners.gate_rows
+    per evenly spaced run of learn blocks, one per k of a sweep), and a Top-k
+    seed only where its filter lets the round through; a filtered seed keeps
+    its action by a masked copy. An experts cell's block is what its stacked
+    pool aggregates after one pool_step for all its seeds. Each row gets what
+    ogd_step, learn_step, topk_filter_step or the pool makes of that seed
+    alone, bit for bit.
+
+    The gradient (C, R, d) and c (C, R) live for the pass; new holds c x
+    before descend_rows writes the step into it, so a round allocates no
+    array of the stack's size."""
     config = cells[0]
     loss, params, radius = config.loss, config.params, config.radius
-    rows = np.arange(len(config.seeds))
+    R, dim = len(config.seeds), config.generator.dim
+    lam = np.array(loss.lam)   # a 0-d operand: see losses._ONE
+    g, c = np.empty((len(cells), R, dim)), np.empty((len(cells), R))
+    c_k, c_x = c.reshape(-1, per_k, R), c[..., None]
+    rows = np.arange(R)
     gated, filters, pools = [], [], []
     for i, cell in enumerate(cells):
         budget = cell.resolve_topk_budget()
         if cell.learner == LEARN:
             gated.append(i)
         elif cell.learner == EXPERTS:
-            pools.append((i, _expert_pool(cell)))
+            pools.append((i, i // per_k, _expert_pool(cell)))
         elif budget:   # each seed's `budget` largest gradient norms; -inf is empty
-            filters.append((i, np.full((len(rows), budget), -np.inf)))
+            filters.append((i, np.full((R, budget), -np.inf)))
     descends = len(pools) < len(cells)
-    if gated:   # one learn block per k of a sweep: evenly spaced, so a slice scales them in place
-        gap = gated[1] - gated[0] if len(gated) > 1 else 1
-        if gated == list(range(gated[0], gated[-1] + 1, gap)):
-            gated = slice(gated[0], gated[-1] + 1, gap)
+    # the learn blocks as slices, whose views of the gradient and the gates are scaled and written in
+    # place: one slice when evenly spaced (one learn block per k of a sweep), else one per block
+    runs = [slice(i, i + 1) for i in gated]
+    if len(gated) > 1 and gated == list(range(gated[0], gated[-1] + 1, gated[1] - gated[0])):
+        runs = [slice(gated[0], gated[-1] + 1, gated[1] - gated[0])]
+    gates = np.empty((len(cells), R))
+    runs = [(run, g[run], gates[run], gates[run][..., None]) for run in runs]
 
-    def step(theta, x, y, proj, f):
-        new = theta
+    def step(theta, new, x, y, u, f):
         if descends:
-            g = grad_f_rows(loss, x, y, theta, proj)
-            if gated:
-                g[gated] *= gate_rows(params, f[gated])[..., None]
-            new = descend_rows(theta, g, alpha, radius)
+            np.multiply(lam, theta, out=g)
+            _link_coef(loss, u, y, out=c_k)
+            np.subtract(g, np.multiply(c_x, x, out=new), out=g)
+            for run, g_run, gate, gate_x in runs:
+                gate_rows(params, f[run], out=gate)
+                np.multiply(g_run, gate_x, out=g_run)
+            descend_rows(theta, g, alpha, radius, out=new)
         for i, top in filters:
             # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
             n = np.sqrt(np.vecdot(g[i], g[i]))
@@ -386,9 +434,9 @@ def _stepper(cells: list, alpha: np.ndarray):
             update = n < 2.0 * low
             grow = ~update & (n > low)
             top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
-            new[i] = np.where(update[:, None], new[i], theta[i])
-        for i, pool in pools:
-            pool_step(pool, x[0], y[i], loss, params)
+            np.copyto(new[i], theta[i], where=~update[:, None])
+        for i, j, pool in pools:
+            pool_step(pool, x[0], y[j, 0], loss, params)
             new[i] = aggregate_action(pool)
         return new
 
@@ -402,41 +450,56 @@ class _Play:
     each cell's and seed's step size, broadcast to (C, R, 1). Keeps the
     actions played in round T, (C, R, d). Each round's features, (1, R, d),
     broadcast against the stack, and every dot product is one BLAS dot per
-    row, as eval_f and grad_f take it."""
+    row, as eval_f and grad_f take it.
 
-    def __init__(self, cells: list, alpha: np.ndarray, per_k: int):
+    Its buffers are allocated once and live for the pass: the actions theta
+    and the next actions the step writes, (C, R, d) each, swapped every
+    round; each chunk's losses, (C, R, rows), which feed returns and the next
+    chunk overwrites; and a round's <x, theta>, ||theta||^2, link u, losses
+    and their finiteness, (C, R) each, which that round alone reads (its
+    losses are then copied into their column of the chunk's). Each k's
+    responses broadcast over its per_k cells through (K, per_k, R) views of
+    the round's arrays."""
+
+    def __init__(self, cells: list, alpha: np.ndarray, per_k: int, rows: int):
         config = cells[0]
+        C, R, dim = len(cells), len(config.seeds), config.generator.dim
         self.cells, self.per_k = cells, per_k
-        self.theta = np.zeros((len(cells), len(config.seeds), config.generator.dim))
-        self.step = _stepper(cells, alpha)
+        self.theta, self.spare = np.zeros((C, R, dim)), np.empty((C, R, dim))
+        self.losses = np.empty((C, R, rows))
+        self.proj, self.sq, self.u, self.f = np.empty((4, C, R))
+        self.finite = np.empty((C, R), dtype=bool)
+        self.step = _stepper(cells, alpha, per_k)
 
     def feed(self, t0: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Play rounds t0 .. t0 + n - 1 on the features X, (n, R, d), and each
         k's responses Y, (n, K, R); returns f_t(s_t, theta_t) of every
-        cell, seed and round, (C, R, n).
+        cell, seed and round, (C, R, n), a view of the play's loss buffer,
+        valid until the next feed.
 
         Raises RuntimeError naming the learner, k, seed and round of the
         earliest non-finite loss (the first cell, then the first seed, on a
         tie), before any step of that round."""
-        cells, theta, step, per_k = self.cells, self.theta, self.step, self.per_k
+        cells, step, theta, spare, proj, sq, u, f, finite = (
+            self.cells, self.step, self.theta, self.spare, self.proj, self.sq, self.u, self.f, self.finite)
         T, loss = cells[0].T, cells[0].loss
-        f_emitted = np.empty(theta.shape[:2] + (len(X),))
-        for t, x, y in zip(range(t0, T), X[:, None], Y):
-            if per_k > 1:
-                y = y.repeat(per_k, axis=0)   # each cell's responses, (C, R)
-            proj = np.vecdot(x, theta)
-            f = _value(loss, proj, np.vecdot(theta, theta), y)
-            finite = np.isfinite(f)
-            if np.count_nonzero(finite) < f.size:   # the first non-finite row in (cell, seed) order
-                i, r = np.unravel_index(finite.argmin(), finite.shape)
+        proj_k, u_k = proj.reshape(-1, self.per_k, proj.shape[1]), u.reshape(-1, self.per_k, u.shape[1])
+        all_finite = b"\x01" * finite.size   # the bytes of an all-True mask: one comparison checks every loss
+        f_chunk = self.losses[..., :len(X)]
+        for t, x, y, column in zip(range(t0, T), X[:, None], Y[:, :, None], np.moveaxis(f_chunk, -1, 0)):
+            np.vecdot(x, theta, out=proj)
+            _link(loss, proj_k, y, out=u_k)
+            _link_value(loss, u, np.vecdot(theta, theta, out=sq), out=f)
+            if np.isfinite(f, out=finite).tobytes() != all_finite:
+                i, r = np.unravel_index(finite.argmin(), finite.shape)   # the first in (cell, seed) order
                 cell = cells[i]
                 raise RuntimeError(f"learner {cell.learner}, k {cell.k}, seed {cell.seeds[r]}: non-finite loss "
                                    f"at round {t + 1} of {T}; the run diverged")
-            f_emitted[..., t - t0] = f
+            column[...] = f
             if t + 1 < T:   # theta stays the action played in round T
-                theta = step(theta, x, y, proj, f)
-        self.theta = theta
-        return f_emitted
+                theta, spare = step(theta, spare, x, y, u_k, f), theta
+        self.theta, self.spare = theta, spare
+        return f_chunk
 
 
 class _Regret:
@@ -488,8 +551,9 @@ def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
     cells = [replace(config, k=k, learner=learner) for k in ks for learner in learners]
     if not cells:
         raise ValueError("run_cells needs at least one learner and one k")
-    R, L = len(config.seeds), len(learners)
-    accounts = [_Comparators(config, ks, keep) for _ in config.seeds]
+    R, L, rows = len(config.seeds), len(learners), _chunk_rows(config, len(cells))
+    scratch = np.empty(rows * (config.generator.dim + 1))   # the seeds' accountings share it
+    accounts = [_Comparators(config, ks, scratch, keep) for _ in config.seeds]
     chunks = _chunks(config, ks, len(cells), accounts, watch)
     if config.alpha == THEORETICAL:
         # the step size needs V_T, G and L: account a first draw, keeping the
@@ -502,7 +566,7 @@ def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
                   in zip(f_stars, _chunks(config, ks, len(cells), None, watch)))
     else:
         alpha = np.array(_resolve_alpha(config))
-    play = _Play(cells, alpha, L)
+    play = _Play(cells, alpha, L, rows)
     sink = np.empty((len(cells), R, config.T)) if keep else _Regret(len(cells), R, config.T)
     for t0, X, Y, f_star, outlier in chunks:
         f = play.feed(t0, X, Y)

@@ -5,7 +5,8 @@ Top-k gradient-norm filter baselines.
 All step functions mutate the passed state in place and return it. A state is
 single-owner: independent runs may execute concurrently, but one state must
 not be stepped from two places at once. The row steps descend_rows and
-learn_rows take many actions at once, one per row, and return new arrays.
+learn_rows take many actions at once, one per row, and return new arrays
+(descend_rows writes into a given out instead).
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ def project_rows(thetas: np.ndarray, radii, sq: np.ndarray | None = None) -> np.
     return norms
 
 
-def descend_rows(theta: np.ndarray, g: np.ndarray, alpha, radius) -> np.ndarray:
+def descend_rows(theta: np.ndarray, g: np.ndarray, alpha, radius, out: np.ndarray | None = None) -> np.ndarray:
     """theta - alpha g for every row, projected as ogd_step and learn_step
     project one action. theta is (n, d) or a stack of them; alpha is one step
     size or one per row, (n, 1); radius is one radius or one per row, (n,),
-    math.inf where unbounded."""
-    new = theta - alpha * g
+    math.inf where unbounded. The new rows go into out when given (neither
+    theta nor g), else into a new array."""
+    new = np.subtract(theta, np.multiply(alpha, g, out=out), out=out)
     if isinstance(radius, np.ndarray) or radius < math.inf:
         project_rows(new, radius, np.vecdot(new, new))   # squared norms as project_ball sums them
     return new
@@ -90,15 +92,17 @@ def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray
     return descend_rows(theta, g, alpha, radius)
 
 
-def gate_rows(params: LearnParams, f: np.ndarray) -> np.ndarray:
+def gate_rows(params: LearnParams, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """eta of each loss of f, an array of any shape, with libm's exp per loss,
     as eta takes it on a float: 0 where exp(f/a) overflows, and a ValueError
-    on a negative loss."""
+    on a negative loss. The gates go into out, of f's shape, when given."""
     losses = f.ravel().tolist()
     if min(losses, default=0.0) < 0:
         raise ValueError("loss values must be non-negative")
     a, b, exp = params.a, params.b, math.exp
-    return np.array([0.0 if (v := x / a) > EXP_MAX else 1.0 / (1.0 + b * exp(v)) for x in losses]).reshape(f.shape)
+    out = np.empty(f.shape) if out is None else out
+    out.flat = [0.0 if (v := x / a) > EXP_MAX else 1.0 / (1.0 + b * exp(v)) for x in losses]
+    return out
 
 
 def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:

@@ -27,13 +27,18 @@ inner products a loss depends on, as floats or as arrays:
 and the transform g of a loss value f is _transform(params, f). The value and
 the coefficient both read one product of proj and y, _link: the residual
 y - proj or the margin y proj. A caller that needs both, as the expert pool's
-round does, forms it once and calls _link_value and _link_coef.
+round and the harness's round do, forms it once and calls _link_value and
+_link_coef. The three take an optional out, as a numpy ufunc does, into
+which their last operation writes, so a loop can keep each round in buffers
+it allocated once; given floats and no out they return numpy floats. (An
+operation whose out is one of its own one-element inputs costs about 1 us
+more than one that writes elsewhere, so no kernel accumulates in out.)
 
 The public functions only form those inner products for their shape: one
 round at one action (eval_f, grad_f), one round at many actions
 (eval_f_many, grad_f_many) or many rounds at one action each (eval_f_rows,
-grad_f_rows, minimizer_rows). The harness's seed-batched episode loop calls
-_value and grad_f_rows on one round of many seeds; the oracle calls the
+grad_f_rows, minimizer_rows). The harness's stacked episode loop calls the
+_link kernels on one round of many cells and seeds; the oracle calls the
 kernels on blocks of sampled instances.
 """
 
@@ -54,7 +59,7 @@ EXP_MAX = 709.782712893384   # the largest float whose math.exp is finite
 # Python float operand as a weak scalar, which costs about 0.4 us more per
 # call on an episode's small arrays than a 0-d float64 array, and gives the
 # same float64 result.
-_ONE, _TINY = np.array(1.0), np.array(1e-300)
+_ONE, _TWO, _TINY = np.array(1.0), np.array(2.0), np.array(1e-300)
 
 
 @dataclass
@@ -129,28 +134,28 @@ class ProblemConstants:
 # The kernels below take floats or arrays alike: a comparison times a value is
 # that value where the comparison holds and zero elsewhere, in either type.
 
-def _link(loss: RoundLoss, proj, y):
+def _link(loss: RoundLoss, proj, y, out=None):
     """What a family's value and gradient coefficient read of proj = <x, theta>
     and y: the residual y - proj (ridge) or the margin y proj (hinge)."""
-    return y - proj if loss.family == RIDGE else y * proj
+    return np.subtract(y, proj, out=out) if loss.family == RIDGE else np.multiply(y, proj, out=out)
 
 
-def _link_value(loss: RoundLoss, u, sq):
+def _link_value(loss: RoundLoss, u, sq, out=None):
     """The loss from u = _link(loss, proj, y) and sq = ||theta||^2. The hinge
     1 - u is positive exactly where u < 1."""
     reg = 0.5 * loss.lam * sq
     if loss.family == RIDGE:
-        return reg + u * u
-    return reg + (u < _ONE) * (_ONE - u)
+        return np.add(reg, u * u, out=out)
+    return np.add(reg, (u < _ONE) * (_ONE - u), out=out)
 
 
-def _link_coef(loss: RoundLoss, u, y):
+def _link_coef(loss: RoundLoss, u, y, out=None):
     """The c in grad_f = lam theta - c x from u = _link(loss, proj, y). At the
     hinge kink (margin exactly 1) c = 0, the zero-hinge branch; any
     subgradient is valid there."""
     if loss.family == RIDGE:
-        return 2.0 * u
-    return (u < _ONE) * y
+        return np.multiply(_TWO, u, out=out)
+    return np.multiply(u < _ONE, y, out=out)
 
 
 def _value(loss: RoundLoss, proj, sq, y):

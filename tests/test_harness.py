@@ -116,18 +116,18 @@ def assert_traces_equal(a, b):
 
 
 def count_steps(monkeypatch, returned=None):
-    """Record the stacked (learners, seeds, d) actions at each call of the
-    batched kernel's step, and into `returned`, if given, the actions each
-    call returns."""
+    """Record the stacked (cells, seeds, d) actions at each call of the
+    stacked loop's step, step(theta, new, x, y, u, f), and into `returned`,
+    if given, the next actions each call writes into new."""
     steps = []
     stepper = harness._stepper
 
     def counting_stepper(*args):
         step = stepper(*args)
 
-        def counted(theta, *rest):
+        def counted(theta, new, *rest):
             steps.append(theta.copy())
-            new = step(theta, *rest)
+            new = step(theta, new, *rest)
             if returned is not None:
                 returned.append(new.copy())
             return new
@@ -138,16 +138,17 @@ def count_steps(monkeypatch, returned=None):
 
 
 def record_losses(monkeypatch):
-    """Record the (proj, ||theta||^2) arrays of each loss evaluation of the
-    batched kernel; the comparators evaluate theirs through losses.eval_f_rows."""
+    """Record the (u, ||theta||^2) arrays of each loss evaluation of the
+    stacked loop, u the link losses._link forms of <x, theta> and y; the
+    comparators evaluate theirs through losses.eval_f_rows."""
     calls = []
-    value = harness._value
+    value = harness._link_value
 
-    def recording(loss, proj, sq, y):
-        calls.append((proj.copy(), sq.copy()))
-        return value(loss, proj, sq, y)
+    def recording(loss, u, sq, out=None):
+        calls.append((u.copy(), sq.copy()))
+        return value(loss, u, sq, out=out)
 
-    monkeypatch.setattr(harness, "_value", recording)
+    monkeypatch.setattr(harness, "_link_value", recording)
     return calls
 
 
@@ -193,7 +194,7 @@ def test_path_length_examples(monkeypatch):
         monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y, nx2: comp[X[:, 0].astype(int)])
         mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
         cfg = preset_config("svm", T=T, seeds=[1], k=int(mask.sum()), radius=radius)
-        acc = harness._Comparators(cfg, [cfg.k], keep=True)
+        acc = harness._Comparators(cfg, [cfg.k], np.empty(T * 3), keep=True)   # scratch: rows * (d + 1)
         X = np.repeat(np.arange(T, dtype=float)[:, None], 2, axis=1)   # row t looks up comp[t]
         for t0 in range(0, T, chunk or T):
             rows = slice(t0, t0 + (chunk or T))
@@ -218,7 +219,7 @@ def test_accounting_rejects_more_corrupted_rounds_than_k(keep):
     # a k fed k + 1 corrupted rounds is an error, not a silently dropped row
     cfg = preset_config("svm", T=10, seeds=[1], k=2)
     X, y = np.ones((10, 2)), np.ones(10)
-    acc = harness._Comparators(cfg, [2, 5], keep=keep)
+    acc = harness._Comparators(cfg, [2, 5], np.empty(10 * 3), keep=keep)
     acc.add(0, X[:4], y[:4], [(-y[:4], np.array([1])), (-y[:4], np.array([0, 1, 2]))])
     with pytest.raises(ValueError, match="3 corrupted rounds fed to the accounting of k = 2"):
         acc.add(4, X[4:], y[4:], [(-y[4:], np.array([0, 5])), (-y[4:], np.array([0]))])
@@ -555,11 +556,20 @@ def test_learn_round_evaluates_loss_once(monkeypatch):
             m.setattr(losses, "eval_f", counting(losses.eval_f))
             evaluated = record_losses(m)
             steps = count_steps(m)
+            links, coefs = [], []
+            link, coef = harness._link, harness._link_coef
+            m.setattr(harness, "_link", lambda *args, **kw: links.append(1) or link(*args, **kw))
+            m.setattr(harness, "_link_coef", lambda loss, u, *args, **kw: coefs.append(u.copy()) or
+                      coef(loss, u, *args, **kw))
             cfg = preset_config("svm", T=80, seeds=seeds, learner=harness.LEARN, k=8)
             run_episodes(cfg)
             assert calls == []   # the per-round functions are not called
-            assert len(evaluated) == 80 and all(proj.shape == (1, len(seeds)) for proj, _ in evaluated)
+            assert len(evaluated) == 80 and all(u.shape == (1, len(seeds)) for u, _ in evaluated)
             assert len(steps) == 79   # the action of round T is the last one played
+            # one link per round, which the loss and the gradient's coefficient both read
+            assert len(links) == 80 and len(coefs) == 79
+            for (u, _), u_coef in zip(evaluated, coefs):
+                np.testing.assert_array_equal(bits(u_coef.reshape(u.shape)), bits(u))
 
 
 # --- the batched kernel against the per-seed loop ------------------------------
@@ -709,10 +719,12 @@ def test_a_filtered_row_keeps_its_action_bit_for_bit():
     # a Top-k seed in its warm-up keeps theta by selection: -0.0 stays -0.0,
     # where theta - alpha * 0 * g would give +0.0; the ogd block moves off it
     cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.TOPK, k=T_REF)
-    step = harness._stepper([cfg, dataclasses.replace(cfg, learner=harness.OGD)], np.full((1, 2, 1), 0.5))
+    cells = [cfg, dataclasses.replace(cfg, learner=harness.OGD)]   # one k: per_k = 2
+    step = harness._stepper(cells, np.full((1, 2, 1), 0.5), 2)
     theta = np.array([[[-0.0, -0.0], [-0.0, 3.0]]] * 2)
-    x, y = np.array([[[1e100, 1e100], [1.0, -2.0]]]), np.array([[1.0, -1.0]])
-    new = step(theta.copy(), x, y, np.vecdot(x, theta), np.zeros((2, 2)))
+    x, y = np.array([[[1e100, 1e100], [1.0, -2.0]]]), np.array([[[1.0, -1.0]]])   # y: (K, 1, R)
+    u = harness._link(cfg.loss, np.vecdot(x, theta).reshape(1, 2, 2), y)
+    new = step(theta.copy(), np.full_like(theta, np.nan), x, y, u, np.zeros((2, 2)))
     np.testing.assert_array_equal(bits(new[0]), bits(theta[0]))
     assert (bits(new[1, 0]) != bits(theta[1, 0])).all()
 
@@ -793,3 +805,77 @@ def test_divergence_tie_goes_by_learner_order(monkeypatch, order):
     first = assert_stack_stops_at_earliest_divergence(monkeypatch, cfg, order)
     assert len({t for t, _, _ in first}) == len(cfg.seeds)   # each seed's round, for every learner
     assert min(first)[1:] == (0, 2)   # the first learner and seed 2 of [1, 3, 2]
+
+
+def test_a_nan_loss_names_its_learner_k_seed_and_round(monkeypatch):
+    # a round's finiteness check compares its isfinite mask with an all-True
+    # one at once, and a nan, not only an inf, fails it: the error names the
+    # earliest non-finite loss, the first cell and then the first seed on a
+    # tie, as the parent's check did, and no step is taken at or after that
+    # round; no RuntimeWarning is raised on the way (the tests turn one into
+    # an error)
+    poison = {3: [(9, np.nan)], 2: [(9, np.nan)], 1: [(7, np.inf)]}   # seed: (round, emitted y under k = 0)
+
+    class PoisonedStream(st.EpisodeStream):
+        def __init__(self, generator, T, ks, seed):
+            super().__init__(generator, T, ks, seed)
+            self.seed = seed
+
+        def draw(self, n):
+            t0 = self.t
+            X, y_clean, emitted = super().draw(n)
+            y, idx = emitted[1]   # k = 0: no round is corrupted, and the comparators never read y
+            y = y.copy()
+            for t, value in poison[self.seed]:
+                if t0 < t <= t0 + n:
+                    y[t - 1 - t0] = value
+            emitted[1] = y, idx
+            return X, y_clean, emitted
+
+    monkeypatch.setattr(st, "EpisodeStream", PoisonedStream)
+    cfg = preset_config("ridge", T=40, seeds=[1, 3, 2], learner=harness.OGD, k=0)
+    row_bytes = len(cfg.seeds) * (cfg.generator.dim + 4) * 8
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 4 * row_bytes)   # 4 rounds per chunk: round 9 opens a chunk
+    steps = count_steps(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^learner learn, k 0, seed 1: non-finite loss at round 7 of 40; "):
+        harness.run_cells(cfg, [harness.LEARN, harness.OGD], ks=[5, 0])
+    assert len(steps) == 6
+    poison[1] = []   # then seeds 3 and 2 tie at round 9, a nan each: the first seed of [1, 3, 2] wins
+    steps.clear()
+    with pytest.raises(RuntimeError, match=r"^learner learn, k 0, seed 3: non-finite loss at round 9 of 40; "):
+        harness.run_cells(cfg, [harness.LEARN, harness.OGD], ks=[5, 0])
+    assert len(steps) == 8 and np.isfinite(steps[-1]).all()
+
+
+@pytest.mark.parametrize("family", ["svm", "ridge"])
+def test_many_chunks_equal_one_chunk(monkeypatch, family):
+    # the play's buffers and the comparators' shared scratch are reused from
+    # chunk to chunk: 17-round chunks and a last one of one round give what
+    # one chunk of all 52 rounds gives, bit for bit, over 10 seeds and every
+    # learner
+    T, seeds, ks = 52, list(range(1, 11)), [0, 5, 13]
+    config = preset_config(family, T=T, seeds=seeds, k=0)
+    cells = len(ks) * len(harness.LEARNERS)
+    runs = []
+    for rows in (17, T):
+        monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * (config.generator.dim + cells) * 8)
+        assert harness._chunk_rows(config, cells) == rows
+        runs.append(harness.run_cells(config, harness.LEARNERS, ks))
+    for a, b in zip(*runs, strict=True):
+        assert_cells_equal(a, b)
+
+
+def test_back_to_back_calls_share_no_buffer():
+    # each pass allocates its own buffers: a second call neither overwrites nor
+    # shares what the first returned
+    config = preset_config("svm", T=T_REF, seeds=[1, 2, 3], k=6)
+    learners = [harness.OGD, harness.LEARN, harness.TOPK]
+    first = harness.run_cells(config, learners)
+    kept = [[theta.copy() for theta in res.final_thetas] for res in first]
+    second = harness.run_cells(config, learners)
+    for a, b, thetas in zip(first, second, kept, strict=True):
+        assert_cells_equal(a, b)
+        for ta, tb, tk in zip(a.final_thetas, b.final_thetas, thetas, strict=True):
+            assert not np.shares_memory(ta, tb)
+            np.testing.assert_array_equal(bits(ta), bits(tk))
+        assert not np.shares_memory(a.mean, b.mean) and not np.shares_memory(a.stderr, b.stderr)

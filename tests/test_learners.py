@@ -7,6 +7,7 @@ from conftest import minimizer_f, random_instance
 from robust_oco.learners import (
     EXP_MAX,
     LearnerState,
+    descend_rows,
     gate_rows,
     learn_rows,
     learn_step,
@@ -24,6 +25,7 @@ from robust_oco.losses import (
     derive_constants,
     eta,
     eval_f,
+    grad_f_rows,
 )
 
 RIDGE0 = RoundLoss(family=RIDGE, lam=0.0)
@@ -141,6 +143,11 @@ def test_learn_rows_is_learn_step_by_rows(rng, family):
     proj = np.vecdot(X, theta)
     f = np.array([eval_f(loss, SideInfo(X[i], float(y[i])), theta[i]) for i in range(n)])
     rows = learn_rows(theta, X, y, proj, f, loss, params, alpha, radius)
+    # the in-place form the episode loop takes writes the same rows into a buffer
+    g = grad_f_rows(loss, X, y, theta, proj) * gate_rows(params, f, out=np.empty(n))[:, None]
+    out = np.full_like(theta, np.nan)
+    assert descend_rows(theta, g, alpha, radius, out=out) is out
+    np.testing.assert_array_equal(out.view(np.uint64), rows.view(np.uint64))
     projected = 0
     for i in range(n):
         state = LearnerState(theta=theta[i].copy(), step_size=float(alpha[i, 0]), radius=float(radius[i]))
@@ -164,6 +171,9 @@ def test_gate_rows_is_eta_by_loss(a, b):
     f = np.abs(f).reshape(-1, 6)   # 6 x 11117 losses
     gates = gate_rows(params, f)
     assert gates.shape == f.shape
+    out = np.full_like(f, np.nan)
+    assert gate_rows(params, f, out=out) is out
+    np.testing.assert_array_equal(out.view(np.uint64), gates.view(np.uint64))
     expected = np.array([eta(params, v) for v in f.ravel().tolist()]).reshape(f.shape)
     np.testing.assert_array_equal(gates.view(np.uint64), expected.view(np.uint64))
     assert (gates == 0.0).any() and (gates == 1.0 / (1.0 + params.b)).any()

@@ -13,6 +13,11 @@ from robust_oco.losses import (
     LearnParams,
     RoundLoss,
     SideInfo,
+    _coef,
+    _link,
+    _link_coef,
+    _link_value,
+    _value,
     derive_constants,
     eta,
     eval_f,
@@ -353,6 +358,14 @@ def test_batch_helpers_match_scalar_ops(family, lam, d, seed):
         for i in range(T):
             assert fs[i] == pytest.approx(eval_f(loss, s, Theta[i]), rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(gs[i], grad_f(loss, s, Theta[i]), rtol=1e-12, atol=1e-12)
+
+    # the link kernels write the same bits into a given out, as the episode loop calls them
+    proj, sq = np.vecdot(X, Theta), np.vecdot(Theta, Theta)
+    u, f, c = np.full(T, np.nan), np.full(T, np.nan), np.full(T, np.nan)
+    assert _link(loss, proj, y, out=u) is u
+    assert _link_value(loss, u, sq, out=f) is f and _link_coef(loss, u, y, out=c) is c
+    np.testing.assert_array_equal(f.view(np.uint64), _value(loss, proj, sq, y).view(np.uint64))
+    np.testing.assert_array_equal(c.view(np.uint64), _coef(loss, proj, y).view(np.uint64))
 
     np.testing.assert_array_equal(M[0], 0.0)
     np.testing.assert_array_equal(minimizer_f(loss, SideInfo(X[0], float(y[0]))), 0.0)
