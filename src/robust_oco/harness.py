@@ -22,13 +22,13 @@ running sums and the cell's mean and standard error, not the per-round
 losses. `run_episodes(config)` plays the same loop for one cell and keeps
 each seed's whole EpisodeTrace instead; clean_dynamic_regret and
 aggregate_runs read those, and the accounting of run_cells equals them bit
-for bit. The loop uses the loss kernels of `losses` and the row steps of
-`learners` (descend_rows, and gate_rows, the gate of learn_rows, the gated
-projected step that the oracle checks), takes every dot product as one BLAS
-dot per row and the gate's exp from libm per seed, as the per-round
-functions do, so each seed's numbers equal those of ogd_step, learn_step or
-topk_filter_step on that seed alone, bit for bit, whatever the chunking, the
-other seeds and the other cells. An experts cell holds its seeds' pools as
+for bit. The loop uses the loss kernels and the gate eta of `losses` and
+descend_rows of `learners` (the step of learn_rows, the gated projected step
+that the oracle checks), and takes every dot product as one BLAS dot per
+row, as the per-round functions do. eta gives each loss the bits it gives
+that loss alone, so each seed's numbers equal those of ogd_step, learn_step
+or topk_filter_step on that seed alone, bit for bit, whatever the chunking,
+the other seeds and the other cells. An experts cell holds its seeds' pools as
 one stack, padded to the largest seed's row count, which one pool_step per
 round advances and whose aggregate_action is the cell's (R, d) block of
 actions; the pool takes the sums that depend on a seed's row count over that
@@ -44,8 +44,8 @@ sums its rows, and the play's buffers (the two (C, R, d) action stacks it
 swaps every round, the gradient, each chunk's losses and a round's (C, R)
 products, link, losses and gates). A chunk's own arrays are its stream
 draws, its comparators and the regret reductions over it. A round of ogd or
-learn writes into the play's buffers and allocates only (C, R) temporaries,
-the terms of its loss values, and the list of its gates; a Top-k filter's,
+learn writes into the play's buffers and allocates only (C, R) temporaries:
+the terms of its loss values and the gate's scratch; a Top-k filter's,
 an expert pool's and a projection's round add their own.
 
 What the paper's experiments fix is derived here, not set: the Top-k budget
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import stream as st
 from .experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
-from .learners import descend_rows, gate_rows, project_rows, theoretical_stepsize
+from .learners import descend_rows, project_rows, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import eval_f  # noqa: F401 (bench/tracing.py wraps this name here)
 from .losses import (
@@ -77,6 +77,7 @@ from .losses import (
     _link_value,
     _min_scale,
     derive_constants,
+    eta,
     eval_f_rows,
     growth_constants,
     minimizer_rows,
@@ -381,8 +382,8 @@ def _stepper(cells: list, alpha: np.ndarray, per_k: int):
 
     One gradient serves every block, formed as grad_f_rows forms it, lam
     theta - c x, from the coefficient c = _link_coef of u: ogd descends on it
-    as it is, learn on it scaled by its gate in place (one learners.gate_rows
-    per evenly spaced run of learn blocks, one per k of a sweep), and a Top-k
+    as it is, learn on it scaled by its gate in place (one losses.eta call for
+    every learn block, on one strided view of the round's losses), and a Top-k
     seed only where its filter lets the round through; a filtered seed keeps
     its action by a masked copy. An experts cell's block is what its stacked
     pool aggregates after one pool_step for all its seeds. Each row gets what
@@ -399,32 +400,29 @@ def _stepper(cells: list, alpha: np.ndarray, per_k: int):
     g, c = np.empty((len(cells), R, dim)), np.empty((len(cells), R))
     c_k, c_x = c.reshape(-1, per_k, R), c[..., None]
     rows = np.arange(R)
-    gated, filters, pools = [], [], []
+    filters, pools = [], []
     for i, cell in enumerate(cells):
         budget = cell.resolve_topk_budget()
-        if cell.learner == LEARN:
-            gated.append(i)
-        elif cell.learner == EXPERTS:
+        if cell.learner == EXPERTS:
             pools.append((i, i // per_k, _expert_pool(cell)))
         elif budget:   # each seed's `budget` largest gradient norms; -inf is empty
             filters.append((i, np.full((R, budget), -np.inf)))
     descends = len(pools) < len(cells)
-    # the learn blocks as slices, whose views of the gradient and the gates are scaled and written in
-    # place: one slice when evenly spaced (one learn block per k of a sweep), else one per block
-    runs = [slice(i, i + 1) for i in gated]
-    if len(gated) > 1 and gated == list(range(gated[0], gated[-1] + 1, gated[1] - gated[0])):
-        runs = [slice(gated[0], gated[-1] + 1, gated[1] - gated[0])]
-    gates = np.empty((len(cells), R))
-    runs = [(run, g[run], gates[run], gates[run][..., None]) for run in runs]
+    # every learn block as one strided view of the gradient, which the gates of the same view of the
+    # losses scale in place: run_cells takes each learner once, so learn has one place in each k's group
+    learn = [i for i, cell in enumerate(cells) if cell.learner == LEARN]
+    gated = slice(learn[0], None, per_k) if learn else slice(0)   # slice(0): no block, an empty view
+    g_learn, gates = g[gated], np.empty((len(learn), R))
+    gates_x = gates[..., None]
 
     def step(theta, new, x, y, u, f):
         if descends:
             np.multiply(lam, theta, out=g)
             _link_coef(loss, u, y, out=c_k)
             np.subtract(g, np.multiply(c_x, x, out=new), out=g)
-            for run, g_run, gate, gate_x in runs:
-                gate_rows(params, f[run], out=gate)
-                np.multiply(g_run, gate_x, out=g_run)
+            if learn:
+                eta(params, f[gated], out=gates)
+                np.multiply(g_learn, gates_x, out=g_learn)
             descend_rows(theta, g, alpha, radius, out=new)
         for i, top in filters:
             # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
@@ -551,6 +549,8 @@ def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
     cells = [replace(config, k=k, learner=learner) for k in ks for learner in learners]
     if not cells:
         raise ValueError("run_cells needs at least one learner and one k")
+    if len(set(learners)) < len(learners):
+        raise ValueError(f"run_cells takes each learner once, not {list(learners)}")
     R, L, rows = len(config.seeds), len(learners), _chunk_rows(config, len(cells))
     scratch = np.empty(rows * (config.generator.dim + 1))   # the seeds' accountings share it
     accounts = [_Comparators(config, ks, scratch, keep) for _ in config.seeds]
@@ -686,12 +686,12 @@ def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
     alone. watch(stream, t0, X, y_clean, emitted), if given, sees each seed's
     part of every chunk the play draws.
 
-    Raises ValueError on no learners, no k, or a cell the setting does not
-    admit (RunConfig's own checks), before any stream is drawn. A diverged
-    run raises RuntimeError naming the learner, k, seed and round of the
-    earliest non-finite loss over all cells and seeds (the first k given,
-    then the first learner, then the first seed, on a tie), before any step
-    of that round.
+    Raises ValueError on no learners, no k, a learner given twice, or a cell
+    the setting does not admit (RunConfig's own checks), before any stream
+    is drawn. A diverged run raises RuntimeError naming the learner, k, seed
+    and round of the earliest non-finite loss over all cells and seeds (the
+    first k given, then the first learner, then the first seed, on a tie),
+    before any step of that round.
     """
     ks = [config.k] if ks is None else list(ks)
     cells, accounts, play, regret = _run(config, learners, ks, watch=watch)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import _ONE, _TINY, EXP_MAX, LearnParams, RoundLoss, SideInfo, grad_f, grad_f_rows, grad_g
+from .losses import _ONE, _TINY, LearnParams, RoundLoss, SideInfo, eta, grad_f, grad_f_rows, grad_g
 
 
 @dataclass
@@ -86,23 +86,10 @@ def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray
     gradient eta(f) grad_f from the actions theta (n, d), the side information
     x (n, d) and y (n,), proj = <x, theta> and the losses f (n,) at theta;
     alpha and radius as in descend_rows. Each row equals learn_step's, bit for
-    bit."""
+    bit: both gate with losses.eta."""
     g = grad_f_rows(loss, x, y, theta, proj)
-    g *= gate_rows(params, f)[:, None]
+    g *= eta(params, f)[:, None]
     return descend_rows(theta, g, alpha, radius)
-
-
-def gate_rows(params: LearnParams, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """eta of each loss of f, an array of any shape, with libm's exp per loss,
-    as eta takes it on a float: 0 where exp(f/a) overflows, and a ValueError
-    on a negative loss. The gates go into out, of f's shape, when given."""
-    losses = f.ravel().tolist()
-    if min(losses, default=0.0) < 0:
-        raise ValueError("loss values must be non-negative")
-    a, b, exp = params.a, params.b, math.exp
-    out = np.empty(f.shape) if out is None else out
-    out.flat = [0.0 if (v := x / a) > EXP_MAX else 1.0 / (1.0 + b * exp(v)) for x in losses]
-    return out
 
 
 def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:

@@ -15,7 +15,9 @@ whose gradient is eta * grad_f with the gate
     eta(f) = exp(-f/a) / (b + exp(-f/a)) = 1 / (1 + b * exp(f/a)).
 
 eta decays to zero as f grows, which damps gradient updates on rounds whose
-loss is abnormally large (the redescending property).
+loss is abnormally large (the redescending property). eta(params, f, out) is
+the one gate, which every learner, the harness's loop, the expert pool and
+the oracle call; it writes into an optional out as the _link kernels do.
 
 Each family's formulas are written once, in private kernels that take the
 inner products a loss depends on, as floats or as arrays:
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,13 +56,13 @@ RIDGE = "ridge"
 HINGE_SVM = "hinge_svm"
 FAMILIES = (RIDGE, HINGE_SVM)
 
-EXP_MAX = 709.782712893384   # the largest float whose math.exp is finite
+EXP_MAX = 709.782712893384   # the largest float whose exp is finite, in libm's math.exp and np.exp alike
 
 # The literal constants of the array kernels, as 0-d arrays: numpy takes a
 # Python float operand as a weak scalar, which costs about 0.4 us more per
 # call on an episode's small arrays than a 0-d float64 array, and gives the
 # same float64 result.
-_ONE, _TWO, _TINY = np.array(1.0), np.array(2.0), np.array(1e-300)
+_ZERO, _ONE, _TWO, _TINY = np.array(0.0), np.array(1.0), np.array(2.0), np.array(1e-300)
 
 
 @dataclass
@@ -102,6 +105,11 @@ class LearnParams:
     def __post_init__(self):
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
             raise ValueError("a and b must be positive and finite")
+
+    @cached_property
+    def _gate_operands(self) -> tuple:
+        """eta's 0-d operands (see _ONE): a, b and a loss up to which no exp(f/a) nor b exp(f/a) overflows."""
+        return np.array(self.a), np.array(self.b), np.array(self.a * (EXP_MAX - 1.0 - max(math.log(self.b), 0.0)))
 
     @property
     def nu(self) -> float:
@@ -208,28 +216,25 @@ def grad_f(loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> np.ndarray:
     return g - c * s.x if c else g   # c = 0 on an inactive hinge round: no array op
 
 
-def eta(params: LearnParams, f_val):
-    """Gate eta = 1/(1 + b exp(f/a)) in (0, 1/(1+b)], saturating to 0 on overflow.
-
-    Accepts a scalar or an ndarray of loss values; f must be >= 0.
-    """
-    a, b = params.a, params.b
-    if isinstance(f_val, np.ndarray):
-        if f_val.size and np.minimum.reduce(f_val, axis=None) < 0:
-            raise ValueError("loss values must be non-negative")
-        if not f_val.size or np.maximum.reduce(f_val, axis=None) <= a * (EXP_MAX - 1.0 - max(math.log(b), 0.0)):
-            return _ONE / (_ONE + b * np.exp(f_val / a))   # no exp nor b exp overflows
-        with np.errstate(over="ignore"):   # an overflow to inf gives 1/(1 + inf) = 0 exactly
-            return _ONE / (_ONE + b * np.exp(f_val / a))
-    if f_val < 0:
+def eta(params: LearnParams, f, out=None):
+    """The gate 1/(1 + b exp(f/a)) of each loss of f, an array of any shape or
+    a float (taken as a 0-d array), in (0, 1/(1+b)]: exactly 0 where exp(f/a)
+    or b exp(f/a) overflows, and a ValueError on a negative loss. The gates go
+    into out, of f's shape, when given. np.exp gives a loss the same bits
+    whatever array, position or stride holds it, so each gate is that of its
+    loss alone, bit for bit."""
+    f = np.asarray(f)
+    if np.count_nonzero(f < _ZERO):   # on a few losses, cheaper than a min or max reduction
         raise ValueError("loss values must be non-negative")
-    try:
-        z = b * math.exp(f_val / a)
-    except OverflowError:
-        return 0.0
-    if math.isinf(z):
-        return 0.0
-    return 1.0 / (1.0 + z)
+    a, b, safe = params._gate_operands
+    out, z = np.empty(f.shape) if out is None else out, np.empty(f.shape)   # alternated: see the note on out
+    np.divide(f, a, out=out)
+    if not np.count_nonzero(f > safe):   # no exp nor b exp overflows
+        np.multiply(b, np.exp(out, out=z), out=out)
+    else:
+        with np.errstate(over="ignore"):   # an overflow to inf gives 1/(1 + inf) = 0 exactly
+            np.multiply(b, np.exp(out, out=z), out=out)
+    return np.divide(_ONE, np.add(_ONE, out, out=z), out=out)
 
 
 def grad_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray,

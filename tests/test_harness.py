@@ -664,7 +664,9 @@ def test_run_cells_match_run_cell(monkeypatch, family, setting):
     # every (k, learner) cell of the stacked pass equals its cell run alone (a
     # one-cell call) and the per-seed loop, bit for bit, with each episode spread
     # over 4 chunks of the shared X/Y buffers; at k = 15 the topk and utopk
-    # budgets differ (15 and 11), and at k = T every topk round is a warm-up
+    # budgets differ (15 and 11), and at k = T every topk round is a warm-up.
+    # The learn blocks are gated through one strided view, learn at an inner
+    # place of each k's group and then at its first
     learners = [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK]
     if not setting:   # the pool's grid holds its own radii and step sizes
         learners.append(harness.EXPERTS)
@@ -685,6 +687,10 @@ def test_run_cells_match_run_cell(monkeypatch, family, setting):
             np.testing.assert_array_equal(bits(theta), bits(per_seed_episode(res.config, seed)[1]))
     warm = stacked[len(learners) + learners.index(harness.TOPK)]   # k = T, every round filtered: theta stays +0.0
     assert not any(bits(theta).any() for theta in warm.final_thetas)
+    first = [harness.LEARN] + [lr for lr in learners if lr != harness.LEARN]
+    by_cell = {(res.config.k, res.config.learner): res for res in stacked}
+    for res in harness.run_cells(config, first, ks):
+        assert_cells_equal(res, by_cell[res.config.k, res.config.learner])
 
 
 @pytest.mark.parametrize("family, setting", [
@@ -743,6 +749,21 @@ def test_a_shared_pass_holds_one_copy_of_the_comparators():
 def test_run_cells_rejects_an_empty_list():
     with pytest.raises(ValueError, match="at least one learner"):
         harness.run_cells(preset_config("svm", T=T_REF, seeds=[1]), [])
+
+
+def test_run_cells_rejects_a_repeated_learner(monkeypatch):
+    # before any stream is drawn: the learn blocks of a pass are one strided view,
+    # one block at one place in each k's group of cells
+    draws = []
+    draw = st.EpisodeStream.draw
+    monkeypatch.setattr(st.EpisodeStream, "draw", lambda self, n: draws.append(n) or draw(self, n))
+    cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.OGD, k=6)
+    for learners in ([harness.LEARN, harness.OGD, harness.LEARN], (harness.OGD, harness.OGD)):
+        with pytest.raises(ValueError, match="run_cells takes each learner once"):
+            harness.run_cells(cfg, learners, ks=[0, 6])
+    assert draws == []
+    harness.run_cells(cfg, [harness.LEARN, harness.OGD], ks=[0, 6])
+    assert draws   # the counter sees the draws of a pass
 
 
 def test_run_cells_rejects_a_learner_the_setting_does_not_admit(monkeypatch):

@@ -5,10 +5,8 @@ import pytest
 
 from conftest import minimizer_f, random_instance
 from robust_oco.learners import (
-    EXP_MAX,
     LearnerState,
     descend_rows,
-    gate_rows,
     learn_rows,
     learn_step,
     ogd_step,
@@ -17,6 +15,7 @@ from robust_oco.learners import (
     topk_filter_step,
 )
 from robust_oco.losses import (
+    EXP_MAX,
     HINGE_SVM,
     RIDGE,
     LearnParams,
@@ -144,7 +143,7 @@ def test_learn_rows_is_learn_step_by_rows(rng, family):
     f = np.array([eval_f(loss, SideInfo(X[i], float(y[i])), theta[i]) for i in range(n)])
     rows = learn_rows(theta, X, y, proj, f, loss, params, alpha, radius)
     # the in-place form the episode loop takes writes the same rows into a buffer
-    g = grad_f_rows(loss, X, y, theta, proj) * gate_rows(params, f, out=np.empty(n))[:, None]
+    g = grad_f_rows(loss, X, y, theta, proj) * eta(params, f, out=np.empty(n))[:, None]
     out = np.full_like(theta, np.nan)
     assert descend_rows(theta, g, alpha, radius, out=out) is out
     np.testing.assert_array_equal(out.view(np.uint64), rows.view(np.uint64))
@@ -160,27 +159,52 @@ def test_learn_rows_is_learn_step_by_rows(rng, family):
 @pytest.mark.parametrize("b", [10.0, 0.5])   # below b = 1, b exp(f/a) stays finite up to exp's own overflow
 @pytest.mark.parametrize("a", [1e4, 10.0, 0.01])
 def test_gate_rows_is_eta_by_loss(a, b):
-    # one libm exp per loss, as eta takes it on a float, bit for bit: log-uniform
-    # losses over f/a in [1e-6, 800], and the edges where b exp(f/a) and then
-    # exp(f/a) itself overflow, a few ulps either side
+    # the gate of rows of losses is eta of each loss alone, as a float, bit for bit:
+    # log-uniform losses over f/a in [1e-6, 800], and the edges where b exp(f/a)
+    # and then exp(f/a) itself overflow, a few ulps either side
     params = LearnParams(a=a, b=b)
     rng = np.random.default_rng(17)
     f = a * np.exp(rng.uniform(math.log(1e-6), math.log(800.0), 66_298))
     edges = [a * EXP_MAX, a * (EXP_MAX - math.log(params.b)), a * 1e-300, 0.0]
     f = np.concatenate([f, *(e + np.arange(-50, 51) * math.ulp(e) for e in edges)])
     f = np.abs(f).reshape(-1, 6)   # 6 x 11117 losses
-    gates = gate_rows(params, f)
+    gates = eta(params, f)
     assert gates.shape == f.shape
     out = np.full_like(f, np.nan)
-    assert gate_rows(params, f, out=out) is out
+    assert eta(params, f, out=out) is out
     np.testing.assert_array_equal(out.view(np.uint64), gates.view(np.uint64))
     expected = np.array([eta(params, v) for v in f.ravel().tolist()]).reshape(f.shape)
     np.testing.assert_array_equal(gates.view(np.uint64), expected.view(np.uint64))
     assert (gates == 0.0).any() and (gates == 1.0 / (1.0 + params.b)).any()
     for negative in (-1e-300, -5e-324):   # the second divides to -0.0 at a > 1
         with pytest.raises(ValueError, match="loss values must be non-negative"):
-            gate_rows(params, np.array([[1.0, negative]]))
-    np.testing.assert_array_equal(gate_rows(params, np.array([-0.0, 0.0])), 1.0 / (1.0 + params.b))
+            eta(params, np.array([[1.0, negative]]))
+        with pytest.raises(ValueError, match="loss values must be non-negative"):
+            eta(params, negative)
+    np.testing.assert_array_equal(eta(params, np.array([-0.0, 0.0])), 1.0 / (1.0 + params.b))
+
+
+@pytest.mark.parametrize("a, b", [(10.0, 10.0), (1e4, 10.0), (0.01, 0.5)])
+def test_eta_of_a_stack_or_a_strided_view_is_that_of_each_loss(a, b):
+    # the property the batched loop's bit-for-bit tie to the per-seed steps
+    # rests on: the gates of a (C, R) stack, of a strided view of it written
+    # into a buffer of its own, and of a (C, R) block written in place into a
+    # strided view of a larger buffer each equal eta of every loss alone
+    params = LearnParams(a=a, b=b)
+    rng = np.random.default_rng(5)
+    for C, R in [(1, 1), (1, 4), (16, 30), (3, 7), (5, 480)]:
+        f = a * np.exp(rng.uniform(math.log(1e-6), math.log(800.0), (C, R)))
+        alone = np.array([eta(params, v) for v in f.ravel().tolist()]).reshape(C, R)
+        np.testing.assert_array_equal(eta(params, f).view(np.uint64), alone.view(np.uint64))
+        for place, step in [(0, 4), (1, 4), (3, 4)]:   # the harness's view of every learn block
+            rows = f[place::step]
+            got = eta(params, rows, out=np.full(rows.shape, np.nan))
+            np.testing.assert_array_equal(got.view(np.uint64), alone[place::step].view(np.uint64))
+        wide = np.full((2 * C, R + 3), np.nan)
+        view = wide[1::2, 2:R + 2]
+        assert eta(params, f, out=view) is view
+        np.testing.assert_array_equal(view.view(np.uint64), alone.view(np.uint64))
+        assert np.isnan(wide[::2]).all() and np.isnan(wide[:, :2]).all()
 
 
 def test_topk_examples():

@@ -76,13 +76,14 @@ def test_suite_detects_wrong_gate_constant(monkeypatch):
 
 
 def test_euclidean_check_detects_wrong_gate_in_the_step(monkeypatch):
-    # the same wrong constant in the gate of the runs' step (learners.learn_rows)
+    # the same wrong constant in the gate of the runs' step (learners.learn_rows
+    # calls eta by its name in learners)
     loss, params = RoundLoss(RIDGE, 0.7), LearnParams(2.0, 0.5)
     X, y, omega, theta = _block(loss)
     proj, f = np.vecdot(X, theta), oracle.eval_f_rows(loss, X, y, theta)
     right = learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf)
-    gate_rows = learners.gate_rows
-    monkeypatch.setattr(learners, "gate_rows", lambda p, f: gate_rows(LearnParams(p.a, p.b / 10.0), f))
+    gate = learners.eta
+    monkeypatch.setattr(learners, "eta", lambda p, f: gate(LearnParams(p.a, p.b / 10.0), f))
     assert not np.allclose(learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf), right)
     assert oracle.check_euclidean_assumptions(2000, rng()).violations > 0
 
