@@ -35,7 +35,6 @@ from .harness import (
     aggregate_runs,
     check_regret_bound,
     clean_dynamic_regret,
-    delta_S,
     preset_config,
     run_cell,
     run_cells,

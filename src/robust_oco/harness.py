@@ -2,8 +2,8 @@
 
 An episode plays one learner against one corrupted stream for T rounds and
 keeps what the regret accounting reads: the per-round losses, the path
-length V_T and radius of the clean comparators, and both comparator sets on
-the corrupted rounds only, for the adversary displacement delta_S. Clean
+length V_T and radius of the clean comparators, the adversary displacement
+delta_S, and both comparator sets on the corrupted rounds only. Clean
 dynamic regret sums f_t(s_t, theta_t) - f_t(s_t, theta_t*) over uncorrupted
 rounds only, where theta_t* minimizes the clean-round loss (projected onto
 the domain ball when the radius is finite).
@@ -12,41 +12,46 @@ A call takes one RunConfig and plays its own seeds. `run_cells(config,
 learners, ks)` plays them under every (k, learner) cell of a sweep in one
 pass: each seed's stream draws its clean rounds once and corrupts them once
 per k, in time chunks of at most CHUNK_BYTES of features and cell losses
-over all seeds. A
-chunk feeds each seed's comparator accounting once (theta_t*, V_T and the
-comparator radius are the same for every k; (G, L) and delta_S are running
-maxima per k), then one loop for all the cells, which advances the stacked
-(C, R, d) actions of C cells and R seeds per round and keeps its state from
-chunk to chunk, then each cell's regret accounting, which keeps the seeds'
-running sums and the cell's mean and standard error, not the per-round
-losses. `run_episodes(config)` plays the same loop for one cell and keeps
-each seed's whole EpisodeTrace instead; clean_dynamic_regret and
-aggregate_runs read those, and the accounting of run_cells equals them bit
-for bit. The loop uses the loss kernels and the gate eta of `losses` and
-descend_rows of `learners` (the step of learn_rows, the gated projected step
-that the oracle checks), and takes every dot product as one BLAS dot per
-row, as the per-round functions do. eta gives each loss the bits it gives
-that loss alone, so each seed's numbers equal those of ogd_step, learn_step
-or topk_filter_step on that seed alone, bit for bit, whatever the chunking,
-the other seeds and the other cells. An experts cell holds its seeds' pools as
-one stack, padded to the largest seed's row count, which one pool_step per
-round advances and whose aggregate_action is the cell's (R, d) block of
-actions; the pool takes the sums that depend on a seed's row count over that
-seed's own rows, so each seed's pool too is what it is alone, bit for bit.
-In the theoretical step mode the step size needs each seed's V_T and each
-k's G and L, so the comparators are accounted in a first pass and the
-streams redrawn once for all cells.
+over all seeds. A chunk feeds the pass's one comparator accounting once,
+every seed and k as arrays: each comparator is a scale of its round's
+features, theta_t* = c_t x_t, so its loss, its norm, delta_S and (G, L) are
+read off the scales and ||x_t||^2, and only V_T's steps form (d,) rows, one
+seed at a time (V_T and the comparator radius are the same for every k; (G,
+L) and delta_S are running maxima per k and seed). Then one loop for all the
+cells advances the stacked (C, R, d) actions of C cells and R seeds per
+round and keeps its state from chunk to chunk, then each cell's regret
+accounting keeps the seeds' running sums and the cell's mean and standard
+error, not the per-round losses. `run_episodes(config)` plays the same loop
+for one cell and keeps each seed's whole EpisodeTrace instead;
+clean_dynamic_regret and aggregate_runs read those, and the accounting of
+run_cells equals them bit for bit. The loop uses the loss kernels and the
+gate eta of `losses` and descend_rows of `learners` (the step of learn_rows,
+the gated projected step that the oracle checks), and takes every dot
+product as one BLAS dot per row, as the per-round functions do. eta gives
+each loss the bits it gives that loss alone, so each seed's numbers equal
+those of ogd_step, learn_step or topk_filter_step on that seed alone, bit
+for bit, whatever the chunking, the other seeds and the other cells. An
+experts cell holds its seeds' pools as one stack, padded to the largest
+seed's row count, which one pool_step per round advances and whose
+aggregate_action is the cell's (R, d) block of actions; the pool takes the
+sums that depend on a seed's row count over that seed's own rows, so each
+seed's pool too is what it is alone, bit for bit. In the theoretical step
+mode the step size needs each seed's V_T and each k's G and L, so the
+comparators are accounted in a first pass and the streams redrawn once for
+all cells.
 
 What lives how long. A pass allocates its working arrays once: the chunk
-arrays _chunks refills (features, responses, comparator losses, outlier
-masks), the scratch in which every seed's comparator accounting squares and
-sums its rows, and the play's buffers (the two (C, R, d) action stacks it
-swaps every round, the gradient, each chunk's losses and a round's (C, R)
-products, link, losses and gates). A chunk's own arrays are its stream
-draws, its comparators and the regret reductions over it. A round of ogd or
-learn writes into the play's buffers and allocates only (C, R) temporaries:
-the terms of its loss values and the gate's scratch; a Top-k filter's,
-an expert pool's and a projection's round add their own.
+arrays _chunks refills (features, clean and emitted responses, outlier
+masks), the comparator accounting's running figures and the scratch in which
+it forms one seed's comparator rows and their steps, a block of at most
+BLOCK_BYTES at a time, and the play's buffers (the two (C, R, d) action
+stacks it swaps every round, the gradient, each chunk's losses and a round's
+(C, R) products, link, losses and gates). A chunk's own arrays are its
+stream draws, the scales and losses of each block of its comparators, and
+the regret reductions over it. A round of ogd or learn writes into the
+play's buffers and allocates only (C, R) temporaries: the terms of its loss
+values and the gate's scratch; a Top-k filter's, an expert pool's and a
+projection's round add their own.
 
 What the paper's experiments fix is derived here, not set: the Top-k budget
 (k for topk, floor(0.75 k) for utopk), the expert grid (A_max = max(sqrt(T),
@@ -63,9 +68,9 @@ import numpy as np
 
 from . import stream as st
 from .experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
-from .learners import descend_rows, project_rows, theoretical_stepsize
+from .learners import descend_rows, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
-from .losses import eval_f  # noqa: F401 (bench/tracing.py wraps this name here)
+from .losses import eval_f, eval_f_rows, minimizer_rows  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import (
     HINGE_SVM,
     RIDGE,
@@ -76,11 +81,10 @@ from .losses import (
     _link_coef,
     _link_value,
     _min_scale,
+    _value,
     derive_constants,
     eta,
-    eval_f_rows,
     growth_constants,
-    minimizer_rows,
 )
 
 OGD = "ogd"
@@ -94,6 +98,7 @@ THEORETICAL = "theoretical"
 MODEL_LOSS = {st.RIDGE_MODEL: RIDGE, st.SVM_MODEL: HINGE_SVM}   # the loss family of each data model
 
 CHUNK_BYTES = 4 << 20   # features and cell losses per time chunk of a pass, summed over the seeds
+BLOCK_BYTES = 1 << 17   # a block of the comparator accounting: a seed's (rows, d) comparators, the (rows, K, R) scales
 
 # The paper's two experiments, keyed by data model: every preset value lives
 # here, and each config of a preset shares its frozen params and generator.
@@ -173,6 +178,7 @@ class EpisodeTrace:
     comparator_emitted: np.ndarray   # (k, d) omega_t*, the emitted-stream minimizer
     f_at_comparator: np.ndarray      # (T,) f_t(s_t, theta_t*) on the emitted stream
     v_t: float                       # sum_t ||theta_t* - theta_{t+1}*||
+    delta_s: float                   # max over the corrupted rounds of ||omega_t* - theta_t*||, 0 when none
     comparator_radius: float         # max_t ||theta_t*||
     growth: tuple                    # (G, L): max_t of growth_constants on the emitted stream
 
@@ -227,111 +233,112 @@ def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | 
 
 
 class _Comparators:
-    """One seed's comparator accounting under each k of its stream, fed chunk
-    by chunk in round order; a chunk's comparators do not outlive its `add`.
+    """The comparator accounting of a pass: every seed under every k, fed
+    chunk by chunk in round order with the stacked arrays _chunks fills, a
+    block of rounds at a time, whose (rows, K, R) scales and each seed's
+    (rows, d) comparators hold at most BLOCK_BYTES.
 
-    Per seed: the step norms ||theta_t* - theta_{t+1}*|| (summed once, so V_T
-    sums in one order whatever the chunking) and the largest ||theta_t*||,
-    both squared and summed by rows, as np.linalg.norm takes them, in
-    scratch, which the seeds of a pass share: rows * (d + 1) floats, a
-    contiguous (rows, d) block of squares and then the rows' sums, for
-    chunks of up to `rows` rounds.
-    Per k, as running maxima: (G, L) of the emitted rounds and delta_S, the
-    largest ||omega_t* - theta_t*|| over the corrupted rounds. With keep, it
-    also keeps what each k's EpisodeTrace holds: the outlier mask, f_t(s_t,
-    theta_t*) on the emitted stream, and theta_t* and omega_t* on the
-    corrupted rounds, (k, d) each.
+    For both loss families theta_t* = c_t x_t (losses._min_scale) and omega_t*
+    = c'_t x_t, with c'_t = c_t bit for bit on the rounds the adversary left
+    alone; a finite radius scales c_t and c'_t. So every figure but V_T is
+    read off the scales and ||x_t||^2, with no mask: the largest ||theta_t*||
+    of each seed, (R,), and, as running maxima per k and seed, (G, L) at the
+    unprojected omega_t*, (K, R, 2), and delta_S, (K, R). V_T sums each
+    seed's step norms, (R, T - 1), in one order whatever the chunking. A step
+    is the norm of the difference of two rows c_t x_t (expanding the square
+    would cancel when consecutive comparators are close), formed one seed at
+    a time in a scratch whose rows their steps overwrite. With keep, it also
+    keeps what each k's and seed's EpisodeTrace holds: the outlier mask,
+    f_t(s_t, theta_t*) on the emitted stream, and theta_t* and omega_t* on
+    the corrupted rounds, (k, d) each.
     """
 
-    def __init__(self, config: RunConfig, ks: list, scratch: np.ndarray, keep: bool = False):
-        T, dim = config.T, config.generator.dim
-        self.loss, self.radius, self.ks, self.keep = config.loss, config.radius, ks, keep
-        rows = len(scratch) // (dim + 1)
-        self.squares, self.sums = scratch[:rows * dim].reshape(rows, dim), scratch[rows * dim:]
-        self.steps = np.empty(T - 1)
-        self.norm_max = 0.0
-        self.last = np.empty(dim)   # theta* of the round before the chunk
-        self.n_corrupted = [0] * len(ks)   # each k's corrupted rounds accounted so far
-        self.growth = np.zeros((len(ks), 2))
-        self.delta_s = np.zeros(len(ks))
+    def __init__(self, config: RunConfig, ks: list, rows: int, keep: bool = False):
+        T, R, K, dim = config.T, len(config.seeds), len(ks), config.generator.dim
+        self.loss, self.radius, self.keep = config.loss, config.radius, keep
+        self.steps = np.empty((R, T - 1))
+        self.norm_max = np.zeros(R)
+        self.growth = np.zeros((K, R, 2))
+        self.delta_s = np.zeros((K, R))
+        self.last = np.zeros((R, dim))   # each seed's theta* of the round before the block
+        self.block = min(rows, max(1, BLOCK_BYTES // (8 * max(dim, K * R))))
+        self.comp = np.empty((self.block + 1, dim))
         if keep:
-            self.is_outlier = [np.zeros(T, dtype=bool) for _ in ks]
-            self.f_at_comparator = [np.empty(T) for _ in ks]
-            self.clean = [np.empty((k, dim)) for k in ks]
-            self.emitted = [np.empty((k, dim)) for k in ks]
+            self.is_outlier = [[np.zeros(T, dtype=bool) for _ in config.seeds] for _ in ks]
+            self.f_at_comparator = [[np.empty(T) for _ in config.seeds] for _ in ks]
+            self.clean = [[np.empty((k, dim)) for _ in config.seeds] for k in ks]
+            self.emitted = [[np.empty((k, dim)) for _ in config.seeds] for k in ks]
 
-    def _minimizers(self, X: np.ndarray, y: np.ndarray, nx2: np.ndarray) -> np.ndarray:
-        """theta* of each row, from nx2 = ||x_t||^2, projected onto the domain
-        ball when the radius is finite."""
-        comp = minimizer_rows(self.loss, X, y, nx2)
-        if math.isfinite(self.radius):
-            project_rows(comp, self.radius)
-        return comp
-
-    def _growth(self, nx2: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(G, L) of each round, (2, n), from nx2 = ||x_t||^2 and the responses y."""
-        omega_norm = np.abs(_min_scale(self.loss, nx2, y)) * np.sqrt(nx2)
-        growth = np.empty((2, len(nx2)))
-        growth[0], growth[1] = growth_constants(self.loss, nx2, omega_norm)
-        return growth
-
-    def add(self, t0: int, X: np.ndarray, y_clean: np.ndarray, emitted: list) -> np.ndarray:
-        """Account rounds t0 .. t0 + len(X) - 1 under every k; emitted holds
-        each k's (y_emitted, the chunk's corrupted rows). Returns f_t(s_t,
-        theta_t*) on the clean stream, the emitted one on every round that
-        clean regret counts. Raises ValueError when a k is fed more corrupted
-        rounds than it has."""
-        n, t1 = len(X), t0 + len(X)
-        nx2 = np.einsum("ij,ij->i", X, X)
-        comp = self._minimizers(X, y_clean, nx2)
-        f_star = eval_f_rows(self.loss, X, y_clean, comp)
-        squares, sums = self.squares[:n], self.sums[:n]
-        np.add.reduce(np.multiply(comp, comp, out=squares), axis=1, out=sums)
-        # sqrt is monotone, so the largest norm is the root of the largest sum
-        self.norm_max = max(self.norm_max, math.sqrt(np.maximum.reduce(sums)))
-        np.subtract(comp[1:], comp[:-1], out=squares[1:])   # row i: the step into round t0 + i + 1
-        if t0:
-            np.subtract(comp[0], self.last, out=squares[0])
-        step = squares[0 if t0 else 1:]   # round 1 has no step
-        steps = self.steps[t1 - 1 - len(step):t1 - 1]
-        np.sqrt(np.add.reduce(np.multiply(step, step, out=step), axis=1, out=steps), out=steps)
-        self.last[:] = comp[-1]
-        clean_growth = self._growth(nx2, y_clean)
-        for j, (y, idx) in enumerate(emitted):
-            m0, m1 = self.n_corrupted[j], self.n_corrupted[j] + len(idx)
-            if m1 > self.ks[j]:
-                raise ValueError(f"{m1} corrupted rounds fed to the accounting of k = {self.ks[j]}")
-            self.n_corrupted[j] = m1
-            omega = self._minimizers(X[idx], y[idx], nx2[idx])
-            diff = np.linalg.norm(omega - comp[idx], axis=1)
-            self.delta_s[j] = max(self.delta_s[j], diff.max(initial=0.0))
-            growth = clean_growth.copy()
-            growth[:, idx] = self._growth(nx2[idx], y[idx])
-            self.growth[j] = np.maximum(self.growth[j], growth.max(axis=1))
-            if self.keep:
-                self.is_outlier[j][t0 + idx] = True
-                f = self.f_at_comparator[j][t0:t1]
-                f[:] = f_star
-                f[idx] = eval_f_rows(self.loss, X[idx], y[idx], comp[idx])
-                self.clean[j][m0:m1], self.emitted[j][m0:m1] = comp[idx], omega
+    def add(self, t0: int, X: np.ndarray, y_clean: np.ndarray, Y: np.ndarray, outlier: np.ndarray) -> np.ndarray:
+        """Account rounds t0 .. t0 + n - 1 of every seed under every k from
+        the features X (n, R, d), the clean responses y_clean (n, R), each
+        k's emitted ones Y (n, K, R) and outlier masks (K, R, n), a block of
+        rounds at a time. Returns f_t(s_t, theta_t*) on the clean stream, (R,
+        n), the emitted one on every round that clean regret counts."""
+        f_star = np.empty(y_clean.shape[::-1])
+        for b0 in range(0, len(X), self.block):
+            rows = slice(b0, b0 + self.block)
+            f_star[:, rows] = self._block(t0 + b0, X[rows], y_clean[rows], Y[rows], outlier[..., rows])
         return f_star
 
-    @property
-    def v_t(self) -> float:
-        return float(self.steps.sum())
+    def _block(self, t0: int, X: np.ndarray, y_clean: np.ndarray, Y: np.ndarray, outlier: np.ndarray) -> np.ndarray:
+        """add for a block of at most self.block rounds; returns f_t(s_t, theta_t*), (R, n)."""
+        loss, radius, n = self.loss, self.radius, len(X)
+        nx2 = np.einsum("nrd,nrd->nr", X, X)   # each row's sum as the per-seed einsum takes it
+        norm_x = np.sqrt(nx2)
+        c, c_k = _min_scale(loss, nx2, y_clean), _min_scale(loss, nx2[:, None], Y)
+        omega = np.abs(c_k)
+        omega *= norm_x[:, None]   # ||omega_t*||, unprojected
+        for i, bound in enumerate(growth_constants(loss, nx2[:, None], omega)):
+            np.maximum(self.growth[..., i], np.broadcast_to(bound, c_k.shape).max(axis=0), out=self.growth[..., i])
+        if math.isfinite(radius):   # onto the domain ball: a scale inside it is multiplied by exactly 1.0
+            c *= radius / np.maximum(np.abs(c) * norm_x, radius)
+            c_k *= radius / np.maximum(np.abs(c_k) * norm_x[:, None], radius)
+        np.maximum(self.norm_max, (np.abs(c) * norm_x).max(axis=0), out=self.norm_max)
+        shift = np.abs(np.subtract(c_k, c[:, None], out=omega), out=omega)
+        shift *= norm_x[:, None]   # ||omega_t* - theta_t*||
+        np.maximum(self.delta_s, shift.max(axis=0), out=self.delta_s)
+        proj = c * nx2   # <x_t, theta_t*>
+        sq = c * proj    # ||theta_t*||^2
+        f_star = _value(loss, proj, sq, y_clean)
+        comp = self.comp[:n + 1]
+        for r in range(X.shape[1]):   # V_T, in the difference form
+            comp[0] = self.last[r]
+            np.multiply(c[:, r, None], X[:, r], out=comp[1:])
+            self.last[r] = comp[-1]
+            # the rows are overwritten by their steps; numpy reads the overlapping operand from a copy
+            step = np.subtract(comp[1:], comp[:-1], out=comp[1:])[0 if t0 else 1:]   # round 1 has no step
+            steps = self.steps[r, max(t0 - 1, 0):t0 + n - 1]
+            np.sqrt(np.add.reduce(np.multiply(step, step, out=step), axis=1, out=steps), out=steps)
+        if self.keep:
+            f = _value(loss, proj[:, None], sq[:, None], Y)
+            for j, r in np.ndindex(self.delta_s.shape):
+                idx, mask = np.flatnonzero(outlier[j, r]), self.is_outlier[j][r]
+                m0 = np.count_nonzero(mask)
+                mask[t0 + idx] = True
+                self.f_at_comparator[j][r][t0:t0 + n] = f[:, j, r]
+                self.clean[j][r][m0:m0 + len(idx)] = c[idx, r, None] * X[idx, r]
+                self.emitted[j][r][m0:m0 + len(idx)] = c_k[idx, j, r, None] * X[idx, r]
+        return f_star.T
 
-    def trace(self, j: int, f_emitted: np.ndarray, theta: np.ndarray) -> EpisodeTrace:
-        """The EpisodeTrace under the j-th k; needs keep."""
+    @property
+    def v_t(self) -> np.ndarray:
+        """Each seed's V_T, (R,)."""
+        return self.steps.sum(axis=1)
+
+    def trace(self, j: int, r: int, f_emitted: np.ndarray, theta: np.ndarray) -> EpisodeTrace:
+        """The EpisodeTrace of the r-th seed under the j-th k; needs keep."""
         return EpisodeTrace(
-            is_outlier=self.is_outlier[j],
+            is_outlier=self.is_outlier[j][r],
             theta=theta,
             f_emitted=f_emitted,
-            comparator_clean=self.clean[j],
-            comparator_emitted=self.emitted[j],
-            f_at_comparator=self.f_at_comparator[j],
-            v_t=self.v_t,
-            comparator_radius=self.norm_max,
-            growth=tuple(self.growth[j].tolist()),
+            comparator_clean=self.clean[j][r],
+            comparator_emitted=self.emitted[j][r],
+            f_at_comparator=self.f_at_comparator[j][r],
+            v_t=float(self.steps[r].sum()),
+            delta_s=float(self.delta_s[j, r]),
+            comparator_radius=float(self.norm_max[r]),
+            growth=tuple(self.growth[j, r].tolist()),
         )
 
 
@@ -342,34 +349,31 @@ def _chunk_rows(config: RunConfig, cells: int) -> int:
     return min(config.T, max(1, CHUNK_BYTES // (len(config.seeds) * (config.generator.dim + cells) * 8)))
 
 
-def _chunks(config: RunConfig, ks: list, cells: int, accounts: list, watch=None):
+def _chunks(config: RunConfig, ks: list, cells: int, watch=None):
     """The streams of the config's seeds, each drawn once for every k of ks,
     in lockstep time chunks of _chunk_rows(config, cells) rounds. Each seed's
-    part of a chunk goes to its accounting, if any, and to watch(stream, t0,
-    X, y_clean, emitted), if given, and into arrays refilled for every chunk:
-    the features (rounds, R, d), each k's emitted responses (rounds, K, R),
-    f_t(s_t, theta_t*) on the clean stream (R, rounds; filled by the
-    accounting) and each k's outlier mask (K, R, rounds). Yields (t0, X, Y,
-    f_star, outlier)."""
+    part of a chunk goes to watch(stream, t0, X, y_clean, emitted), if
+    given, and into arrays refilled for every chunk: the features (rounds,
+    R, d), the clean responses (rounds, R), each k's emitted responses
+    (rounds, K, R) and each k's outlier mask (K, R, rounds). Yields (t0, X,
+    y_clean, Y, outlier)."""
     R, K, dim = len(config.seeds), len(ks), config.generator.dim
     rows = _chunk_rows(config, cells)
     streams = [st.EpisodeStream(config.generator, config.T, ks, seed) for seed in config.seeds]
-    X, Y = np.empty((rows, R, dim)), np.empty((rows, K, R))
-    f_star, outlier = np.empty((R, rows)), np.empty((K, R, rows), dtype=bool)
+    X, y_clean, Y = np.empty((rows, R, dim)), np.empty((rows, R)), np.empty((rows, K, R))
+    outlier = np.empty((K, R, rows), dtype=bool)
     for t0 in range(0, config.T, rows):
         n = min(rows, config.T - t0)
         outlier[:] = False
         for r, stream in enumerate(streams):
-            x, y_clean, emitted = stream.draw(n)
+            x, y, emitted = stream.draw(n)
             if watch is not None:
-                watch(stream, t0, x, y_clean, emitted)
-            if accounts is not None:
-                f_star[r, :n] = accounts[r].add(t0, x, y_clean, emitted)
-            X[:n, r] = x
-            for j, (y, idx) in enumerate(emitted):
-                Y[:n, j, r] = y
+                watch(stream, t0, x, y, emitted)
+            X[:n, r], y_clean[:n, r] = x, y
+            for j, (y_emitted, idx) in enumerate(emitted):
+                Y[:n, j, r] = y_emitted
                 outlier[j, r, idx] = True
-        yield t0, X[:n], Y[:n], f_star[:, :n], outlier[..., :n]
+        yield t0, X[:n], y_clean[:n], Y[:n], outlier[..., :n]
 
 
 def _stepper(cells: list, alpha: np.ndarray, per_k: int):
@@ -542,49 +546,50 @@ class _Regret:
 
 
 def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
-    """One pass of every (k, learner) cell over the config's seeds. Returns
-    the cells, in k order and then learner order; each seed's accounting;
-    the play, which holds the actions of round T; and each cell's _Regret or,
-    with keep, f_t(s_t, theta_t) of every cell, seed and round, (C, R, T)."""
+    """One pass of every (k, learner) cell over the config's seeds: each
+    chunk _chunks draws feeds the pass's one comparator accounting, then the
+    play, then the regret accounting. Returns the cells, in k order and then
+    learner order; the comparator accounting; the play, which holds the
+    actions of round T; and each cell's _Regret or, with keep, f_t(s_t,
+    theta_t) of every cell, seed and round, (C, R, T)."""
     cells = [replace(config, k=k, learner=learner) for k in ks for learner in learners]
     if not cells:
         raise ValueError("run_cells needs at least one learner and one k")
     if len(set(learners)) < len(learners):
         raise ValueError(f"run_cells takes each learner once, not {list(learners)}")
     R, L, rows = len(config.seeds), len(learners), _chunk_rows(config, len(cells))
-    scratch = np.empty(rows * (config.generator.dim + 1))   # the seeds' accountings share it
-    accounts = [_Comparators(config, ks, scratch, keep) for _ in config.seeds]
-    chunks = _chunks(config, ks, len(cells), accounts, watch)
+    comparators = _Comparators(config, ks, rows, keep)
     if config.alpha == THEORETICAL:
         # the step size needs V_T, G and L: account a first draw, keeping the
         # comparators' losses, then redraw the streams to play
-        f_stars = [f_star.copy() for *_, f_star, _ in _chunks(config, ks, len(cells), accounts)]
-        alpha = np.array([[_resolve_alpha(config, acc.v_t, acc.growth[j]) for acc in accounts]
-                          for j in range(len(ks))])
+        f_stars = [comparators.add(*chunk) for chunk in _chunks(config, ks, len(cells))]
+        alpha = np.array([[_resolve_alpha(config, v_t, growth) for v_t, growth in zip(comparators.v_t, by_seed)]
+                          for by_seed in comparators.growth])
         alpha = np.repeat(alpha, L, axis=0)[..., None]
-        chunks = ((t0, X, Y, f_star, outlier) for f_star, (t0, X, Y, _, outlier)
-                  in zip(f_stars, _chunks(config, ks, len(cells), None, watch)))
+        chunks = zip(f_stars, _chunks(config, ks, len(cells), watch))
     else:
         alpha = np.array(_resolve_alpha(config))
+        chunks = ((comparators.add(*chunk), chunk) for chunk in _chunks(config, ks, len(cells), watch))
     play = _Play(cells, alpha, L, rows)
     sink = np.empty((len(cells), R, config.T)) if keep else _Regret(len(cells), R, config.T)
-    for t0, X, Y, f_star, outlier in chunks:
+    for f_star, (t0, X, _, Y, outlier) in chunks:
         f = play.feed(t0, X, Y)
         if keep:
             sink[..., t0:t0 + len(X)] = f
         else:
             sink.add(t0, f, f_star, np.repeat(outlier, L, axis=0))
-    return cells, accounts, play, sink
+    return cells, comparators, play, sink
 
 
 def _episodes(cells: list) -> list:
     """Each cell's EpisodeTraces of its seeds, in order. The cells are one
     config under several learners: one draw of each seed's stream and one
-    comparator pass feed one play of every cell's stacked actions, chunk by
-    chunk, and the learners' traces of a seed share its accounting's arrays."""
+    comparator accounting feed one play of every cell's stacked actions,
+    chunk by chunk, and the learners' traces of a seed share its accounting's
+    arrays."""
     config = cells[0]
-    _, accounts, play, f_emitted = _run(config, [cell.learner for cell in cells], [config.k], keep=True)
-    return [[acc.trace(0, f, th) for acc, f, th in zip(accounts, fs, ths)]
+    _, comparators, play, f_emitted = _run(config, [cell.learner for cell in cells], [config.k], keep=True)
+    return [[comparators.trace(0, r, f, th) for r, (f, th) in enumerate(zip(fs, ths))]
             for fs, ths in zip(f_emitted, play.theta)]
 
 
@@ -605,12 +610,6 @@ def run_episode(config: RunConfig, seed: int) -> EpisodeTrace:
     return run_episodes(replace(config, seeds=[seed]))[0]
 
 
-def delta_S(trace: EpisodeTrace) -> float:
-    """Max over corrupted rounds of ||omega_t* - theta_t*||; 0 when none."""
-    diff = trace.comparator_emitted - trace.comparator_clean
-    return float(np.linalg.norm(diff, axis=1).max(initial=0.0))
-
-
 def clean_dynamic_regret(trace: EpisodeTrace) -> RegretCurve:
     """Cumulative clean dynamic regret; corrupted rounds contribute zero."""
     if len(trace) == 0:
@@ -620,7 +619,7 @@ def clean_dynamic_regret(trace: EpisodeTrace) -> RegretCurve:
     return RegretCurve(
         series=np.cumsum(terms),
         v_t=trace.v_t,
-        delta_s=delta_S(trace),
+        delta_s=trace.delta_s,
         comparator_radius=trace.comparator_radius,
         b_clean=float(trace.f_emitted[clean].max()) if np.any(clean) else 0.0,
         n_outliers=int(trace.is_outlier.sum()),
@@ -679,7 +678,7 @@ class CellResult:
 def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
     """Play the config under each k of ks (default: the config's own k) and
     each of the learners, on one draw of its seeds' clean streams, corrupted
-    once per k, one comparator pass and one loop, and account each cell's
+    once per k, one comparator accounting and one loop, and account each cell's
     regret chunk by chunk. Returns one CellResult per (k, learner), in k
     order and then learner order, whose config is replace(config, k=k,
     learner=learner) and which equals what run_cell gives on that config
@@ -694,14 +693,15 @@ def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
     before any step of that round.
     """
     ks = [config.k] if ks is None else list(ks)
-    cells, accounts, play, regret = _run(config, learners, ks, watch=watch)
-    results = []
+    cells, comparators, play, regret = _run(config, learners, ks, watch=watch)
+    v_t, results = comparators.v_t, []
     for i, cell in enumerate(cells):
         j = i // len(learners)
-        curves = [RegretCurve(series=None, final=float(regret.total[i, r]), v_t=acc.v_t,
-                              delta_s=float(acc.delta_s[j]), comparator_radius=acc.norm_max,
+        curves = [RegretCurve(series=None, final=float(regret.total[i, r]), v_t=float(v_t[r]),
+                              delta_s=float(comparators.delta_s[j, r]),
+                              comparator_radius=float(comparators.norm_max[r]),
                               b_clean=float(regret.b_clean[i, r]), n_outliers=cell.k)
-                  for r, acc in enumerate(accounts)]
+                  for r in range(len(config.seeds))]
         results.append(CellResult(config=cell, curves=curves, final_thetas=list(play.theta[i]),
                                   mean=regret.mean[i], stderr=regret.stderr[i]))
     return results

@@ -164,17 +164,6 @@ class EpisodeStream:
         return X, y_clean, emitted
 
 
-def episode_stream(generator: CleanGenerator, T: int, k: int, seed: int):
-    """Draw one seeded episode's stream in one block.
-
-    Returns (the seed's theta*, X, y_clean, y_emitted, outlier mask), X of
-    shape (T, d).
-    """
-    stream = EpisodeStream(generator, T, [k], seed)
-    X, y_clean, [(y_emitted, _)] = stream.draw(T)
-    return stream.theta_star, X, y_clean, y_emitted, outlier_mask(stream.outliers[0], T)
-
-
 def floor_power(T: int, num: int, den: int) -> int:
     """Exact floor(T^(num/den)) for the symbolic corruption grids."""
     if T < 0:

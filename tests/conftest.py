@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robust_oco import harness
+from robust_oco import stream as st
 from robust_oco.learners import project_rows
 from robust_oco.losses import (
     RIDGE,
@@ -12,10 +13,14 @@ from robust_oco.losses import (
     SideInfo,
     _min_scale,
     _transform,
+    _value,
     eta,
     eval_f,
     eval_f_many,
+    eval_f_rows,
     grad_f_many,
+    growth_constants,
+    minimizer_rows,
 )
 
 
@@ -48,6 +53,45 @@ def eval_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray)
     evaluated stably (see losses._transform). Monotone increasing in f; range
     [-a log(1+b), -a log(b))."""
     return float(_transform(params, eval_f(loss, s, theta)))
+
+
+# --- reference: one seed's whole episode stream and its comparators -----------
+
+def episode_stream(generator, T: int, k: int, seed: int):
+    """One seeded episode's stream drawn in one block: (the seed's theta*, X,
+    y_clean, y_emitted, outlier mask), X of shape (T, d)."""
+    stream = st.EpisodeStream(generator, T, [k], seed)
+    X, y_clean, [(y_emitted, _)] = stream.draw(T)
+    return stream.theta_star, X, y_clean, y_emitted, st.outlier_mask(stream.outliers[0], T)
+
+
+def reference_accounting(cfg, seed):
+    """The episode's full (T, d) clean and emitted comparators, recomputed from
+    its stream as rows, the regret statistics read off them, and the gradient
+    growth constants (G, L) of the whole emitted stream. f_terms is the loss
+    of the magnitudes of the terms f_t(s_t, theta_t*) sums (its link taken
+    with every sign aligned): (|y| + |<x, theta*>|)^2 for ridge, 1 + |y <x,
+    theta*>| for the hinge, plus the regularizer."""
+    _, X, y_clean, y_emitted, is_outlier = episode_stream(cfg.generator, cfg.T, cfg.k, seed)
+    comp_clean = minimizer_rows(cfg.loss, X, y_clean)
+    comp_emitted = minimizer_rows(cfg.loss, X, y_emitted)
+    G, L = growth_constants(cfg.loss, np.einsum("ij,ij->i", X, X), np.linalg.norm(comp_emitted, axis=1))
+    if math.isfinite(cfg.radius):
+        project_rows(comp_clean, cfg.radius)
+        project_rows(comp_emitted, cfg.radius)
+    diff = comp_emitted[is_outlier] - comp_clean[is_outlier]
+    proj, sq = np.einsum("ij,ij->i", X, comp_clean), np.einsum("ij,ij->i", comp_clean, comp_clean)
+    return dict(
+        is_outlier=is_outlier,
+        comp_clean=comp_clean,
+        comp_emitted=comp_emitted,
+        v_t=float(np.linalg.norm(np.diff(comp_clean, axis=0), axis=1).sum()),
+        comparator_radius=float(np.linalg.norm(comp_clean, axis=1).max()),
+        f_at_comparator=eval_f_rows(cfg.loss, X, y_emitted, comp_clean),
+        f_terms=_value(cfg.loss, -np.abs(proj), sq, np.abs(y_emitted)),
+        delta_s=float(np.linalg.norm(diff, axis=1).max()) if is_outlier.any() else 0.0,
+        growth=(float(np.max(G)), float(np.max(L))),
+    )
 
 
 def capture_pools(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import robust_oco
-from conftest import capture_pools
+from conftest import capture_pools, episode_stream
 from robust_oco import cli, harness
 from robust_oco import stream as st
 
@@ -148,8 +149,9 @@ def test_sweep_grid(tmp_path):
 
 
 def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
-    # the sixteen (k, learner) cells share one stream, one comparator pass per
-    # seed and one loop: each seed's stream object is made once per sweep
+    # the sixteen (k, learner) cells share one stream, one comparator accounting
+    # fed once per chunk for every seed and k, and one loop: each seed's stream
+    # object is made once per sweep
     seeds, rows = [1, 2, 3], 40
     monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * (2 + 16) * 8)   # svm: d = 2, 16 cells
     streams, adds, feeds = [], [], []
@@ -178,7 +180,7 @@ def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
     chunks = -(-T // rows)
     assert len(list(tmp_path.glob("regret_*.csv"))) == 16
     assert [args[2] for args in streams] == [st.k_grid(T)] * len(seeds)
-    assert len(adds) == len(seeds) * chunks == 9
+    assert adds == [0, 40, 80] and chunks == 3
     assert feeds == [(16, 0), (16, 40), (16, 80)]
 
 
@@ -295,7 +297,7 @@ def test_dump_stream_draws_its_seed_once(tmp_path, monkeypatch, argv):
     assert cli.main(["dump-stream", *argv, "--out", str(tmp_path)]) == 0
     assert len(streams) == 1
     seed = config.seeds[0]
-    theta_star, X, y_clean, y_emitted, mask = st.episode_stream(config.generator, config.T, config.k, seed)
+    theta_star, X, y_clean, y_emitted, mask = episode_stream(config.generator, config.T, config.k, seed)
     rounds = range(config.T)
     if "--subsample" in argv:
         sub_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD0)))
@@ -555,6 +557,24 @@ def test_benchmark_contract(tmp_path, monkeypatch):
         argv = wl.argv(str(tmp_path), 1)
         if argv[0] in ("run", "sweep"):
             config_of(argv)
+
+
+def test_noqa_imports_are_what_the_tracer_wraps(monkeypatch):
+    """Every `# noqa: F401` import line under src/ names only functions that
+    bench/tracing.py's WRAPS wraps in that module: such an import is kept
+    only so that the tracer finds the name where it wraps it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    wrapped = {(module, attr) for module, attr, _, _ in tracing.WRAPS}
+    kept = set()
+    for path in sorted(Path(robust_oco.__file__).parent.glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "# noqa: F401" in line:
+                [node] = ast.parse(line).body
+                kept |= {(path.stem, alias.name) for alias in node.names}
+    assert kept, "no noqa import line found"
+    assert kept <= wrapped, sorted(kept - wrapped)
 
 
 def test_bench_selftest_passes():

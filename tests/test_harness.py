@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SeedPool, capture_pools, minimizer_f, seed_aggregate_action, seed_pool_step
+from conftest import (
+    SeedPool,
+    capture_pools,
+    episode_stream,
+    minimizer_f,
+    reference_accounting,
+    seed_aggregate_action,
+    seed_pool_step,
+)
 from robust_oco import harness
 from robust_oco import stream as st
 from robust_oco.harness import (
@@ -14,78 +22,57 @@ from robust_oco.harness import (
     aggregate_runs,
     check_regret_bound,
     clean_dynamic_regret,
-    delta_S,
     preset_config,
     run_cell,
     run_episode,
     run_episodes,
     run_theorem_check,
 )
-from robust_oco.learners import LearnerState, learn_step, ogd_step, project_rows, topk_filter_step
-from robust_oco.losses import (
-    LearnParams,
-    RoundLoss,
-    SideInfo,
-    derive_constants,
-    eval_f,
-    eval_f_rows,
-    grad_f,
-    growth_constants,
-    minimizer_rows,
-)
+from robust_oco.learners import LearnerState, learn_step, ogd_step, topk_filter_step
+from robust_oco.losses import LearnParams, RoundLoss, SideInfo, derive_constants, eval_f, grad_f
+
+EPS = np.finfo(float).eps
 
 
-def make_trace(f_emitted, f_at_comp, is_outlier, comp_clean=None, comp_emitted=None):
-    """A trace by hand; the comparators are the corrupted rounds' rows."""
+def make_trace(f_emitted, f_at_comp, is_outlier):
+    """A trace by hand, with no comparator rows and zero path statistics."""
     is_outlier = np.asarray(is_outlier, bool)
     k = int(is_outlier.sum())
-    comp_clean = np.zeros((k, 2)) if comp_clean is None else np.asarray(comp_clean, float)
-    comp_emitted = comp_clean.copy() if comp_emitted is None else np.asarray(comp_emitted, float)
     return EpisodeTrace(
         is_outlier=is_outlier,
         theta=np.zeros(2),
         f_emitted=np.asarray(f_emitted, float),
-        comparator_clean=comp_clean,
-        comparator_emitted=comp_emitted,
+        comparator_clean=np.zeros((k, 2)),
+        comparator_emitted=np.zeros((k, 2)),
         f_at_comparator=np.asarray(f_at_comp, float),
         v_t=0.0,
+        delta_s=0.0,
         comparator_radius=0.0,
         growth=(0.0, 0.0),
     )
 
 
-def reference_accounting(cfg, seed):
-    """The episode's full (T, d) clean and emitted comparators, recomputed from
-    its stream, the regret statistics read off them, and the gradient growth
-    constants (G, L) of the whole emitted stream."""
-    _, X, y_clean, y_emitted, is_outlier = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
-    comp_clean = minimizer_rows(cfg.loss, X, y_clean)
-    comp_emitted = minimizer_rows(cfg.loss, X, y_emitted)
-    G, L = growth_constants(cfg.loss, np.einsum("ij,ij->i", X, X), np.linalg.norm(comp_emitted, axis=1))
-    if math.isfinite(cfg.radius):
-        project_rows(comp_clean, cfg.radius)
-        project_rows(comp_emitted, cfg.radius)
-    diff = comp_emitted[is_outlier] - comp_clean[is_outlier]
-    return dict(
-        is_outlier=is_outlier,
-        comp_clean=comp_clean,
-        comp_emitted=comp_emitted,
-        v_t=float(np.linalg.norm(np.diff(comp_clean, axis=0), axis=1).sum()),
-        comparator_radius=float(np.linalg.norm(comp_clean, axis=1).max()),
-        f_at_comparator=eval_f_rows(cfg.loss, X, y_emitted, comp_clean),
-        delta_s=float(np.linalg.norm(diff, axis=1).max()) if is_outlier.any() else 0.0,
-        growth=(float(np.max(G)), float(np.max(L))),
-    )
+def delta_S(trace):
+    """The vector reference of delta_S: the largest ||omega_t* - theta_t*||
+    over the trace's rows of the corrupted rounds' comparators; 0 when none."""
+    diff = trace.comparator_emitted - trace.comparator_clean
+    return float(np.linalg.norm(diff, axis=1).max(initial=0.0))
 
 
 def per_seed_episode(cfg, seed):
     """The per-seed episode loop that run_episodes replaced, kept as its
     reference: one SideInfo and one step of a LearnerState, or of the seed's
     own expert pool (conftest.SeedPool), per round. Returns f_t(s_t, theta_t)
-    of every round and the action played in round T."""
-    _, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)
-    ref = reference_accounting(cfg, seed)
-    alpha = harness._resolve_alpha(cfg, ref["v_t"], ref["growth"])
+    of every round and the action played in round T. A theoretical step size
+    is the one the program derives from its own V_T and (G, L), so that the
+    loops compare bit for bit; the accounting itself is checked against
+    reference_accounting."""
+    _, X, _, y_emitted, _ = episode_stream(cfg.generator, cfg.T, cfg.k, seed)
+    if cfg.alpha == harness.THEORETICAL:
+        trace = run_episode(cfg, seed)
+        alpha = harness._resolve_alpha(cfg, trace.v_t, trace.growth)
+    else:
+        alpha = harness._resolve_alpha(cfg)
     state = LearnerState(theta=np.zeros(cfg.generator.dim), step_size=alpha, radius=cfg.radius)
     budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
     pool = None
@@ -140,7 +127,7 @@ def count_steps(monkeypatch, returned=None):
 def record_losses(monkeypatch):
     """Record the (u, ||theta||^2) arrays of each loss evaluation of the
     stacked loop, u the link losses._link forms of <x, theta> and y; the
-    comparators evaluate theirs through losses.eval_f_rows."""
+    comparators evaluate theirs through losses._value."""
     calls = []
     value = harness._link_value
 
@@ -152,24 +139,55 @@ def record_losses(monkeypatch):
     return calls
 
 
+def assert_within_ulps(got, want, bound, name):
+    """|got - want| <= bound, element by element."""
+    excess = np.abs(np.asarray(got, float) - want) - bound
+    assert excess.max(initial=-1.0) <= 0.0, f"{name}: off by more than its bound, by {excess.max()}"
+
+
 def assert_matches_reference(cfg, seed):
-    """run_episode's accounting equals the full-array reference exactly."""
+    """run_episode's accounting against the full-array reference. The
+    accounting reads a figure off its comparator's scale c_t (theta_t* = c_t
+    x_t) where the reference reads it off the (T, d) rows, so these agree
+    within bounds written from the formulas: each way of forming a figure
+    rounds a d-term sum of squares (at most d - 1 roundings, Higham's gamma)
+    and at most 8 other operations (the products, squares, scale and root,
+    and a projection's norm, ratio and product), so the two differ by at most
+    2 (d + 8) ulps of the terms the figure sums. Those terms are ||theta_t*||
+    for the comparator radius; ||theta_t*|| + ||omega_t*|| on the corrupted
+    rounds for delta_S; the regularizer and the link's parts, with signs
+    aligned (f_terms), for f_t(s_t, theta_t*), twice over, as the ridge link
+    is squared; and, under a finite radius, each row's norm for its entries
+    and ||theta_t*|| + ||theta_{t+1}*|| for each step of V_T, plus 2 T ulps
+    of V_T for the sum of its T - 1 steps. The outlier mask, the unprojected
+    rows and V_T are the same operations in both, bit for bit; (G, L) reads
+    ||omega_t*|| as |c| ||x_t|| against the norm of the row c x_t here."""
     trace = run_episode(cfg, seed)
     ref = reference_accounting(cfg, seed)
     mask = ref["is_outlier"]
+    ulps = 2 * (cfg.generator.dim + 8) * EPS
+    norms = np.linalg.norm(ref["comp_clean"], axis=1)
+    pair = norms[mask] + np.linalg.norm(ref["comp_emitted"][mask], axis=1)
     np.testing.assert_array_equal(trace.is_outlier, mask)
-    assert trace.v_t == ref["v_t"]
-    assert trace.comparator_radius == ref["comparator_radius"]
-    np.testing.assert_array_equal(trace.f_at_comparator, ref["f_at_comparator"])
-    assert trace.comparator_clean.shape == (cfg.k, cfg.generator.dim)
-    np.testing.assert_array_equal(trace.comparator_clean, ref["comp_clean"][mask])
-    np.testing.assert_array_equal(trace.comparator_emitted, ref["comp_emitted"][mask])
-    assert delta_S(trace) == ref["delta_s"]
-    # ||omega_t*|| is taken as |c| ||x_t|| against the norm of the row c x_t here
+    assert trace.comparator_clean.shape == trace.comparator_emitted.shape == (cfg.k, cfg.generator.dim)
+    assert_within_ulps(trace.f_at_comparator, ref["f_at_comparator"], 2 * ulps * ref["f_terms"], "f_at_comparator")
+    assert_within_ulps(trace.comparator_radius, ref["comparator_radius"], ulps * ref["comparator_radius"],
+                       "comparator_radius")
+    for want in (ref["delta_s"], delta_S(trace)):
+        assert_within_ulps(trace.delta_s, want, ulps * pair.max(initial=0.0), "delta_s")
+    rows = ((trace.comparator_clean, ref["comp_clean"][mask]), (trace.comparator_emitted, ref["comp_emitted"][mask]))
+    if math.isfinite(cfg.radius):
+        steps = (norms[1:] + norms[:-1]).sum()
+        assert_within_ulps(trace.v_t, ref["v_t"], ulps * steps + 2 * cfg.T * EPS * ref["v_t"], "v_t")
+        for got, want in rows:
+            assert_within_ulps(got, want, ulps * np.linalg.norm(want, axis=1, keepdims=True), "comparator rows")
+    else:
+        assert trace.v_t == ref["v_t"]
+        for got, want in rows:
+            np.testing.assert_array_equal(got, want)
     assert trace.growth == pytest.approx(ref["growth"], rel=1e-15, abs=0.0)
     curve = clean_dynamic_regret(trace)
-    assert (curve.v_t, curve.delta_s, curve.comparator_radius) == (
-        ref["v_t"], ref["delta_s"], ref["comparator_radius"])
+    assert (curve.v_t, curve.delta_s, curve.comparator_radius) == (trace.v_t, trace.delta_s, trace.comparator_radius)
     return trace, ref
 
 
@@ -186,20 +204,35 @@ def test_clean_dynamic_regret_examples():
     assert c.n_outliers == 1
 
 
-def test_path_length_examples(monkeypatch):
-    # V_T and the radius are read off the comparators minimizer_rows returns
+def svm_features(rows):
+    """Features and responses whose closed-form svm comparators are the given
+    rows, exactly: x_t = v_t / 4 and y_t = 4 ||x_t||^2 make the hinge scale
+    y_t / max(lam, ||x_t||^2) exactly 4 on rows of short binary fractions,
+    and 0 on a zero row."""
+    X = np.asarray(rows, float) / 4.0
+    return X, 4.0 * np.vecdot(X, X)
+
+
+def account(X, y_clean, y_emitted=None, is_outlier=None, radius=math.inf, chunk=None):
+    """One seed's svm rounds, emitted as y_clean unless y_emitted is given,
+    fed to a pass's comparator accounting chunk rounds at a time (all at
+    once by default); returns the seed's EpisodeTrace."""
+    T = len(X)
+    y_emitted = y_clean if y_emitted is None else y_emitted
+    mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
+    cfg = preset_config("svm", T=T, seeds=[1], k=int(mask.sum()), radius=radius)
+    chunk = chunk or T
+    acc = harness._Comparators(cfg, [cfg.k], chunk, keep=True)
+    for t0 in range(0, T, chunk):   # the stacked shapes of one seed and one k
+        rows = slice(t0, t0 + chunk)
+        acc.add(t0, X[rows, None], y_clean[rows, None], y_emitted[rows, None, None], mask[None, None, rows])
+    return acc.trace(0, 0, np.zeros(T), np.zeros(2))
+
+
+def test_path_length_examples():
+    # V_T and the radius are read off the comparators of features built for them
     def clean_comparators(comp, is_outlier=None, radius=math.inf, chunk=None):
-        comp = np.asarray(comp, float)
-        T = len(comp)
-        monkeypatch.setattr(harness, "minimizer_rows", lambda loss, X, y, nx2: comp[X[:, 0].astype(int)])
-        mask = np.zeros(T, bool) if is_outlier is None else np.asarray(is_outlier)
-        cfg = preset_config("svm", T=T, seeds=[1], k=int(mask.sum()), radius=radius)
-        acc = harness._Comparators(cfg, [cfg.k], np.empty(T * 3), keep=True)   # scratch: rows * (d + 1)
-        X = np.repeat(np.arange(T, dtype=float)[:, None], 2, axis=1)   # row t looks up comp[t]
-        for t0 in range(0, T, chunk or T):
-            rows = slice(t0, t0 + (chunk or T))
-            acc.add(t0, X[rows], np.zeros(T)[rows], [(np.zeros(T)[rows], np.flatnonzero(mask[rows]))])
-        trace = acc.trace(0, np.zeros(T), np.zeros(2))
+        trace = account(*svm_features(comp), is_outlier=is_outlier, radius=radius, chunk=chunk)
         return trace.v_t, trace.comparator_radius, trace.comparator_clean
 
     for chunk in (None, 1, 2):   # the chunking does not change a figure
@@ -214,26 +247,16 @@ def test_path_length_examples(monkeypatch):
     np.testing.assert_allclose(rows, [[0.6, 0.8]])
 
 
-@pytest.mark.parametrize("keep", [False, True])
-def test_accounting_rejects_more_corrupted_rounds_than_k(keep):
-    # a k fed k + 1 corrupted rounds is an error, not a silently dropped row
-    cfg = preset_config("svm", T=10, seeds=[1], k=2)
-    X, y = np.ones((10, 2)), np.ones(10)
-    acc = harness._Comparators(cfg, [2, 5], np.empty(10 * 3), keep=keep)
-    acc.add(0, X[:4], y[:4], [(-y[:4], np.array([1])), (-y[:4], np.array([0, 1, 2]))])
-    with pytest.raises(ValueError, match="3 corrupted rounds fed to the accounting of k = 2"):
-        acc.add(4, X[4:], y[4:], [(-y[4:], np.array([0, 5])), (-y[4:], np.array([0]))])
-
-
 def test_delta_s_examples():
-    t = make_trace([0, 0], [0, 0], [False, False])
-    assert delta_S(t) == 0.0  # no corrupted rounds
-    t = make_trace([0, 0, 0], [0, 0, 0], [True, False, True],
-                   comp_clean=np.zeros((2, 2)),
-                   comp_emitted=np.array([[3.0, 4.0], [1.0, 0.0]]))
-    assert delta_S(t) == 5.0  # the largest displacement over the corrupted rounds
-    t = make_trace([0], [0], [True], comp_clean=np.ones((1, 2)), comp_emitted=np.ones((1, 2)))
-    assert delta_S(t) == 0.0  # corruption left the minimizer fixed
+    # delta_S = max |c'_t - c_t| ||x_t|| over the corrupted rounds, on features built for it
+    X, y = svm_features([[3.0, 4.0], [1.0, 1.0], [1.0, 0.0]])
+    assert account(X, y).delta_s == 0.0  # no corrupted rounds
+    # theta_t* = 0 on the corrupted rounds and omega_t* the rows: the largest displacement
+    trace = account(X, y * [0.0, 1.0, 0.0], y, [True, False, True])
+    assert trace.delta_s == 5.0 == delta_S(trace)
+    assert account(X, y, y, [True, True, True]).delta_s == 0.0  # corruption left the minimizer fixed
+    # a flipped label flips omega_t* = -theta_t*: ||2 (1, 1)|| on the corrupted round
+    assert account(X, y, y * [1.0, -1.0, 1.0], [False, True, False]).delta_s == math.sqrt(8.0)
 
 
 def test_aggregate_runs():
@@ -288,7 +311,7 @@ def test_episode_records_and_comparators():
     clean = ~trace.is_outlier
     np.testing.assert_array_equal(ref["comp_clean"][clean], ref["comp_emitted"][clean])
     assert trace.is_outlier.sum() == 20
-    assert delta_S(trace) > 0.0
+    assert trace.delta_s > 0.0
 
 
 def test_clean_regret_terms_nonnegative():
@@ -445,7 +468,7 @@ def test_theorem_check_holds_across_k():
         assert chk.holds, f"k={k}: measured {chk.measured} > bound {chk.bound}"
         assert curve.n_outliers == k
         # L is the Hessian bound lam + 2 max ||x_t||^2 of the episode's own stream
-        X = st.episode_stream(base.generator, 200, k, 7)[1]
+        X = episode_stream(base.generator, 200, k, 7)[1]
         assert consts.L == base.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max())
 
 
@@ -459,7 +482,7 @@ def test_growth_constants_hold_on_the_stream(family):
     cfg = preset_config(family, T=300, seeds=[3], learner=harness.LEARN, k=30, radius=5.0,
                         alpha=harness.THEORETICAL)
     G, L = run_episode(cfg, 3).growth
-    _, X, _, y_emitted, _ = st.episode_stream(cfg.generator, cfg.T, cfg.k, 3)
+    _, X, _, y_emitted, _ = episode_stream(cfg.generator, cfg.T, cfg.k, 3)
     margins = []
     for x, y in zip(X, y_emitted):
         s = SideInfo(x=x, y=float(y))
@@ -485,7 +508,7 @@ def test_ridge_growth_is_the_streams_hessian_bound(monkeypatch):
     cfg = preset_config("ridge", T=200, seeds=seeds, learner=harness.OGD, k=20)
     monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * len(seeds) * (cfg.generator.dim + 1) * 8)
     for seed, trace in zip(seeds, run_episodes(cfg)):
-        X = st.episode_stream(cfg.generator, cfg.T, cfg.k, seed)[1]
+        X = episode_stream(cfg.generator, cfg.T, cfg.k, seed)[1]
         assert trace.growth == (0.0, cfg.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max()))
 
 
@@ -845,7 +868,7 @@ def test_a_nan_loss_names_its_learner_k_seed_and_round(monkeypatch):
         def draw(self, n):
             t0 = self.t
             X, y_clean, emitted = super().draw(n)
-            y, idx = emitted[1]   # k = 0: no round is corrupted, and the comparators never read y
+            y, idx = emitted[1]   # k = 0: no round is corrupted; the comparators read y too, without a warning
             y = y.copy()
             for t, value in poison[self.seed]:
                 if t0 < t <= t0 + n:
@@ -884,6 +907,37 @@ def test_many_chunks_equal_one_chunk(monkeypatch, family):
         runs.append(harness.run_cells(config, harness.LEARNERS, ks))
     for a, b in zip(*runs, strict=True):
         assert_cells_equal(a, b)
+
+
+@pytest.mark.parametrize("family, radius", [("svm", math.inf), ("ridge", math.inf), ("ridge", 0.05)])
+def test_stacked_chunked_accounting_gives_each_seed_its_own_bits(monkeypatch, family, radius):
+    # the accounting takes every seed and k of a pass as arrays: seed 2 beside
+    # seeds 1 and 3, under three k's at once, in chunks of 1, 17 and T rounds
+    # (accounted in blocks of 5 rounds in the 17-round chunks), gets the bits
+    # of seed 2 alone in one chunk: V_T, delta_S, the radius, (G, L),
+    # f_t(s_t, theta_t*) on the clean stream and on each k's emitted one
+    ks = [0, 15, T_REF]
+    add = harness._Comparators.add
+
+    def accounting(seeds, rows, block=T_REF):
+        cfg = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=0, radius=radius)
+        monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * (cfg.generator.dim + len(ks)) * 8)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", block * max(cfg.generator.dim, len(ks) * len(seeds)) * 8)
+        f_star = []
+        monkeypatch.setattr(harness._Comparators, "add", lambda *args: f_star.append(add(*args)) or f_star[-1])
+        _, comparators, _, _ = harness._run(cfg, [harness.OGD], ks, keep=True)
+        assert len(f_star) == -(-T_REF // rows)
+        r = seeds.index(2)
+        traces = [comparators.trace(j, r, None, None) for j in range(len(ks))]
+        return np.concatenate(f_star, axis=1)[r], [
+            (t.v_t, t.delta_s, t.comparator_radius, *t.growth, *t.f_at_comparator) for t in traces]
+
+    f_star, figures = accounting([2], T_REF)
+    assert any(fig[1] > 0.0 for fig in figures)   # some k moves a comparator
+    for rows, block in ((1, T_REF), (17, 5), (T_REF, T_REF)):
+        got_f_star, got = accounting([1, 2, 3], rows, block)
+        np.testing.assert_array_equal(bits(got_f_star), bits(f_star))
+        np.testing.assert_array_equal(bits(got), bits(figures))
 
 
 def test_back_to_back_calls_share_no_buffer():

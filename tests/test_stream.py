@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import episode_stream
 from robust_oco import stream as st
 from robust_oco.harness import PRESETS
 from robust_oco.losses import SideInfo
@@ -164,8 +165,8 @@ def test_chunked_draws_equal_block_draw(gen, k):
     # a stream of several k's corrupts its one clean draw as each k's own stream does
     T, sizes = 60, (1, 7, 2, 19, 1, 30)
     ks = [k, 5, k]
-    theta_star, X, y_clean, y_emitted, mask = st.episode_stream(gen, T, k, 23)
-    *_, y_emitted5, mask5 = st.episode_stream(gen, T, 5, 23)
+    theta_star, X, y_clean, y_emitted, mask = episode_stream(gen, T, k, 23)
+    *_, y_emitted5, mask5 = episode_stream(gen, T, 5, 23)
     stream = st.EpisodeStream(gen, T, ks, 23)
     # theta* belongs to the seed's stream, drawn from its theta_star substream
     np.testing.assert_array_equal(stream.theta_star, theta_star)
