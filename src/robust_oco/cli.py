@@ -221,6 +221,7 @@ def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
 
 
 CSV_BLOCK = 1024   # rounds per block of the regret CSV: a block's floats become Python floats at once
+CSV_ROW = "%d,%.12g,%.12g\n"   # a row of the regret CSV, each float as _fmt writes it, in one format call
 
 
 def write_cell_csv(path: str, result: harness.CellResult):
@@ -229,7 +230,7 @@ def write_cell_csv(path: str, result: harness.CellResult):
         for t0 in range(0, len(result.mean), CSV_BLOCK):
             block = slice(t0, t0 + CSV_BLOCK)
             rows = zip(range(t0 + 1, t0 + CSV_BLOCK + 1), result.mean[block].tolist(), result.stderr[block].tolist())
-            fh.writelines(f"{t},{_fmt(m)},{_fmt(s)}\n" for t, m, s in rows)
+            fh.writelines(CSV_ROW % row for row in rows)
 
 
 def _write_cell(result: harness.CellResult, outdir: str) -> str:

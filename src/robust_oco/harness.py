@@ -17,40 +17,42 @@ every seed and k as arrays: each comparator is a scale of its round's
 features, theta_t* = c_t x_t, so its loss, its norm, delta_S and (G, L) are
 read off the scales and ||x_t||^2, and only V_T's steps form (d,) rows, one
 seed at a time (V_T and the comparator radius are the same for every k; (G,
-L) and delta_S are running maxima per k and seed). Then one loop for all the
-cells advances the stacked (C, R, d) actions of C cells and R seeds per
+L) and delta_S are running maxima per k and seed). Then one loop for all
+the cells advances the stacked (C, R, d) actions of C cells and R seeds per
 round and keeps its state from chunk to chunk, then each cell's regret
 accounting keeps the seeds' running sums and the cell's mean and standard
 error, not the per-round losses. `run_episodes(config)` plays the same loop
 for one cell and keeps each seed's whole EpisodeTrace instead;
 clean_dynamic_regret and aggregate_runs read those, and the accounting of
 run_cells equals them bit for bit. The loop uses the loss kernels and the
-gate eta of `losses` and descend_rows of `learners` (the step of learn_rows,
-the gated projected step that the oracle checks), and takes every dot
-product as one BLAS dot per row, as the per-round functions do. eta gives
-each loss the bits it gives that loss alone, so each seed's numbers equal
-those of ogd_step, learn_step or topk_filter_step on that seed alone, bit
-for bit, whatever the chunking, the other seeds and the other cells. An
-experts cell holds its seeds' pools as one stack, padded to the largest
-seed's row count, which one pool_step per round advances and whose
-aggregate_action is the cell's (R, d) block of actions; the pool takes the
-sums that depend on a seed's row count over that seed's own rows, so each
-seed's pool too is what it is alone, bit for bit. In the theoretical step
-mode the step size needs each seed's V_T and each k's G and L, so the
-comparators are accounted in a first pass and the streams redrawn once for
-all cells.
+gate of `losses` (_gate, or the checked eta past a guard) and descend_rows
+of `learners` (the step of learn_rows, the gated projected step that the
+oracle checks), and takes every dot product as one BLAS dot per row, as the
+per-round functions do. The gate gives each loss the bits it gives that
+loss alone, so each
+seed's numbers equal those of ogd_step, learn_step or topk_filter_step on
+that seed alone, bit for bit, whatever the chunking, the other seeds and
+the other cells. An experts cell holds its seeds' pools as one stack,
+padded to the largest seed's row count, which one pool_step per round
+advances and whose aggregate_action is the cell's (R, d) block of actions;
+the pool takes the sums that depend on a seed's row count over that seed's
+own rows, so each seed's pool too is what it is alone, bit for bit. In the
+theoretical step mode the step size needs each seed's V_T and each k's G
+and L, so the comparators are accounted in a first pass and the streams
+redrawn once for all cells.
 
 What lives how long. A pass allocates its working arrays once: the chunk
 arrays _chunks refills (features, clean and emitted responses, outlier
 masks), the comparator accounting's running figures and the scratch in which
 it forms one seed's comparator rows and their steps, a block of at most
 BLOCK_BYTES at a time, and the play's buffers (the two (C, R, d) action
-stacks it swaps every round, the gradient, each chunk's losses and a round's
-(C, R) products, link, losses and gates). A chunk's own arrays are its
-stream draws, the scales and losses of each block of its comparators, and
-the regret reductions over it. A round of ogd or learn writes into the
-play's buffers and allocates only (C, R) temporaries: the terms of its loss
-values and the gate's scratch; a Top-k filter's, an expert pool's and a
+stacks it swaps every round, the gradient, each chunk's losses, a round's
+(C, R) products, link, losses, gates, gate scratch and guard bound, and a
+filter's (R, budget) norms). A chunk's own arrays are its stream draws, the
+scales and losses of each block of its comparators, and the regret
+reductions over it. A round of ogd or learn writes into the play's buffers
+and allocates only (C, R) temporaries: the terms of its loss values (and
+eta's scratch, past the guard); a Top-k filter's, an expert pool's and a
 projection's round add their own.
 
 What the paper's experiments fix is derived here, not set: the Top-k budget
@@ -77,6 +79,7 @@ from .losses import (
     LearnParams,
     ProblemConstants,
     RoundLoss,
+    _gate,
     _link,
     _link_coef,
     _link_value,
@@ -376,67 +379,88 @@ def _chunks(config: RunConfig, ks: list, cells: int, watch=None):
         yield t0, X[:n], y_clean[:n], Y[:n], outlier[..., :n]
 
 
-def _stepper(cells: list, alpha: np.ndarray, per_k: int):
-    """The step of a play's stacked actions, one (R, d) block per cell, K
-    groups of per_k cells: step(theta, new, x, y, u, f) writes the next
-    (C, R, d) actions into new and returns it, from this round's actions
-    theta, side information x (1, R, d), each k's responses y (K, 1, R), the
-    link u = losses._link of each cell and seed, (K, per_k, R), and the
-    losses f, (C, R). Neither theta nor new is an argument the step keeps.
+class _Filter:
+    """The Top-k filter of R seeds, called on a round's gradients, actions and
+    next actions: each seed's budget largest norms, -inf where empty, in any
+    order (only their multiset counts), filled one slot a round in warm-up,
+    then with a cached minimum that only its replacement rescans."""
+
+    def __init__(self, R: int, budget: int):
+        self.top, self.fill, self.slot, self.twice = np.full((R, budget), -np.inf), 0, [0] * R, np.empty(R)
+
+    def __call__(self, g: np.ndarray, theta: np.ndarray, new: np.ndarray):
+        n, top = np.sqrt(np.vecdot(g, g)), self.top
+        if self.fill < top.shape[1]:   # a nan is never stored: it leaves the slot empty for a later round
+            np.fmax(n, top[:, self.fill], out=top[:, self.fill])
+            self.fill += 1
+            np.copyto(new, theta)
+            return self._cache(range(len(top)) if self.fill == top.shape[1] else ())
+        update, grow = n < self.twice, n >= self.twice   # grow: not update, not nan; 0 replacing 0 is no change
+        seeds = np.flatnonzero(grow).tolist() if np.count_nonzero(grow) else ()
+        for r in seeds:
+            top[r, self.slot[r]] = n[r]
+        self._cache(seeds)
+        np.copyto(new, theta, where=~update[:, None])
+
+    def _cache(self, seeds):
+        for r in seeds:   # an argmin of one row copies nothing, unlike one of a block of rows
+            row = self.top[r]
+            self.slot[r] = j = row.argmin()
+            self.twice[r] = 2.0 * row[j]
+
+
+def _stepper(cells: list, alpha: np.ndarray, per_k: int, f: np.ndarray):
+    """The step of a play's stacked actions, (C, R, d), of K groups of per_k
+    cells: step(theta, new, x, y, u, fast) writes the next actions into new
+    and returns it, from the actions theta, side information x (1, R, d),
+    responses y (K, 1, R), link u (K, per_k, R) and the round's losses in f,
+    (C, R), unchecked if fast (see _Play). It keeps neither theta nor new.
 
     One gradient serves every block, formed as grad_f_rows forms it, lam
     theta - c x, from the coefficient c = _link_coef of u: ogd descends on it
-    as it is, learn on it scaled by its gate in place (one losses.eta call for
-    every learn block, on one strided view of the round's losses), and a Top-k
-    seed only where its filter lets the round through; a filtered seed keeps
-    its action by a masked copy. An experts cell's block is what its stacked
-    pool aggregates after one pool_step for all its seeds. Each row gets what
-    ogd_step, learn_step, topk_filter_step or the pool makes of that seed
-    alone, bit for bit.
+    as it is, learn on it scaled by its gate in place (one gate for every
+    learn block, on one strided view of f: losses._gate if fast, else the
+    checked losses.eta), and a Top-k seed only where its _Filter lets the
+    round through; a filtered seed keeps its action by a masked copy. An
+    experts cell's block is what its stacked pool aggregates after one
+    pool_step for all its seeds. Each row gets what ogd_step, learn_step,
+    topk_filter_step or the pool makes of that seed alone, bit for bit.
 
-    The gradient (C, R, d) and c (C, R) live for the pass; new holds c x
-    before descend_rows writes the step into it, so a round allocates no
-    array of the stack's size."""
+    The gradient (C, R, d), c, the gates and their scratch (C, R) and each
+    filter live for the pass; new holds c x before descend_rows writes the
+    step into it, so a round allocates no array of the stack's size."""
     config = cells[0]
     loss, params, radius = config.loss, config.params, config.radius
     R, dim = len(config.seeds), config.generator.dim
     lam = np.array(loss.lam)   # a 0-d operand: see losses._ONE
     g, c = np.empty((len(cells), R, dim)), np.empty((len(cells), R))
     c_k, c_x = c.reshape(-1, per_k, R), c[..., None]
-    rows = np.arange(R)
     filters, pools = [], []
     for i, cell in enumerate(cells):
         budget = cell.resolve_topk_budget()
         if cell.learner == EXPERTS:
             pools.append((i, i // per_k, _expert_pool(cell)))
-        elif budget:   # each seed's `budget` largest gradient norms; -inf is empty
-            filters.append((i, np.full((R, budget), -np.inf)))
+        elif budget:
+            filters.append((i, _Filter(R, budget)))
     descends = len(pools) < len(cells)
     # every learn block as one strided view of the gradient, which the gates of the same view of the
     # losses scale in place: run_cells takes each learner once, so learn has one place in each k's group
     learn = [i for i, cell in enumerate(cells) if cell.learner == LEARN]
     gated = slice(learn[0], None, per_k) if learn else slice(0)   # slice(0): no block, an empty view
-    g_learn, gates = g[gated], np.empty((len(learn), R))
+    g_learn, f_learn, gates, z = g[gated], f[gated], np.empty((len(learn), R)), np.empty((len(learn), R))
     gates_x = gates[..., None]
 
-    def step(theta, new, x, y, u, f):
+    def step(theta, new, x, y, u, fast):
         if descends:
             np.multiply(lam, theta, out=g)
             _link_coef(loss, u, y, out=c_k)
             np.subtract(g, np.multiply(c_x, x, out=new), out=g)
             if learn:
-                eta(params, f[gated], out=gates)
+                _gate(params, f_learn, gates, z) if fast else eta(params, f_learn, out=gates)
                 np.multiply(g_learn, gates_x, out=g_learn)
             descend_rows(theta, g, alpha, radius, out=new)
-        for i, top in filters:
-            # a round before the buffer is full meets low = -inf: filtered, it fills an empty slot
-            n = np.sqrt(np.vecdot(g[i], g[i]))
-            j = top.argmin(axis=1)
-            low = top[rows, j]
-            update = n < 2.0 * low
-            grow = ~update & (n > low)
-            top[rows[grow], j[grow]] = n[grow]   # replacing a minimum keeps the heap's multiset
-            np.copyto(new[i], theta[i], where=~update[:, None])
+        for i, top_k in filters:
+            top_k(g[i], theta[i], new[i])
         for i, j, pool in pools:
             pool_step(pool, x[0], y[j, 0], loss, params)
             new[i] = aggregate_action(pool)
@@ -457,11 +481,12 @@ class _Play:
     Its buffers are allocated once and live for the pass: the actions theta
     and the next actions the step writes, (C, R, d) each, swapped every
     round; each chunk's losses, (C, R, rows), which feed returns and the next
-    chunk overwrites; and a round's <x, theta>, ||theta||^2, link u, losses
-    and their finiteness, (C, R) each, which that round alone reads (its
-    losses are then copied into their column of the chunk's). Each k's
-    responses broadcast over its per_k cells through (K, per_k, R) views of
-    the round's arrays."""
+    chunk overwrites; a round's <x, theta>, ||theta||^2, link u, losses and
+    their check, (C, R) each, which that round alone reads (its losses are
+    then copied into their column of the chunk's); and the guard's bound, the
+    gate's overflow threshold on a learn cell, else the largest finite float.
+    Each k's responses broadcast over its per_k cells through (K, per_k, R)
+    views of the round's arrays."""
 
     def __init__(self, cells: list, alpha: np.ndarray, per_k: int, rows: int):
         config = cells[0]
@@ -470,8 +495,10 @@ class _Play:
         self.theta, self.spare = np.zeros((C, R, dim)), np.empty((C, R, dim))
         self.losses = np.empty((C, R, rows))
         self.proj, self.sq, self.u, self.f = np.empty((4, C, R))
-        self.finite = np.empty((C, R), dtype=bool)
-        self.step = _stepper(cells, alpha, per_k)
+        self.passed = np.empty((C, R), dtype=bool)
+        bound = [cell.params._gate_operands[2] if cell.learner == LEARN else np.finfo(float).max for cell in cells]
+        self.bound = np.repeat(np.array(bound), R).reshape(C, R).view(np.uint64)
+        self.step = _stepper(cells, alpha, per_k, self.f)
 
     def feed(self, t0: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Play rounds t0 .. t0 + n - 1 on the features X, (n, R, d), and each
@@ -481,25 +508,28 @@ class _Play:
 
         Raises RuntimeError naming the learner, k, seed and round of the
         earliest non-finite loss (the first cell, then the first seed, on a
-        tie), before any step of that round."""
-        cells, step, theta, spare, proj, sq, u, f, finite = (
-            self.cells, self.step, self.theta, self.spare, self.proj, self.sq, self.u, self.f, self.finite)
-        T, loss = cells[0].T, cells[0].loss
+        tie), before any step of that round. One comparison of the losses'
+        bits with the bound's guards a round (a nan, an inf or a sign bit,
+        -0.0 too, fails it); one that fails is checked, and gated by eta."""
+        cells, step, theta, spare, proj, sq, u, f, passed = (
+            self.cells, self.step, self.theta, self.spare, self.proj, self.sq, self.u, self.f, self.passed)
+        T, loss, bits, bound = cells[0].T, cells[0].loss, f.view(np.uint64), self.bound
         proj_k, u_k = proj.reshape(-1, self.per_k, proj.shape[1]), u.reshape(-1, self.per_k, u.shape[1])
-        all_finite = b"\x01" * finite.size   # the bytes of an all-True mask: one comparison checks every loss
+        all_passed = b"\x01" * passed.size   # the bytes of an all-True mask: one comparison checks every loss
         f_chunk = self.losses[..., :len(X)]
         for t, x, y, column in zip(range(t0, T), X[:, None], Y[:, :, None], np.moveaxis(f_chunk, -1, 0)):
             np.vecdot(x, theta, out=proj)
             _link(loss, proj_k, y, out=u_k)
             _link_value(loss, u, np.vecdot(theta, theta, out=sq), out=f)
-            if np.isfinite(f, out=finite).tobytes() != all_finite:
-                i, r = np.unravel_index(finite.argmin(), finite.shape)   # the first in (cell, seed) order
+            fast = np.less_equal(bits, bound, out=passed).tobytes() == all_passed
+            if not fast and np.isfinite(f, out=passed).tobytes() != all_passed:
+                i, r = np.unravel_index(passed.argmin(), passed.shape)   # the first in (cell, seed) order
                 cell = cells[i]
                 raise RuntimeError(f"learner {cell.learner}, k {cell.k}, seed {cell.seeds[r]}: non-finite loss "
                                    f"at round {t + 1} of {T}; the run diverged")
             column[...] = f
             if t + 1 < T:   # theta stays the action played in round T
-                theta, spare = step(theta, spare, x, y, u_k, f), theta
+                theta, spare = step(theta, spare, x, y, u_k, fast), theta
         self.theta, self.spare = theta, spare
         return f_chunk
 

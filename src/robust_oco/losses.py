@@ -16,8 +16,9 @@ whose gradient is eta * grad_f with the gate
 
 eta decays to zero as f grows, which damps gradient updates on rounds whose
 loss is abnormally large (the redescending property). eta(params, f, out) is
-the one gate, which every learner, the harness's loop, the expert pool and
-the oracle call; it writes into an optional out as the _link kernels do.
+the one gate; it writes into an optional out as the _link kernels do. It is
+its checks and _gate(params, f, out, z), which the harness's loop calls
+alone on a round whose losses it has bounded.
 
 Each family's formulas are written once, in private kernels that take the
 inner products a loss depends on, as floats or as arrays:
@@ -216,6 +217,15 @@ def grad_f(loss: RoundLoss, s: SideInfo, theta: np.ndarray) -> np.ndarray:
     return g - c * s.x if c else g   # c = 0 on an inactive hinge round: no array op
 
 
+def _gate(params: LearnParams, f, out, z):
+    """eta's formula into out, z a scratch: for losses known non-negative and,
+    unless overflows are silenced, at most LearnParams._gate_operands[2]."""
+    a, b, _ = params._gate_operands
+    np.divide(f, a, out=out)
+    np.multiply(b, np.exp(out, out=z), out=out)
+    return np.divide(_ONE, np.add(_ONE, out, out=z), out=out)
+
+
 def eta(params: LearnParams, f, out=None):
     """The gate 1/(1 + b exp(f/a)) of each loss of f, an array of any shape or
     a float (taken as a 0-d array), in (0, 1/(1+b)]: exactly 0 where exp(f/a)
@@ -226,15 +236,11 @@ def eta(params: LearnParams, f, out=None):
     f = np.asarray(f)
     if np.count_nonzero(f < _ZERO):   # on a few losses, cheaper than a min or max reduction
         raise ValueError("loss values must be non-negative")
-    a, b, safe = params._gate_operands
     out, z = np.empty(f.shape) if out is None else out, np.empty(f.shape)   # alternated: see the note on out
-    np.divide(f, a, out=out)
-    if not np.count_nonzero(f > safe):   # no exp nor b exp overflows
-        np.multiply(b, np.exp(out, out=z), out=out)
-    else:
-        with np.errstate(over="ignore"):   # an overflow to inf gives 1/(1 + inf) = 0 exactly
-            np.multiply(b, np.exp(out, out=z), out=out)
-    return np.divide(_ONE, np.add(_ONE, out, out=z), out=out)
+    if not np.count_nonzero(f > params._gate_operands[2]):   # no exp nor b exp overflows
+        return _gate(params, f, out, z)
+    with np.errstate(over="ignore"):   # an overflow to inf gives 1/(1 + inf) = 0 exactly
+        return _gate(params, f, out, z)
 
 
 def grad_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray,

@@ -7,6 +7,7 @@ from robust_oco import harness
 from robust_oco import stream as st
 from robust_oco.learners import project_rows
 from robust_oco.losses import (
+    EXP_MAX,
     RIDGE,
     LearnParams,
     RoundLoss,
@@ -27,6 +28,18 @@ from robust_oco.losses import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def gate_grid(params: LearnParams) -> np.ndarray:
+    """Losses to gate, (11117, 6): log-uniform over f/a in [1e-6, 800], and the
+    edges where b exp(f/a) and then exp(f/a) itself overflow, a few ulps either
+    side."""
+    a = params.a
+    rng = np.random.default_rng(17)
+    f = a * np.exp(rng.uniform(math.log(1e-6), math.log(800.0), 66_298))
+    edges = [a * EXP_MAX, a * (EXP_MAX - math.log(params.b)), a * 1e-300, 0.0]
+    f = np.concatenate([f, *(e + np.arange(-50, 51) * math.ulp(e) for e in edges)])
+    return np.abs(f).reshape(-1, 6)
 
 
 def random_instance(rng, family, lam=None, max_dim=6):

@@ -48,6 +48,24 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert float(man["result"]["mean_final_regret"]) >= 0.0
 
 
+EDGE_FLOATS = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e16, 123456789012.5,
+               0.1, 1.0 / 3.0, 2.0 ** 53 + 2, 1.7976931348623157e308]
+
+
+def test_a_csv_row_is_formatted_as_fmt_formats_each_float(tmp_path):
+    # one "%" format of a row writes what two _fmt calls in an f-string wrote,
+    # on the edges of %g's notation and of the floats, and so does the CSV
+    for m in EDGE_FLOATS:
+        for s in EDGE_FLOATS:
+            assert cli.CSV_ROW % (12, m, s) == f"12,{cli._fmt(m)},{cli._fmt(s)}\n"
+    mean = np.array(EDGE_FLOATS * 80)   # more rows than one CSV block
+    stderr = np.roll(mean, 3)
+    config = harness.preset_config("svm", T=len(mean), seeds=[1])
+    cli.write_cell_csv(tmp_path / "edges.csv", harness.CellResult(config, [], [], mean, stderr))
+    rows = "".join(f"{t},{cli._fmt(m)},{cli._fmt(s)}\n" for t, (m, s) in enumerate(zip(mean, stderr), 1))
+    assert (tmp_path / "edges.csv").read_text() == "t,mean_regret,stderr_regret\n" + rows
+
+
 def test_run_ridge_preset_shape(tmp_path):
     rc = cli.main(["run", "--preset", "ridge", "--T", "50", "--seeds", "1 2",
                    "--learner", "ogd", "--k", "0", "--out", str(tmp_path)])

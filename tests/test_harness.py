@@ -29,7 +29,7 @@ from robust_oco.harness import (
     run_theorem_check,
 )
 from robust_oco.learners import LearnerState, learn_step, ogd_step, topk_filter_step
-from robust_oco.losses import LearnParams, RoundLoss, SideInfo, derive_constants, eval_f, grad_f
+from robust_oco.losses import LearnParams, RoundLoss, SideInfo, derive_constants, eta, eval_f, grad_f
 
 EPS = np.finfo(float).eps
 
@@ -104,7 +104,7 @@ def assert_traces_equal(a, b):
 
 def count_steps(monkeypatch, returned=None):
     """Record the stacked (cells, seeds, d) actions at each call of the
-    stacked loop's step, step(theta, new, x, y, u, f), and into `returned`,
+    stacked loop's step, step(theta, new, x, y, u, fast), and into `returned`,
     if given, the next actions each call writes into new."""
     steps = []
     stepper = harness._stepper
@@ -122,6 +122,25 @@ def count_steps(monkeypatch, returned=None):
 
     monkeypatch.setattr(harness, "_stepper", counting_stepper)
     return steps
+
+
+def record_gates(monkeypatch):
+    """Record the gates of each call of the stacked loop's checked gate,
+    harness.eta, and of its unchecked one, harness._gate, as two lists."""
+    checked, unchecked = [], []
+    eta, gate = harness.eta, harness._gate
+
+    def checked_gate(params, f, out=None):
+        checked.append(eta(params, f, out=out).copy())
+        return out
+
+    def unchecked_gate(params, f, out, z):
+        unchecked.append(gate(params, f, out, z).copy())
+        return out
+
+    monkeypatch.setattr(harness, "eta", checked_gate)
+    monkeypatch.setattr(harness, "_gate", unchecked_gate)
+    return checked, unchecked
 
 
 def record_losses(monkeypatch):
@@ -749,13 +768,96 @@ def test_a_filtered_row_keeps_its_action_bit_for_bit():
     # where theta - alpha * 0 * g would give +0.0; the ogd block moves off it
     cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.TOPK, k=T_REF)
     cells = [cfg, dataclasses.replace(cfg, learner=harness.OGD)]   # one k: per_k = 2
-    step = harness._stepper(cells, np.full((1, 2, 1), 0.5), 2)
+    step = harness._stepper(cells, np.full((1, 2, 1), 0.5), 2, np.zeros((2, 2)))
     theta = np.array([[[-0.0, -0.0], [-0.0, 3.0]]] * 2)
     x, y = np.array([[[1e100, 1e100], [1.0, -2.0]]]), np.array([[[1.0, -1.0]]])   # y: (K, 1, R)
     u = harness._link(cfg.loss, np.vecdot(x, theta).reshape(1, 2, 2), y)
-    new = step(theta.copy(), np.full_like(theta, np.nan), x, y, u, np.zeros((2, 2)))
+    new = step(theta.copy(), np.full_like(theta, np.nan), x, y, u, True)
     np.testing.assert_array_equal(bits(new[0]), bits(theta[0]))
     assert (bits(new[1, 0]) != bits(theta[1, 0])).all()
+
+
+def drive_filter(cfg, norms):
+    """The next actions, (rounds, R, 2), that a Top-k cell's stacked step
+    writes round after round from theta = 0, where seed r's svm gradient is
+    -x for x = (norms[t, r], 0)."""
+    assert cfg.loss.family == "hinge_svm" and cfg.learner == harness.TOPK
+    R = len(cfg.seeds)
+    step = harness._stepper([cfg], np.full((1, R, 1), 0.5), 1, np.zeros((1, R)))
+    theta, x, y, u = np.zeros((1, R, 2)), np.zeros((1, R, 2)), np.ones((1, 1, R)), np.zeros((1, 1, R))
+    new = []
+    for row in norms:
+        x[0, :, 0] = row   # u = y <x, 0> = 0 < 1: the hinge is active and c = y = 1
+        new.append(step(theta, np.full_like(theta, np.nan), x, y, u, True)[0].copy())
+    return np.array(new)
+
+
+def test_filter_ties_zeros_and_nans_match_the_heap():
+    # the budget-3 filter of each seed against topk_filter_step's heap, round
+    # by round from theta = 0, bit for bit: ties at n = 2 low (filtered, and n
+    # replaces the minimum) and at n = low (stepped), a zero gradient in
+    # warm-up that leaves a 0 minimum (then every round is filtered), and nan
+    # norms, which are filtered and never stored, so that the filter then acts
+    # as the heap does on the rounds without them
+    nan = math.nan
+    norms = np.array([
+        [4, 1, 2, 2, 2, 1, 5, 4, 4, 9, 8, 5, 16, 10],
+        [0, 3, 0, 0, 0, 2, 1, 1, 2, 4, 0, 3, 6, 1],
+        [nan, 1, 2, nan, 3, 1, nan, 4, 2, 9, 1, nan, 2, 18],
+    ], dtype=float).T
+    cfg = preset_config("svm", T=T_REF, seeds=[1, 2, 3], learner=harness.TOPK, k=3)
+    new = drive_filter(cfg, norms)
+    ties = {"2 low": 0, "low": 0}
+    for r in range(3):
+        state, low = LearnerState(theta=np.zeros(2), step_size=0.5), None
+        for t, n in enumerate(norms[:, r]):
+            if math.isnan(n):
+                np.testing.assert_array_equal(bits(new[t, r]), bits(np.zeros(2)))
+                continue
+            state.theta = np.zeros(2)
+            low = state.top_norms[0] if len(state.top_norms) == 3 else None
+            _, filtered = topk_filter_step(state, SideInfo(np.array([n, 0.0]), 1.0), cfg.loss, 3)
+            np.testing.assert_array_equal(bits(new[t, r]), bits(state.theta), err_msg=f"seed {r}, round {t}")
+            assert n == 0 or (bits(new[t, r]) == bits(np.zeros(2))).all() == filtered   # a 0 step leaves 0
+            ties["2 low"] += low is not None and n == 2 * low > 0 and filtered
+            ties["low"] += low is not None and n == low > 0 and not filtered
+    assert ties["2 low"] >= 3 and ties["low"] >= 3
+
+
+@pytest.mark.parametrize("family, learner, T, k, chunk_rounds", [
+    ("svm", harness.TOPK, 150, 150, None),    # budget T: every step is a warm-up
+    ("svm", harness.TOPK, 400, 100, None),
+    ("ridge", harness.UTOPK, 300, 100, None),
+    ("ridge", harness.TOPK, 150, 40, 7),      # chunks of 7 rounds: boundaries inside the 40-round warm-up
+])
+def test_topk_filter_matches_the_per_seed_heap(monkeypatch, family, learner, T, k, chunk_rounds):
+    # each seed's episode equals its topk_filter_step loop bit for bit, and a
+    # seed rescans its buffer only when the heap replaces its minimum: at the
+    # end of warm-up every seed does, and no argmin runs before
+    cfg = preset_config(family, T=T, seeds=[1, 2, 3, 4], learner=learner, k=k)
+    budget = cfg.resolve_topk_budget()
+    if chunk_rounds:
+        monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_rounds * len(cfg.seeds) * (cfg.generator.dim + 1) * 8)
+    rescans, replaced = [], []   # the seeds of each call that rescans any; each step's heap replacement
+    cache = harness._Filter._cache
+    monkeypatch.setattr(harness._Filter, "_cache", lambda self, seeds: (len(seeds) and rescans.append(len(seeds)))
+                        or cache(self, seeds))
+
+    heap = topk_filter_step
+
+    def heap_step(state, s, loss, k):   # records whether the full heap replaced its minimum
+        full = sorted(state.top_norms) if len(state.top_norms) == k else None
+        heap(state, s, loss, k)
+        replaced.append(full is not None and full != sorted(state.top_norms))
+
+    monkeypatch.setitem(globals(), "topk_filter_step", heap_step)   # per_seed_episode's step
+    assert_matches_per_seed_loop(cfg, run_episodes(cfg))
+    replaced = np.array(replaced).reshape(len(cfg.seeds), T)[:, :-1]   # the loop takes no step in round T
+    if budget >= T:
+        assert rescans == [] and not replaced.any()
+    else:
+        assert rescans[0] == len(cfg.seeds) and 0 < sum(rescans[1:]) == np.count_nonzero(replaced)
+        assert sum(rescans[1:]) < (T - 1 - budget) * len(cfg.seeds)   # not every seed-round after warm-up
 
 
 def test_a_shared_pass_holds_one_copy_of_the_comparators():
@@ -889,6 +991,72 @@ def test_a_nan_loss_names_its_learner_k_seed_and_round(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^learner learn, k 0, seed 3: non-finite loss at round 9 of 40; "):
         harness.run_cells(cfg, [harness.LEARN, harness.OGD], ks=[5, 0])
     assert len(steps) == 8 and np.isfinite(steps[-1]).all()
+
+
+def assert_matches_per_seed_loop(cfg, traces):
+    for seed, trace in zip(cfg.seeds, traces, strict=True):
+        f_emitted, theta = per_seed_episode(cfg, seed)
+        np.testing.assert_array_equal(bits(trace.f_emitted), bits(f_emitted))
+        np.testing.assert_array_equal(bits(trace.theta), bits(theta))
+
+
+def test_a_round_under_the_guard_gates_unchecked(monkeypatch):
+    # svm's losses stay far under the gate's overflow threshold at a = 1e4:
+    # every round passes the guard, and the checked eta is never called
+    checked, unchecked = record_gates(monkeypatch)
+    cfg = preset_config("svm", T=80, seeds=[1, 2, 3], learner=harness.LEARN, k=8)
+    traces = run_episodes(cfg)
+    assert checked == [] and len(unchecked) == 79
+    assert_matches_per_seed_loop(cfg, traces)
+
+
+def test_a_loss_over_the_gate_threshold_takes_the_checked_gate(monkeypatch):
+    # at a = 3e-3 the threshold a (EXP_MAX - 1 - log b) is 2.1: a round with a
+    # learn loss above it is gated by the checked eta, once, and the others
+    # unchecked; where b exp(f/a) overflows the gate is exactly 0, and every
+    # bit is what learn_step gives each seed alone
+    checked, unchecked = record_gates(monkeypatch)
+    cfg = preset_config("ridge", T=60, seeds=[1, 2, 3], learner=harness.LEARN, k=6,
+                        params=LearnParams(a=3e-3, b=10.0))
+    traces = run_episodes(cfg)
+    f = np.array([trace.f_emitted for trace in traces])[:, :-1]   # the losses of the rounds that step
+    failing = (f > cfg.params._gate_operands[2]).any(axis=0)
+    assert math.isfinite(f.max())
+    assert len(checked) == np.count_nonzero(failing) > 0 and len(unchecked) == np.count_nonzero(~failing) > 0
+    np.testing.assert_array_equal(bits(np.array(checked)[:, 0].T), bits(eta(cfg.params, f[:, failing])))
+    assert (np.array(checked) == 0.0).any()
+    assert_matches_per_seed_loop(cfg, traces)
+
+
+def test_each_cell_has_its_own_guard_bound(monkeypatch):
+    # ridge ogd at alpha = 1 heads for divergence and passes the learn cell's
+    # threshold (7064.8 at a = 10) from round 3, while the learn cell stays
+    # under it: the ogd cell's bound is the largest finite float, so the
+    # learn cell is gated unchecked on every round
+    checked, unchecked = record_gates(monkeypatch)
+    cfg = preset_config("ridge", T=147, seeds=[1], learner=harness.LEARN, k=10, alpha=1.0)
+    learn, ogd = harness._episodes([cfg, dataclasses.replace(cfg, learner=harness.OGD)])
+    threshold = cfg.params._gate_operands[2]
+    assert learn[0].f_emitted.max() <= threshold < ogd[0].f_emitted[2] and np.isfinite(ogd[0].f_emitted).all()
+    assert checked == [] and len(unchecked) == 146
+    assert_matches_per_seed_loop(cfg, learn)
+
+
+def test_a_negative_zero_loss_takes_the_checked_gate(monkeypatch):
+    # -0.0 has the sign bit, so it fails the guard's comparison of bits; the
+    # checked eta takes it as 0, whose gate is 1/(1 + b)
+    value = harness._link_value
+
+    def negative_zero(loss, u, sq, out=None):
+        value(loss, u, sq, out=out)[...] = -0.0
+        return out
+
+    monkeypatch.setattr(harness, "_link_value", negative_zero)
+    checked, unchecked = record_gates(monkeypatch)
+    cfg = preset_config("svm", T=6, seeds=[1, 2], learner=harness.LEARN, k=0)
+    assert (run_episodes(cfg)[0].f_emitted == 0.0).all()
+    assert unchecked == [] and len(checked) == 5
+    np.testing.assert_array_equal(bits(checked), bits(np.full((5, 1, 2), 1.0 / (1.0 + cfg.params.b))))
 
 
 @pytest.mark.parametrize("family", ["svm", "ridge"])

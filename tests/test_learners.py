@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import minimizer_f, random_instance
+from conftest import gate_grid, minimizer_f, random_instance
 from robust_oco.learners import (
     LearnerState,
     descend_rows,
@@ -15,7 +15,6 @@ from robust_oco.learners import (
     topk_filter_step,
 )
 from robust_oco.losses import (
-    EXP_MAX,
     HINGE_SVM,
     RIDGE,
     LearnParams,
@@ -163,11 +162,7 @@ def test_gate_rows_is_eta_by_loss(a, b):
     # log-uniform losses over f/a in [1e-6, 800], and the edges where b exp(f/a)
     # and then exp(f/a) itself overflow, a few ulps either side
     params = LearnParams(a=a, b=b)
-    rng = np.random.default_rng(17)
-    f = a * np.exp(rng.uniform(math.log(1e-6), math.log(800.0), 66_298))
-    edges = [a * EXP_MAX, a * (EXP_MAX - math.log(params.b)), a * 1e-300, 0.0]
-    f = np.concatenate([f, *(e + np.arange(-50, 51) * math.ulp(e) for e in edges)])
-    f = np.abs(f).reshape(-1, 6)   # 6 x 11117 losses
+    f = gate_grid(params)
     gates = eta(params, f)
     assert gates.shape == f.shape
     out = np.full_like(f, np.nan)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import eval_g, golden_minimize, minimizer_f, random_instance
+from conftest import eval_g, gate_grid, golden_minimize, minimizer_f, random_instance
 from robust_oco.learners import project_ball, project_rows
 from robust_oco.losses import (
     HINGE_SVM,
@@ -14,6 +14,7 @@ from robust_oco.losses import (
     RoundLoss,
     SideInfo,
     _coef,
+    _gate,
     _link,
     _link_coef,
     _link_value,
@@ -178,6 +179,28 @@ def test_eta_array_matches_scalar(rng):
     big = eta(params, np.array([0.0, 2.5 * 700.0, 2.5 * 710.0, 1e308]))
     assert big[0] == 1.0 / (1.0 + 4.0) and big[1] > 0.0
     np.testing.assert_array_equal(big[2:], 0.0)
+
+
+@pytest.mark.parametrize("b", [10.0, 0.5])
+@pytest.mark.parametrize("a", [1e4, 10.0, 0.01])
+def test_unchecked_gate_is_eta_bit_for_bit(a, b):
+    # eta is its checks and _gate: on the grid of test_gate_rows_is_eta_by_loss
+    # and a few ulps either side of the harness's guard bound, the unchecked
+    # gate writes eta's bits into out, through the scratch z; above the bound
+    # exp may overflow, which eta silences and a caller of _gate must not meet
+    params = LearnParams(a=a, b=b)
+    bound = float(params._gate_operands[2])
+    f = np.concatenate([gate_grid(params).ravel(), bound + np.arange(-50, 51) * math.ulp(bound)])
+    out, z = np.full_like(f, np.nan), np.full_like(f, np.nan)
+    with np.errstate(over="ignore"):
+        assert _gate(params, f, out, z) is out
+    np.testing.assert_array_equal(out.view(np.uint64), eta(params, f).view(np.uint64))
+    under = f[f <= bound]
+    with np.errstate(over="raise"):   # up to the bound no exp overflows
+        _gate(params, under, np.empty_like(under), np.empty_like(under))
+    # -0.0 is no negative loss to either: its gate is that of 0
+    top = 1.0 / (1.0 + b)
+    assert _gate(params, np.array([-0.0]), np.empty(1), np.empty(1))[0] == top == eta(params, -0.0)
 
 
 # --- eval_g / grad_g --------------------------------------------------------
