@@ -194,7 +194,8 @@ class RegretCurve:
     """One seed's clean dynamic regret: its final value plus the run's path
     statistics. series, the cumulative regret of every round, is kept where a
     trace is (clean_dynamic_regret); a cell of many seeds keeps only their
-    mean and standard error (CellResult), and its curves hold None."""
+    mean and standard error (CellResult), and its curves hold None. growth,
+    the (G, L) of EpisodeTrace.growth for the seed and k, is set by run_cells."""
 
     series: np.ndarray | None
     v_t: float
@@ -203,6 +204,7 @@ class RegretCurve:
     b_clean: float             # max clean-round f_t(s_t, theta_t)
     n_outliers: int
     final: float | None = None   # series[-1] when not given
+    growth: tuple | None = None
 
     def __post_init__(self):
         if self.final is None:
@@ -724,13 +726,13 @@ def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
     """
     ks = [config.k] if ks is None else list(ks)
     cells, comparators, play, regret = _run(config, learners, ks, watch=watch)
-    v_t, results = comparators.v_t, []
+    v_t, growth, results = comparators.v_t, comparators.growth.tolist(), []
     for i, cell in enumerate(cells):
         j = i // len(learners)
         curves = [RegretCurve(series=None, final=float(regret.total[i, r]), v_t=float(v_t[r]),
                               delta_s=float(comparators.delta_s[j, r]),
                               comparator_radius=float(comparators.norm_max[r]),
-                              b_clean=float(regret.b_clean[i, r]), n_outliers=cell.k)
+                              b_clean=float(regret.b_clean[i, r]), n_outliers=cell.k, growth=tuple(growth[j][r]))
                   for r in range(len(config.seeds))]
         results.append(CellResult(config=cell, curves=curves, final_thetas=list(play.theta[i]),
                                   mean=regret.mean[i], stderr=regret.stderr[i]))
@@ -742,20 +744,18 @@ def run_cell(config: RunConfig) -> CellResult:
     return run_cells(config, [config.learner])[0]
 
 
-def run_theorem_check(T: int = 200, k: int = 0, seed: int = 1, radius: float = 5.0):
-    """One theoretical-step-size ridge run inside a ball, checked against the
-    clean-dynamic-regret bound. Returns (BoundCheck, RegretCurve, ProblemConstants).
+def run_theorem_check(T: int = 200, ks=(0,), seed: int = 1, radius: float = 5.0) -> list:
+    """A theoretical-step-size ridge run inside a ball for each k of ks, all in
+    one run_cells pass, checked against the clean-dynamic-regret bound. Returns
+    one (BoundCheck, RegretCurve, ProblemConstants) per k, in ks order.
 
-    G and L are the episode's own (for ridge, G = 0 and L = lam + 2 max_t
-    ||x_t||^2, the Hessian bound, which does not involve y), and B is the
-    measured clean-round loss bound b_clean.
+    G and L are each run's own (for ridge, G = 0 and L = lam + 2 max_t ||x_t||^2,
+    the Hessian bound, which does not involve y), and B is its measured b_clean.
     """
-    config = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, k=k, radius=radius,
-                           alpha=THEORETICAL)
-    trace = run_episode(config, seed)
-    curve = clean_dynamic_regret(trace)
-    constants = derive_constants(config.params, *trace.growth, m=config.lam, B=curve.b_clean)
-    return check_regret_bound(curve, constants, config), curve, constants
+    config = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, radius=radius, alpha=THEORETICAL)
+    curves = [result.curves[0] for result in run_cells(config, [LEARN], ks)]   # the bound reads k off the curve
+    constants = [derive_constants(config.params, *curve.growth, m=config.lam, B=curve.b_clean) for curve in curves]
+    return [(check_regret_bound(curve, c, config), curve, c) for curve, c in zip(curves, constants)]
 
 
 def preset_config(family: str, **overrides) -> RunConfig:

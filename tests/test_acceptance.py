@@ -95,8 +95,8 @@ def test_1_oracle_suite_green():
 def test_2_theorem_bound_holds():
     ok = True
     details = []
-    for k in (0, 14, 34):
-        chk, curve, _ = ro.run_theorem_check(T=200, k=k, seed=1, radius=5.0)
+    for k, (chk, curve, _) in zip((0, 14, 34), ro.run_theorem_check(T=200, ks=(0, 14, 34), seed=1, radius=5.0),
+                                  strict=True):
         ok &= chk.holds and curve.n_outliers == k
         details.append(f"k={k}: {chk.measured:.4g} <= {chk.bound:.4g}")
     assert report(2, "T=200 ridge ball run within regret bound", ok, "; ".join(details))

@@ -281,6 +281,23 @@ def test_verify_exits_nonzero_on_violation(monkeypatch, capsys):
     assert "invexity" in capsys.readouterr().err
 
 
+def test_verify_exits_nonzero_on_a_theorem_bound_violation(monkeypatch, capsys):
+    check = harness.check_regret_bound
+
+    def broken_at_k14(curve, constants, config):
+        result = check(curve, constants, config)
+        return replace(result, holds=False, bound=result.measured / 2) if curve.n_outliers == 14 else result
+
+    monkeypatch.setattr(harness, "check_regret_bound", broken_at_k14)
+    rc = cli.main(["verify", "--samples", "200", "--seed", "9"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.strip() == "FAILED checks: theorem_bound[k=14]"
+    verdicts = [line.split()[0] + " " + line.split()[-1] for line in out.splitlines() if "theorem_bound" in line]
+    assert verdicts == ["theorem_bound[k=0] [ok]", "theorem_bound[k=14] [VIOLATED]", "theorem_bound[k=34] [ok]"]
+    assert "all checks passed" not in out
+
+
 def test_dump_stream(tmp_path):
     rc = cli.main(["dump-stream", "--preset", "svm", "--T", "600", "--seeds", "1",
                    "--k", "0", "--subsample", "500", "--out", str(tmp_path)])

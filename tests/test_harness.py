@@ -482,13 +482,39 @@ def test_presets_are_shared_frozen_values():
 
 def test_theorem_check_holds_across_k():
     base = preset_config("ridge", T=200)
-    for k in (0, 14, 34):
-        chk, curve, consts = run_theorem_check(T=200, k=k, seed=7)
+    for k, (chk, curve, consts) in zip((0, 14, 34), run_theorem_check(T=200, ks=(0, 14, 34), seed=7), strict=True):
         assert chk.holds, f"k={k}: measured {chk.measured} > bound {chk.bound}"
         assert curve.n_outliers == k
         # L is the Hessian bound lam + 2 max ||x_t||^2 of the episode's own stream
         X = episode_stream(base.generator, 200, k, 7)[1]
         assert consts.L == base.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max())
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_theorem_check_is_one_pass_equal_to_each_k_alone(monkeypatch, seed):
+    # verify's theorem block draws the seed's stream twice (the theoretical
+    # step size's accounting, then the play) and plays its three k's as one stack;
+    # each k's figures are, bit for bit, those of its run alone through the
+    # whole trace
+    draws, plays = [], []
+    draw, play = st.EpisodeStream.draw, harness._Play
+    monkeypatch.setattr(st.EpisodeStream, "draw", lambda stream, n: draws.append(n) or draw(stream, n))
+    monkeypatch.setattr(harness, "_Play", lambda cells, *args: plays.append(len(cells)) or play(cells, *args))
+    ks = st.k_grid(200)[:3]
+    checks = run_theorem_check(T=200, ks=ks, seed=seed)
+    assert (len(draws), plays) == (2, [3])
+    monkeypatch.undo()
+    assert ks == [0, 14, 34]
+    for k, (chk, curve, consts) in zip(ks, checks, strict=True):
+        cfg = preset_config("ridge", T=200, seeds=[seed], k=k, radius=5.0, alpha=harness.THEORETICAL)
+        trace = run_episode(cfg, seed)
+        alone = clean_dynamic_regret(trace)
+        alone_consts = derive_constants(cfg.params, *trace.growth, m=cfg.lam, B=alone.b_clean)
+        alone_chk = check_regret_bound(alone, alone_consts, cfg)
+        assert curve.n_outliers == alone.n_outliers == k
+        got = (chk.holds, chk.measured, chk.bound, curve.v_t, curve.delta_s, curve.b_clean, curve.growth, consts)
+        assert repr(got) == repr((alone_chk.holds, alone_chk.measured, alone_chk.bound, alone.v_t, alone.delta_s,
+                                  alone.b_clean, trace.growth, alone_consts))
 
 
 @pytest.mark.parametrize("family", ["ridge", "svm"])
@@ -752,14 +778,15 @@ def test_regret_accounting_matches_the_traces(monkeypatch, family, setting):
     monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * (config.generator.dim + cells) * 8)
     results = harness.run_cells(config, learners, ks)
     for res in results:
-        curves = [clean_dynamic_regret(trace) for trace in run_episodes(res.config)]
+        traces = run_episodes(res.config)
+        curves = [clean_dynamic_regret(trace) for trace in traces]
         mean, stderr = aggregate_runs(curves)
         np.testing.assert_array_equal(bits(res.mean), bits(mean))
         np.testing.assert_array_equal(bits(res.stderr), bits(stderr))
-        for got, want in zip(res.curves, curves, strict=True):
+        for got, want, trace in zip(res.curves, curves, traces, strict=True):
             assert got.series is None and bits(got.final) == bits(want.final)
-            assert (got.v_t, got.delta_s, got.comparator_radius, got.b_clean, got.n_outliers) == \
-                (want.v_t, want.delta_s, want.comparator_radius, want.b_clean, want.n_outliers)
+            assert (got.v_t, got.delta_s, got.comparator_radius, got.b_clean, got.n_outliers, got.growth) == \
+                (want.v_t, want.delta_s, want.comparator_radius, want.b_clean, want.n_outliers, trace.growth)
     assert any(c.delta_s > 0 for res in results for c in res.curves)
 
 
