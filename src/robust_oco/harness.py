@@ -16,8 +16,8 @@ over all seeds. A chunk feeds the pass's one comparator accounting once,
 every seed and k as arrays: each comparator is a scale of its round's
 features, theta_t* = c_t x_t, so its loss, its norm, delta_S and (G, L) are
 read off the scales and ||x_t||^2, and only V_T's steps form (d,) rows, one
-seed at a time (V_T and the comparator radius are the same for every k; (G,
-L) and delta_S are running maxima per k and seed). Then one loop for all
+seed at a time (V_T, the comparator radius and (G, L) are the same for every
+k; delta_S is a running maximum per k and seed). Then one loop for all
 the cells advances the stacked (C, R, d) actions of C cells and R seeds per
 round and keeps its state from chunk to chunk, then each cell's regret
 accounting keeps the seeds' running sums and the cell's mean and standard
@@ -36,12 +36,12 @@ the other cells. An experts cell holds its seeds' pools as one stack,
 padded to the largest seed's row count, which one pool_step per round
 advances and whose aggregate_action is the cell's (R, d) block of actions;
 the pool takes the sums that depend on a seed's row count over that seed's
-own rows, so each seed's pool too is what it is alone, bit for bit. In the
-theoretical step mode the step size needs each seed's V_T and each k's G
-and L, so the comparators are accounted in a first pass and the streams
-redrawn once for all cells.
+own rows, so each seed's pool too is what it is alone, bit for bit. A
+theoretical step size needs each seed's V_T and (G, L), which a first draw
+of its clean rounds alone gives.
 
-What lives how long. A pass allocates its working arrays once: the chunk
+What lives how long. A pass allocates its working arrays once (after a
+theoretical step size's first draw, whose accounting is freed by then): the chunk
 arrays _chunks refills (features, clean and emitted responses, outlier
 masks), the comparator accounting's running figures and the scratch in which
 it forms one seed's comparator rows and their steps, a block of at most
@@ -157,6 +157,8 @@ class RunConfig:
             raise ValueError("the expert pool takes its step sizes from its grid: alpha must be unset")
         if self.learner == EXPERTS and math.isfinite(self.radius):
             raise ValueError("the expert pool takes its radii from its grid: radius must be inf (unbounded)")
+        if self.learner == EXPERTS and self.T < 2:
+            raise ValueError("the expert pool needs T >= 2: at T = 1 its grid holds one expert, so log N = 0")
 
     @property
     def loss(self) -> RoundLoss:
@@ -195,7 +197,7 @@ class RegretCurve:
     statistics. series, the cumulative regret of every round, is kept where a
     trace is (clean_dynamic_regret); a cell of many seeds keeps only their
     mean and standard error (CellResult), and its curves hold None. growth,
-    the (G, L) of EpisodeTrace.growth for the seed and k, is set by run_cells."""
+    the (G, L) of EpisodeTrace.growth for the seed, under any k, is set by run_cells."""
 
     series: np.ndarray | None
     v_t: float
@@ -227,14 +229,17 @@ def _expert_pool(config: RunConfig):
     return init_pool(grid, config.generator.dim, beta, len(config.seeds))
 
 
-def _resolve_alpha(config: RunConfig, v_t: float | None = None, growth: tuple | None = None) -> float:
-    """The step size; the theoretical one needs the episode's V_T and (G, L)."""
-    if config.alpha == THEORETICAL:
-        psi = derive_constants(config.params, *growth, m=config.lam).psi
-        return theoretical_stepsize(config.radius, v_t, psi, config.T)
-    if config.alpha is not None:
-        return config.alpha
-    return 1.0 / math.sqrt(config.T)
+def _step_sizes(config: RunConfig, cells: int) -> np.ndarray:
+    """The step size: alpha, or 1/sqrt(T) when unset; under THEORETICAL each
+    seed's, (R, 1), from the V_T and (G, L) of a first draw of its clean
+    rounds alone, accounted under no k and freed on return."""
+    if config.alpha != THEORETICAL:
+        return np.array(1.0 / math.sqrt(config.T) if config.alpha is None else config.alpha)
+    comparators = _Comparators(config, [], _chunk_rows(config, cells))
+    for chunk in _chunks(config, [], cells):
+        comparators.add(*chunk)
+    psi = [derive_constants(config.params, *growth, m=config.lam).psi for growth in comparators.growth]
+    return np.array([[theoretical_stepsize(config.radius, v_t, p, config.T)] for v_t, p in zip(comparators.v_t, psi)])
 
 
 class _Comparators:
@@ -246,11 +251,11 @@ class _Comparators:
     For both loss families theta_t* = c_t x_t (losses._min_scale) and omega_t*
     = c'_t x_t, with c'_t = c_t bit for bit on the rounds the adversary left
     alone; a finite radius scales c_t and c'_t. So every figure but V_T is
-    read off the scales and ||x_t||^2, with no mask: the largest ||theta_t*||
-    of each seed, (R,), and, as running maxima per k and seed, (G, L) at the
-    unprojected omega_t*, (K, R, 2), and delta_S, (K, R). V_T sums each
-    seed's step norms, (R, T - 1), in one order whatever the chunking. A step
-    is the norm of the difference of two rows c_t x_t (expanding the square
+    read off the scales and ||x_t||^2, with no mask: as running maxima, each
+    seed's largest ||theta_t*|| and (G, L) at the unprojected omega_t*, (R,)
+    and (R, 2), and delta_S per k and seed, (K, R). V_T sums each seed's
+    step norms, (R, T - 1), in one order whatever the chunking. A step is
+    the norm of the difference of two rows c_t x_t (expanding the square
     would cancel when consecutive comparators are close), formed one seed at
     a time in a scratch whose rows their steps overwrite. With keep, it also
     keeps what each k's and seed's EpisodeTrace holds: the outlier mask,
@@ -263,7 +268,7 @@ class _Comparators:
         self.loss, self.radius, self.keep = config.loss, config.radius, keep
         self.steps = np.empty((R, T - 1))
         self.norm_max = np.zeros(R)
-        self.growth = np.zeros((K, R, 2))
+        self.growth = np.zeros((R, 2))
         self.delta_s = np.zeros((K, R))
         self.last = np.zeros((R, dim))   # each seed's theta* of the round before the block
         self.block = min(rows, max(1, BLOCK_BYTES // (8 * max(dim, K * R))))
@@ -292,17 +297,13 @@ class _Comparators:
         nx2 = np.einsum("nrd,nrd->nr", X, X)   # each row's sum as the per-seed einsum takes it
         norm_x = np.sqrt(nx2)
         c, c_k = _min_scale(loss, nx2, y_clean), _min_scale(loss, nx2[:, None], Y)
-        omega = np.abs(c_k)
-        omega *= norm_x[:, None]   # ||omega_t*||, unprojected
-        for i, bound in enumerate(growth_constants(loss, nx2[:, None], omega)):
-            np.maximum(self.growth[..., i], np.broadcast_to(bound, c_k.shape).max(axis=0), out=self.growth[..., i])
+        omega = np.abs(c) * norm_x   # ||omega_t*|| under any k: the svm corruption only flips y's sign
+        for i, bound in enumerate(growth_constants(loss, nx2, omega)):
+            np.maximum(self.growth[:, i], np.broadcast_to(bound, c.shape).max(axis=0), out=self.growth[:, i])
         if math.isfinite(radius):   # onto the domain ball: a scale inside it is multiplied by exactly 1.0
-            c *= radius / np.maximum(np.abs(c) * norm_x, radius)
+            c *= radius / np.maximum(omega, radius)
             c_k *= radius / np.maximum(np.abs(c_k) * norm_x[:, None], radius)
         np.maximum(self.norm_max, (np.abs(c) * norm_x).max(axis=0), out=self.norm_max)
-        shift = np.abs(np.subtract(c_k, c[:, None], out=omega), out=omega)
-        shift *= norm_x[:, None]   # ||omega_t* - theta_t*||
-        np.maximum(self.delta_s, shift.max(axis=0), out=self.delta_s)
         proj = c * nx2   # <x_t, theta_t*>
         sq = c * proj    # ||theta_t*||^2
         f_star = _value(loss, proj, sq, y_clean)
@@ -324,6 +325,9 @@ class _Comparators:
                 self.f_at_comparator[j][r][t0:t0 + n] = f[:, j, r]
                 self.clean[j][r][m0:m0 + len(idx)] = c[idx, r, None] * X[idx, r]
                 self.emitted[j][r][m0:m0 + len(idx)] = c_k[idx, j, r, None] * X[idx, r]
+        shift = np.abs(np.subtract(c_k, c[:, None], out=c_k), out=c_k)   # into c', which nothing reads after
+        shift *= norm_x[:, None]   # ||omega_t* - theta_t*||
+        np.maximum(self.delta_s, shift.max(axis=0), out=self.delta_s)
         return f_star.T
 
     @property
@@ -343,7 +347,7 @@ class _Comparators:
             v_t=float(self.steps[r].sum()),
             delta_s=float(self.delta_s[j, r]),
             comparator_radius=float(self.norm_max[r]),
-            growth=tuple(self.growth[j, r].tolist()),
+            growth=tuple(self.growth[r].tolist()),
         )
 
 
@@ -475,7 +479,7 @@ class _Play:
     """The loop of C cells over all their seeds at once, one stacked (C, R, d)
     update per round for R seeds, fed chunk by chunk in round order. The cells
     are K groups of per_k consecutive cells, each group one k; alpha holds
-    each cell's and seed's step size, broadcast to (C, R, 1). Keeps the
+    one step size, or each seed's, (R, 1), for every cell. Keeps the
     actions played in round T, (C, R, d). Each round's features, (1, R, d),
     broadcast against the stack, and every dot product is one BLAS dot per
     row, as eval_f and grad_f take it.
@@ -553,12 +557,13 @@ class _Regret:
 
     def add(self, t0: int, f: np.ndarray, f_star: np.ndarray, outlier: np.ndarray):
         """Account rounds t0 .. t0 + n - 1 from the losses f, (C, R, n), which
-        it overwrites, f at the comparators, (R, n), and the outlier masks,
-        (C, R, n)."""
+        it overwrites, f at the comparators, (R, n), and each k's outlier
+        mask, (K, R, n), which applies to its group of C / K cells."""
         n, R = f.shape[-1], f.shape[1]
-        np.maximum(self.b_clean, np.max(f, axis=-1, where=~outlier, initial=0.0), out=self.b_clean)
+        f_k, outlier = f.reshape(len(outlier), -1, R, n), outlier[:, None]   # f_k: a (K, C / K, R, n) view
+        np.maximum(self.b_clean, np.max(f_k, axis=-1, where=~outlier, initial=0.0).reshape(-1, R), out=self.b_clean)
         terms = np.subtract(f, f_star, out=f)
-        terms[outlier] = 0.0
+        np.copyto(f_k, 0.0, where=outlier)
         if t0:
             terms[..., 0] += self.total
         np.cumsum(terms, axis=-1, out=terms)
@@ -589,27 +594,19 @@ def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
         raise ValueError("run_cells needs at least one learner and one k")
     if len(set(learners)) < len(learners):
         raise ValueError(f"run_cells takes each learner once, not {list(learners)}")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"run_cells takes each k once, not {ks}")
     R, L, rows = len(config.seeds), len(learners), _chunk_rows(config, len(cells))
+    play = _Play(cells, _step_sizes(config, len(cells)), L, rows)
     comparators = _Comparators(config, ks, rows, keep)
-    if config.alpha == THEORETICAL:
-        # the step size needs V_T, G and L: account a first draw, keeping the
-        # comparators' losses, then redraw the streams to play
-        f_stars = [comparators.add(*chunk) for chunk in _chunks(config, ks, len(cells))]
-        alpha = np.array([[_resolve_alpha(config, v_t, growth) for v_t, growth in zip(comparators.v_t, by_seed)]
-                          for by_seed in comparators.growth])
-        alpha = np.repeat(alpha, L, axis=0)[..., None]
-        chunks = zip(f_stars, _chunks(config, ks, len(cells), watch))
-    else:
-        alpha = np.array(_resolve_alpha(config))
-        chunks = ((comparators.add(*chunk), chunk) for chunk in _chunks(config, ks, len(cells), watch))
-    play = _Play(cells, alpha, L, rows)
     sink = np.empty((len(cells), R, config.T)) if keep else _Regret(len(cells), R, config.T)
-    for f_star, (t0, X, _, Y, outlier) in chunks:
+    for t0, X, y_clean, Y, outlier in _chunks(config, ks, len(cells), watch):
+        f_star = comparators.add(t0, X, y_clean, Y, outlier)
         f = play.feed(t0, X, Y)
         if keep:
             sink[..., t0:t0 + len(X)] = f
         else:
-            sink.add(t0, f, f_star, np.repeat(outlier, L, axis=0))
+            sink.add(t0, f, f_star, outlier)
     return cells, comparators, play, sink
 
 
@@ -709,20 +706,21 @@ class CellResult:
 
 def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
     """Play the config under each k of ks (default: the config's own k) and
-    each of the learners, on one draw of its seeds' clean streams, corrupted
-    once per k, one comparator accounting and one loop, and account each cell's
-    regret chunk by chunk. Returns one CellResult per (k, learner), in k
-    order and then learner order, whose config is replace(config, k=k,
-    learner=learner) and which equals what run_cell gives on that config
-    alone. watch(stream, t0, X, y_clean, emitted), if given, sees each seed's
-    part of every chunk the play draws.
+    each of the learners, on one draw of its seeds' clean streams (after
+    _step_sizes' own, under a theoretical step size), corrupted once per k,
+    one comparator accounting and one loop, and account each cell's regret
+    chunk by chunk. Returns one CellResult per (k, learner), in k order and
+    then learner order, whose config is replace(config, k=k, learner=learner)
+    and which equals what run_cell gives on that config alone. watch(stream,
+    t0, X, y_clean, emitted), if given, sees each seed's part of every chunk
+    the play draws.
 
-    Raises ValueError on no learners, no k, a learner given twice, or a cell
-    the setting does not admit (RunConfig's own checks), before any stream
-    is drawn. A diverged run raises RuntimeError naming the learner, k, seed
-    and round of the earliest non-finite loss over all cells and seeds (the
-    first k given, then the first learner, then the first seed, on a tie),
-    before any step of that round.
+    Raises ValueError on no learners, no k, a learner or a k given twice, or
+    a cell the setting does not admit (RunConfig's own checks), before any
+    stream is drawn. A diverged run raises RuntimeError naming the learner,
+    k, seed and round of the earliest non-finite loss over all cells and
+    seeds (the first k given, then the first learner, then the first seed,
+    on a tie), before any step of that round.
     """
     ks = [config.k] if ks is None else list(ks)
     cells, comparators, play, regret = _run(config, learners, ks, watch=watch)
@@ -732,7 +730,7 @@ def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
         curves = [RegretCurve(series=None, final=float(regret.total[i, r]), v_t=float(v_t[r]),
                               delta_s=float(comparators.delta_s[j, r]),
                               comparator_radius=float(comparators.norm_max[r]),
-                              b_clean=float(regret.b_clean[i, r]), n_outliers=cell.k, growth=tuple(growth[j][r]))
+                              b_clean=float(regret.b_clean[i, r]), n_outliers=cell.k, growth=tuple(growth[r]))
                   for r in range(len(config.seeds))]
         results.append(CellResult(config=cell, curves=curves, final_thetas=list(play.theta[i]),
                                   mean=regret.mean[i], stderr=regret.stderr[i]))

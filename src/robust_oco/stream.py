@@ -177,5 +177,5 @@ def floor_power(T: int, num: int, den: int) -> int:
 
 
 def k_grid(T: int) -> list:
-    """The corruption sweep {0, floor(sqrt(T)), floor(T^(2/3)), floor(T/4)}."""
-    return [0, math.isqrt(T), floor_power(T, 2, 3), T // 4]
+    """The distinct values of the corruption sweep {0, floor(sqrt(T)), floor(T^(2/3)), floor(T/4)}, in order."""
+    return list(dict.fromkeys([0, math.isqrt(T), floor_power(T, 2, 3), T // 4]))

@@ -166,6 +166,15 @@ def test_sweep_grid(tmp_path):
     assert len(files) == 16
 
 
+def test_sweep_plays_each_k_once_at_small_t(tmp_path, capsys):
+    # k_grid(16) is {0, 4, 6, 4}: k = 4 is played and written once
+    assert cli.main(["sweep", "--preset", "svm", "--T", "16", "--seeds", "1 2", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(set(lines)) == 12
+    assert sorted(p.name for p in tmp_path.glob("regret_*.csv")) == sorted(
+        f"regret_{lr}_k{k}.csv" for lr in cli.SWEEP_LEARNERS for k in (0, 4, 6))
+
+
 def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
     # the sixteen (k, learner) cells share one stream, one comparator accounting
     # fed once per chunk for every seed and k, and one loop: each seed's stream
@@ -205,7 +214,7 @@ def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["--preset", "svm", "--T", "70"],
     ["--preset", "ridge", "--T", "40"],
-    ["--preset", "ridge", "--T", "40", "--alpha", "theoretical", "--radius", "5"],   # a step size per (k, seed)
+    ["--preset", "ridge", "--T", "40", "--alpha", "theoretical", "--radius", "5"],   # a step size per seed
 ], ids=["svm", "ridge", "ridge-theoretical"])
 def test_sweep_files_equal_each_cells_own_run(tmp_path, argv):
     # the one pass over all sixteen cells writes what each cell's `run` writes, byte for byte
@@ -561,6 +570,18 @@ def test_divergent_run_fails_without_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seed 1" in err and "non-finite loss at round" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_experts_run_needs_two_rounds(tmp_path, capsys):
+    # at T = 1 the expert grid holds one expert and beta = sqrt(8 log N / ...)
+    # is 0: the config is rejected before a stream is built, with no output
+    argv = ["run", "--preset", "svm", "--seeds", "1", "--learner", "experts"]
+    assert cli.main([*argv, "--T", "1", "--out", str(tmp_path / "t1")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the expert pool needs T >= 2: at T = 1 its grid holds one expert, so log N = 0\n"
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main([*argv, "--T", "2", "--out", str(tmp_path / "t2")]) == 0
+    assert (tmp_path / "t2" / "regret_experts_k0.csv").exists()
 
 
 def test_benchmark_contract(tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ from robust_oco.harness import (
     run_episodes,
     run_theorem_check,
 )
-from robust_oco.learners import LearnerState, learn_step, ogd_step, topk_filter_step
+from robust_oco.learners import LearnerState, learn_step, ogd_step, theoretical_stepsize, topk_filter_step
 from robust_oco.losses import LearnParams, RoundLoss, SideInfo, derive_constants, eta, eval_f, grad_f
 
 EPS = np.finfo(float).eps
@@ -70,9 +70,10 @@ def per_seed_episode(cfg, seed):
     _, X, _, y_emitted, _ = episode_stream(cfg.generator, cfg.T, cfg.k, seed)
     if cfg.alpha == harness.THEORETICAL:
         trace = run_episode(cfg, seed)
-        alpha = harness._resolve_alpha(cfg, trace.v_t, trace.growth)
+        psi = derive_constants(cfg.params, *trace.growth, m=cfg.lam).psi
+        alpha = theoretical_stepsize(cfg.radius, trace.v_t, psi, cfg.T)
     else:
-        alpha = harness._resolve_alpha(cfg)
+        alpha = 1.0 / math.sqrt(cfg.T) if cfg.alpha is None else cfg.alpha
     state = LearnerState(theta=np.zeros(cfg.generator.dim), step_size=alpha, radius=cfg.radius)
     budget = {harness.TOPK: cfg.k, harness.UTOPK: math.floor(0.75 * cfg.k)}.get(cfg.learner, 0)
     pool = None
@@ -726,7 +727,7 @@ def assert_cells_equal(a, b):
 @pytest.mark.parametrize("setting", [
     dict(),                                                  # the expert pool runs too
     dict(radius=0.05),
-    dict(radius=5.0, alpha=harness.THEORETICAL),             # one accounting pass, one redraw
+    dict(radius=5.0, alpha=harness.THEORETICAL),             # a first draw of the clean rounds, then the pass
 ], ids=["unbounded", "radius", "theoretical"])
 def test_run_cells_match_run_cell(monkeypatch, family, setting):
     # every (k, learner) cell of the stacked pass equals its cell run alone (a
@@ -764,7 +765,7 @@ def test_run_cells_match_run_cell(monkeypatch, family, setting):
 @pytest.mark.parametrize("family, setting", [
     ("svm", dict()),
     ("ridge", dict(radius=0.05)),
-    ("ridge", dict(radius=5.0, alpha=harness.THEORETICAL)),   # a step size per (k, seed)
+    ("ridge", dict(radius=5.0, alpha=harness.THEORETICAL)),   # a step size per seed
 ], ids=["svm", "ridge-radius", "ridge-theoretical"])
 def test_regret_accounting_matches_the_traces(monkeypatch, family, setting):
     # the chunk-by-chunk accounting of a stacked pass equals clean_dynamic_regret
@@ -916,6 +917,53 @@ def test_run_cells_rejects_a_repeated_learner(monkeypatch):
     assert draws == []
     harness.run_cells(cfg, [harness.LEARN, harness.OGD], ks=[0, 6])
     assert draws   # the counter sees the draws of a pass
+
+
+def test_run_cells_rejects_a_repeated_k(monkeypatch):
+    # before any stream is drawn, as a repeated learner is: a k given twice
+    # would play and write its cells twice
+    draws = []
+    draw = st.EpisodeStream.draw
+    monkeypatch.setattr(st.EpisodeStream, "draw", lambda self, n: draws.append(n) or draw(self, n))
+    cfg = preset_config("svm", T=16, seeds=[1, 2], learner=harness.OGD, k=0)
+    with pytest.raises(ValueError, match=r"run_cells takes each k once, not \[0, 4, 4\]"):
+        harness.run_cells(cfg, [harness.OGD, harness.LEARN], ks=[0, 4, 4])
+    assert draws == []
+    assert len(harness.run_cells(cfg, [harness.OGD, harness.LEARN], ks=[0, 4])) == 4
+
+
+@pytest.mark.parametrize("family", ["svm", "ridge"])
+@pytest.mark.parametrize("setting", [
+    dict(),
+    dict(radius=0.05),
+    dict(radius=0.01, alpha=harness.THEORETICAL),   # the step sizes come from a first draw under no k
+], ids=["unbounded", "radius", "theoretical"])
+def test_growth_is_the_same_under_every_k(monkeypatch, family, setting):
+    # (G, L) is read off the clean comparators' scales, once per seed: every
+    # curve of a seed, under k = 0, floor(T^(2/3)) and T, carries the same
+    # bits, and each equals the reference of that k's own emitted stream,
+    # taken at the unprojected omega_t* (at radius 0.01 the svm projection
+    # binds on the round of the largest G too, which 0.05 does not)
+    streams = []
+
+    class CountedStream(st.EpisodeStream):
+        def __init__(self, generator, T, ks, seed):
+            streams.append((list(ks), seed))
+            super().__init__(generator, T, ks, seed)
+
+    monkeypatch.setattr(st, "EpisodeStream", CountedStream)
+    seeds, ks = [4, 5, 6], [0, st.floor_power(T_REF, 2, 3), T_REF]
+    cfg = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=0, **setting)
+    results = harness.run_cells(cfg, [harness.OGD, harness.LEARN], ks)
+    first = [([], seed) for seed in seeds] if cfg.alpha == harness.THEORETICAL else []
+    assert streams == first + [(ks, seed) for seed in seeds]
+    monkeypatch.undo()
+    for r, seed in enumerate(seeds):
+        growth = {bits(res.curves[r].growth).tobytes() for res in results}
+        assert len(growth) == 1
+        for k in ks:
+            want = reference_accounting(dataclasses.replace(cfg, k=k), seed)["growth"]
+            assert results[0].curves[r].growth == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_run_cells_rejects_a_learner_the_setting_does_not_admit(monkeypatch):
@@ -1109,8 +1157,9 @@ def test_stacked_chunked_accounting_gives_each_seed_its_own_bits(monkeypatch, fa
     # the accounting takes every seed and k of a pass as arrays: seed 2 beside
     # seeds 1 and 3, under three k's at once, in chunks of 1, 17 and T rounds
     # (accounted in blocks of 5 rounds in the 17-round chunks), gets the bits
-    # of seed 2 alone in one chunk: V_T, delta_S, the radius, (G, L),
-    # f_t(s_t, theta_t*) on the clean stream and on each k's emitted one
+    # of seed 2 alone in one chunk: V_T, delta_S per k, the radius, (G, L),
+    # one pair per seed, f_t(s_t, theta_t*) on the clean stream and on each
+    # k's emitted one
     ks = [0, 15, T_REF]
     add = harness._Comparators.add
 
@@ -1122,6 +1171,7 @@ def test_stacked_chunked_accounting_gives_each_seed_its_own_bits(monkeypatch, fa
         monkeypatch.setattr(harness._Comparators, "add", lambda *args: f_star.append(add(*args)) or f_star[-1])
         _, comparators, _, _ = harness._run(cfg, [harness.OGD], ks, keep=True)
         assert len(f_star) == -(-T_REF // rows)
+        assert comparators.growth.shape == (len(seeds), 2) and comparators.delta_s.shape == (len(ks), len(seeds))
         r = seeds.index(2)
         traces = [comparators.trace(j, r, None, None) for j in range(len(ks))]
         return np.concatenate(f_star, axis=1)[r], [

@@ -213,4 +213,9 @@ def test_k_grid():
     assert st.k_grid(10 ** 5) == [0, 316, 2154, 25000]
     assert st.k_grid(10 ** 4) == [0, 100, 464, 2500]
     assert st.k_grid(200) == [0, 14, 34, 50]
+    # at small T some values coincide: each is kept once, in the sweep's order
+    assert st.k_grid(16) == [0, 4, 6]
+    assert st.k_grid(40) == [0, 6, 11, 10]
+    assert st.k_grid(1) == [0, 1]
+    assert all(len(set(st.k_grid(T))) == len(st.k_grid(T)) for T in range(1, 300))
     assert st.floor_power(10 ** 6, 2, 3) == 10 ** 4  # exact at perfect powers
