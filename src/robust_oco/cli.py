@@ -103,8 +103,11 @@ KEY = {(key.section, key.name): key for key in KEYS}
 
 
 def _default_seeds(n: int) -> list:
-    base = os.environ.get("ROBUST_OCO_SEED")
-    start = int(base) if base is not None else 1
+    base = os.environ.get("ROBUST_OCO_SEED", "1")
+    try:
+        start = int(base)
+    except ValueError:
+        raise UsageError(f"ROBUST_OCO_SEED must be an integer, got {base!r}") from None
     return list(range(start, start + n))
 
 

@@ -11,17 +11,16 @@ the domain ball when the radius is finite).
 A call takes one RunConfig and plays its own seeds. `run_cells(config,
 learners, ks)` plays them under every (k, learner) cell of a sweep in one
 pass: each seed's stream draws its clean rounds once and corrupts them once
-per k, in time chunks of at most CHUNK_BYTES of features and cell losses
-over all seeds. A chunk feeds the pass's one comparator accounting once,
-every seed and k as arrays: each comparator is a scale of its round's
-features, theta_t* = c_t x_t, so its loss, its norm, delta_S and (G, L) are
-read off the scales and ||x_t||^2, and only V_T's steps form (d,) rows, one
-seed at a time (V_T, the comparator radius and (G, L) are the same for every
-k; delta_S is a running maximum per k and seed). Then one loop for all
-the cells advances the stacked (C, R, d) actions of C cells and R seeds per
-round and keeps its state from chunk to chunk, then each cell's regret
-accounting keeps the seeds' running sums and the cell's mean and standard
-error, not the per-round losses. `run_episodes(config)` plays the same loop
+per k, in time chunks that _chunk_rows sizes. A chunk feeds the pass's one
+comparator accounting once, every seed and k as arrays: each comparator is
+a scale of its round's features, theta_t* = c_t x_t, so its loss, its norm,
+delta_S and (G, L) are read off the scales and ||x_t||^2, and only V_T's
+steps form (d,) rows, one seed at a time (V_T, the comparator radius and (G,
+L) are the same for every k; delta_S is a running maximum per k and seed).
+Then one loop for all the cells advances the stacked (C, R, d) actions of C
+cells and R seeds per round and keeps its state from chunk to chunk, then
+each cell's regret accounting keeps the seeds' running sums and the cell's
+mean and standard error, not the per-round losses. `run_episodes(config)` plays the same loop
 for one cell and keeps each seed's whole EpisodeTrace instead;
 clean_dynamic_regret and aggregate_runs read those, and the accounting of
 run_cells equals them bit for bit. The loop uses the loss kernels and the
@@ -40,16 +39,19 @@ own rows, so each seed's pool too is what it is alone, bit for bit. A
 theoretical step size needs each seed's V_T and (G, L), which a first draw
 of its clean rounds alone gives.
 
-What lives how long. A pass allocates its working arrays once (after a
-theoretical step size's first draw, whose accounting is freed by then): the chunk
-arrays _chunks refills (features, clean and emitted responses, outlier
-masks), the comparator accounting's running figures and the scratch in which
-it forms one seed's comparator rows and their steps, a block of at most
-BLOCK_BYTES at a time, and the play's buffers (the two (C, R, d) action
+What lives how long. _chunk_rows is a pass's one memory policy: it sizes
+the time chunks so that a chunk's features and cell losses over all seeds,
+one seed's (rows, d) comparator scratch and two (rows, K, R) arrays of
+comparator scales hold at most CHUNK_BYTES. A pass allocates its working
+arrays once (after a theoretical step size's first draw, whose accounting
+is freed by then): the chunk arrays _chunks refills (features, clean and
+emitted responses, outlier masks), the comparator accounting's running
+figures and the scratch in which it forms one seed's comparator rows of a
+chunk and their steps, and the play's buffers (the two (C, R, d) action
 stacks it swaps every round, the gradient, each chunk's losses, a round's
-(C, R) products, link, losses, gates, gate scratch and guard bound, and a
-filter's (R, budget) norms). A chunk's own arrays are its stream draws, the
-scales and losses of each block of its comparators, and the regret
+(C, R) products, link, coefficient, losses, gates, gate scratch and guard
+bound, and a filter's (R, budget) norms). A chunk's own arrays are its
+stream draws, its comparators' scales and losses, and the regret
 reductions over it. A round of ogd or learn writes into the play's buffers
 and allocates only (C, R) temporaries: the terms of its loss values (and
 eta's scratch, past the guard); a Top-k filter's, an expert pool's and a
@@ -100,8 +102,7 @@ LEARNERS = (OGD, LEARN, TOPK, UTOPK, EXPERTS)
 THEORETICAL = "theoretical"
 MODEL_LOSS = {st.RIDGE_MODEL: RIDGE, st.SVM_MODEL: HINGE_SVM}   # the loss family of each data model
 
-CHUNK_BYTES = 4 << 20   # features and cell losses per time chunk of a pass, summed over the seeds
-BLOCK_BYTES = 1 << 17   # a block of the comparator accounting: a seed's (rows, d) comparators, the (rows, K, R) scales
+CHUNK_BYTES = 4 << 20   # a time chunk's working arrays in a pass (see _chunk_rows)
 
 # The paper's two experiments, keyed by data model: every preset value lives
 # here, and each config of a preset shares its frozen params and generator.
@@ -229,14 +230,15 @@ def _expert_pool(config: RunConfig):
     return init_pool(grid, config.generator.dim, beta, len(config.seeds))
 
 
-def _step_sizes(config: RunConfig, cells: int) -> np.ndarray:
+def _step_sizes(config: RunConfig, rows: int) -> np.ndarray:
     """The step size: alpha, or 1/sqrt(T) when unset; under THEORETICAL each
     seed's, (R, 1), from the V_T and (G, L) of a first draw of its clean
-    rounds alone, accounted under no k and freed on return."""
+    rounds alone in chunks of the pass's rows, accounted under no k and freed
+    on return."""
     if config.alpha != THEORETICAL:
         return np.array(1.0 / math.sqrt(config.T) if config.alpha is None else config.alpha)
-    comparators = _Comparators(config, [], _chunk_rows(config, cells))
-    for chunk in _chunks(config, [], cells):
+    comparators = _Comparators(config, [], rows)
+    for chunk in _chunks(config, [], rows):
         comparators.add(*chunk)
     psi = [derive_constants(config.params, *growth, m=config.lam).psi for growth in comparators.growth]
     return np.array([[theoretical_stepsize(config.radius, v_t, p, config.T)] for v_t, p in zip(comparators.v_t, psi)])
@@ -244,9 +246,7 @@ def _step_sizes(config: RunConfig, cells: int) -> np.ndarray:
 
 class _Comparators:
     """The comparator accounting of a pass: every seed under every k, fed
-    chunk by chunk in round order with the stacked arrays _chunks fills, a
-    block of rounds at a time, whose (rows, K, R) scales and each seed's
-    (rows, d) comparators hold at most BLOCK_BYTES.
+    chunk by chunk in round order with the stacked arrays _chunks fills.
 
     For both loss families theta_t* = c_t x_t (losses._min_scale) and omega_t*
     = c'_t x_t, with c'_t = c_t bit for bit on the rounds the adversary left
@@ -257,10 +257,10 @@ class _Comparators:
     step norms, (R, T - 1), in one order whatever the chunking. A step is
     the norm of the difference of two rows c_t x_t (expanding the square
     would cancel when consecutive comparators are close), formed one seed at
-    a time in a scratch whose rows their steps overwrite. With keep, it also
-    keeps what each k's and seed's EpisodeTrace holds: the outlier mask,
-    f_t(s_t, theta_t*) on the emitted stream, and theta_t* and omega_t* on
-    the corrupted rounds, (k, d) each.
+    a time in a (rows + 1, d) scratch whose rows their steps overwrite. With
+    keep, it also keeps what each k's and seed's EpisodeTrace holds: the
+    outlier mask, f_t(s_t, theta_t*) on the emitted stream, and theta_t* and
+    omega_t* on the corrupted rounds, (k, d) each.
     """
 
     def __init__(self, config: RunConfig, ks: list, rows: int, keep: bool = False):
@@ -270,9 +270,8 @@ class _Comparators:
         self.norm_max = np.zeros(R)
         self.growth = np.zeros((R, 2))
         self.delta_s = np.zeros((K, R))
-        self.last = np.zeros((R, dim))   # each seed's theta* of the round before the block
-        self.block = min(rows, max(1, BLOCK_BYTES // (8 * max(dim, K * R))))
-        self.comp = np.empty((self.block + 1, dim))
+        self.last = np.zeros((R, dim))   # each seed's theta* of the round before the chunk
+        self.comp = np.empty((rows + 1, dim))
         if keep:
             self.is_outlier = [[np.zeros(T, dtype=bool) for _ in config.seeds] for _ in ks]
             self.f_at_comparator = [[np.empty(T) for _ in config.seeds] for _ in ks]
@@ -282,17 +281,9 @@ class _Comparators:
     def add(self, t0: int, X: np.ndarray, y_clean: np.ndarray, Y: np.ndarray, outlier: np.ndarray) -> np.ndarray:
         """Account rounds t0 .. t0 + n - 1 of every seed under every k from
         the features X (n, R, d), the clean responses y_clean (n, R), each
-        k's emitted ones Y (n, K, R) and outlier masks (K, R, n), a block of
-        rounds at a time. Returns f_t(s_t, theta_t*) on the clean stream, (R,
-        n), the emitted one on every round that clean regret counts."""
-        f_star = np.empty(y_clean.shape[::-1])
-        for b0 in range(0, len(X), self.block):
-            rows = slice(b0, b0 + self.block)
-            f_star[:, rows] = self._block(t0 + b0, X[rows], y_clean[rows], Y[rows], outlier[..., rows])
-        return f_star
-
-    def _block(self, t0: int, X: np.ndarray, y_clean: np.ndarray, Y: np.ndarray, outlier: np.ndarray) -> np.ndarray:
-        """add for a block of at most self.block rounds; returns f_t(s_t, theta_t*), (R, n)."""
+        k's emitted ones Y (n, K, R) and outlier masks (K, R, n). Returns
+        f_t(s_t, theta_t*) on the clean stream, (R, n), the emitted one on
+        every round that clean regret counts."""
         loss, radius, n = self.loss, self.radius, len(X)
         nx2 = np.einsum("nrd,nrd->nr", X, X)   # each row's sum as the per-seed einsum takes it
         norm_x = np.sqrt(nx2)
@@ -351,23 +342,24 @@ class _Comparators:
         )
 
 
-def _chunk_rows(config: RunConfig, cells: int) -> int:
-    """Rounds per time chunk of a pass: at most CHUNK_BYTES, over all seeds,
-    of the features and of the losses of a play of that many cells, and at
-    least one."""
-    return min(config.T, max(1, CHUNK_BYTES // (len(config.seeds) * (config.generator.dim + cells) * 8)))
+def _chunk_rows(config: RunConfig, cells: int, K: int) -> int:
+    """Rounds per time chunk of a pass of that many cells and K k's, the
+    pass's one memory policy: a chunk's features and cell losses over all
+    seeds, one seed's (rows, d) comparator scratch and two (rows, K, R)
+    arrays of comparator scales hold at most CHUNK_BYTES, and a chunk holds
+    at least one round."""
+    R, dim = len(config.seeds), config.generator.dim
+    return min(config.T, max(1, CHUNK_BYTES // (8 * (R * (dim + cells) + dim + 2 * K * R))))
 
 
-def _chunks(config: RunConfig, ks: list, cells: int, watch=None):
+def _chunks(config: RunConfig, ks: list, rows: int, watch=None):
     """The streams of the config's seeds, each drawn once for every k of ks,
-    in lockstep time chunks of _chunk_rows(config, cells) rounds. Each seed's
-    part of a chunk goes to watch(stream, t0, X, y_clean, emitted), if
-    given, and into arrays refilled for every chunk: the features (rounds,
-    R, d), the clean responses (rounds, R), each k's emitted responses
-    (rounds, K, R) and each k's outlier mask (K, R, rounds). Yields (t0, X,
-    y_clean, Y, outlier)."""
+    in lockstep time chunks of rows rounds. Each seed's part of a chunk goes
+    to watch(stream, t0, X, y_clean, emitted), if given, and into arrays
+    refilled for every chunk: the features (rounds, R, d), the clean
+    responses (rounds, R), each k's emitted responses (rounds, K, R) and each
+    k's outlier mask (K, R, rounds). Yields (t0, X, y_clean, Y, outlier)."""
     R, K, dim = len(config.seeds), len(ks), config.generator.dim
-    rows = _chunk_rows(config, cells)
     streams = [st.EpisodeStream(config.generator, config.T, ks, seed) for seed in config.seeds]
     X, y_clean, Y = np.empty((rows, R, dim)), np.empty((rows, R)), np.empty((rows, K, R))
     outlier = np.empty((K, R, rows), dtype=bool)
@@ -415,66 +407,6 @@ class _Filter:
             self.twice[r] = 2.0 * row[j]
 
 
-def _stepper(cells: list, alpha: np.ndarray, per_k: int, f: np.ndarray):
-    """The step of a play's stacked actions, (C, R, d), of K groups of per_k
-    cells: step(theta, new, x, y, u, fast) writes the next actions into new
-    and returns it, from the actions theta, side information x (1, R, d),
-    responses y (K, 1, R), link u (K, per_k, R) and the round's losses in f,
-    (C, R), unchecked if fast (see _Play). It keeps neither theta nor new.
-
-    One gradient serves every block, formed as grad_f_rows forms it, lam
-    theta - c x, from the coefficient c = _link_coef of u: ogd descends on it
-    as it is, learn on it scaled by its gate in place (one gate for every
-    learn block, on one strided view of f: losses._gate if fast, else the
-    checked losses.eta), and a Top-k seed only where its _Filter lets the
-    round through; a filtered seed keeps its action by a masked copy. An
-    experts cell's block is what its stacked pool aggregates after one
-    pool_step for all its seeds. Each row gets what ogd_step, learn_step,
-    topk_filter_step or the pool makes of that seed alone, bit for bit.
-
-    The gradient (C, R, d), c, the gates and their scratch (C, R) and each
-    filter live for the pass; new holds c x before descend_rows writes the
-    step into it, so a round allocates no array of the stack's size."""
-    config = cells[0]
-    loss, params, radius = config.loss, config.params, config.radius
-    R, dim = len(config.seeds), config.generator.dim
-    lam = np.array(loss.lam)   # a 0-d operand: see losses._ONE
-    g, c = np.empty((len(cells), R, dim)), np.empty((len(cells), R))
-    c_k, c_x = c.reshape(-1, per_k, R), c[..., None]
-    filters, pools = [], []
-    for i, cell in enumerate(cells):
-        budget = cell.resolve_topk_budget()
-        if cell.learner == EXPERTS:
-            pools.append((i, i // per_k, _expert_pool(cell)))
-        elif budget:
-            filters.append((i, _Filter(R, budget)))
-    descends = len(pools) < len(cells)
-    # every learn block as one strided view of the gradient, which the gates of the same view of the
-    # losses scale in place: run_cells takes each learner once, so learn has one place in each k's group
-    learn = [i for i, cell in enumerate(cells) if cell.learner == LEARN]
-    gated = slice(learn[0], None, per_k) if learn else slice(0)   # slice(0): no block, an empty view
-    g_learn, f_learn, gates, z = g[gated], f[gated], np.empty((len(learn), R)), np.empty((len(learn), R))
-    gates_x = gates[..., None]
-
-    def step(theta, new, x, y, u, fast):
-        if descends:
-            np.multiply(lam, theta, out=g)
-            _link_coef(loss, u, y, out=c_k)
-            np.subtract(g, np.multiply(c_x, x, out=new), out=g)
-            if learn:
-                _gate(params, f_learn, gates, z) if fast else eta(params, f_learn, out=gates)
-                np.multiply(g_learn, gates_x, out=g_learn)
-            descend_rows(theta, g, alpha, radius, out=new)
-        for i, top_k in filters:
-            top_k(g[i], theta[i], new[i])
-        for i, j, pool in pools:
-            pool_step(pool, x[0], y[j, 0], loss, params)
-            new[i] = aggregate_action(pool)
-        return new
-
-    return step
-
-
 class _Play:
     """The loop of C cells over all their seeds at once, one stacked (C, R, d)
     update per round for R seeds, fed chunk by chunk in round order. The cells
@@ -484,27 +416,76 @@ class _Play:
     broadcast against the stack, and every dot product is one BLAS dot per
     row, as eval_f and grad_f take it.
 
+    step forms one gradient for every block, as grad_f_rows forms it, lam
+    theta - c x, from the coefficient c = _link_coef of the link: ogd descends
+    on it as it is, learn on it scaled by its gate in place (one gate for
+    every learn block, on one strided view of the losses: losses._gate on a
+    round the guard passes, else the checked losses.eta), and a Top-k seed
+    only where its _Filter lets the round through; a filtered seed keeps its
+    action by a masked copy. An experts cell's block is what its stacked pool
+    aggregates after one pool_step for all its seeds. Each row gets what
+    ogd_step, learn_step, topk_filter_step or the pool makes of that seed
+    alone, bit for bit.
+
     Its buffers are allocated once and live for the pass: the actions theta
     and the next actions the step writes, (C, R, d) each, swapped every
-    round; each chunk's losses, (C, R, rows), which feed returns and the next
-    chunk overwrites; a round's <x, theta>, ||theta||^2, link u, losses and
-    their check, (C, R) each, which that round alone reads (its losses are
-    then copied into their column of the chunk's); and the guard's bound, the
-    gate's overflow threshold on a learn cell, else the largest finite float.
-    Each k's responses broadcast over its per_k cells through (K, per_k, R)
-    views of the round's arrays."""
+    round; the gradient, (C, R, d); each chunk's losses, (C, R, rows), which
+    feed returns and the next chunk overwrites; a round's <x, theta>,
+    ||theta||^2, link u, losses, their check and the coefficient c, (C, R)
+    each, which that round alone reads (its losses are then copied into their
+    column of the chunk's); the gates and their scratch, (K, R) each, if
+    learn is played; each filter; and the guard's bound, the gate's
+    overflow threshold on a learn cell, else the largest finite float. The
+    next actions hold c x before descend_rows writes the step into them, so
+    a round allocates no array of the stack's size. Each k's responses
+    broadcast over its per_k cells through (K, per_k, R) views of the round's
+    arrays."""
 
     def __init__(self, cells: list, alpha: np.ndarray, per_k: int, rows: int):
         config = cells[0]
         C, R, dim = len(cells), len(config.seeds), config.generator.dim
-        self.cells, self.per_k = cells, per_k
-        self.theta, self.spare = np.zeros((C, R, dim)), np.empty((C, R, dim))
+        self.cells, self.per_k, self.alpha = cells, per_k, alpha
+        self.loss, self.params, self.radius = config.loss, config.params, config.radius
+        self.lam = np.array(config.lam)   # a 0-d operand: see losses._ONE
+        self.theta, self.spare, self.g = np.zeros((C, R, dim)), np.empty((C, R, dim)), np.empty((C, R, dim))
         self.losses = np.empty((C, R, rows))
-        self.proj, self.sq, self.u, self.f = np.empty((4, C, R))
+        self.proj, self.sq, self.u, self.f, c = np.empty((5, C, R))
+        self.c_k, self.c_x = c.reshape(-1, per_k, R), c[..., None]
         self.passed = np.empty((C, R), dtype=bool)
         bound = [cell.params._gate_operands[2] if cell.learner == LEARN else np.finfo(float).max for cell in cells]
         self.bound = np.repeat(np.array(bound), R).reshape(C, R).view(np.uint64)
-        self.step = _stepper(cells, alpha, per_k, self.f)
+        budgets = [cell.resolve_topk_budget() for cell in cells]
+        self.filters = [(i, _Filter(R, budget)) for i, budget in enumerate(budgets) if budget]
+        self.pools = [(i, i // per_k, _expert_pool(cell)) for i, cell in enumerate(cells) if cell.learner == EXPERTS]
+        self.descends = len(self.pools) < C
+        # every learn block as one strided view of the gradient, which the gates of the same view of the
+        # losses scale in place: run_cells takes each learner once, so learn has one place in each k's group
+        learn = [i for i, cell in enumerate(cells) if cell.learner == LEARN]
+        gated = slice(learn[0], None, per_k) if learn else slice(0)   # slice(0): no block, an empty view
+        self.learn, self.g_learn, self.f_learn = bool(learn), self.g[gated], self.f[gated]
+        self.gates, self.z = np.empty((2, len(learn), R))
+        self.gates_x = self.gates[..., None]
+
+    def step(self, theta: np.ndarray, new: np.ndarray, x: np.ndarray, y: np.ndarray, u: np.ndarray, fast: bool):
+        """Write the next actions into new and return it, from the actions
+        theta, side information x (1, R, d), responses y (K, 1, R), link u
+        (K, per_k, R) and the round's losses in self.f, unchecked if fast
+        (see feed). Keeps neither theta nor new."""
+        g, loss, params = self.g, self.loss, self.params
+        if self.descends:
+            np.multiply(self.lam, theta, out=g)
+            _link_coef(loss, u, y, out=self.c_k)
+            np.subtract(g, np.multiply(self.c_x, x, out=new), out=g)
+            if self.learn:
+                _gate(params, self.f_learn, self.gates, self.z) if fast else eta(params, self.f_learn, out=self.gates)
+                np.multiply(self.g_learn, self.gates_x, out=self.g_learn)
+            descend_rows(theta, g, self.alpha, self.radius, out=new)
+        for i, top_k in self.filters:
+            top_k(g[i], theta[i], new[i])
+        for i, j, pool in self.pools:
+            pool_step(pool, x[0], y[j, 0], loss, params)
+            new[i] = aggregate_action(pool)
+        return new
 
     def feed(self, t0: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Play rounds t0 .. t0 + n - 1 on the features X, (n, R, d), and each
@@ -519,7 +500,7 @@ class _Play:
         -0.0 too, fails it); one that fails is checked, and gated by eta."""
         cells, step, theta, spare, proj, sq, u, f, passed = (
             self.cells, self.step, self.theta, self.spare, self.proj, self.sq, self.u, self.f, self.passed)
-        T, loss, bits, bound = cells[0].T, cells[0].loss, f.view(np.uint64), self.bound
+        T, loss, bits, bound = cells[0].T, self.loss, f.view(np.uint64), self.bound
         proj_k, u_k = proj.reshape(-1, self.per_k, proj.shape[1]), u.reshape(-1, self.per_k, u.shape[1])
         all_passed = b"\x01" * passed.size   # the bytes of an all-True mask: one comparison checks every loss
         f_chunk = self.losses[..., :len(X)]
@@ -596,11 +577,11 @@ def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
         raise ValueError(f"run_cells takes each learner once, not {list(learners)}")
     if len(set(ks)) < len(ks):
         raise ValueError(f"run_cells takes each k once, not {ks}")
-    R, L, rows = len(config.seeds), len(learners), _chunk_rows(config, len(cells))
-    play = _Play(cells, _step_sizes(config, len(cells)), L, rows)
+    R, rows = len(config.seeds), _chunk_rows(config, len(cells), len(ks))
+    play = _Play(cells, _step_sizes(config, rows), len(learners), rows)
     comparators = _Comparators(config, ks, rows, keep)
     sink = np.empty((len(cells), R, config.T)) if keep else _Regret(len(cells), R, config.T)
-    for t0, X, y_clean, Y, outlier in _chunks(config, ks, len(cells), watch):
+    for t0, X, y_clean, Y, outlier in _chunks(config, ks, rows, watch):
         f_star = comparators.add(t0, X, y_clean, Y, outlier)
         f = play.feed(t0, X, Y)
         if keep:

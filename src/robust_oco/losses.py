@@ -298,12 +298,9 @@ def grad_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray
     return loss.lam * Theta - _coef(loss, proj, y)[..., None] * X
 
 
-def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, nx2: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form minimizers for many rounds; X is (T, d), y is (T,). nx2,
-    when given, holds the squared row norms ||X[t]||^2."""
-    if nx2 is None:
-        nx2 = np.einsum("ij,ij->i", X, X)
-    return _min_scale(loss, nx2, y)[:, None] * X
+def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Closed-form minimizers for many rounds; X is (T, d), y is (T,)."""
+    return _min_scale(loss, np.einsum("ij,ij->i", X, X), y)[:, None] * X
 
 
 def eval_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robust_oco
 from robust_oco import harness
 from robust_oco import stream as st
 from robust_oco.learners import project_rows
@@ -23,6 +26,16 @@ from robust_oco.losses import (
     growth_constants,
     minimizer_rows,
 )
+
+
+def cli_env(extra=None) -> dict:
+    """The environment of a child `python -m robust_oco.cli`: this process's
+    without ROBUST_OCO_SEED, importing the package these tests import, then
+    extra."""
+    env = {name: value for name, value in os.environ.items() if name != "ROBUST_OCO_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(robust_oco.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return {**env, **(extra or {})}
 
 
 @pytest.fixture
@@ -105,6 +118,22 @@ def reference_accounting(cfg, seed):
         delta_s=float(np.linalg.norm(diff, axis=1).max()) if is_outlier.any() else 0.0,
         growth=(float(np.max(G)), float(np.max(L))),
     )
+
+
+def chunk_round_bytes(config, cells: int, K: int) -> int:
+    """The bytes a round adds to a chunk of a pass of that many cells and K
+    k's over the config's seeds: its features and cell losses, (R, d + cells),
+    a row of one seed's (rows, d) comparator scratch and a row of each of two
+    (rows, K, R) arrays of comparator scales."""
+    R, dim = len(config.seeds), config.generator.dim
+    return 8 * (R * (dim + cells) + dim + 2 * K * R)
+
+
+def force_chunk_rows(monkeypatch, config, cells: int, K: int, rows: int):
+    """Make a pass of that many cells and K k's over the config's seeds play
+    rows rounds per chunk, by the one budget harness.CHUNK_BYTES."""
+    monkeypatch.setattr(harness, "CHUNK_BYTES", rows * chunk_round_bytes(config, cells, K))
+    assert harness._chunk_rows(config, cells, K) == rows
 
 
 def capture_pools(monkeypatch):

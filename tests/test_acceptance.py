@@ -9,7 +9,6 @@ asserted where a check states one.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -17,7 +16,7 @@ import time
 import numpy as np
 
 import robust_oco as ro
-from conftest import capture_pools
+from conftest import capture_pools, cli_env
 from robust_oco import oracle
 from robust_oco import stream as st
 
@@ -235,8 +234,7 @@ def test_6_expert_framework(monkeypatch):
 # --- 7: determinism end to end ---------------------------------------------------
 
 def test_7_cli_determinism(tmp_path):
-    env = dict(os.environ)
-    env.pop("ROBUST_OCO_SEED", None)
+    env = cli_env()
     blobs = []
     for name in ("one", "two"):
         out = tmp_path / name

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import robust_oco
-from conftest import capture_pools, episode_stream
+from conftest import capture_pools, cli_env, episode_stream, force_chunk_rows
 from robust_oco import cli, harness
 from robust_oco import stream as st
 
@@ -21,13 +21,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("ROBUST_OCO_SEED", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "robust_oco.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=cli_env(env_extra),
     )
 
 
@@ -179,8 +175,8 @@ def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
     # the sixteen (k, learner) cells share one stream, one comparator accounting
     # fed once per chunk for every seed and k, and one loop: each seed's stream
     # object is made once per sweep
-    seeds, rows = [1, 2, 3], 40
-    monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * (2 + 16) * 8)   # svm: d = 2, 16 cells
+    seeds, rows, T = [1, 2, 3], 40, 100
+    force_chunk_rows(monkeypatch, harness.preset_config("svm", T=T, seeds=seeds), 16, 4, rows)   # 16 cells, 4 k's
     streams, adds, feeds = [], [], []
 
     class CountedStream(st.EpisodeStream):
@@ -203,7 +199,6 @@ def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness._Play, "feed", counted_feed)
     assert cli.main(["sweep", "--preset", "svm", "--scale", "0.01", "--seeds", "1 2 3",
                      "--out", str(tmp_path)]) == 0
-    T = 100
     chunks = -(-T // rows)
     assert len(list(tmp_path.glob("regret_*.csv"))) == 16
     assert [args[2] for args in streams] == [st.k_grid(T)] * len(seeds)
@@ -337,7 +332,7 @@ def test_dump_stream_draws_its_seed_once(tmp_path, monkeypatch, argv):
 
     monkeypatch.setattr(st, "EpisodeStream", CountedStream)
     config = config_of(["dump-stream", *argv])
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * (config.generator.dim + 4) * 8)   # 7 rounds per chunk
+    force_chunk_rows(monkeypatch, config, 4, 1, 7)   # 4 cells, one k: 7 rounds per chunk
     assert cli.main(["dump-stream", *argv, "--out", str(tmp_path)]) == 0
     assert len(streams) == 1
     seed = config.seeds[0]
@@ -525,12 +520,19 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("", ["--seeds", "3 3 4"], "seeds must be distinct, got [3, 3, 4]", id="seeds-repeated"),
     pytest.param("", ["--seeds", "-3"], "seeds must be non-negative, got -3", id="seeds-negative"),
     pytest.param(None, ["verify", "--seed", "-1"], "--seed must be >= 0", id="verify-seed-negative"),
+    # an environment variable leads argv, as on a shell's command line
+    pytest.param("", ["ROBUST_OCO_SEED=abc"], "error: ROBUST_OCO_SEED must be an integer, got 'abc'",
+                 id="env-seed-not-integer"),
     # scale sets T only where t is unset: with t from the file, a flag or a manifest it would be dropped
     pytest.param("", ["--scale", "0.5"], "cannot be given with t", id="scale-with-t"),
     pytest.param("scale = 0.5\n", [], "cannot be given with t", id="scale-with-t-key"),
     pytest.param("", ["--scale", "inf"], "scale must be positive and finite", id="scale-inf"),
 ])
-def test_bad_config_is_usage_error(tmp_path, capsys, text, argv, message):
+def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch, text, argv, message):
+    while argv and "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
+
     def exit_code(argv):
         try:
             return cli.main(argv)

@@ -7,7 +7,9 @@ import pytest
 from conftest import (
     SeedPool,
     capture_pools,
+    chunk_round_bytes,
     episode_stream,
+    force_chunk_rows,
     minimizer_f,
     reference_accounting,
     seed_aggregate_action,
@@ -108,20 +110,16 @@ def count_steps(monkeypatch, returned=None):
     stacked loop's step, step(theta, new, x, y, u, fast), and into `returned`,
     if given, the next actions each call writes into new."""
     steps = []
-    stepper = harness._stepper
+    step = harness._Play.step
 
-    def counting_stepper(*args):
-        step = stepper(*args)
+    def counted(self, theta, new, *rest):
+        steps.append(theta.copy())
+        new = step(self, theta, new, *rest)
+        if returned is not None:
+            returned.append(new.copy())
+        return new
 
-        def counted(theta, new, *rest):
-            steps.append(theta.copy())
-            new = step(theta, new, *rest)
-            if returned is not None:
-                returned.append(new.copy())
-            return new
-        return counted
-
-    monkeypatch.setattr(harness, "_stepper", counting_stepper)
+    monkeypatch.setattr(harness._Play, "step", counted)
     return steps
 
 
@@ -552,7 +550,7 @@ def test_ridge_growth_is_the_streams_hessian_bound(monkeypatch):
     # L = lam + 2 max_t ||x_t||^2 exactly, over every chunk of every seed
     seeds = [1, 2, 3]
     cfg = preset_config("ridge", T=200, seeds=seeds, learner=harness.OGD, k=20)
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 7 * len(seeds) * (cfg.generator.dim + 1) * 8)
+    force_chunk_rows(monkeypatch, cfg, 1, 1, 7)
     for seed, trace in zip(seeds, run_episodes(cfg)):
         X = episode_stream(cfg.generator, cfg.T, cfg.k, seed)[1]
         assert trace.growth == (0.0, cfg.loss.lam + 2.0 * float(np.einsum("ij,ij->i", X, X).max()))
@@ -694,10 +692,9 @@ def test_chunking_does_not_change_an_episode(monkeypatch, config):
     bounded = config["learner"] != harness.EXPERTS   # the pool's grid holds its own radii
     cfg = preset_config(config.pop("family"), T=T_REF, seeds=[7, 8, 9], k=15,
                         **{"radius": 0.05 if bounded else math.inf, **config})
-    row_bytes = len(cfg.seeds) * (cfg.generator.dim + 1) * 8   # a round's features and losses, one cell
     runs = []
-    for chunk_bytes in (1, 7 * row_bytes, T_REF * row_bytes):   # 1, 7 and T rounds per chunk
-        monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_bytes)
+    for rows in (1, 7, T_REF):
+        force_chunk_rows(monkeypatch, cfg, 1, 1, rows)
         runs.append(run_episodes(cfg))
     for traces in runs[1:]:
         for a, b in zip(runs[0], traces):
@@ -741,8 +738,7 @@ def test_run_cells_match_run_cell(monkeypatch, family, setting):
         learners.append(harness.EXPERTS)
     seeds, ks = [4, 5, 6], [15, T_REF]
     config = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=15, **setting)
-    cells = len(ks) * len(learners)   # a chunk holds the features and every cell's losses
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * (config.generator.dim + cells) * 8)
+    force_chunk_rows(monkeypatch, config, len(ks) * len(learners), len(ks), 17)
     chunks = []
     draw = st.EpisodeStream.draw
     monkeypatch.setattr(st.EpisodeStream, "draw", lambda self, n: chunks.append(n) or draw(self, n))
@@ -775,8 +771,7 @@ def test_regret_accounting_matches_the_traces(monkeypatch, family, setting):
     T, seeds, ks = 52, list(range(1, 11)), [0, 5, 13]
     learners = [harness.OGD, harness.LEARN, harness.UTOPK]
     config = preset_config(family, T=T, seeds=seeds, k=0, **setting)
-    cells = len(ks) * len(learners)
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 17 * len(seeds) * (config.generator.dim + cells) * 8)
+    force_chunk_rows(monkeypatch, config, len(ks) * len(learners), len(ks), 17)
     results = harness.run_cells(config, learners, ks)
     for res in results:
         traces = run_episodes(res.config)
@@ -796,7 +791,7 @@ def test_a_filtered_row_keeps_its_action_bit_for_bit():
     # where theta - alpha * 0 * g would give +0.0; the ogd block moves off it
     cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.TOPK, k=T_REF)
     cells = [cfg, dataclasses.replace(cfg, learner=harness.OGD)]   # one k: per_k = 2
-    step = harness._stepper(cells, np.full((1, 2, 1), 0.5), 2, np.zeros((2, 2)))
+    step = harness._Play(cells, np.full((1, 2, 1), 0.5), 2, 1).step
     theta = np.array([[[-0.0, -0.0], [-0.0, 3.0]]] * 2)
     x, y = np.array([[[1e100, 1e100], [1.0, -2.0]]]), np.array([[[1.0, -1.0]]])   # y: (K, 1, R)
     u = harness._link(cfg.loss, np.vecdot(x, theta).reshape(1, 2, 2), y)
@@ -811,7 +806,7 @@ def drive_filter(cfg, norms):
     -x for x = (norms[t, r], 0)."""
     assert cfg.loss.family == "hinge_svm" and cfg.learner == harness.TOPK
     R = len(cfg.seeds)
-    step = harness._stepper([cfg], np.full((1, R, 1), 0.5), 1, np.zeros((1, R)))
+    step = harness._Play([cfg], np.full((1, R, 1), 0.5), 1, 1).step
     theta, x, y, u = np.zeros((1, R, 2)), np.zeros((1, R, 2)), np.ones((1, 1, R)), np.zeros((1, 1, R))
     new = []
     for row in norms:
@@ -865,7 +860,7 @@ def test_topk_filter_matches_the_per_seed_heap(monkeypatch, family, learner, T, 
     cfg = preset_config(family, T=T, seeds=[1, 2, 3, 4], learner=learner, k=k)
     budget = cfg.resolve_topk_budget()
     if chunk_rounds:
-        monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_rounds * len(cfg.seeds) * (cfg.generator.dim + 1) * 8)
+        force_chunk_rows(monkeypatch, cfg, 1, 1, chunk_rounds)
     rescans, replaced = [], []   # the seeds of each call that rescans any; each step's heap replacement
     cache = harness._Filter._cache
     monkeypatch.setattr(harness._Filter, "_cache", lambda self, seeds: (len(seeds) and rescans.append(len(seeds)))
@@ -1011,9 +1006,10 @@ def test_divergence_in_a_shared_pass_names_the_learner(monkeypatch, order):
     # diverges too, later in the same (first) chunk: the earliest round wins
     # over the learner order
     cfg = preset_config("ridge", T=2000, seeds=[1, 3, 2], learner=harness.OGD, k=10, alpha=1.0)
+    rows = 1500   # rounds per chunk: two chunks
+    force_chunk_rows(monkeypatch, cfg, len(order), 1, rows)
     first = assert_stack_stops_at_earliest_divergence(monkeypatch, cfg, order)
     assert set(first.values()) == set(order) - {harness.LEARN}
-    rows = harness.CHUNK_BYTES // (len(cfg.seeds) * (cfg.generator.dim + len(order)) * 8)   # rounds per chunk
     assert max(t for t, _, _ in first) <= rows
     assert math.isfinite(run_cell(dataclasses.replace(cfg, learner=harness.LEARN)).mean[-1])
 
@@ -1055,8 +1051,7 @@ def test_a_nan_loss_names_its_learner_k_seed_and_round(monkeypatch):
 
     monkeypatch.setattr(st, "EpisodeStream", PoisonedStream)
     cfg = preset_config("ridge", T=40, seeds=[1, 3, 2], learner=harness.OGD, k=0)
-    row_bytes = len(cfg.seeds) * (cfg.generator.dim + 4) * 8
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 4 * row_bytes)   # 4 rounds per chunk: round 9 opens a chunk
+    force_chunk_rows(monkeypatch, cfg, 4, 2, 4)   # 4 rounds per chunk: round 9 opens a chunk
     steps = count_steps(monkeypatch)
     with pytest.raises(RuntimeError, match=r"^learner learn, k 0, seed 1: non-finite loss at round 7 of 40; "):
         harness.run_cells(cfg, [harness.LEARN, harness.OGD], ks=[5, 0])
@@ -1145,28 +1140,46 @@ def test_many_chunks_equal_one_chunk(monkeypatch, family):
     cells = len(ks) * len(harness.LEARNERS)
     runs = []
     for rows in (17, T):
-        monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * (config.generator.dim + cells) * 8)
-        assert harness._chunk_rows(config, cells) == rows
+        force_chunk_rows(monkeypatch, config, cells, len(ks), rows)
         runs.append(harness.run_cells(config, harness.LEARNERS, ks))
     for a, b in zip(*runs, strict=True):
         assert_cells_equal(a, b)
 
 
+@pytest.mark.parametrize("family, T, R, cells, K", [
+    ("svm", 100, 30, 16, 4),        # svm-sweep: 4 learners under 4 k's
+    ("ridge", 10 ** 4, 4, 1, 1),    # ridge-cell
+    ("svm", 2000, 1, 1, 1),         # experts-svm
+    ("ridge", 200, 1, 3, 3),        # verify's theorem pass: learn under 3 k's
+    ("ridge", 10 ** 5, 30, 16, 4),  # the full-scale sweeps
+    ("svm", 10 ** 4, 30, 16, 4),
+], ids=["svm-sweep", "ridge-cell", "experts-svm", "verify-theorem", "full-ridge", "full-svm"])
+def test_one_budget_sizes_every_chunk(monkeypatch, family, T, R, cells, K):
+    # a chunk's features and cell losses, one seed's comparator scratch and two
+    # arrays of comparator scales fill CHUNK_BYTES as far as whole rounds do,
+    # unless the chunk holds all T rounds; a round larger than the budget
+    # still makes a chunk
+    config = preset_config(family, T=T, seeds=list(range(1, R + 1)))
+    per_round, rows = chunk_round_bytes(config, cells, K), harness._chunk_rows(config, cells, K)
+    assert 1 <= rows <= T and rows * per_round <= harness.CHUNK_BYTES
+    assert rows == T or harness.CHUNK_BYTES < (rows + 1) * per_round
+    monkeypatch.setattr(harness, "CHUNK_BYTES", per_round - 1)
+    assert harness._chunk_rows(config, cells, K) == 1
+
+
 @pytest.mark.parametrize("family, radius", [("svm", math.inf), ("ridge", math.inf), ("ridge", 0.05)])
 def test_stacked_chunked_accounting_gives_each_seed_its_own_bits(monkeypatch, family, radius):
     # the accounting takes every seed and k of a pass as arrays: seed 2 beside
-    # seeds 1 and 3, under three k's at once, in chunks of 1, 17 and T rounds
-    # (accounted in blocks of 5 rounds in the 17-round chunks), gets the bits
-    # of seed 2 alone in one chunk: V_T, delta_S per k, the radius, (G, L),
+    # seeds 1 and 3, under three k's at once, in chunks of 1, 5, 17 and T
+    # rounds, gets the bits of seed 2 alone in one chunk: V_T, delta_S per k, the radius, (G, L),
     # one pair per seed, f_t(s_t, theta_t*) on the clean stream and on each
     # k's emitted one
     ks = [0, 15, T_REF]
     add = harness._Comparators.add
 
-    def accounting(seeds, rows, block=T_REF):
+    def accounting(seeds, rows):
         cfg = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=0, radius=radius)
-        monkeypatch.setattr(harness, "CHUNK_BYTES", rows * len(seeds) * (cfg.generator.dim + len(ks)) * 8)
-        monkeypatch.setattr(harness, "BLOCK_BYTES", block * max(cfg.generator.dim, len(ks) * len(seeds)) * 8)
+        force_chunk_rows(monkeypatch, cfg, len(ks), len(ks), rows)
         f_star = []
         monkeypatch.setattr(harness._Comparators, "add", lambda *args: f_star.append(add(*args)) or f_star[-1])
         _, comparators, _, _ = harness._run(cfg, [harness.OGD], ks, keep=True)
@@ -1179,8 +1192,8 @@ def test_stacked_chunked_accounting_gives_each_seed_its_own_bits(monkeypatch, fa
 
     f_star, figures = accounting([2], T_REF)
     assert any(fig[1] > 0.0 for fig in figures)   # some k moves a comparator
-    for rows, block in ((1, T_REF), (17, 5), (T_REF, T_REF)):
-        got_f_star, got = accounting([1, 2, 3], rows, block)
+    for rows in (1, 5, 17, T_REF):
+        got_f_star, got = accounting([1, 2, 3], rows)
         np.testing.assert_array_equal(bits(got_f_star), bits(f_star))
         np.testing.assert_array_equal(bits(got), bits(figures))
 
