@@ -41,10 +41,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def _num(v: float) -> str:
     return repr(float(v))  # the shortest text that parses back to the same float
 
@@ -197,6 +193,11 @@ def load_config(path: str | None, preset: str | None, overrides: dict, fixed: tu
         raise UsageError(str(exc)) from exc
 
 
+MANIFEST_SEED = ("[result.seed.%d]\nfinal_regret = %.12g\nv_t = %.12g\ndelta_s = %.12g\n"
+                 "comparator_radius = %.12g\nb_clean = %.12g\n\n")   # one seed's results, 12 significant digits
+MANIFEST_RESULT = "[result]\nmean_final_regret = %.12g\nstderr_final_regret = %.12g\n\n"
+
+
 def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
     """The effective configuration, one section per table section, then the
     results, as the INI text that ConfigParser.write gives and _read_file reads."""
@@ -206,25 +207,16 @@ def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
         value = values.get(key)
         if value is not None and key.show is not None:
             sections.setdefault(key.section, []).append((key.name, key.show(value)))
-    for seed, curve in zip(config.seeds, result.curves):
-        sections[f"result.seed.{seed}"] = [
-            ("final_regret", _fmt(curve.final)),
-            ("v_t", _fmt(curve.v_t)),
-            ("delta_s", _fmt(curve.delta_s)),
-            ("comparator_radius", _fmt(curve.comparator_radius)),
-            ("b_clean", _fmt(curve.b_clean)),
-        ]
-    sections["result"] = [
-        ("mean_final_regret", _fmt(float(result.mean[-1]))),
-        ("stderr_final_regret", _fmt(float(result.stderr[-1]))),
-    ]
     with open(path, "w", newline="\n") as fh:
         for name, items in sections.items():
             fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items) + "\n")
+        fh.writelines(MANIFEST_SEED % (seed, c.final, c.v_t, c.delta_s, c.comparator_radius, c.b_clean)
+                      for seed, c in zip(config.seeds, result.curves))
+        fh.write(MANIFEST_RESULT % (result.mean[-1], result.stderr[-1]))
 
 
 CSV_BLOCK = 1024   # rounds per block of the regret CSV: a block's floats become Python floats at once
-CSV_ROW = "%d,%.12g,%.12g\n"   # a row of the regret CSV, each float as _fmt writes it, in one format call
+CSV_ROW = "%d,%.12g,%.12g\n"   # a row of the regret CSV, each float to 12 significant digits, in one format call
 
 
 def write_cell_csv(path: str, result: harness.CellResult):

@@ -9,14 +9,14 @@ svm:    y = sign(<theta*, x>) with theta* uniform in [1,11]^d, x entries
         when |<theta*, x>| <= margin_band; corrupted rounds flip the sign
         of y.
 
-A generator holds the data model's settings only; the presets' values are
-in `harness.PRESETS`. One master seed fully determines theta*, every round,
-the outlier set and the mislabel coin flips: the seed's EpisodeStream draws
-and holds its theta*. Each purpose draws from its own substream of the
-master seed, so changing the corruption count k never perturbs the clean
-stream (paired comparisons across k stay paired), and one draw of the clean
-rounds serves every k of a sweep. Each substream is read in round order, so
-a stream drawn in time chunks equals the one-block draw.
+A generator holds the data model's settings only (the presets' values are
+in `harness.PRESETS`). One master seed fully determines theta*, every round,
+the outlier set and the mislabel coin flips. Each purpose draws from its own
+substream of the master seed, built on first use: changing the corruption
+count k never perturbs the clean stream (paired comparisons across k stay
+paired), one draw of the clean rounds serves every k of a sweep, a k of 0
+builds no outliers generator, and svm's sign flips build no corruption one.
+Substreams are read in round order, so a chunked draw equals a one-block one.
 """
 
 from __future__ import annotations
@@ -54,21 +54,29 @@ class CleanGenerator:
             raise ValueError("invalid noise/mislabel configuration")
 
 
+SUBSTREAMS = ("theta_star", "features", "noise", "mislabel", "outliers", "corruption")
+
+
 @dataclass
 class StreamRngs:
-    """Independent substreams of one master seed, one per purpose."""
+    """Independent substreams of one master seed, one per purpose: SUBSTREAMS[i]
+    is child i of SeedSequence(seed).spawn(6), its generator built when first read."""
 
-    theta_star: np.random.Generator
-    features: np.random.Generator
-    noise: np.random.Generator
-    mislabel: np.random.Generator
-    outliers: np.random.Generator
-    corruption: np.random.Generator
+    seed: int
+
+    def __getattr__(self, name: str) -> np.random.Generator:
+        if name not in SUBSTREAMS:
+            raise AttributeError(name)
+        setattr(self, name, self.fresh(name))
+        return self.__dict__[name]
+
+    def fresh(self, name: str) -> np.random.Generator:
+        """A new generator at the start of the named substream."""
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(SUBSTREAMS.index(name),)))
 
 
 def stream_rngs(seed: int) -> StreamRngs:
-    children = np.random.SeedSequence(seed).spawn(6)
-    return StreamRngs(*(np.random.default_rng(c) for c in children))
+    return StreamRngs(seed)
 
 
 def resolve_theta_star(gen: CleanGenerator, rngs: StreamRngs) -> np.ndarray:
@@ -116,39 +124,31 @@ def apply_corruption_block(kind: str, idx: np.ndarray, y_clean: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
     """Corrupt the responses at the sorted round indices idx by the generator
     kind's operator: ridge replaces y with Uniform[0,1] (drawn in ascending
-    round order), svm flips the label."""
+    round order), svm flips the label; an empty idx leaves rng untouched."""
     y = y_clean.copy()
-    if kind == RIDGE_MODEL:
-        y[idx] = rng.uniform(size=idx.size)
-    else:
+    if kind != RIDGE_MODEL:
         y[idx] = -y[idx]
+    elif idx.size:
+        y[idx] = rng.uniform(size=idx.size)
     return y
 
 
-def _restart(rng: np.random.Generator) -> np.random.Generator:
-    """A new generator at the start of rng's substream."""
-    return np.random.default_rng(rng.bit_generator.seed_seq)
-
-
 class EpisodeStream:
-    """One seeded episode's stream under each corruption count of ks, drawn
-    in consecutive time chunks: the clean rounds are drawn once and corrupted
-    once per k by the generator kind's operator.
-
-    theta* (held as theta_star) and each k's sorted outlier rounds are drawn
-    when the stream is made; each `draw(n)` returns the next n rounds. Each k
-    reads its outlier rounds and corruption draws from its own start of the
-    seed's outliers and corruption substreams, so it equals the stream of
-    that k alone. Every substream is read in round order, so chunks of any
-    sizes concatenate to the one-block draw.
-    """
+    """One seeded episode's stream under each corruption count of ks: theta*
+    (held as theta_star) and each k's sorted outlier rounds are drawn when it
+    is made, and each `draw(n)` draws the next n clean rounds once and
+    corrupts them once per k by the generator kind's operator. Each k > 0
+    reads from fresh starts of the seed's outliers and (ridge only)
+    corruption substreams, so it equals the stream of that k alone; chunks
+    of any sizes concatenate to the one-block draw."""
 
     def __init__(self, generator: CleanGenerator, T: int, ks, seed: int):
         self.gen = generator
         self.rngs = stream_rngs(seed)
         self.theta_star = resolve_theta_star(generator, self.rngs)
-        self.outliers = [sample_outlier_rounds(T, k, _restart(self.rngs.outliers)) for k in ks]
-        self.corruption = [_restart(self.rngs.corruption) for _ in ks]
+        fresh, ridge = self.rngs.fresh, generator.kind == RIDGE_MODEL
+        self.outliers = [sample_outlier_rounds(T, k, fresh("outliers")) if k else np.zeros(0, np.int64) for k in ks]
+        self.corruption = [fresh("corruption") if k and ridge else None for k in ks]
         self.t = 0
 
     def draw(self, n: int):

@@ -44,21 +44,26 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert float(man["result"]["mean_final_regret"]) >= 0.0
 
 
+def fmt(v: float) -> str:
+    """One float of the CSV or the manifest: the reference of their "%" formats."""
+    return f"{v:.12g}"
+
+
 EDGE_FLOATS = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e16, 123456789012.5,
                0.1, 1.0 / 3.0, 2.0 ** 53 + 2, 1.7976931348623157e308]
 
 
 def test_a_csv_row_is_formatted_as_fmt_formats_each_float(tmp_path):
-    # one "%" format of a row writes what two _fmt calls in an f-string wrote,
+    # one "%" format of a row writes what two fmt calls in an f-string write,
     # on the edges of %g's notation and of the floats, and so does the CSV
     for m in EDGE_FLOATS:
         for s in EDGE_FLOATS:
-            assert cli.CSV_ROW % (12, m, s) == f"12,{cli._fmt(m)},{cli._fmt(s)}\n"
+            assert cli.CSV_ROW % (12, m, s) == f"12,{fmt(m)},{fmt(s)}\n"
     mean = np.array(EDGE_FLOATS * 80)   # more rows than one CSV block
     stderr = np.roll(mean, 3)
     config = harness.preset_config("svm", T=len(mean), seeds=[1])
     cli.write_cell_csv(tmp_path / "edges.csv", harness.CellResult(config, [], [], mean, stderr))
-    rows = "".join(f"{t},{cli._fmt(m)},{cli._fmt(s)}\n" for t, (m, s) in enumerate(zip(mean, stderr), 1))
+    rows = "".join(f"{t},{fmt(m)},{fmt(s)}\n" for t, (m, s) in enumerate(zip(mean, stderr), 1))
     assert (tmp_path / "edges.csv").read_text() == "t,mean_regret,stderr_regret\n" + rows
 
 
@@ -112,14 +117,28 @@ def configparser_manifest(config, result) -> str:
                 cp.add_section(key.section)
             cp.set(key.section, key.name, key.show(values[key]))
     for seed, curve in zip(config.seeds, result.curves):
-        cp[f"result.seed.{seed}"] = {name: cli._fmt(getattr(curve, attr)) for name, attr in (
+        cp[f"result.seed.{seed}"] = {name: fmt(getattr(curve, attr)) for name, attr in (
             ("final_regret", "final"), ("v_t", "v_t"), ("delta_s", "delta_s"),
             ("comparator_radius", "comparator_radius"), ("b_clean", "b_clean"))}
-    cp["result"] = {"mean_final_regret": cli._fmt(float(result.mean[-1])),
-                    "stderr_final_regret": cli._fmt(float(result.stderr[-1]))}
+    cp["result"] = {"mean_final_regret": fmt(float(result.mean[-1])),
+                    "stderr_final_regret": fmt(float(result.stderr[-1]))}
     text = io.StringIO()
     cp.write(text)
     return text.getvalue()
+
+
+def test_a_manifest_formats_each_result_as_fmt_does(tmp_path):
+    # one "%" format per result section writes what fmt writes for each
+    # float, on the edges of %g's notation and of the floats
+    n = len(EDGE_FLOATS)
+    curves = [harness.RegretCurve(None, *np.roll(EDGE_FLOATS, i)[:4], n_outliers=0, final=EDGE_FLOATS[-1 - i])
+              for i in range(n)]
+    config = harness.preset_config("svm", T=n, seeds=[3 * i + 1 for i in range(n)])
+    for i in range(n):
+        mean, stderr = np.roll(EDGE_FLOATS, i), np.roll(EDGE_FLOATS, 2 * i + 1)
+        result = harness.CellResult(config, curves, [], mean, stderr)
+        cli.write_manifest(str(tmp_path / "manifest.ini"), config, result)
+        assert (tmp_path / "manifest.ini").read_text() == configparser_manifest(config, result)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,14 @@
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import episode_stream
+from robust_oco import harness
 from robust_oco import stream as st
-from robust_oco.harness import PRESETS
+from robust_oco.harness import PRESETS, preset_config
 from robust_oco.losses import SideInfo
 
 RIDGE_GEN, SVM_GEN = PRESETS["ridge"]["generator"], PRESETS["svm"]["generator"]
@@ -182,6 +185,112 @@ def test_chunked_draws_equal_block_draw(gen, k):
             np.testing.assert_array_equal(idx, np.flatnonzero(mask_ref[t0:t0 + n]))
         t0 += n
     assert t0 == T
+
+
+# Eager seeding, the reference of the lazy substreams: six generators from
+# SeedSequence(seed).spawn(6), a restart of the outliers and corruption
+# substreams for every k (k = 0 included), and a corruption draw in every
+# chunk, an empty one included.
+
+SUBSTREAM_NAMES = ("theta_star", "features", "noise", "mislabel", "outliers", "corruption")
+
+
+def eager_rngs(seed):
+    children = np.random.SeedSequence(seed).spawn(6)
+    return SimpleNamespace(**{name: np.random.default_rng(c) for name, c in zip(SUBSTREAM_NAMES, children)})
+
+
+def restart(rng):
+    return np.random.default_rng(rng.bit_generator.seed_seq)
+
+
+def eager_stream(gen, T, ks, seed, sizes):
+    """theta*, each k's outlier rounds and, per chunk of sizes, (X, y_clean,
+    [(y_emitted, corrupted rows) for each k]), as the eager seeding drew them."""
+    rngs = eager_rngs(seed)
+    theta_star = st.resolve_theta_star(gen, rngs)
+    outliers = [np.sort(restart(rngs.outliers).choice(T, size=k, replace=False)) for k in ks]
+    corruption = [restart(rngs.corruption) for _ in ks]
+    chunks, t = [], 0
+    for n in sizes:
+        X, y_clean = st.gen_clean_block(gen, theta_star, rngs, n)
+        emitted = []
+        for rounds, rng in zip(outliers, corruption):
+            idx = rounds[(rounds >= t) & (rounds < t + n)] - t
+            y = y_clean.copy()
+            y[idx] = rng.uniform(size=idx.size) if gen.kind == st.RIDGE_MODEL else -y[idx]
+            emitted.append((y, idx))
+        chunks.append((X, y_clean, emitted))
+        t += n
+    return theta_star, outliers, chunks
+
+
+@pytest.mark.parametrize("gen", [RIDGE_GEN, SVM_GEN], ids=["ridge_generator", "svm_generator"])
+@pytest.mark.parametrize("ks", [[0, 9, 60], [5, 0], [60]])
+@pytest.mark.parametrize("seed", [1, 23, 500])
+def test_lazy_seeding_draws_the_eager_streams_bits(gen, ks, seed):
+    T, sizes = 60, (1, 7, 2, 19, 1, 30)   # uneven chunks, some with no corrupted round
+    theta_star, outliers, chunks = eager_stream(gen, T, ks, seed, sizes)
+    stream = st.EpisodeStream(gen, T, ks, seed)
+    np.testing.assert_array_equal(stream.theta_star, theta_star)
+    for rounds, ref in zip(stream.outliers, outliers, strict=True):
+        np.testing.assert_array_equal(rounds, ref)
+        assert rounds.dtype == ref.dtype
+    for n, (X_ref, y_ref, emitted_ref) in zip(sizes, chunks):
+        X, y_clean, emitted = stream.draw(n)
+        np.testing.assert_array_equal(X, X_ref)
+        np.testing.assert_array_equal(y_clean, y_ref)
+        for (y, idx), (y_e, idx_e) in zip(emitted, emitted_ref, strict=True):
+            np.testing.assert_array_equal(y, y_e)
+            np.testing.assert_array_equal(idx, idx_e)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, 10 ** 12])
+def test_each_substream_draws_its_eager_childs_numbers(seed):
+    rngs, eager = st.stream_rngs(seed), eager_rngs(seed)
+    assert st.SUBSTREAMS == SUBSTREAM_NAMES
+    for name in SUBSTREAM_NAMES:
+        rng = getattr(rngs, name)
+        assert getattr(rngs, name) is rng   # built once, then read on
+        np.testing.assert_array_equal(rng.random(5), getattr(eager, name).random(5))
+        np.testing.assert_array_equal(rng.random(3), getattr(eager, name).random(3))
+        np.testing.assert_array_equal(rngs.fresh(name).random(8), restart(getattr(eager, name)).random(8))
+    with pytest.raises(AttributeError):
+        rngs.nonexistent
+
+
+def count_built(monkeypatch) -> Counter:
+    """Names of the substreams whose generators stream builds from now on."""
+    built, default_rng = Counter(), np.random.default_rng
+    def counted(seq):
+        built[SUBSTREAM_NAMES[seq.spawn_key[-1]]] += 1
+        return default_rng(seq)
+    monkeypatch.setattr(st.np.random, "default_rng", counted)
+    return built
+
+
+@pytest.mark.parametrize("gen, ks, expected", [
+    (SVM_GEN, [0, 10, 21, 25], dict(theta_star=1, features=1, mislabel=1, outliers=3)),
+    (RIDGE_GEN, [0, 14], dict(theta_star=1, features=1, noise=1, outliers=1, corruption=1)),
+    (RIDGE_GEN, [3, 0, 3], dict(theta_star=1, features=1, noise=1, outliers=2, corruption=2)),
+    (SVM_GEN, [], dict(theta_star=1, features=1, mislabel=1)),
+], ids=["svm-sweep-ks", "ridge-k0-k14", "ridge-k-twice", "svm-no-k"])
+def test_a_stream_builds_only_the_generators_it_draws_from(monkeypatch, gen, ks, expected):
+    # a k of 0 samples no outlier rounds and svm's sign flips draw nothing
+    built = count_built(monkeypatch)
+    stream = st.EpisodeStream(gen, 100, ks, 4)
+    for n in (30, 1, 69):
+        stream.draw(n)
+    assert built == Counter(expected)
+
+
+@pytest.mark.parametrize("family", ["ridge", "svm"])
+def test_the_theoretical_first_draw_builds_no_outliers_or_corruption_generator(monkeypatch, family):
+    config = preset_config(family, T=80, seeds=[1, 2, 3], k=10, radius=3.0, alpha=harness.THEORETICAL)
+    built = count_built(monkeypatch)
+    harness._step_sizes(config, 30)
+    clean = "noise" if family == "ridge" else "mislabel"
+    assert built == Counter(theta_star=3, features=3, **{clean: 3})
 
 
 def test_master_seed_determinism_and_k_invariance():
