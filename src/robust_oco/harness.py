@@ -12,46 +12,42 @@ A call takes one RunConfig and plays its own seeds. `run_cells(config,
 learners, ks)` plays them under every (k, learner) cell of a sweep in one
 pass: each seed's stream draws its clean rounds once and corrupts them once
 per k, in time chunks that _chunk_rows sizes. A chunk feeds the pass's one
-comparator accounting once, every seed and k as arrays: each comparator is
-a scale of its round's features, theta_t* = c_t x_t, so its loss, its norm,
+comparator accounting once, every seed and k as arrays: each comparator is a
+scale of its round's features, theta_t* = c_t x_t, so its loss, its norm,
 delta_S and (G, L) are read off the scales and ||x_t||^2, and only V_T's
-steps form (d,) rows, one seed at a time (V_T, the comparator radius and (G,
-L) are the same for every k; delta_S is a running maximum per k and seed).
-Then one loop for all the cells advances the stacked (C, R, d) actions of C
-cells and R seeds per round and keeps its state from chunk to chunk, then
-each cell's regret accounting keeps the seeds' running sums and the cell's
-mean and standard error, not the per-round losses. `run_episodes(config)` plays the same loop
-for one cell and keeps each seed's whole EpisodeTrace instead;
-clean_dynamic_regret and aggregate_runs read those, and the accounting of
-run_cells equals them bit for bit. The loop uses the loss kernels and the
-gate of `losses` (_gate, or the checked eta past a guard) and descend_rows
-of `learners` (the step of learn_rows, the gated projected step that the
-oracle checks), and takes every dot product as one BLAS dot per row, as the
-per-round functions do. The gate gives each loss the bits it gives that
-loss alone, so each
-seed's numbers equal those of ogd_step, learn_step or topk_filter_step on
-that seed alone, bit for bit, whatever the chunking, the other seeds and
-the other cells. An experts cell holds its seeds' pools as one stack,
-padded to the largest seed's row count, which one pool_step per round
-advances and whose aggregate_action is the cell's (R, d) block of actions;
-the pool takes the sums that depend on a seed's row count over that seed's
-own rows, so each seed's pool too is what it is alone, bit for bit. A
-theoretical step size needs each seed's V_T and (G, L), which a first draw
-of its clean rounds alone gives.
+steps form (R, d) rows. V_T, the comparator radius and (G, L) are the same
+for every k, and each round's are accounted once, on a first draw of the
+clean rounds alone under a theoretical step size, which needs them; delta_S
+is a running maximum per k and seed. Then one loop for all the cells
+advances the stacked (C, R, d) actions of C cells and R seeds per round and
+keeps its state from chunk to chunk, then each cell's regret accounting
+keeps the seeds' running sums and the cell's mean and standard error, not
+the per-round losses. `run_episodes(config)` plays the same loop for one
+cell and keeps each seed's whole EpisodeTrace instead; clean_dynamic_regret
+and aggregate_runs read those, and the accounting of run_cells equals them
+bit for bit. The loop uses the loss kernels and the gate of `losses` (_gate,
+or the checked eta past a guard) and descend_rows of `learners` (the step of
+learn_rows, the gated projected step that the oracle checks), and takes
+every dot product as one BLAS dot per row, as the per-round functions do.
+The gate gives each loss the bits it gives that loss alone, so each seed's
+numbers equal those of ogd_step, learn_step or topk_filter_step on that seed
+alone, bit for bit, whatever the chunking, the other seeds and the other
+cells. An experts cell holds its seeds' pools as one stack, padded to the
+largest seed's row count, which one pool_step per round advances and whose
+aggregate_action is the cell's (R, d) block of actions; the pool takes the
+sums that depend on a seed's row count over that seed's own rows, so each
+seed's pool too is what it is alone, bit for bit.
 
-What lives how long. _chunk_rows is a pass's one memory policy: it sizes
-the time chunks so that a chunk's features and cell losses over all seeds,
-one seed's (rows, d) comparator scratch and two (rows, K, R) arrays of
-comparator scales hold at most CHUNK_BYTES. A pass allocates its working
-arrays once (after a theoretical step size's first draw, whose accounting
-is freed by then): the chunk arrays _chunks refills (features, clean and
-emitted responses, outlier masks), the comparator accounting's running
-figures and the scratch in which it forms one seed's comparator rows of a
-chunk and their steps, and the play's buffers (the two (C, R, d) action
-stacks it swaps every round, the gradient, each chunk's losses, a round's
-(C, R) products, link, coefficient, losses, gates, gate scratch and guard
-bound, and a filter's (R, budget) norms). A chunk's own arrays are its
-stream draws, its comparators' scales and losses, and the regret
+What lives how long. _chunk_rows is a pass's one memory policy: it sizes the
+time chunks so that a chunk's features and cell losses over all seeds, the
+comparators' (rows, R, d) scratch and two (rows, K, R) arrays of comparator
+scales hold at most CHUNK_BYTES. A pass allocates its working arrays once:
+the chunk arrays _chunks refills (features, clean and emitted responses,
+outlier masks; a theoretical step size's first draw has its own, freed
+before the play), the comparator accounting's running figures and the
+scratch in which it forms every seed's comparator rows of a chunk and then
+their steps, and the play's buffers (see _Play). A chunk's own arrays are
+its stream draws, its comparators' scales and losses, and the regret
 reductions over it. A round of ogd or learn writes into the play's buffers
 and allocates only (C, R) temporaries: the terms of its loss values (and
 eta's scratch, past the guard); a Top-k filter's, an expert pool's and a
@@ -230,16 +226,14 @@ def _expert_pool(config: RunConfig):
     return init_pool(grid, config.generator.dim, beta, len(config.seeds))
 
 
-def _step_sizes(config: RunConfig, rows: int) -> np.ndarray:
+def _step_sizes(config: RunConfig, comparators: "_Comparators", rows: int) -> np.ndarray:
     """The step size: alpha, or 1/sqrt(T) when unset; under THEORETICAL each
-    seed's, (R, 1), from the V_T and (G, L) of a first draw of its clean
-    rounds alone in chunks of the pass's rows, accounted under no k and freed
-    on return."""
+    seed's, (R, 1), from the V_T and (G, L) that the pass's comparators
+    account on a first draw of its clean rounds alone, in chunks of rows."""
     if config.alpha != THEORETICAL:
         return np.array(1.0 / math.sqrt(config.T) if config.alpha is None else config.alpha)
-    comparators = _Comparators(config, [], rows)
-    for chunk in _chunks(config, [], rows):
-        comparators.add(*chunk)
+    for t0, X, y_clean, _, _ in _chunks(config, [], rows):
+        comparators.path(t0, X, y_clean)
     psi = [derive_constants(config.params, *growth, m=config.lam).psi for growth in comparators.growth]
     return np.array([[theoretical_stepsize(config.radius, v_t, p, config.T)] for v_t, p in zip(comparators.v_t, psi)])
 
@@ -250,15 +244,16 @@ class _Comparators:
 
     For both loss families theta_t* = c_t x_t (losses._min_scale) and omega_t*
     = c'_t x_t, with c'_t = c_t bit for bit on the rounds the adversary left
-    alone; a finite radius scales c_t and c'_t. So every figure but V_T is
-    read off the scales and ||x_t||^2, with no mask: as running maxima, each
-    seed's largest ||theta_t*|| and (G, L) at the unprojected omega_t*, (R,)
-    and (R, 2), and delta_S per k and seed, (K, R). V_T sums each seed's
-    step norms, (R, T - 1), in one order whatever the chunking. A step is
-    the norm of the difference of two rows c_t x_t (expanding the square
-    would cancel when consecutive comparators are close), formed one seed at
-    a time in a (rows + 1, d) scratch whose rows their steps overwrite. With
-    keep, it also keeps what each k's and seed's EpisodeTrace holds: the
+    alone; a finite radius scales c_t and c'_t. So every figure but V_T is read
+    off the scales and ||x_t||^2, with no mask: as running maxima, each seed's
+    largest ||theta_t*|| and (G, L) at the unprojected omega_t*, (R,) and
+    (R, 2), and delta_S per k and seed, (K, R). V_T sums each seed's step
+    norms, (R, T - 1), in one order whatever the chunking. A step is the norm
+    of the difference of two rows c_t x_t (expanding the square would cancel
+    when consecutive comparators are close), formed for every seed at once in a
+    (rows + 1, R, d) scratch whose row 0 carries each seed's last theta* into
+    the next chunk. path accounts V_T, the radius and (G, L) once per round.
+    With keep, it also keeps what each k's and seed's EpisodeTrace holds: the
     outlier mask, f_t(s_t, theta_t*) on the emitted stream, and theta_t* and
     omega_t* on the corrupted rounds, (k, d) each.
     """
@@ -266,54 +261,60 @@ class _Comparators:
     def __init__(self, config: RunConfig, ks: list, rows: int, keep: bool = False):
         T, R, K, dim = config.T, len(config.seeds), len(ks), config.generator.dim
         self.loss, self.radius, self.keep = config.loss, config.radius, keep
+        self.rounds = 0   # the rounds whose path figures are accounted
         self.steps = np.empty((R, T - 1))
         self.norm_max = np.zeros(R)
         self.growth = np.zeros((R, 2))
         self.delta_s = np.zeros((K, R))
-        self.last = np.zeros((R, dim))   # each seed's theta* of the round before the chunk
-        self.comp = np.empty((rows + 1, dim))
+        self.comp = np.zeros((rows + 1, R, dim))
         if keep:
             self.is_outlier = [[np.zeros(T, dtype=bool) for _ in config.seeds] for _ in ks]
             self.f_at_comparator = [[np.empty(T) for _ in config.seeds] for _ in ks]
             self.clean = [[np.empty((k, dim)) for _ in config.seeds] for k in ks]
             self.emitted = [[np.empty((k, dim)) for _ in config.seeds] for k in ks]
 
-    def add(self, t0: int, X: np.ndarray, y_clean: np.ndarray, Y: np.ndarray, outlier: np.ndarray) -> np.ndarray:
-        """Account rounds t0 .. t0 + n - 1 of every seed under every k from
-        the features X (n, R, d), the clean responses y_clean (n, R), each
-        k's emitted ones Y (n, K, R) and outlier masks (K, R, n). Returns
-        f_t(s_t, theta_t*) on the clean stream, (R, n), the emitted one on
-        every round that clean regret counts."""
+    def path(self, t0: int, X: np.ndarray, y_clean: np.ndarray):
+        """Account the path figures of rounds t0 .. t0 + n - 1 from X and y_clean
+        (see add), unless it has; returns c_t, ||x_t||^2 and ||x_t||, (n, R) each."""
         loss, radius, n = self.loss, self.radius, len(X)
         nx2 = np.einsum("nrd,nrd->nr", X, X)   # each row's sum as the per-seed einsum takes it
-        norm_x = np.sqrt(nx2)
-        c, c_k = _min_scale(loss, nx2, y_clean), _min_scale(loss, nx2[:, None], Y)
+        norm_x, c = np.sqrt(nx2), _min_scale(loss, nx2, y_clean)
         omega = np.abs(c) * norm_x   # ||omega_t*|| under any k: the svm corruption only flips y's sign
-        for i, bound in enumerate(growth_constants(loss, nx2, omega)):
-            np.maximum(self.growth[:, i], np.broadcast_to(bound, c.shape).max(axis=0), out=self.growth[:, i])
         if math.isfinite(radius):   # onto the domain ball: a scale inside it is multiplied by exactly 1.0
             c *= radius / np.maximum(omega, radius)
-            c_k *= radius / np.maximum(np.abs(c_k) * norm_x[:, None], radius)
-        np.maximum(self.norm_max, (np.abs(c) * norm_x).max(axis=0), out=self.norm_max)
+        if t0 >= self.rounds:
+            for i, bound in enumerate(growth_constants(loss, nx2, omega)):
+                np.maximum(self.growth[:, i], np.broadcast_to(bound, c.shape).max(axis=0), out=self.growth[:, i])
+            np.maximum(self.norm_max, (np.abs(c) * norm_x).max(axis=0), out=self.norm_max)
+            comp = self.comp[:n + 1]   # V_T, in the difference form
+            np.multiply(c[..., None], X, out=comp[1:])
+            # each step lands behind the rows it still reads, so numpy reads them in place, with no copy
+            step = np.subtract(comp[1:], comp[:-1], out=comp[:-1])[0 if t0 else 1:]   # round 1 has no step
+            norms = np.add.reduce(np.multiply(step, step, out=step), axis=2)
+            self.steps[:, max(t0 - 1, 0):t0 + n - 1] = np.sqrt(norms, out=norms).T
+            comp[0] = comp[-1]
+            self.rounds = t0 + n
+        return c, nx2, norm_x
+
+    def add(self, t0: int, X: np.ndarray, y_clean: np.ndarray, Y: np.ndarray, outlier: np.ndarray) -> np.ndarray:
+        """Account rounds t0 .. t0 + n - 1 from the features X (n, R, d), the
+        clean responses y_clean (n, R), each k's emitted ones Y (n, K, R) and
+        outlier masks (K, R, n). Returns f_t(s_t, theta_t*) on the clean
+        stream, (R, n), the emitted one on every round that clean regret counts."""
+        c, nx2, norm_x = self.path(t0, X, y_clean)
+        c_k = _min_scale(self.loss, nx2[:, None], Y)
+        if math.isfinite(self.radius):
+            c_k *= self.radius / np.maximum(np.abs(c_k) * norm_x[:, None], self.radius)
         proj = c * nx2   # <x_t, theta_t*>
         sq = c * proj    # ||theta_t*||^2
-        f_star = _value(loss, proj, sq, y_clean)
-        comp = self.comp[:n + 1]
-        for r in range(X.shape[1]):   # V_T, in the difference form
-            comp[0] = self.last[r]
-            np.multiply(c[:, r, None], X[:, r], out=comp[1:])
-            self.last[r] = comp[-1]
-            # the rows are overwritten by their steps; numpy reads the overlapping operand from a copy
-            step = np.subtract(comp[1:], comp[:-1], out=comp[1:])[0 if t0 else 1:]   # round 1 has no step
-            steps = self.steps[r, max(t0 - 1, 0):t0 + n - 1]
-            np.sqrt(np.add.reduce(np.multiply(step, step, out=step), axis=1, out=steps), out=steps)
+        f_star = _value(self.loss, proj, sq, y_clean)
         if self.keep:
-            f = _value(loss, proj[:, None], sq[:, None], Y)
+            f = _value(self.loss, proj[:, None], sq[:, None], Y)
             for j, r in np.ndindex(self.delta_s.shape):
                 idx, mask = np.flatnonzero(outlier[j, r]), self.is_outlier[j][r]
                 m0 = np.count_nonzero(mask)
                 mask[t0 + idx] = True
-                self.f_at_comparator[j][r][t0:t0 + n] = f[:, j, r]
+                self.f_at_comparator[j][r][t0:t0 + len(X)] = f[:, j, r]
                 self.clean[j][r][m0:m0 + len(idx)] = c[idx, r, None] * X[idx, r]
                 self.emitted[j][r][m0:m0 + len(idx)] = c_k[idx, j, r, None] * X[idx, r]
         shift = np.abs(np.subtract(c_k, c[:, None], out=c_k), out=c_k)   # into c', which nothing reads after
@@ -345,11 +346,11 @@ class _Comparators:
 def _chunk_rows(config: RunConfig, cells: int, K: int) -> int:
     """Rounds per time chunk of a pass of that many cells and K k's, the
     pass's one memory policy: a chunk's features and cell losses over all
-    seeds, one seed's (rows, d) comparator scratch and two (rows, K, R)
-    arrays of comparator scales hold at most CHUNK_BYTES, and a chunk holds
-    at least one round."""
+    seeds, the comparators' (rows, R, d) scratch and two (rows, K, R) arrays
+    of comparator scales hold at most CHUNK_BYTES, and a chunk holds at
+    least one round."""
     R, dim = len(config.seeds), config.generator.dim
-    return min(config.T, max(1, CHUNK_BYTES // (8 * (R * (dim + cells) + dim + 2 * K * R))))
+    return min(config.T, max(1, CHUNK_BYTES // (8 * R * (2 * dim + cells + 2 * K))))
 
 
 def _chunks(config: RunConfig, ks: list, rows: int, watch=None):
@@ -578,8 +579,8 @@ def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
     if len(set(ks)) < len(ks):
         raise ValueError(f"run_cells takes each k once, not {ks}")
     R, rows = len(config.seeds), _chunk_rows(config, len(cells), len(ks))
-    play = _Play(cells, _step_sizes(config, rows), len(learners), rows)
     comparators = _Comparators(config, ks, rows, keep)
+    play = _Play(cells, _step_sizes(config, comparators, rows), len(learners), rows)
     sink = np.empty((len(cells), R, config.T)) if keep else _Regret(len(cells), R, config.T)
     for t0, X, y_clean, Y, outlier in _chunks(config, ks, rows, watch):
         f_star = comparators.add(t0, X, y_clean, Y, outlier)
@@ -687,10 +688,10 @@ class CellResult:
 
 def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
     """Play the config under each k of ks (default: the config's own k) and
-    each of the learners, on one draw of its seeds' clean streams (after
-    _step_sizes' own, under a theoretical step size), corrupted once per k,
-    one comparator accounting and one loop, and account each cell's regret
-    chunk by chunk. Returns one CellResult per (k, learner), in k order and
+    each of the learners, on one draw of its seeds' clean streams (after a
+    first draw of the clean rounds alone, under a theoretical step size),
+    corrupted once per k, one comparator accounting and one loop, and account
+    each cell's regret chunk by chunk. Returns one CellResult per (k, learner), in k order and
     then learner order, whose config is replace(config, k=k, learner=learner)
     and which equals what run_cell gives on that config alone. watch(stream,
     t0, X, y_clean, emitted), if given, sees each seed's part of every chunk

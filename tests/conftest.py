@@ -123,10 +123,10 @@ def reference_accounting(cfg, seed):
 def chunk_round_bytes(config, cells: int, K: int) -> int:
     """The bytes a round adds to a chunk of a pass of that many cells and K
     k's over the config's seeds: its features and cell losses, (R, d + cells),
-    a row of one seed's (rows, d) comparator scratch and a row of each of two
+    a row of the comparators' (rows, R, d) scratch and a row of each of two
     (rows, K, R) arrays of comparator scales."""
     R, dim = len(config.seeds), config.generator.dim
-    return 8 * (R * (dim + cells) + dim + 2 * K * R)
+    return 8 * (R * (dim + cells) + R * dim + 2 * K * R)
 
 
 def force_chunk_rows(monkeypatch, config, cells: int, K: int, rows: int):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1155,8 +1156,8 @@ def test_many_chunks_equal_one_chunk(monkeypatch, family):
     ("svm", 10 ** 4, 30, 16, 4),
 ], ids=["svm-sweep", "ridge-cell", "experts-svm", "verify-theorem", "full-ridge", "full-svm"])
 def test_one_budget_sizes_every_chunk(monkeypatch, family, T, R, cells, K):
-    # a chunk's features and cell losses, one seed's comparator scratch and two
-    # arrays of comparator scales fill CHUNK_BYTES as far as whole rounds do,
+    # a chunk's features and cell losses, the comparators' (rows, R, d) scratch
+    # and two arrays of comparator scales fill CHUNK_BYTES as far as whole rounds do,
     # unless the chunk holds all T rounds; a round larger than the budget
     # still makes a chunk
     config = preset_config(family, T=T, seeds=list(range(1, R + 1)))
@@ -1196,6 +1197,44 @@ def test_stacked_chunked_accounting_gives_each_seed_its_own_bits(monkeypatch, fa
         got_f_star, got = accounting([1, 2, 3], rows)
         np.testing.assert_array_equal(bits(got_f_star), bits(f_star))
         np.testing.assert_array_equal(bits(got), bits(figures))
+
+
+@pytest.mark.parametrize("family", ["svm", "ridge"])
+def test_a_theoretical_run_accounts_each_rounds_path_figures_once(monkeypatch, family):
+    # the first draw of the clean rounds accounts V_T, the radius and (G, L),
+    # and the pass's own draw of the same rounds only delta_S and f*: (G, L)
+    # are formed on R T rounds, not twice that, over 4 chunks and 3 k's
+    T, seeds, ks = T_REF, [4, 5, 6], [0, 15, T_REF]
+    config = preset_config(family, T=T, seeds=seeds, k=0, radius=5.0, alpha=harness.THEORETICAL)
+    force_chunk_rows(monkeypatch, config, len(ks), len(ks), 17)
+    rows, growth = [], harness.growth_constants
+    monkeypatch.setattr(harness, "growth_constants", lambda loss, nx2, omega: rows.append(nx2.size) or
+                        growth(loss, nx2, omega))
+    results = harness.run_cells(config, [harness.LEARN], ks)
+    assert sum(rows) == len(seeds) * T and len(rows) == 4
+    unaccounted = [res.curves for res in harness.run_cells(dataclasses.replace(config, alpha=0.01), [harness.LEARN], ks)]
+    for res, curves in zip(results, unaccounted, strict=True):   # the figures do not depend on the step size
+        assert [(c.v_t, c.comparator_radius, c.growth, c.delta_s) for c in res.curves] == \
+            [(c.v_t, c.comparator_radius, c.growth, c.delta_s) for c in curves]
+
+
+def test_the_path_accounting_copies_no_chunk_of_comparators():
+    # V_T's steps overwrite the comparator scratch in place: accounting one
+    # ridge seed's 1000-round chunk (d = 100) allocates less than one (rows, d)
+    # array beyond the scratch, which numpy would make by copying an operand
+    # that overlaps its output
+    rows = 1000
+    config = preset_config("ridge", T=rows, seeds=[1], k=0)
+    comparators = harness._Comparators(config, [0], rows)
+    chunk = next(harness._chunks(config, [0], rows))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        comparators.add(*chunk)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * config.generator.dim * 8
 
 
 def test_back_to_back_calls_share_no_buffer():

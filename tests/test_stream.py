@@ -288,7 +288,7 @@ def test_a_stream_builds_only_the_generators_it_draws_from(monkeypatch, gen, ks,
 def test_the_theoretical_first_draw_builds_no_outliers_or_corruption_generator(monkeypatch, family):
     config = preset_config(family, T=80, seeds=[1, 2, 3], k=10, radius=3.0, alpha=harness.THEORETICAL)
     built = count_built(monkeypatch)
-    harness._step_sizes(config, 30)
+    harness._step_sizes(config, harness._Comparators(config, [config.k], 30), 30)
     clean = "noise" if family == "ridge" else "mislabel"
     assert built == Counter(theta_star=3, features=3, **{clean: 3})
 
