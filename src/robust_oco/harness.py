@@ -687,15 +687,15 @@ class CellResult:
 
 
 def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
-    """Play the config under each k of ks (default: the config's own k) and
-    each of the learners, on one draw of its seeds' clean streams (after a
-    first draw of the clean rounds alone, under a theoretical step size),
-    corrupted once per k, one comparator accounting and one loop, and account
-    each cell's regret chunk by chunk. Returns one CellResult per (k, learner), in k order and
-    then learner order, whose config is replace(config, k=k, learner=learner)
-    and which equals what run_cell gives on that config alone. watch(stream,
-    t0, X, y_clean, emitted), if given, sees each seed's part of every chunk
-    the play draws.
+    """Play the config under each k of ks (default: the config's own k) and each
+    of the learners, on one draw of its seeds' clean streams (after a first
+    draw of the clean rounds alone, under a theoretical step size), corrupted
+    once per k, one comparator accounting and one loop, and account each cell's
+    regret chunk by chunk. Returns one CellResult per (k, learner), in k order
+    and then learner order, whose config is replace(config, k=k,
+    learner=learner) and which equals what run_cell gives on that config alone.
+    watch(stream, t0, X, y_clean, emitted), if given, sees each seed's part of
+    every chunk the play draws.
 
     Raises ValueError on no learners, no k, a learner or a k given twice, or
     a cell the setting does not admit (RunConfig's own checks), before any

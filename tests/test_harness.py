@@ -1212,10 +1212,10 @@ def test_a_theoretical_run_accounts_each_rounds_path_figures_once(monkeypatch, f
                         growth(loss, nx2, omega))
     results = harness.run_cells(config, [harness.LEARN], ks)
     assert sum(rows) == len(seeds) * T and len(rows) == 4
-    unaccounted = [res.curves for res in harness.run_cells(dataclasses.replace(config, alpha=0.01), [harness.LEARN], ks)]
-    for res, curves in zip(results, unaccounted, strict=True):   # the figures do not depend on the step size
+    fixed = harness.run_cells(dataclasses.replace(config, alpha=0.01), [harness.LEARN], ks)
+    for res, other in zip(results, fixed, strict=True):   # the figures do not depend on the step size
         assert [(c.v_t, c.comparator_radius, c.growth, c.delta_s) for c in res.curves] == \
-            [(c.v_t, c.comparator_radius, c.growth, c.delta_s) for c in curves]
+            [(c.v_t, c.comparator_radius, c.growth, c.delta_s) for c in other.curves]
 
 
 def test_the_path_accounting_copies_no_chunk_of_comparators():
