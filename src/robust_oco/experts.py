@@ -36,19 +36,10 @@ from .losses import eval_f_many, grad_f_many  # noqa: F401 (bench/tracing.py wra
 
 @dataclass
 class ExpertGrid:
-    """The experts' (step size, radius) product grid, held as its two axes:
-    expert (i, j) has step size step_sizes[i] and radius radii[j].
+    """The experts' (step size, radius) product grid, held as its two axes,
+    each ascending and without repeats: expert (i, j) has step size
+    step_sizes[i] and radius radii[j]. build_grid forms them."""
 
-    Step sizes are min(2^i, A_max)/sqrt(T) for i = 1..ceil(log2 A_max);
-    radii are min(eps 2^j, eps 2^T)/T for j = 1..T. Each axis is ascending
-    and deduplicated; radii beyond float64 range collapse to a single
-    unbounded expert (math.inf). So N <= T ceil(log2 A_max); T log2 A_max
-    can be smaller than N.
-    """
-
-    a_max: float
-    epsilon: float
-    T: int
     step_sizes: np.ndarray   # (S,)
     radii: np.ndarray        # (J,) the radius ladder
 
@@ -58,7 +49,10 @@ class ExpertGrid:
 
 
 def build_grid(a_max: float, epsilon: float, T: int) -> ExpertGrid:
-    """Construct the expert parameter grid."""
+    """The grid of A_max, epsilon and T: step sizes min(2^i, A_max)/sqrt(T) for i = 1..ceil(log2
+    A_max) and radii min(eps 2^j, eps 2^T)/T for j = 1..T, each deduplicated; radii beyond
+    float64 range collapse to a single unbounded expert (math.inf). So N <= T ceil(log2 A_max),
+    while T log2 A_max can be smaller than N."""
     if a_max < 2:
         raise ValueError("a_max must be >= 2")
     if epsilon <= 0:
@@ -71,7 +65,7 @@ def build_grid(a_max: float, epsilon: float, T: int) -> ExpertGrid:
     with np.errstate(over="ignore"):     # an eps 2^j beyond that range is inf too
         radii = np.ldexp(float(epsilon), j) / T
     radii = _distinct(np.append(radii, [math.inf] if T >= 1024 else []))
-    return ExpertGrid(a_max=float(a_max), epsilon=float(epsilon), T=T, step_sizes=step_sizes, radii=radii)
+    return ExpertGrid(step_sizes=step_sizes, radii=radii)
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:

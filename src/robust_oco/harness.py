@@ -411,11 +411,11 @@ class _Filter:
 class _Play:
     """The loop of C cells over all their seeds at once, one stacked (C, R, d)
     update per round for R seeds, fed chunk by chunk in round order. The cells
-    are K groups of per_k consecutive cells, each group one k; alpha holds
-    one step size, or each seed's, (R, 1), for every cell. Keeps the
-    actions played in round T, (C, R, d). Each round's features, (1, R, d),
-    broadcast against the stack, and every dot product is one BLAS dot per
-    row, as eval_f and grad_f take it.
+    are K groups of per_k consecutive cells, each group one k under each of
+    the cells' per_k learners; alpha holds one step size, or each seed's, (R,
+    1), for every cell. Keeps the actions played in round T, (C, R, d). Each
+    round's features, (1, R, d), broadcast against the stack, and every dot
+    product is one BLAS dot per row, as eval_f and grad_f take it.
 
     step forms one gradient for every block, as grad_f_rows forms it, lam
     theta - c x, from the coefficient c = _link_coef of the link: ogd descends
@@ -442,9 +442,10 @@ class _Play:
     broadcast over its per_k cells through (K, per_k, R) views of the round's
     arrays."""
 
-    def __init__(self, cells: list, alpha: np.ndarray, per_k: int, rows: int):
+    def __init__(self, cells: list, alpha: np.ndarray, rows: int):
         config = cells[0]
         C, R, dim = len(cells), len(config.seeds), config.generator.dim
+        per_k = len({cell.learner for cell in cells})
         self.cells, self.per_k, self.alpha = cells, per_k, alpha
         self.loss, self.params, self.radius = config.loss, config.params, config.radius
         self.lam = np.array(config.lam)   # a 0-d operand: see losses._ONE
@@ -580,7 +581,7 @@ def _run(config: RunConfig, learners, ks: list, keep: bool = False, watch=None):
         raise ValueError(f"run_cells takes each k once, not {ks}")
     R, rows = len(config.seeds), _chunk_rows(config, len(cells), len(ks))
     comparators = _Comparators(config, ks, rows, keep)
-    play = _Play(cells, _step_sizes(config, comparators, rows), len(learners), rows)
+    play = _Play(cells, _step_sizes(config, comparators, rows), rows)
     sink = np.empty((len(cells), R, config.T)) if keep else _Regret(len(cells), R, config.T)
     for t0, X, y_clean, Y, outlier in _chunks(config, ks, rows, watch):
         f_star = comparators.add(t0, X, y_clean, Y, outlier)
@@ -724,15 +725,17 @@ def run_cell(config: RunConfig) -> CellResult:
     return run_cells(config, [config.learner])[0]
 
 
-def run_theorem_check(T: int = 200, ks=(0,), seed: int = 1, radius: float = 5.0) -> list:
-    """A theoretical-step-size ridge run inside a ball for each k of ks, all in
-    one run_cells pass, checked against the clean-dynamic-regret bound. Returns
-    one (BoundCheck, RegretCurve, ProblemConstants) per k, in ks order.
+def run_theorem_check(seed: int) -> list:
+    """verify's theorem check of the seed: a theoretical-step-size ridge run at T = 200 in a
+    ball of radius 5 for k = 0, 14 and 34 (k_grid(200)[:3]), in one run_cells pass, checked
+    against the clean-dynamic-regret bound. Returns one (BoundCheck, RegretCurve,
+    ProblemConstants) per k, in that order.
 
     G and L are each run's own (for ridge, G = 0 and L = lam + 2 max_t ||x_t||^2,
     the Hessian bound, which does not involve y), and B is its measured b_clean.
     """
-    config = preset_config("ridge", T=T, seeds=[seed], learner=LEARN, radius=radius, alpha=THEORETICAL)
+    config = preset_config("ridge", T=200, seeds=[seed], learner=LEARN, radius=5.0, alpha=THEORETICAL)
+    ks = st.k_grid(config.T)[:3]
     curves = [result.curves[0] for result in run_cells(config, [LEARN], ks)]   # the bound reads k off the curve
     constants = [derive_constants(config.params, *curve.growth, m=config.lam, B=curve.b_clean) for curve in curves]
     return [(check_regret_bound(curve, c, config), curve, c) for curve, c in zip(curves, constants)]

@@ -139,8 +139,8 @@ def topk_filter_step(state: LearnerState, s: SideInfo, loss: RoundLoss, k: int):
 
 def theoretical_stepsize(D: float, V_T: float, psi: float, T: int) -> float:
     """Constant step size sqrt((4 D^2 + 6 D V_T) / (psi^2 T)) from the regret analysis."""
-    if D <= 0 or psi <= 0 or T <= 0:
-        raise ValueError("D, psi and T must be positive")
+    if D <= 0 or psi <= 0 or T <= 0 or not psi * psi < math.inf:   # else the step size would be 0 or nan
+        raise ValueError(f"D, psi and T must be positive and psi^2 finite, got D = {D:g}, psi = {psi:g}, T = {T}")
     if V_T < 0:
         raise ValueError("V_T must be non-negative")
     return math.sqrt((4.0 * D * D + 6.0 * D * V_T) / (psi * psi * T))

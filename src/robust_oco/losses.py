@@ -120,7 +120,7 @@ class LearnParams:
 
 @dataclass
 class ProblemConstants:
-    """Environment constants (G, L, m, B) and the derived bound constants.
+    """The gradient growth constants (G, L) and the derived bound constants.
 
     psi   bounds eta * ||grad f||
     phi   bounds eta * ||theta - omega*||
@@ -131,8 +131,6 @@ class ProblemConstants:
 
     G: float
     L: float
-    m: float
-    B: float
     psi: float
     phi: float
     kappa: float
@@ -252,20 +250,26 @@ def grad_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray,
 
 
 def derive_constants(params: LearnParams, G: float, L: float, m: float, B: float = 0.0) -> ProblemConstants:
-    """Fill the derived bound constants psi, phi, kappa, nu, xi from (a, b, G, L, m, B)."""
+    """Fill the derived bound constants psi, phi, kappa, nu, xi from (a, b, G, L, m, B); only xi may be inf."""
     a, b = params.a, params.b
     if m <= 0:
         raise ValueError("strong convexity modulus m must be positive")
     if G < 0 or L < 0 or B < 0:
         raise ValueError("G, L, B must be non-negative")
-    psi = G + max(m * L / (2.0 * a * b), 4.0 * a * a * L / (m * m * b))
-    phi = (1.0 / b) * max(m / (2.0 * a), 4.0 * a * a / (m * m))
-    kappa = (1.0 / b) * max(m / (2.0 * a), 2.0 * a / m)
+    G, L = float(G), float(L)   # Python floats: an overflow gives inf, not a numpy warning
+    try:
+        psi = G + max(m * L / (2.0 * a * b), 4.0 * a * a * L / (m * m * b))
+        phi = (1.0 / b) * max(m / (2.0 * a), 4.0 * a * a / (m * m))
+        kappa = (1.0 / b) * max(m / (2.0 * a), 2.0 * a / m)
+    except ZeroDivisionError:   # m * m underflowed to 0
+        psi = phi = kappa = math.inf
+    if not all(map(math.isfinite, (psi, phi, kappa))):
+        raise ValueError(f"the bound constants psi, phi and kappa are not finite at m = {m!r} (a = {a!r}, b = {b!r})")
     try:
         xi = 1.0 + b * math.exp(B / a)
     except OverflowError:
         xi = math.inf
-    return ProblemConstants(G=G, L=L, m=m, B=B, psi=psi, phi=phi, kappa=kappa, nu=params.nu, xi=xi)
+    return ProblemConstants(G=G, L=L, psi=psi, phi=phi, kappa=kappa, nu=params.nu, xi=xi)
 
 
 def growth_constants(loss: RoundLoss, nx2, omega_norm):

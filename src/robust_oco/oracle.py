@@ -40,6 +40,7 @@ from .losses import (
 )
 
 DEFAULT_TOL = 1e-9
+GRAD_FD_TOL = 1e-5    # the finite-difference check's relative error bound
 MAX_DIM = 6           # instance dimensions are uniform in 1..MAX_DIM
 BLOCK_ROWS = 1 << 13  # instances per drawn block, which bounds the working arrays at any sample count
 
@@ -167,10 +168,9 @@ def check_eta_dist_bounds(params: LearnParams, constants: ProblemConstants, loss
     return _report(f"eta_dist_bounds[{loss.family}]", blocks)
 
 
-def check_grad_fd(params: LearnParams, loss: RoundLoss, samples: int,
-                  rng: np.random.Generator, rel_tol: float = 1e-5) -> CheckReport:
+def check_grad_fd(params: LearnParams, loss: RoundLoss, samples: int, rng: np.random.Generator) -> CheckReport:
     """Central finite differences of g match grad_g = eta grad_f to relative
-    error <= rel_tol.
+    error <= GRAD_FD_TOL.
 
     Step h = 1e-6 (1 + ||theta||). Points within 1e-3 of the hinge kink are
     excluded. Sampling keeps the differences above the floating-point noise
@@ -210,7 +210,7 @@ def check_grad_fd(params: LearnParams, loss: RoundLoss, samples: int,
                             - _transform(params, eval_f_rows(loss, X, y, down))) / (2.0 * h)
             blocks.append(-np.linalg.norm(fd - g, axis=1) / gnorm)
             kept += len(theta)
-    return _report(f"grad_fd[{loss.family}]", blocks, tol=rel_tol)
+    return _report(f"grad_fd[{loss.family}]", blocks, tol=GRAD_FD_TOL)
 
 
 def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> CheckReport:
@@ -268,8 +268,8 @@ def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> Check
     return _report("euclidean_assumptions", blocks)
 
 
-def default_suite(samples: int = 100_000, seed: int = 2024) -> list:
-    """Run every check at >= `samples` samples each and return the reports.
+def default_suite(samples: int, seed: int) -> list:
+    """Run every check at >= `samples` samples each, drawn under `seed`, and return the reports.
 
     The exp-trumps-poly combinations stay in the regime c >= (r+s)/(s e)
     where the pointwise chain actually holds; its sup-level consequences are

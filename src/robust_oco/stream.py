@@ -52,6 +52,9 @@ class CleanGenerator:
         if not (0.0 <= self.noise_std < math.inf and 0.0 <= self.mislabel_prob <= 1.0
                 and 0.0 <= self.margin_band < math.inf):
             raise ValueError("invalid noise/mislabel configuration")
+        for name in ("mislabel_prob", "margin_band") if self.kind == RIDGE_MODEL else ("noise_std",):
+            if getattr(self, name):   # a manifest would echo it as if it took effect
+                raise ValueError(f"the {self.kind} model reads no {name}: it must be 0.0, got {getattr(self, name)}")
 
 
 SUBSTREAMS = ("theta_star", "features", "noise", "mislabel", "outliers", "corruption")
@@ -164,18 +167,11 @@ class EpisodeStream:
         return X, y_clean, emitted
 
 
-def floor_power(T: int, num: int, den: int) -> int:
-    """Exact floor(T^(num/den)) for the symbolic corruption grids."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    v = int(round(float(T) ** (num / den)))
-    while v ** den > T ** num:
-        v -= 1
-    while (v + 1) ** den <= T ** num:
-        v += 1
-    return v
-
-
 def k_grid(T: int) -> list:
     """The distinct values of the corruption sweep {0, floor(sqrt(T)), floor(T^(2/3)), floor(T/4)}, in order."""
-    return list(dict.fromkeys([0, math.isqrt(T), floor_power(T, 2, 3), T // 4]))
+    root, k = math.isqrt(T), round(T ** (2 / 3))   # isqrt rejects a negative T; the estimate k is made exact
+    while k ** 3 > T * T:
+        k -= 1
+    while (k + 1) ** 3 <= T * T:
+        k += 1
+    return list(dict.fromkeys([0, root, k, T // 4]))

@@ -502,6 +502,13 @@ def test_config_file_with_overrides(tmp_path, case):
     pytest.param("[learn]\nb = inf\n", [], "a and b must be positive and finite", id="b-inf"),
     pytest.param("[stream]\nmargin_band = nan\n", [], "invalid noise/mislabel configuration",
                  id="margin-band-nan"),
+    # a data-model setting the preset's model never reads would be echoed in the manifest as if it took effect
+    pytest.param("[stream]\nnoise_std = 7.0\n", [], "the svm model reads no noise_std: it must be 0.0, got 7.0",
+                 id="svm-noise-std"),
+    pytest.param("[stream]\nmislabel_prob = 0.5\n", ["--preset", "ridge"],
+                 "the ridge model reads no mislabel_prob: it must be 0.0, got 0.5", id="ridge-mislabel-prob"),
+    pytest.param("[stream]\nmargin_band = 3.0\n", ["--preset", "ridge"],
+                 "the ridge model reads no margin_band: it must be 0.0, got 3.0", id="ridge-margin-band"),
     pytest.param("", ["--alpha", "0"], "alpha must be finite and positive", id="alpha-zero"),
     pytest.param("", ["--alpha", "inf"], "alpha must be finite and positive", id="alpha-inf"),
     pytest.param("alpha = nan\n", [], "alpha must be finite and positive", id="alpha-nan"),
@@ -583,6 +590,21 @@ def test_theoretical_step_from_flags_alone(tmp_path, preset):
     assert (out1 / "regret_learn_k7.csv").read_bytes() == (out2 / "regret_learn_k7.csv").read_bytes()
 
 
+@pytest.mark.parametrize("lam, message", [
+    # psi overflows to inf, then m^2 underflows to 0, then psi is finite but psi^2 is not
+    ("1e-160", "the bound constants psi, phi and kappa are not finite at m = 1e-160 (a = 10.0, b = 10.0)"),
+    ("1e-170", "the bound constants psi, phi and kappa are not finite at m = 1e-170 (a = 10.0, b = 10.0)"),
+    ("1e-150", "D, psi and T must be positive and psi^2 finite, got D = 1, psi = 1.01928e+304, T = 50"),
+])
+def test_theoretical_step_the_constants_cannot_support_fails_without_output(tmp_path, capsys, lam, message):
+    # a zero step size would leave every theta at 0 and still write a plausible regret
+    rc = cli.main(["run", "--preset", "ridge", "--T", "50", "--seeds", "1", "--alpha", "theoretical",
+                   "--radius", "1", "--lam", lam, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"runtime error: {message}\n"   # no numpy warning either
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_run_fails_without_output(tmp_path, capsys):
     rc = cli.main(["run", "--preset", "ridge", "--T", "2000", "--seeds", "1", "--learner", "ogd",
@@ -652,6 +674,14 @@ def test_noqa_imports_are_what_the_tracer_wraps(monkeypatch):
                 kept |= {(path.stem, alias.name) for alias in node.names}
     assert kept, "no noqa import line found"
     assert kept <= wrapped, sorted(kept - wrapped)
+
+
+def test_readme_library_quick_start_runs():
+    """The README's Library quick start runs as written, so that a changed
+    signature cannot leave it stale."""
+    readme = (BENCH.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_bench_selftest_passes():

@@ -18,6 +18,7 @@ from conftest import (
 )
 from robust_oco import harness
 from robust_oco import stream as st
+from robust_oco.experts import build_grid
 from robust_oco.harness import (
     EpisodeTrace,
     RegretCurve,
@@ -482,7 +483,7 @@ def test_presets_are_shared_frozen_values():
 
 def test_theorem_check_holds_across_k():
     base = preset_config("ridge", T=200)
-    for k, (chk, curve, consts) in zip((0, 14, 34), run_theorem_check(T=200, ks=(0, 14, 34), seed=7), strict=True):
+    for k, (chk, curve, consts) in zip((0, 14, 34), run_theorem_check(7), strict=True):
         assert chk.holds, f"k={k}: measured {chk.measured} > bound {chk.bound}"
         assert curve.n_outliers == k
         # L is the Hessian bound lam + 2 max ||x_t||^2 of the episode's own stream
@@ -501,7 +502,7 @@ def test_theorem_check_is_one_pass_equal_to_each_k_alone(monkeypatch, seed):
     monkeypatch.setattr(st.EpisodeStream, "draw", lambda stream, n: draws.append(n) or draw(stream, n))
     monkeypatch.setattr(harness, "_Play", lambda cells, *args: plays.append(len(cells)) or play(cells, *args))
     ks = st.k_grid(200)[:3]
-    checks = run_theorem_check(T=200, ks=ks, seed=seed)
+    checks = run_theorem_check(seed)
     assert (len(draws), plays) == (2, [3])
     monkeypatch.undo()
     assert ks == [0, 14, 34]
@@ -572,8 +573,10 @@ def test_experts_learner_through_harness(monkeypatch):
     assert len(pools) == 1
     assert np.all(np.isfinite(pools[0].log_weights))
     grid = pools[0].grid
-    assert (grid.a_max, grid.epsilon) == (math.sqrt(150), 1.0)   # the pool the paper's experiments run
-    assert grid.n == 600 <= 150 * math.ceil(math.log2(grid.a_max))
+    paper = build_grid(math.sqrt(150), 1.0, 150)   # the pool the paper's experiments run
+    np.testing.assert_array_equal(grid.step_sizes, paper.step_sizes)
+    np.testing.assert_array_equal(grid.radii, paper.radii)
+    assert grid.n == 600 <= 150 * math.ceil(math.log2(math.sqrt(150)))
 
 
 def assert_stops_at_earliest_divergence(monkeypatch, seeds):
@@ -646,7 +649,7 @@ T_REF = 60
 
 
 @pytest.mark.parametrize("n_seeds", [1, 3])
-@pytest.mark.parametrize("k", [0, st.floor_power(T_REF, 2, 3), T_REF])   # k = T: every round warms Top-k up
+@pytest.mark.parametrize("k", [0, st.k_grid(T_REF)[2], T_REF])   # k = T: every round warms Top-k up
 @pytest.mark.parametrize("radius", [math.inf, 0.05])
 @pytest.mark.parametrize("family", ["svm", "ridge"])
 @pytest.mark.parametrize("learner", harness.LEARNERS)
@@ -791,8 +794,8 @@ def test_a_filtered_row_keeps_its_action_bit_for_bit():
     # a Top-k seed in its warm-up keeps theta by selection: -0.0 stays -0.0,
     # where theta - alpha * 0 * g would give +0.0; the ogd block moves off it
     cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.TOPK, k=T_REF)
-    cells = [cfg, dataclasses.replace(cfg, learner=harness.OGD)]   # one k: per_k = 2
-    step = harness._Play(cells, np.full((1, 2, 1), 0.5), 2, 1).step
+    cells = [cfg, dataclasses.replace(cfg, learner=harness.OGD)]   # one k, two learners: per_k = 2
+    step = harness._Play(cells, np.full((1, 2, 1), 0.5), 1).step
     theta = np.array([[[-0.0, -0.0], [-0.0, 3.0]]] * 2)
     x, y = np.array([[[1e100, 1e100], [1.0, -2.0]]]), np.array([[[1.0, -1.0]]])   # y: (K, 1, R)
     u = harness._link(cfg.loss, np.vecdot(x, theta).reshape(1, 2, 2), y)
@@ -807,7 +810,7 @@ def drive_filter(cfg, norms):
     -x for x = (norms[t, r], 0)."""
     assert cfg.loss.family == "hinge_svm" and cfg.learner == harness.TOPK
     R = len(cfg.seeds)
-    step = harness._Play([cfg], np.full((1, R, 1), 0.5), 1, 1).step
+    step = harness._Play([cfg], np.full((1, R, 1), 0.5), 1).step
     theta, x, y, u = np.zeros((1, R, 2)), np.zeros((1, R, 2)), np.ones((1, 1, R)), np.zeros((1, 1, R))
     new = []
     for row in norms:
@@ -948,7 +951,7 @@ def test_growth_is_the_same_under_every_k(monkeypatch, family, setting):
             super().__init__(generator, T, ks, seed)
 
     monkeypatch.setattr(st, "EpisodeStream", CountedStream)
-    seeds, ks = [4, 5, 6], [0, st.floor_power(T_REF, 2, 3), T_REF]
+    seeds, ks = [4, 5, 6], [0, st.k_grid(T_REF)[2], T_REF]
     cfg = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=0, **setting)
     results = harness.run_cells(cfg, [harness.OGD, harness.LEARN], ks)
     first = [([], seed) for seed in seeds] if cfg.alpha == harness.THEORETICAL else []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,9 @@ def test_theoretical_stepsize():
         theoretical_stepsize(0.0, 1.0, 1.0, 10)
     with pytest.raises(ValueError):
         theoretical_stepsize(1.0, -0.5, 1.0, 10)
+    for psi in (math.inf, math.nan, 1e200):   # a step size of 0, nan and, as psi^2 overflows, 0
+        with pytest.raises(ValueError, match=re.escape(f"psi^2 finite, got D = 1, psi = {psi:g}, T = 10")):
+            theoretical_stepsize(1.0, 1.0, psi, 10)
 
 
 def test_state_validation():

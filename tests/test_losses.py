@@ -343,6 +343,9 @@ def test_derive_constants_errors():
         derive_constants(LearnParams(1, 1), G=0, L=0, m=0.0)
     with pytest.raises(ValueError):
         derive_constants(LearnParams(1, 1), G=-1, L=0, m=1.0)
+    for m in (1e-160, 1e-170):   # psi overflows at the first m; m^2 underflows to 0 at the second
+        with pytest.raises(ValueError, match=rf"psi, phi and kappa are not finite at m = {m!r} \(a = 10.0"):
+            derive_constants(LearnParams(10.0, 10.0), G=np.float64(0.0), L=np.float64(800.0), m=m)
 
 
 # --- vectorized companions --------------------------------------------------

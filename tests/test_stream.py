@@ -327,4 +327,4 @@ def test_k_grid():
     assert st.k_grid(40) == [0, 6, 11, 10]
     assert st.k_grid(1) == [0, 1]
     assert all(len(set(st.k_grid(T))) == len(st.k_grid(T)) for T in range(1, 300))
-    assert st.floor_power(10 ** 6, 2, 3) == 10 ** 4  # exact at perfect powers
+    assert st.k_grid(10 ** 6)[2] == 10 ** 4  # exact at perfect powers
