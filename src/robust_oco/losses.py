@@ -40,9 +40,12 @@ more than one that writes elsewhere, so no kernel accumulates in out.)
 The public functions only form those inner products for their shape: one
 round at one action (eval_f, grad_f), one round at many actions
 (eval_f_many, grad_f_many) or many rounds at one action each (eval_f_rows,
-grad_f_rows, minimizer_rows). The harness's stacked episode loop calls the
-_link kernels on one round of many cells and seeds; the oracle calls the
-kernels on blocks of sampled instances.
+grad_f_rows, minimizer_rows: X is (T, d) and y is (T,)). eval_f_rows and
+grad_f_rows also take a stack of actions per round, Theta of shape
+(..., T, d), and give (..., T) losses and (..., T, d) gradients. The
+harness's stacked episode loop calls the _link kernels on one round of many
+cells and seeds; the oracle calls the kernels on blocks of sampled
+instances, and eval_f_rows on a block's stepped copies at once.
 """
 
 from __future__ import annotations
@@ -308,5 +311,7 @@ def minimizer_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def eval_f_rows(loss: RoundLoss, X: np.ndarray, y: np.ndarray, Theta: np.ndarray) -> np.ndarray:
-    """Loss of round t at action Theta[t], for all rounds."""
-    return _value(loss, np.einsum("ij,ij->i", X, Theta), np.einsum("ij,ij->i", Theta, Theta), y)
+    """Loss of round t at action Theta[t], for all rounds; shape (T,). Theta
+    may stack several actions per round, (..., T, d), for losses (..., T);
+    each (T, d) slice gives the bits of its own (T, d) call."""
+    return _value(loss, np.einsum("...ij,...ij->...i", X, Theta), np.einsum("...ij,...ij->...i", Theta, Theta), y)

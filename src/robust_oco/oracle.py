@@ -43,6 +43,7 @@ DEFAULT_TOL = 1e-9
 GRAD_FD_TOL = 1e-5    # the finite-difference check's relative error bound
 MAX_DIM = 6           # instance dimensions are uniform in 1..MAX_DIM
 BLOCK_ROWS = 1 << 13  # instances per drawn block, which bounds the working arrays at any sample count
+PULL_STEPS = 3        # halvings tried per stacked loss evaluation when pulling an action in
 
 
 @dataclass
@@ -76,6 +77,12 @@ def _margins(lhs, rhs) -> np.ndarray:
     return (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(A, axis=1) of a real 2-D A, bit for bit: numpy's own
+    formula, without the checks that cost it about 0.8 us a call."""
+    return np.sqrt(np.add.reduce(A * A, axis=1))
+
+
 def _dims(rng: np.random.Generator, n: int):
     """The block shapes (d, m) of n draws with d uniform in 1..MAX_DIM, grouped
     by d, at most BLOCK_ROWS rows each."""
@@ -91,12 +98,12 @@ def _sample(loss: RoundLoss, rng: np.random.Generator, n: int, r_range=(1e-6, 1e
     the action at a log-uniform distance from the minimizer omega*."""
     for d, m in _dims(rng, n):
         X = rng.standard_normal((m, d))
-        X *= (rng.uniform(0.3, 3.0, m) / np.linalg.norm(X, axis=1))[:, None]
+        X *= (rng.uniform(0.3, 3.0, m) / _row_norms(X))[:, None]
         y = rng.normal(0.0, 2.0, m) if loss.family == RIDGE else rng.choice([-1.0, 1.0], m)
         omega = minimizer_rows(loss, X, y)
         r = np.exp(rng.uniform(math.log(r_range[0]), math.log(r_range[1]), m))
         U = rng.standard_normal((m, d))
-        yield X, y, omega, omega + (r / np.linalg.norm(U, axis=1))[:, None] * U
+        yield X, y, omega, omega + (r / _row_norms(U))[:, None] * U
 
 
 def _f_grad(loss: RoundLoss, X, y, theta):
@@ -147,7 +154,7 @@ def check_eta_grad_bound(params: LearnParams, constants: ProblemConstants, loss:
     blocks = []
     for X, y, omega, theta in _sample(loss, rng, samples):
         f, grad = _f_grad(loss, X, y, theta)
-        blocks.append(_margins(eta(params, f) * np.linalg.norm(grad, axis=1), constants.psi))
+        blocks.append(_margins(eta(params, f) * _row_norms(grad), constants.psi))
     return _report(f"eta_grad_bound[{loss.family}]", blocks)
 
 
@@ -162,10 +169,47 @@ def check_eta_dist_bounds(params: LearnParams, constants: ProblemConstants, loss
     """eta ||theta - omega*|| <= phi and eta ||theta - omega*||^2 <= kappa."""
     blocks = []
     for X, y, omega, theta in _sample(loss, rng, samples):
-        dist = np.linalg.norm(theta - omega, axis=1)
+        dist = _row_norms(theta - omega)
         e_dist = eta(params, eval_f_rows(loss, X, y, theta)) * dist
         blocks += [_margins(e_dist, constants.phi), _margins(e_dist * dist, constants.kappa)]
     return _report(f"eta_dist_bounds[{loss.family}]", blocks)
+
+
+def _pull(loss: RoundLoss, X, y, omega, theta, cap: float, n: int = 0) -> np.ndarray:
+    """theta, already halved n times toward omega*, with each row halved on
+    until its loss is at most cap, or n reaches 80. One stacked eval_f_rows
+    call tries a row's next PULL_STEPS halvings; each is formed as a loop of
+    single halvings forms it, so the rows match that loop bit for bit."""
+    steps = np.empty((min(PULL_STEPS, 81 - n), *theta.shape))   # n, n + 1, ... halvings
+    steps[0] = theta
+    for i in range(1, len(steps)):
+        steps[i] = omega + 0.5 * (steps[i - 1] - omega)
+    near = ~(eval_f_rows(loss, X, y, steps) > cap)   # not f <= cap: a NaN loss stops the pull too
+    found = near.any(axis=0)
+    pulled = steps[np.where(found, near.argmax(axis=0), len(steps) - 1), np.arange(len(theta))]
+    n += len(steps) - 1
+    if n < 80 and not found.all():
+        far = ~found
+        pulled[far] = _pull(loss, X[far], y[far], omega[far], pulled[far], cap, n)
+    return pulled
+
+
+def _fd_margins(params: LearnParams, loss: RoundLoss, X, y, theta, g, gnorm) -> np.ndarray:
+    """-||fd - g|| / ||g|| of each row, fd the central differences of the
+    transform g of its round's loss at theta, with step h = 1e-6 (1 + ||theta||).
+    All 2d stepped copies of the (m, d) rows are one (2, d, m, d) stack, of
+    which slice (0, j) steps coordinate j up by h and slice (1, j) down, so
+    one eval_f_rows call takes them all."""
+    m, d = theta.shape
+    h = 1e-6 * (1.0 + _row_norms(theta))
+    steps = np.broadcast_to(theta, (2, d, m, d)).copy()
+    cols = np.arange(d)
+    steps[0, cols, :, cols] += h
+    steps[1, cols, :, cols] -= h
+    up, down = _transform(params, eval_f_rows(loss, X, y, steps))
+    fd = np.empty_like(theta)   # row-major, as g: the row norms below then sum each row in g's order
+    np.divide((up - down).T, 2.0 * h[:, None], out=fd)
+    return -_row_norms(fd - g) / gnorm
 
 
 def check_grad_fd(params: LearnParams, loss: RoundLoss, samples: int, rng: np.random.Generator) -> CheckReport:
@@ -175,41 +219,35 @@ def check_grad_fd(params: LearnParams, loss: RoundLoss, samples: int, rng: np.ra
     Step h = 1e-6 (1 + ||theta||). Points within 1e-3 of the hinge kink are
     excluded. Sampling keeps the differences above the floating-point noise
     floor of the difference quotient: actions are pulled toward the minimizer
-    (at most 80 halvings) until f <= 3.5 a, and points whose gated gradient is
-    below 1e-2 are redrawn (the gate's far-field crushing is covered by the
-    bound checks). Each round of draws redraws the rows still missing, over at
-    most 50 samples draws in all.
+    (at most 80 halvings, _pull) until f <= 3.5 a, and points whose gated
+    gradient is below 1e-2 are redrawn (the gate's far-field crushing is
+    covered by the bound checks). Each round of draws redraws the rows still
+    missing, over at most 50 samples draws in all. The differences draw
+    nothing, so they are taken after the draws: the kept rows of each
+    dimension d, at most BLOCK_ROWS at a time, in one (2, d, m, d) stack
+    (_fd_margins). Until then the kept rows are held: X, y, theta, g and
+    ||g||, 3d + 2 floats a row.
     """
     cap = 3.5 * params.a
-    blocks, kept, drawn = [], 0, 0
-    while kept < samples and drawn < 50 * samples:
-        n = samples - kept
+    kept, n_kept, drawn = {}, 0, 0   # kept: each dimension's kept blocks (X, y, theta, g, ||g||)
+    while n_kept < samples and drawn < 50 * samples:
+        n = samples - n_kept
         drawn += n
         for X, y, omega, theta in _sample(loss, rng, n, r_range=(0.05, 5.0)):
-            f = eval_f_rows(loss, X, y, theta)
-            for _ in range(80):
-                far = f > cap
-                if not far.any():
-                    break
-                theta[far] = omega[far] + 0.5 * (theta[far] - omega[far])
-                f[far] = eval_f_rows(loss, X[far], y[far], theta[far])
+            theta = _pull(loss, X, y, omega, theta, cap)
             f, grad = _f_grad(loss, X, y, theta)
             g = eta(params, f)[:, None] * grad
-            gnorm = np.linalg.norm(g, axis=1)
+            gnorm = _row_norms(g)
             keep = (f <= cap) & (gnorm >= 1e-2)   # f(omega*) itself may exceed the cap
             if loss.family == HINGE_SVM:
                 keep &= np.abs(1.0 - y * np.vecdot(X, theta)) >= 1e-3
-            X, y, theta, g, gnorm = X[keep], y[keep], theta[keep], g[keep], gnorm[keep]
-            h = 1e-6 * (1.0 + np.linalg.norm(theta, axis=1))
-            fd = np.empty_like(theta)
-            for j in range(theta.shape[1]):
-                up, down = theta.copy(), theta.copy()
-                up[:, j] += h
-                down[:, j] -= h
-                fd[:, j] = (_transform(params, eval_f_rows(loss, X, y, up))
-                            - _transform(params, eval_f_rows(loss, X, y, down))) / (2.0 * h)
-            blocks.append(-np.linalg.norm(fd - g, axis=1) / gnorm)
-            kept += len(theta)
+            kept.setdefault(X.shape[1], []).append([v[keep] for v in (X, y, theta, g, gnorm)])
+            n_kept += int(np.count_nonzero(keep))
+    blocks = []
+    for parts in kept.values():
+        rows = [np.concatenate(v) for v in zip(*parts)]
+        blocks += [_fd_margins(params, loss, *(v[i:i + BLOCK_ROWS] for v in rows))
+                   for i in range(0, len(rows[0]), BLOCK_ROWS)]
     return _report(f"grad_fd[{loss.family}]", blocks, tol=GRAD_FD_TOL)
 
 
@@ -232,8 +270,8 @@ def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> Check
     blocks = []
     for d, m in _dims(rng, n1):
         v1, v2, v3 = rng.normal(0.0, 10.0, (3, m, d))
-        a = np.linalg.norm(v2 - v3, axis=1)
-        b = np.linalg.norm(v3 - v1, axis=1)
+        a = _row_norms(v2 - v3)
+        b = _row_norms(v3 - v1)
         blocks.append(_margins(np.vecdot(v2 - v1, v2 - v1), a * a + b * b + 2.0 * a * b))
 
     params = LearnParams(a=2.0, b=0.5)
@@ -263,7 +301,7 @@ def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> Check
                        - 2.0 * alpha * e * np.vecdot(-g, zeta))
                 bounded = radius < math.inf
                 blocks += [_margins(lhs, rhs),
-                           _margins(np.linalg.norm(theta_next[bounded], axis=1), radius[bounded])]
+                           _margins(_row_norms(theta_next[bounded]), radius[bounded])]
                 n -= len(X)
     return _report("euclidean_assumptions", blocks)
 

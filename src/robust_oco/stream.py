@@ -6,8 +6,8 @@ ridge:  y = <theta*, x> + e with theta* uniform in [-1,1]^d normalized to unit
         replace y with Uniform[0,1].
 svm:    y = sign(<theta*, x>) with theta* uniform in [1,11]^d, x entries
         N(0, feature_std^2); the label flips with probability mislabel_prob
-        when |<theta*, x>| <= margin_band; corrupted rounds flip the sign
-        of y.
+        when |<theta*, x>| <= margin_band (so a mislabel_prob > 0 needs a
+        margin_band > 0); corrupted rounds flip the sign of y.
 
 A generator holds the data model's settings only (the presets' values are
 in `harness.PRESETS`). One master seed fully determines theta*, every round,
@@ -55,6 +55,9 @@ class CleanGenerator:
         for name in ("mislabel_prob", "margin_band") if self.kind == RIDGE_MODEL else ("noise_std",):
             if getattr(self, name):   # a manifest would echo it as if it took effect
                 raise ValueError(f"the {self.kind} model reads no {name}: it must be 0.0, got {getattr(self, name)}")
+        if self.mislabel_prob and not self.margin_band:   # a flip needs |<theta*, x>| <= margin_band
+            raise ValueError(f"mislabel_prob = {self.mislabel_prob} flips no label at margin_band = 0.0: "
+                             "give a positive margin_band or mislabel_prob = 0.0")
 
 
 SUBSTREAMS = ("theta_star", "features", "noise", "mislabel", "outliers", "corruption")
@@ -141,17 +144,25 @@ class EpisodeStream:
     (held as theta_star) and each k's sorted outlier rounds are drawn when it
     is made, and each `draw(n)` draws the next n clean rounds once and
     corrupts them once per k by the generator kind's operator. Each k > 0
-    reads from fresh starts of the seed's outliers and (ridge only)
-    corruption substreams, so it equals the stream of that k alone; chunks
-    of any sizes concatenate to the one-block draw."""
+    reads from the start of the seed's outliers substream (one generator,
+    rewound) and of its corruption substream (ridge only: a fresh generator
+    per k, as each is read on across chunks), so it equals the stream of
+    that k alone; chunks of any sizes concatenate to the one-block draw."""
 
     def __init__(self, generator: CleanGenerator, T: int, ks, seed: int):
         self.gen = generator
         self.rngs = stream_rngs(seed)
         self.theta_star = resolve_theta_star(generator, self.rngs)
-        fresh, ridge = self.rngs.fresh, generator.kind == RIDGE_MODEL
-        self.outliers = [sample_outlier_rounds(T, k, fresh("outliers")) if k else np.zeros(0, np.int64) for k in ks]
-        self.corruption = [fresh("corruption") if k and ridge else None for k in ks]
+        self.outliers = [np.zeros(0, np.int64) for _ in ks]
+        if any(ks):   # one generator, rewound for each k: several times cheaper than a fresh one per k
+            rng = self.rngs.outliers
+            start = rng.bit_generator.state
+            for i, k in enumerate(ks):
+                if k:
+                    rng.bit_generator.state = start
+                    self.outliers[i] = sample_outlier_rounds(T, k, rng)
+        ridge = generator.kind == RIDGE_MODEL
+        self.corruption = [self.rngs.fresh("corruption") if k and ridge else None for k in ks]
         self.t = 0
 
     def draw(self, n: int):

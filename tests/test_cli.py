@@ -291,6 +291,29 @@ def test_verify_quick(capsys):
         assert name in out
 
 
+# The benchmark's verify argv. Every figure of its stdout, down to the last
+# digit printed, stays fixed: a change that moves an oracle draw, a bit of a
+# check or a theorem-check episode shows here.
+VERIFY_SAMPLES_3000_SEED_1 = """\
+invexity                     samples=   3004 violations=    0 worst_slack= 3.522e-16  [ok]
+exp_trumps_poly              samples=   6012 violations=    0 worst_slack=-1.110e-16  [ok]
+eta_grad_bound               samples=   3004 violations=    0 worst_slack= 8.914e-01  [ok]
+eta_f_bound                  samples=   3004 violations=    0 worst_slack= 6.450e-01  [ok]
+eta_dist_bounds              samples=   3008 violations=    0 worst_slack= 6.562e-01  [ok]
+grad_fd                      samples=   3002 violations=    0 worst_slack=-1.265e-07  [ok]
+euclidean_assumptions        samples=   3752 violations=    0 worst_slack=-9.992e-16  [ok]
+theorem_bound[k=0]           measured=196.563 bound=1.0132e+16  [ok]
+theorem_bound[k=14]          measured=185.268 bound=1.01877e+16  [ok]
+theorem_bound[k=34]          measured=172.271 bound=1.03099e+16  [ok]
+all checks passed
+"""
+
+
+def test_verify_stdout_is_pinned(capsys):
+    assert cli.main(["verify", "--samples", "3000", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == VERIFY_SAMPLES_3000_SEED_1
+
+
 def test_verify_exits_nonzero_on_violation(monkeypatch, capsys):
     from robust_oco import oracle
 
@@ -509,6 +532,9 @@ def test_config_file_with_overrides(tmp_path, case):
                  "the ridge model reads no mislabel_prob: it must be 0.0, got 0.5", id="ridge-mislabel-prob"),
     pytest.param("[stream]\nmargin_band = 3.0\n", ["--preset", "ridge"],
                  "the ridge model reads no margin_band: it must be 0.0, got 3.0", id="ridge-margin-band"),
+    # a flip needs |<theta*, x>| <= margin_band: at a band of 0 no label flips, and the run would equal mislabel_prob = 0
+    pytest.param("[stream]\nmislabel_prob = 0.5\nmargin_band = 0.0\n", [],
+                 "mislabel_prob = 0.5 flips no label at margin_band = 0.0", id="svm-mislabel-without-band"),
     pytest.param("", ["--alpha", "0"], "alpha must be finite and positive", id="alpha-zero"),
     pytest.param("", ["--alpha", "inf"], "alpha must be finite and positive", id="alpha-inf"),
     pytest.param("alpha = nan\n", [], "alpha must be finite and positive", id="alpha-nan"),
@@ -574,6 +600,16 @@ def test_bad_config_is_usage_error(tmp_path, capsys, monkeypatch, text, argv, me
         assert exit_code([command, "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == (["exp.ini"] if text is not None else [])
+
+
+def test_a_margin_band_without_mislabeling_runs(tmp_path):
+    # the band alone flips no label, and the manifest says so with mislabel_prob = 0.0
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[run]\npreset = svm\nt = 20\nseeds = 1\n[stream]\nmislabel_prob = 0.0\nmargin_band = 0.3\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    man = configparser.ConfigParser()
+    man.read(next(tmp_path.glob("manifest_*.ini")))
+    assert (man["stream"]["mislabel_prob"], man["stream"]["margin_band"]) == ("0.0", "0.3")
 
 
 @pytest.mark.parametrize("preset", ["ridge", "svm"])

@@ -418,3 +418,25 @@ def test_batch_helpers_match_scalar_ops(family, lam, d, seed):
         for t in range(T):
             r_t = r[t] if isinstance(r, np.ndarray) else r
             np.testing.assert_allclose(P[t], project_ball(Theta[t], r_t), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family", [RIDGE, HINGE_SVM])
+@pytest.mark.parametrize("d", [1, 2, 5, 6])
+@pytest.mark.parametrize("T", [0, 1, 7, 300])
+def test_eval_f_rows_on_a_stack_is_each_slices_call_bit_for_bit(family, d, T):
+    """A (2, 3, T, d) stack of actions gives each (T, d) slice the bits of its
+    own call, and a (T, d) call gives those of the row-by-row einsum form."""
+    rng = np.random.default_rng(1000 * d + T)
+    loss = RoundLoss(family=family, lam=0.5)
+    X = rng.normal(0, 2, (T, d))
+    y = rng.normal(0, 2, T) if family == RIDGE else rng.choice([-1.0, 1.0], T)
+    stack = rng.normal(0, 2, (2, 3, T, d)) * np.exp(rng.uniform(-8, 8, (2, 3, T, 1)))
+    F = eval_f_rows(loss, X, y, stack)
+    assert F.shape == (2, 3, T)
+    for i in range(2):
+        for j in range(3):
+            Theta = np.ascontiguousarray(stack[i, j])
+            one = eval_f_rows(loss, X, y, Theta)
+            einsum = _value(loss, np.einsum("ij,ij->i", X, Theta), np.einsum("ij,ij->i", Theta, Theta), y)
+            np.testing.assert_array_equal(F[i, j].view(np.uint64), one.view(np.uint64))
+            np.testing.assert_array_equal(one.view(np.uint64), einsum.view(np.uint64))

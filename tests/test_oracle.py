@@ -158,6 +158,114 @@ def test_grad_fd_check():
     assert rep.violations == 0
 
 
+# The finite-difference check as a loop over rows and coordinates: its
+# reference. Each block's loss is the row-by-row einsum form of eval_f_rows,
+# actions are halved toward omega* one halving at a time, and each coordinate
+# j takes two (m, d) evaluations.
+
+def einsum_f_rows(loss, X, y, Theta):
+    return losses._value(loss, np.einsum("ij,ij->i", X, Theta), np.einsum("ij,ij->i", Theta, Theta), y)
+
+
+def reference_pull(loss, X, y, omega, theta, cap):
+    f = einsum_f_rows(loss, X, y, theta)
+    for _ in range(80):
+        far = f > cap
+        if not far.any():
+            break
+        theta[far] = omega[far] + 0.5 * (theta[far] - omega[far])
+        f[far] = einsum_f_rows(loss, X[far], y[far], theta[far])
+    return theta
+
+
+def reference_fd_margins(params, loss, X, y, theta, g, gnorm):
+    h = 1e-6 * (1.0 + np.linalg.norm(theta, axis=1))
+    fd = np.empty_like(theta)
+    for j in range(theta.shape[1]):
+        up, down = theta.copy(), theta.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        fd[:, j] = (losses._transform(params, einsum_f_rows(loss, X, y, up))
+                    - losses._transform(params, einsum_f_rows(loss, X, y, down))) / (2.0 * h)
+    return -np.linalg.norm(fd - g, axis=1) / gnorm
+
+
+def reference_grad_fd(params, loss, samples, rng):
+    """Each dimension's margins, in the order of the blocks that kept them, and
+    the sizes of the kept blocks."""
+    cap = 3.5 * params.a
+    margins, sizes, kept, drawn = {}, [], 0, 0
+    while kept < samples and drawn < 50 * samples:
+        n = samples - kept
+        drawn += n
+        for X, y, omega, theta in oracle._sample(loss, rng, n, r_range=(0.05, 5.0)):
+            theta = reference_pull(loss, X, y, omega, theta, cap)
+            f, grad = oracle._f_grad(loss, X, y, theta)
+            g = eta(params, f)[:, None] * grad
+            gnorm = np.linalg.norm(g, axis=1)
+            keep = (f <= cap) & (gnorm >= 1e-2)
+            if loss.family == HINGE_SVM:
+                keep &= np.abs(1.0 - y * np.vecdot(X, theta)) >= 1e-3
+            X, y, theta, g, gnorm = X[keep], y[keep], theta[keep], g[keep], gnorm[keep]
+            margins.setdefault(X.shape[1], []).append(reference_fd_margins(params, loss, X, y, theta, g, gnorm))
+            sizes.append(X.shape)
+            kept += len(X)
+    return {d: np.concatenate(v) for d, v in margins.items()}, sizes
+
+
+FD_CASES = [(LearnParams(10.0, 10.0), RoundLoss(RIDGE, 0.5)), (LearnParams(2.0, math.exp(-2)), RoundLoss(HINGE_SVM, 0.5))]
+
+
+@pytest.mark.parametrize("params, loss", FD_CASES, ids=[RIDGE, HINGE_SVM])
+@pytest.mark.parametrize("samples", [400, 3000])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_grad_fd_margins_are_the_reference_loops_bit_for_bit(monkeypatch, params, loss, samples, seed):
+    taken = {}
+    fd_margins = oracle._fd_margins
+
+    def recorded(params, loss, X, *rows):
+        margins = fd_margins(params, loss, X, *rows)
+        taken.setdefault(X.shape[1], []).append(margins)
+        return margins
+
+    monkeypatch.setattr(oracle, "_fd_margins", recorded)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = oracle.check_grad_fd(params, loss, samples, rng)
+    ref, sizes = reference_grad_fd(params, loss, samples, ref_rng)
+    assert rng.random() == ref_rng.random()   # the same draws
+    assert {d for _, d in sizes} == set(range(1, oracle.MAX_DIM + 1))   # a d = 1 block among them
+    if loss.family == RIDGE and samples == 3000:
+        assert any(m == 0 for m, _ in sizes)   # and a block that keeps no row
+    assert sorted(taken) == sorted(d for d, v in ref.items() if v.size)
+    for d, margins in taken.items():
+        np.testing.assert_array_equal(np.concatenate(margins).view(np.uint64), ref[d].view(np.uint64))
+    every = np.concatenate(list(ref.values()))
+    assert (rep.samples, rep.violations, rep.worst_slack) == (every.size, 0, every.min())
+
+
+@pytest.mark.parametrize("params, loss", FD_CASES, ids=[RIDGE, HINGE_SVM])
+def test_fd_margins_of_a_one_dimension_and_an_empty_block(params, loss):
+    X, y, omega, theta = next(b for b in oracle._sample(loss, rng(), 600, r_range=(0.05, 5.0)) if b[0].shape[1] == 1)
+    theta = reference_pull(loss, X, y, omega, theta, 3.5 * params.a)
+    f, grad = oracle._f_grad(loss, X, y, theta)
+    g = eta(params, f)[:, None] * grad
+    gnorm = np.linalg.norm(g, axis=1)
+    for rows in (slice(None), slice(0), slice(3, 4)):   # the whole d = 1 block, no row, one row
+        block = X[rows], y[rows], theta[rows], g[rows], gnorm[rows]
+        margins = oracle._fd_margins(params, loss, *block)
+        np.testing.assert_array_equal(margins.view(np.uint64), reference_fd_margins(params, loss, *block).view(np.uint64))
+
+
+@pytest.mark.parametrize("loss", [RoundLoss(RIDGE, 0.5), RoundLoss(HINGE_SVM, 0.5)], ids=[RIDGE, HINGE_SVM])
+@pytest.mark.parametrize("cap", [1e-9, 0.05, 0.5, 3.5])
+def test_pull_is_the_one_halving_loop_bit_for_bit(loss, cap):
+    # at cap 1e-9 no row gets there: each stops after the 80th halving
+    for X, y, omega, theta in oracle._sample(loss, rng(), 900, r_range=(0.05, 50.0)):
+        pulled = oracle._pull(loss, X, y, omega, theta.copy(), cap)
+        np.testing.assert_array_equal(pulled.view(np.uint64),
+                                      reference_pull(loss, X, y, omega, theta, cap).view(np.uint64))
+
+
 def test_euclidean_assumptions_check():
     rep = oracle.check_euclidean_assumptions(2000, rng())
     assert rep.violations == 0

@@ -270,13 +270,15 @@ def count_built(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize("gen, ks, expected", [
-    (SVM_GEN, [0, 10, 21, 25], dict(theta_star=1, features=1, mislabel=1, outliers=3)),
+    (SVM_GEN, [0, 10, 21, 25], dict(theta_star=1, features=1, mislabel=1, outliers=1)),
     (RIDGE_GEN, [0, 14], dict(theta_star=1, features=1, noise=1, outliers=1, corruption=1)),
-    (RIDGE_GEN, [3, 0, 3], dict(theta_star=1, features=1, noise=1, outliers=2, corruption=2)),
+    (RIDGE_GEN, [3, 0, 3], dict(theta_star=1, features=1, noise=1, outliers=1, corruption=2)),
     (SVM_GEN, [], dict(theta_star=1, features=1, mislabel=1)),
 ], ids=["svm-sweep-ks", "ridge-k0-k14", "ridge-k-twice", "svm-no-k"])
 def test_a_stream_builds_only_the_generators_it_draws_from(monkeypatch, gen, ks, expected):
-    # a k of 0 samples no outlier rounds and svm's sign flips draw nothing
+    # a k of 0 samples no outlier rounds and svm's sign flips draw nothing; every
+    # k > 0 rewinds the one outliers generator, and ridge's corruption generators,
+    # read on across chunks, are one per k > 0
     built = count_built(monkeypatch)
     stream = st.EpisodeStream(gen, 100, ks, 4)
     for n in (30, 1, 69):
