@@ -50,8 +50,10 @@ their steps, and the play's buffers (see _Play). A chunk's own arrays are
 its stream draws, its comparators' scales and losses, and the regret
 reductions over it. A round of ogd or learn writes into the play's buffers
 and allocates only (C, R) temporaries: the terms of its loss values (and
-eta's scratch, past the guard); a Top-k filter's, an expert pool's and a
-projection's round add their own.
+eta's scratch, past the guard). The Top-k cells share one filter state,
+whose round adds (F, R) temporaries for its F cells and the rows it
+rescans, not a set per cell; an expert pool's and a projection's round add
+their own.
 
 What the paper's experiments fix is derived here, not set: the Top-k budget
 (k for topk, floor(0.75 k) for utopk), the expert grid (A_max = max(sqrt(T),
@@ -379,33 +381,78 @@ def _chunks(config: RunConfig, ks: list, rows: int, watch=None):
 
 
 class _Filter:
-    """The Top-k filter of R seeds, called on a round's gradients, actions and
-    next actions: each seed's budget largest norms, -inf where empty, in any
-    order (only their multiset counts), filled one slot a round in warm-up,
-    then with a cached minimum that only its replacement rescans."""
+    """The Top-k filters of a pass's topk and utopk cells as one state, called
+    once a round after the step has formed the gradient. Its rows are the
+    cells' (cell, seed) pairs in (k, learner, seed) order: run_cells takes
+    each learner once, so a round's norms are one vecdot over a strided view
+    of the gradient, (K, P, R) for the P such learners, and one masked copy
+    over the same view of the actions keeps the filtered rows' own. A row of
+    budget 0 is never filtered.
 
-    def __init__(self, R: int, budget: int):
-        self.top, self.fill, self.slot, self.twice = np.full((R, budget), -np.inf), 0, [0] * R, np.empty(R)
+    Each row keeps its budget largest norms, -inf where empty, in any order
+    (only their multiset counts), at its own offset of one flat buffer,
+    padded with +inf to the widest row up to 1024 slots, packed past that.
+    In warm-up a row is filtered and fills one slot a round (one fancy
+    assignment for all rows; a nan is never stored); at its budget's round
+    it caches its minimum's slot and twice its value. twice is nan until
+    then and at budget 0, so one comparison decides every row: a norm under
+    twice steps, one at or over it is filtered and replaces the minimum. The
+    replaced rows and those ending warm-up rescan in one call a round: one
+    argmin of more than 4 gathered padded rows, else one argmin per row in
+    place, which copies nothing."""
 
-    def __call__(self, g: np.ndarray, theta: np.ndarray, new: np.ndarray):
-        n, top = np.sqrt(np.vecdot(g, g)), self.top
-        if self.fill < top.shape[1]:   # a nan is never stored: it leaves the slot empty for a later round
-            np.fmax(n, top[:, self.fill], out=top[:, self.fill])
-            self.fill += 1
-            np.copyto(new, theta)
-            return self._cache(range(len(top)) if self.fill == top.shape[1] else ())
-        update, grow = n < self.twice, n >= self.twice   # grow: not update, not nan; 0 replacing 0 is no change
-        seeds = np.flatnonzero(grow).tolist() if np.count_nonzero(grow) else ()
-        for r in seeds:
-            top[r, self.slot[r]] = n[r]
-        self._cache(seeds)
-        np.copyto(new, theta, where=~update[:, None])
+    def __init__(self, cells: list, per_k: int, g: np.ndarray):
+        places = [i for i, cell in enumerate(cells[:per_k]) if cell.learner in (TOPK, UTOPK)]
+        self.shape, self.group = (-1, per_k, *g.shape[1:]), slice(places[0], places[-1] + 1, places[-1] - places[0] or 1)
+        self.g = g.reshape(self.shape)[:, self.group]
+        budgets = np.array([cell.resolve_topk_budget() for cell in cells]).reshape(-1, per_k)[:, self.group]
+        b = np.repeat(budgets.ravel(), g.shape[1])
+        width = int(b.max())
+        self.padded = width <= 1024
+        if self.padded:
+            self.off, self.rows = np.arange(len(b)) * width, np.where(np.arange(width) < b[:, None], -np.inf, np.inf)
+            self.top = self.rows.reshape(-1)
+        else:
+            self.off, self.top = np.cumsum(b) - b, np.full(b.sum(), -np.inf)
+        self.pos, self.spans = self.off.copy(), list(zip(self.off.tolist(), (self.off + b).tolist()))
+        budget = b.tolist()
+        warm = np.array(sorted(np.flatnonzero(b).tolist(), key=budget.__getitem__, reverse=True), dtype=np.intp)
+        self.warm, self.warm_off, self.fill = warm, self.off[warm], 0   # the rows in warm-up, budget descending
+        self.ends = {k - 1: np.flatnonzero(b == k) for k in set(budget) if k}   # not np.unique: it imports numpy.ma
+        self.n, self.twice = np.full((2, *budgets.shape, g.shape[1]), np.nan)
+        self.n_flat, self.live = self.n.reshape(-1), np.broadcast_to((budgets > 0)[..., None], self.n.shape)
+        self.kept, self.grow = np.empty((2, *self.n.shape), dtype=bool)
+        self.kept_x = self.kept[..., None]
 
-    def _cache(self, seeds):
-        for r in seeds:   # an argmin of one row copies nothing, unlike one of a block of rows
-            row = self.top[r]
-            self.slot[r] = j = row.argmin()
-            self.twice[r] = 2.0 * row[j]
+    def __call__(self, theta: np.ndarray, new: np.ndarray):
+        n, flat, twice, t, top, warm = self.n, self.n_flat, self.twice, self.fill, self.top, self.warm
+        np.sqrt(np.vecdot(self.g, self.g, out=n), out=n)
+        np.less(np.less(n, twice, out=self.kept), self.live, out=self.kept)   # live and not stepped
+        rows = np.flatnonzero(np.greater_equal(n, twice, out=self.grow))
+        if len(warm):
+            top[self.warm_off[:len(warm)] + t] = np.fmax(flat.take(warm), -np.inf)
+        if len(rows):
+            top[self.pos[rows]] = flat[rows]
+        if t in self.ends:
+            self.warm = warm[:len(warm) - len(self.ends[t])]
+            rows = np.concatenate((rows, self.ends[t]))
+        self.fill = t + 1
+        if len(rows):
+            self._cache(rows)
+        np.copyto(new.reshape(self.shape)[:, self.group], theta.reshape(self.shape)[:, self.group], where=self.kept_x)
+
+    def _cache(self, rows):
+        twice = self.twice.reshape(-1)
+        if self.padded and len(rows) > 4:
+            pos = self.off[rows]
+            pos += self.rows.take(rows, axis=0).argmin(axis=1)
+            self.pos[rows] = pos
+            twice[rows] = 2.0 * self.top[pos]
+            return
+        for r in rows.tolist():
+            start, end = self.spans[r]
+            self.pos[r] = j = start + self.top[start:end].argmin()
+            twice[r] = 2.0 * self.top[j]
 
 
 class _Play:
@@ -421,9 +468,9 @@ class _Play:
     theta - c x, from the coefficient c = _link_coef of the link: ogd descends
     on it as it is, learn on it scaled by its gate in place (one gate for
     every learn block, on one strided view of the losses: losses._gate on a
-    round the guard passes, else the checked losses.eta), and a Top-k seed
-    only where its _Filter lets the round through; a filtered seed keeps its
-    action by a masked copy. An experts cell's block is what its stacked pool
+    round the guard passes, else the checked losses.eta), and a Top-k row
+    only where the pass's one _Filter lets the round through; a filtered row
+    keeps its action by one masked copy for every Top-k cell. An experts cell's block is what its stacked pool
     aggregates after one pool_step for all its seeds. Each row gets what
     ogd_step, learn_step, topk_filter_step or the pool makes of that seed
     alone, bit for bit.
@@ -435,7 +482,7 @@ class _Play:
     ||theta||^2, link u, losses, their check and the coefficient c, (C, R)
     each, which that round alone reads (its losses are then copied into their
     column of the chunk's); the gates and their scratch, (K, R) each, if
-    learn is played; each filter; and the guard's bound, the gate's
+    learn is played; the one filter state of the Top-k cells; and the guard's bound, the gate's
     overflow threshold on a learn cell, else the largest finite float. The
     next actions hold c x before descend_rows writes the step into them, so
     a round allocates no array of the stack's size. Each k's responses
@@ -457,7 +504,7 @@ class _Play:
         bound = [cell.params._gate_operands[2] if cell.learner == LEARN else np.finfo(float).max for cell in cells]
         self.bound = np.repeat(np.array(bound), R).reshape(C, R).view(np.uint64)
         budgets = [cell.resolve_topk_budget() for cell in cells]
-        self.filters = [(i, _Filter(R, budget)) for i, budget in enumerate(budgets) if budget]
+        self.filter = _Filter(cells, per_k, self.g) if any(budgets) else None
         self.pools = [(i, i // per_k, _expert_pool(cell)) for i, cell in enumerate(cells) if cell.learner == EXPERTS]
         self.descends = len(self.pools) < C
         # every learn block as one strided view of the gradient, which the gates of the same view of the
@@ -482,8 +529,8 @@ class _Play:
                 _gate(params, self.f_learn, self.gates, self.z) if fast else eta(params, self.f_learn, out=self.gates)
                 np.multiply(self.g_learn, self.gates_x, out=self.g_learn)
             descend_rows(theta, g, self.alpha, self.radius, out=new)
-        for i, top_k in self.filters:
-            top_k(g[i], theta[i], new[i])
+        if self.filter:
+            self.filter(theta, new)
         for i, j, pool in self.pools:
             pool_step(pool, x[0], y[j, 0], loss, params)
             new[i] = aggregate_action(pool)

@@ -808,15 +808,21 @@ def drive_filter(cfg, norms):
     """The next actions, (rounds, R, 2), that a Top-k cell's stacked step
     writes round after round from theta = 0, where seed r's svm gradient is
     -x for x = (norms[t, r], 0)."""
-    assert cfg.loss.family == "hinge_svm" and cfg.learner == harness.TOPK
-    R = len(cfg.seeds)
-    step = harness._Play([cfg], np.full((1, R, 1), 0.5), 1).step
-    theta, x, y, u = np.zeros((1, R, 2)), np.zeros((1, R, 2)), np.ones((1, 1, R)), np.zeros((1, 1, R))
-    new = []
-    for row in norms:
-        x[0, :, 0] = row   # u = y <x, 0> = 0 < 1: the hinge is active and c = y = 1
-        new.append(step(theta, np.full_like(theta, np.nan), x, y, u, True)[0].copy())
-    return np.array(new)
+    return drive_filters([cfg], norms[:, None])[:, 0]
+
+
+def drive_filters(cells, norms):
+    """The next actions, (rounds, C, R, 2), that the stacked step of C Top-k
+    cells, one per k, writes round after round from theta = 0, where cell j's
+    seed r has the svm gradient -y x for x = (1, 0) and y = norms[t, j, r]:
+    with the link u = 0 < 1 the hinge is active and c = y, so -y x has the
+    bits of -x for x = (y, 0) and y = 1."""
+    assert all(cfg.loss.family == "hinge_svm" and cfg.learner == harness.TOPK for cfg in cells)
+    C, R = len(cells), len(cells[0].seeds)
+    step = harness._Play(cells, np.full((1, R, 1), 0.5), 1).step
+    theta, x, u = np.zeros((C, R, 2)), np.zeros((1, R, 2)), np.zeros((C, 1, R))
+    x[..., 0] = 1.0
+    return np.array([step(theta, np.full_like(theta, np.nan), x, y[:, None], u, True).copy() for y in norms])
 
 
 def test_filter_ties_zeros_and_nans_match_the_heap():
@@ -885,6 +891,92 @@ def test_topk_filter_matches_the_per_seed_heap(monkeypatch, family, learner, T, 
     else:
         assert rescans[0] == len(cfg.seeds) and 0 < sum(rescans[1:]) == np.count_nonzero(replaced)
         assert sum(rescans[1:]) < (T - 1 - budget) * len(cfg.seeds)   # not every seed-round after warm-up
+
+
+def test_filter_cells_of_two_budgets_match_their_heaps():
+    # two Top-k cells of budgets 3 and 5 in one filter state, each against
+    # topk_filter_step's heap round by round from theta = 0, bit for bit: their
+    # warm-ups end on different rounds, and a nan norm of one cell, filtered
+    # and never stored, sits beside a replacement of the other's minimum in the
+    # same round, both ways round
+    nan = math.nan
+    norms = np.array([
+        [[4, 1], [1, 2]], [[1, 3], [2, 2]], [[2, 2], [3, 1]], [[9, 1], [4, 5]], [[nan, 2], [5, 1]],
+        [[1, 8], [1, 3]], [[nan, 5], [7, nan]], [[5, nan], [2, 9]], [[3, 1], [nan, 2]],
+        [[8, 20], [nan, nan]], [[nan, 4], [30, 1]], [[10, 2], [nan, 40]],
+    ], dtype=float)   # (rounds, cell, seed)
+    cfg = preset_config("svm", T=T_REF, seeds=[1, 2], learner=harness.TOPK, k=3)
+    cells = [cfg, dataclasses.replace(cfg, k=5)]
+    new = drive_filters(cells, norms)
+    beside = set()
+    for j, cell in enumerate(cells):
+        for r in range(2):
+            state = LearnerState(theta=np.zeros(2), step_size=0.5)
+            for t, n in enumerate(norms[:, j, r]):
+                if math.isnan(n):
+                    np.testing.assert_array_equal(bits(new[t, j, r]), bits(np.zeros(2)))
+                    continue
+                state.theta = np.zeros(2)
+                full = sorted(state.top_norms) if len(state.top_norms) == cell.k else None
+                topk_filter_step(state, SideInfo(np.array([1.0, 0.0]), n), cell.loss, cell.k)
+                np.testing.assert_array_equal(bits(new[t, j, r]), bits(state.theta), err_msg=f"cell {j}, seed {r}, round {t}")
+                if full is not None and full != sorted(state.top_norms) and np.isnan(norms[t, 1 - j]).any():
+                    beside.add(j)
+    assert beside == {0, 1}
+
+
+@pytest.mark.parametrize("family", ["svm", "ridge"])
+def test_filter_cells_of_mixed_budgets_share_one_state(monkeypatch, family):
+    # at ks 0, 1, 15 and T the Top-k budgets are 0 and 0, 1 and 0 (utopk's 0
+    # beside topk's 1), 15 and 11, and T and 45: the warm-ups end on four
+    # different rounds and topk's at k = T never, and 7-round chunks end inside
+    # them. Every cell of the one pass equals its cell run alone and the
+    # per-seed loop, bit for bit
+    learners = [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK]
+    seeds, ks = [4, 5, 6], [0, 1, 15, T_REF]
+    config = preset_config(family, T=T_REF, seeds=seeds, learner=harness.OGD, k=0)
+    force_chunk_rows(monkeypatch, config, len(ks) * len(learners), len(ks), 7)
+    stacked = harness.run_cells(config, learners, ks)
+    assert [res.config.resolve_topk_budget() for res in stacked if res.config.learner in (harness.TOPK, harness.UTOPK)] \
+        == [0, 0, 1, 0, 15, 11, T_REF, 45]
+    for res in stacked:
+        assert_cells_equal(res, run_cell(res.config))
+        for seed, theta in zip(seeds, res.final_thetas):
+            np.testing.assert_array_equal(bits(theta), bits(per_seed_episode(res.config, seed)[1]))
+
+
+def test_a_wide_pass_packs_its_filter_buffers(monkeypatch):
+    # past 1024 slots the buffers are packed, each row at its own budget, and
+    # rescanned one row at a time: the k = 40 cells, narrow rows in that wide
+    # pass, equal the same cells run alone, whose buffers are padded, and every
+    # Top-k cell equals the per-seed loop, bit for bit
+    cfg = preset_config("svm", T=1100, seeds=[1, 2], learner=harness.OGD, k=40)
+    padded = set()
+    cache = harness._Filter._cache
+    monkeypatch.setattr(harness._Filter, "_cache", lambda self, rows: padded.add(self.padded) or cache(self, rows))
+    stacked = harness.run_cells(cfg, [harness.TOPK, harness.OGD, harness.UTOPK], [40, 1030])
+    assert padded == {False}
+    for res in stacked:
+        assert_cells_equal(res, run_cell(res.config))
+        if res.config.learner != harness.OGD:
+            for seed, theta in zip(cfg.seeds, res.final_thetas):
+                np.testing.assert_array_equal(bits(theta), bits(per_seed_episode(res.config, seed)[1]))
+    assert padded == {False, True}
+
+
+def test_a_sweep_rescans_at_most_once_a_round(monkeypatch):
+    # the 8 Top-k cells of a 16-cell sweep share one filter state: the rows whose
+    # minimum a round replaced and those whose warm-up ended rescan together, in
+    # at most one call a round, some of them rows of several cells
+    events = []
+    cache, step = harness._Filter._cache, harness._Play.step
+    monkeypatch.setattr(harness._Filter, "_cache", lambda self, rows: events.append(len(rows)) or cache(self, rows))
+    monkeypatch.setattr(harness._Play, "step", lambda self, *args: events.append(None) or step(self, *args))
+    config = preset_config("svm", T=100, seeds=list(range(1, 11)))
+    harness.run_cells(config, [harness.OGD, harness.LEARN, harness.TOPK, harness.UTOPK], st.k_grid(config.T))
+    calls = [len(round_calls) for round_calls in "".join("s" if e is None else "c" for e in events).split("s")]
+    assert len(calls) == config.T and max(calls) == 1   # T - 1 steps; a call comes before its round's step returns
+    assert max(e for e in events if e is not None) > len(config.seeds)
 
 
 def test_a_shared_pass_holds_one_copy_of_the_comparators():
