@@ -14,12 +14,26 @@ a loadable config file. The env var ROBUST_OCO_SEED rebases the default seed
 list (explicit seeds win). Exit codes: 0 success, 1 runtime failure (a run
 whose loss became non-finite included) or verification violation, 2
 usage/config error.
+
+Every output file is made by _create, which unlinks what the path holds and
+creates a new file there. A rerun into the same directory thus replaces each
+CSV and manifest instead of truncating the old file and rewriting its blocks
+in place (on ext4, closing a file that was truncated to zero starts its
+writeback, which the run then waits on), and a run cut short mid-write never
+leaves the new head of a file on an old tail. A symlink or hard link at an
+output path is replaced, not written through: its target, or the file's
+other name, keeps the old bytes. The new file takes the umask's mode, and a
+path that is a directory fails (exit 1). dump-stream writes stream.jsonl
+under a temporary name and renames it into place only once its pass has
+finished and final_thetas.json is written, so a failing dump leaves an
+earlier stream.jsonl as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -193,6 +207,13 @@ def load_config(path: str | None, preset: str | None, overrides: dict, fixed: tu
         raise UsageError(str(exc)) from exc
 
 
+def _create(path):
+    """A new text file at `path`, open for writing, in place of whatever file or link the path held."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "x", newline="\n")
+
+
 MANIFEST_SEED = ("[result.seed.%d]\nfinal_regret = %.12g\nv_t = %.12g\ndelta_s = %.12g\n"
                  "comparator_radius = %.12g\nb_clean = %.12g\n\n")   # one seed's results, 12 significant digits
 MANIFEST_RESULT = "[result]\nmean_final_regret = %.12g\nstderr_final_regret = %.12g\n\n"
@@ -207,7 +228,7 @@ def write_manifest(path: str, config: RunConfig, result: harness.CellResult):
         value = values.get(key)
         if value is not None and key.show is not None:
             sections.setdefault(key.section, []).append((key.name, key.show(value)))
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         for name, items in sections.items():
             fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items) + "\n")
         fh.writelines(MANIFEST_SEED % (seed, c.final, c.v_t, c.delta_s, c.comparator_radius, c.b_clean)
@@ -220,7 +241,7 @@ CSV_ROW = "%d,%.12g,%.12g\n"   # a row of the regret CSV, each float to 12 signi
 
 
 def write_cell_csv(path: str, result: harness.CellResult):
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("t,mean_regret,stderr_regret\n")
         for t0 in range(0, len(result.mean), CSV_BLOCK):
             block = slice(t0, t0 + CSV_BLOCK)
@@ -230,7 +251,6 @@ def write_cell_csv(path: str, result: harness.CellResult):
 
 def _write_cell(result: harness.CellResult, outdir: str) -> str:
     config = result.config
-    os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, f"regret_{config.learner}_k{config.k}.csv")
     write_cell_csv(csv_path, result)
     write_manifest(os.path.join(outdir, f"manifest_{config.learner}_k{config.k}.ini"), config, result)
@@ -242,7 +262,9 @@ def _load(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    path = _write_cell(run_cell(_load(args)), args.out)
+    result = run_cell(_load(args))
+    os.makedirs(args.out, exist_ok=True)
+    path = _write_cell(result, args.out)
     print(f"wrote {path}")
     return 0
 
@@ -251,6 +273,7 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     # one pass: each seed's clean stream is drawn once and every (k, learner) cell plays it
     results = harness.run_cells(config, SWEEP_LEARNERS, st.k_grid(config.T))
+    os.makedirs(args.out, exist_ok=True)
     for result in results:
         print(f"wrote {_write_cell(result, args.out)}")
     return 0
@@ -311,14 +334,21 @@ def cmd_dump_stream(args) -> int:
             fh.write(json.dumps(rec) + "\n")
 
     dump_path = os.path.join(args.out, "stream.jsonl")
-    with open(dump_path, "w", newline="\n") as fh:   # written as the one pass draws the seed's stream
-        results = harness.run_cells(config, SWEEP_LEARNERS, watch=write_rounds)
-    for result in results:
-        thetas[result.config.learner] = [float(v) for v in result.final_thetas[0]]
     thetas_path = os.path.join(args.out, "final_thetas.json")
-    with open(thetas_path, "w", newline="\n") as fh:
-        json.dump(thetas, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    part_path = dump_path + ".part"   # renamed onto dump_path once final_thetas.json is written
+    try:
+        with _create(part_path) as fh:   # written as the one pass draws the seed's stream
+            results = harness.run_cells(config, SWEEP_LEARNERS, watch=write_rounds)
+        for result in results:
+            thetas[result.config.learner] = [float(v) for v in result.final_thetas[0]]
+        with _create(thetas_path) as fh:
+            json.dump(thetas, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(part_path, dump_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(part_path)
+        raise
     print(f"wrote {dump_path} and {thetas_path}")
     return 0
 

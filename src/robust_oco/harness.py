@@ -754,14 +754,15 @@ def run_cells(config: RunConfig, learners, ks=None, watch=None) -> list:
     """
     ks = [config.k] if ks is None else list(ks)
     cells, comparators, play, regret = _run(config, learners, ks, watch=watch)
-    v_t, growth, results = comparators.v_t, comparators.growth.tolist(), []
+    # each figure as Python floats, one .tolist() per array: cheaper than a float() of each numpy scalar
+    v_t, radius, growth = comparators.v_t.tolist(), comparators.norm_max.tolist(), comparators.growth.tolist()
+    delta_s, total, b_clean = comparators.delta_s.tolist(), regret.total.tolist(), regret.b_clean.tolist()
+    results = []
     for i, cell in enumerate(cells):
-        j = i // len(learners)
-        curves = [RegretCurve(series=None, final=float(regret.total[i, r]), v_t=float(v_t[r]),
-                              delta_s=float(comparators.delta_s[j, r]),
-                              comparator_radius=float(comparators.norm_max[r]),
-                              b_clean=float(regret.b_clean[i, r]), n_outliers=cell.k, growth=tuple(growth[r]))
-                  for r in range(len(config.seeds))]
+        rows = zip(total[i], v_t, delta_s[i // len(learners)], radius, b_clean[i], growth)
+        curves = [RegretCurve(series=None, final=final, v_t=v, delta_s=s, comparator_radius=rad, b_clean=b,
+                              n_outliers=cell.k, growth=tuple(g))
+                  for final, v, s, rad, b, g in rows]
         results.append(CellResult(config=cell, curves=curves, final_thetas=list(play.theta[i]),
                                   mean=regret.mean[i], stderr=regret.stderr[i]))
     return results

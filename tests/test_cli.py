@@ -415,6 +415,75 @@ def test_dump_stream_marks_outliers(tmp_path):
     assert all(r["y_emitted"] == r["y_clean"] for r in clean_rows)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_dump_stream_leaves_the_out_directory_as_it_was(tmp_path, capsys):
+    # ridge with alpha = 1 diverges at round 148 of 2000: the dump exits 1, and an
+    # earlier run's stream.jsonl and final_thetas.json stay as they were, with no
+    # partial file beside them
+    before = {"stream.jsonl": b'{"t": 1}\n', "final_thetas.json": b"{}\n"}
+    for name, data in before.items():
+        (tmp_path / name).write_bytes(data)
+    argv = ["dump-stream", "--preset", "ridge", "--T", "2000", "--alpha", "1", "--seeds", "1", "--k", "0",
+            "--subsample", "50", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "non-finite loss at round 148 of 2000" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_dump_that_cannot_write_its_thetas_keeps_the_old_stream(tmp_path, capsys):
+    # the pass finishes, but final_thetas.json is a directory: stream.jsonl is renamed
+    # into place only after the thetas are written, so the old one stays
+    (tmp_path / "stream.jsonl").write_bytes(b'{"t": 1}\n')
+    (tmp_path / "final_thetas.json").mkdir()
+    argv = ["dump-stream", "--preset", "svm", "--T", "30", "--seeds", "3", "--k", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("runtime error: [Errno 21] Is a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final_thetas.json", "stream.jsonl"]
+    assert (tmp_path / "stream.jsonl").read_bytes() == b'{"t": 1}\n'
+
+
+def outputs(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_sweep_rerun_into_its_own_directory_writes_the_bytes_of_a_fresh_one(tmp_path):
+    argv = ["sweep", "--preset", "svm", "--T", "40", "--seeds", "1 2"]
+    for out in ("fresh", "rerun", "rerun"):
+        assert cli.main([*argv, "--out", str(tmp_path / out)]) == 0
+    assert len(outputs(tmp_path / "fresh")) == 32
+    assert outputs(tmp_path / "rerun") == outputs(tmp_path / "fresh")
+
+
+def test_a_shorter_run_over_a_longer_one_leaves_none_of_its_bytes(tmp_path):
+    # each output is a new file: no row or section of the T = 40 run survives the T = 20 one
+    argv = ["run", "--preset", "svm", "--seeds", "1 2", "--learner", "topk", "--k", "4", "--out", str(tmp_path)]
+    assert cli.main([*argv, "--T", "40"]) == 0
+    assert cli.main([*argv, "--T", "20"]) == 0
+    lines = (tmp_path / "regret_topk_k4.csv").read_text().splitlines()
+    assert len(lines) == 21 and lines[-1].startswith("20,")
+    man = configparser.ConfigParser()
+    man.read(tmp_path / "manifest_topk_k4.ini")
+    assert man["run"]["t"] == "20"
+    assert config_of(["run", "--config", str(tmp_path / "manifest_topk_k4.ini")]).T == 20
+
+
+def test_an_output_link_is_replaced_and_its_target_keeps_its_bytes(tmp_path):
+    argv = ["run", "--preset", "svm", "--T", "30", "--seeds", "3", "--learner", "ogd", "--k", "3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    (elsewhere / "target.csv").write_bytes(b"old csv\n")
+    (elsewhere / "other.ini").write_bytes(b"old manifest\n")
+    (out / "regret_ogd_k3.csv").symlink_to(elsewhere / "target.csv")
+    os.link(elsewhere / "other.ini", out / "manifest_ogd_k3.ini")
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    for name in ("regret_ogd_k3.csv", "manifest_ogd_k3.ini"):
+        assert not (out / name).is_symlink() and (out / name).stat().st_nlink == 1, name
+    assert outputs(out) == outputs(tmp_path / "fresh")
+    assert outputs(elsewhere) == {"other.ini": b"old manifest\n", "target.csv": b"old csv\n"}
+
+
 def test_env_seed_override(tmp_path):
     res = run_cli(["run", "--preset", "svm", "--T", "30", "--learner", "ogd",
                    "--k", "0", "--out", str(tmp_path)], env_extra={"ROBUST_OCO_SEED": "100"})
