@@ -12,14 +12,16 @@ beta, stays that of the logical grid.
 Weights are kept in the log domain: over 1e4+ rounds the raw weights decay
 exponentially and would underflow.
 
+Every row steps by learners.gated_step, as the runs and the oracle's check
+do, so each expert's iterate is learn_step's, bit for bit.
+
 One ExpertPool holds the pools of a cell's R seeds, stacked and padded to the
 largest seed's row count, and one pool_step advances them all. Each seed's
 numbers are those of its pool stepped alone, bit for bit, whatever seeds
-share the stack: every element-wise step and every max or min runs on the
-stack, while a sum whose order depends on the row count (the BLAS products
-<x, theta> and w @ thetas, and the weight total) is taken over the seed's
-own rows. A batched product over the stack is that only for a seed whose
-rows fill it, so a padded seed takes its <x, theta> again on its own.
+share the stack: every element-wise step, every max or min and every
+per-row dot product (<x, theta> and ||theta||^2, one vecdot per row) runs on
+the stack, while a sum whose order depends on the row count (w @ thetas and
+the weight total) is taken over the seed's own rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import project_rows
+from .learners import gated_step, project_rows
 from .losses import LearnParams, RoundLoss, _link, _link_coef, _link_value, eta
 from .losses import eval_f_many, grad_f_many  # noqa: F401 (bench/tracing.py wraps these names here)
 
@@ -172,24 +174,22 @@ def pool_step(pool: ExpertPool, X: np.ndarray, Y: np.ndarray, loss: RoundLoss, p
     """Advance every expert of every seed one round, on seed r's side
     information X[r] (d,) and Y[r], and decay the weights.
 
-    The weight update uses the pre-update loss values f_t(s, theta^tau) and
-    each seed's minimum gate eta_min over those same values, so a single
-    wildly corrupted round cannot collapse the weights.
+    The rows take learners.gated_step on their checked gates (eta) into a
+    new thetas array, and the norms it returns decide the splits. The weight
+    update uses the pre-update loss values f_t(s, theta^tau) and each seed's
+    minimum gate eta_min over those same values, so a single wildly
+    corrupted round cannot collapse the weights.
     """
     thetas, y = pool.thetas, Y[:, None]
-    proj = np.matmul(thetas, X[..., None])[..., 0]   # <x, theta>
-    M = thetas.shape[1]
+    proj = np.vecdot(X[:, None], thetas)   # <x, theta>
     for r, n in enumerate(pool.rows.tolist()):
-        if n < M:   # a batched product equals the seed's own only over a full stack
-            np.matmul(thetas[r, :n], X[r], out=proj[r, :n])
-            proj[r, n:] = Y[r]   # a padded row's loss is then 0, and its gate the largest there is
+        proj[r, n:] = Y[r]   # a padded row's loss is then 0, and its gate the largest there is
     u = _link(loss, proj, y)
-    f_vals = _link_value(loss, u, np.einsum("rij,rij->ri", thetas, thetas))
+    f_vals = _link_value(loss, u, np.vecdot(thetas, thetas))
     etas = eta(params, f_vals)
-
-    grads = loss.lam * thetas - _link_coef(loss, u, y)[..., None] * X[:, None]
-    thetas -= (pool.step_sizes * etas)[..., None] * grads
-    norms = project_rows(thetas, pool.radii)
+    pool.thetas = np.empty_like(thetas)
+    norms = gated_step(thetas, X[:, None], _link_coef(loss, u, y)[..., None], loss.lam, etas[..., None],
+                       pool.step_sizes[..., None], pool.radii, pool.thetas)
 
     pool.log_weights -= pool.beta * np.minimum.reduce(etas, axis=1, keepdims=True) * f_vals
     over = norms[:, :pool.limits.shape[1]] > pool.limits   # a NaN norm splits nothing

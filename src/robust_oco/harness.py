@@ -26,9 +26,10 @@ the per-round losses. `run_episodes(config)` plays the same loop for one
 cell and keeps each seed's whole EpisodeTrace instead; clean_dynamic_regret
 and aggregate_runs read those, and the accounting of run_cells equals them
 bit for bit. The loop uses the loss kernels and the gate of `losses` (_gate,
-or the checked eta past a guard) and descend_rows of `learners` (the step of
-learn_rows, the gated projected step that the oracle checks), and takes
-every dot product as one BLAS dot per row, as the per-round functions do.
+or the checked eta past a guard) and learners.gated_step, the one gated
+projected step, which the expert pool and the oracle's update check take too,
+and takes every dot product as one BLAS dot per row, as the per-round
+functions do.
 The gate gives each loss the bits it gives that loss alone, so each seed's
 numbers equal those of ogd_step, learn_step or topk_filter_step on that seed
 alone, bit for bit, whatever the chunking, the other seeds and the other
@@ -70,7 +71,7 @@ import numpy as np
 
 from . import stream as st
 from .experts import aggregate_action, beta_default, build_grid, init_pool, pool_step
-from .learners import descend_rows, theoretical_stepsize
+from .learners import gated_step, theoretical_stepsize
 from .learners import learn_step, ogd_step, topk_filter_step  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import eval_f, eval_f_rows, minimizer_rows  # noqa: F401 (bench/tracing.py wraps these names here)
 from .losses import (
@@ -464,9 +465,9 @@ class _Play:
     round's features, (1, R, d), broadcast against the stack, and every dot
     product is one BLAS dot per row, as eval_f and grad_f take it.
 
-    step forms one gradient for every block, as grad_f_rows forms it, lam
-    theta - c x, from the coefficient c = _link_coef of the link: ogd descends
-    on it as it is, learn on it scaled by its gate in place (one gate for
+    step takes learners.gated_step once for every descending block, from
+    the coefficient c = _link_coef of the link: ogd descends on the gradient
+    lam theta - c x as it is, learn on it scaled by its gate (one gate for
     every learn block, on one strided view of the losses: losses._gate on a
     round the guard passes, else the checked losses.eta), and a Top-k row
     only where the pass's one _Filter lets the round through; a filtered row
@@ -484,7 +485,7 @@ class _Play:
     column of the chunk's); the gates and their scratch, (K, R) each, if
     learn is played; the one filter state of the Top-k cells; and the guard's bound, the gate's
     overflow threshold on a learn cell, else the largest finite float. The
-    next actions hold c x before descend_rows writes the step into them, so
+    next actions hold c x before gated_step writes the step into them, so
     a round allocates no array of the stack's size. Each k's responses
     broadcast over its per_k cells through (K, per_k, R) views of the round's
     arrays."""
@@ -510,8 +511,8 @@ class _Play:
         # every learn block as one strided view of the gradient, which the gates of the same view of the
         # losses scale in place: run_cells takes each learner once, so learn has one place in each k's group
         learn = [i for i, cell in enumerate(cells) if cell.learner == LEARN]
-        gated = slice(learn[0], None, per_k) if learn else slice(0)   # slice(0): no block, an empty view
-        self.learn, self.g_learn, self.f_learn = bool(learn), self.g[gated], self.f[gated]
+        self.gated = slice(learn[0], None, per_k) if learn else slice(0)   # slice(0): no block, an empty view
+        self.learn, self.f_learn = bool(learn), self.f[self.gated]
         self.gates, self.z = np.empty((2, len(learn), R))
         self.gates_x = self.gates[..., None]
 
@@ -520,15 +521,12 @@ class _Play:
         theta, side information x (1, R, d), responses y (K, 1, R), link u
         (K, per_k, R) and the round's losses in self.f, unchecked if fast
         (see feed). Keeps neither theta nor new."""
-        g, loss, params = self.g, self.loss, self.params
+        loss, params = self.loss, self.params
         if self.descends:
-            np.multiply(self.lam, theta, out=g)
             _link_coef(loss, u, y, out=self.c_k)
-            np.subtract(g, np.multiply(self.c_x, x, out=new), out=g)
             if self.learn:
                 _gate(params, self.f_learn, self.gates, self.z) if fast else eta(params, self.f_learn, out=self.gates)
-                np.multiply(self.g_learn, self.gates_x, out=self.g_learn)
-            descend_rows(theta, g, self.alpha, self.radius, out=new)
+            gated_step(theta, x, self.c_x, self.lam, self.gates_x, self.alpha, self.radius, new, self.g, self.gated)
         if self.filter:
             self.filter(theta, new)
         for i, j, pool in self.pools:

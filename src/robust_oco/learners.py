@@ -4,9 +4,9 @@ Top-k gradient-norm filter baselines.
 
 All step functions mutate the passed state in place and return it. A state is
 single-owner: independent runs may execute concurrently, but one state must
-not be stepped from two places at once. The row steps descend_rows and
-learn_rows take many actions at once, one per row, and return new arrays
-(descend_rows writes into a given out instead).
+not be stepped from two places at once. gated_step, the one gated projected
+step of many actions at once, one per row, writes into a given buffer; the
+runs, the expert pool and the oracle's update-property check all take it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import _ONE, _TINY, LearnParams, RoundLoss, SideInfo, eta, grad_f, grad_f_rows, grad_g
+from .losses import _ONE, _TINY, LearnParams, RoundLoss, SideInfo, grad_f, grad_g
 
 
 @dataclass
@@ -68,28 +68,25 @@ def project_rows(thetas: np.ndarray, radii, sq: np.ndarray | None = None) -> np.
     return norms
 
 
-def descend_rows(theta: np.ndarray, g: np.ndarray, alpha, radius, out: np.ndarray | None = None) -> np.ndarray:
-    """theta - alpha g for every row, projected as ogd_step and learn_step
-    project one action. theta is (n, d) or a stack of them; alpha is one step
-    size or one per row, (n, 1); radius is one radius or one per row, (n,),
-    math.inf where unbounded. The new rows go into out when given (neither
-    theta nor g), else into a new array."""
-    new = np.subtract(theta, np.multiply(alpha, g, out=out), out=out)
+def gated_step(theta: np.ndarray, x: np.ndarray, c: np.ndarray, lam, gates, alpha, radius,
+               out: np.ndarray, g: np.ndarray | None = None, gated=Ellipsis) -> np.ndarray | None:
+    """The gated projected step of every row, as learn_step takes it for one
+    action: the gradient g = lam theta - c x, its rows g[gated] times their
+    gates, then theta - alpha g, each row projected onto its ball as
+    project_ball projects one action. theta is (n, d) or a stack of them and
+    x broadcasts against it; c (_link_coef), the gates and alpha hold one
+    value per row, (n, 1), alpha possibly one for all; radius is one radius
+    or one per row, (n,), math.inf where unbounded. The step goes into out
+    and the gradient into g, a new array if None; neither may be theta.
+    Returns the row norms before projection, None at one infinite radius."""
+    np.multiply(c, x, out=out)   # c x, in the buffer the step then writes
+    g = np.subtract(np.multiply(lam, theta, out=g), out, out=g)
+    gated_rows = g[gated]
+    np.multiply(gated_rows, gates, out=gated_rows)
+    np.subtract(theta, np.multiply(alpha, g, out=out), out=out)
     if isinstance(radius, np.ndarray) or radius < math.inf:
-        project_rows(new, radius, np.vecdot(new, new))   # squared norms as project_ball sums them
-    return new
-
-
-def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray, f: np.ndarray,
-               loss: RoundLoss, params: LearnParams, alpha, radius) -> np.ndarray:
-    """learn_step of every row at once: the projected step on the gated
-    gradient eta(f) grad_f from the actions theta (n, d), the side information
-    x (n, d) and y (n,), proj = <x, theta> and the losses f (n,) at theta;
-    alpha and radius as in descend_rows. Each row equals learn_step's, bit for
-    bit: both gate with losses.eta."""
-    g = grad_f_rows(loss, x, y, theta, proj)
-    g *= eta(params, f)[:, None]
-    return descend_rows(theta, g, alpha, radius)
+        return project_rows(out, radius, np.vecdot(out, out))   # squared norms as project_ball sums them
+    return None
 
 
 def ogd_step(state: LearnerState, s: SideInfo, loss: RoundLoss) -> LearnerState:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import harness
-from .learners import learn_rows, project_rows
+from . import harness, losses
+from .learners import gated_step, project_rows
 from .losses import (
     HINGE_SVM,
     RIDGE,
@@ -257,8 +257,8 @@ def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> Check
     (1) generalized law of cosines with unit constants:
         ||v2-v1||^2 <= ||v2-v3||^2 + ||v3-v1||^2 + 2 ||v2-v3|| ||v3-v1||
     (2) the first-order update property of the gated projected step
-        (learners.learn_rows, whose gate eta and descend_rows the runs
-        take), with the direction field
+        (learners.gated_step, the one step that the runs and the expert
+        pool take, on the gates of eta), with the direction field
         zeta(theta*, theta) = (theta* - theta)/eta:
         ||theta' - theta*||^2 <= ||theta - theta*||^2 + alpha^2 ||grad_g||^2
                                  - 2 alpha eta <-grad_g, zeta(theta*, theta)>
@@ -292,8 +292,9 @@ def check_euclidean_assumptions(samples: int, rng: np.random.Generator) -> Check
                 ok = e > 0.0   # a row whose gate underflowed is redrawn
                 X, y, theta, theta_star, radius, alpha, f, grad, e = (
                     v[ok] for v in (X, y, theta, theta_star, radius, alpha, f, grad, e))
-                theta_next = learn_rows(theta, X, y, np.vecdot(X, theta), f, loss, params,
-                                        alpha[:, None], radius)
+                theta_next = np.empty_like(theta)   # the step gates by losses.eta, apart from the sides' e
+                gated_step(theta, X, losses._coef(loss, np.vecdot(X, theta), y)[:, None], loss.lam,
+                           losses.eta(params, f)[:, None], alpha[:, None], radius, theta_next)
                 g = e[:, None] * grad
                 zeta = (theta_star - theta) / e[:, None]
                 lhs = np.vecdot(theta_next - theta_star, theta_next - theta_star)

@@ -8,21 +8,23 @@ import pytest
 import robust_oco
 from robust_oco import harness
 from robust_oco import stream as st
-from robust_oco.learners import project_rows
+from robust_oco.learners import gated_step, project_rows
 from robust_oco.losses import (
     EXP_MAX,
     RIDGE,
     LearnParams,
     RoundLoss,
     SideInfo,
+    _link,
+    _link_coef,
+    _link_value,
     _min_scale,
     _transform,
     _value,
     eta,
     eval_f,
-    eval_f_many,
     eval_f_rows,
-    grad_f_many,
+    grad_f_rows,
     growth_constants,
     minimizer_rows,
 )
@@ -79,6 +81,24 @@ def eval_g(params: LearnParams, loss: RoundLoss, s: SideInfo, theta: np.ndarray)
     evaluated stably (see losses._transform). Monotone increasing in f; range
     [-a log(1+b), -a log(b))."""
     return float(_transform(params, eval_f(loss, s, theta)))
+
+
+# --- reference: the gated projected step of many rows -------------------------
+
+def learn_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, proj: np.ndarray, f: np.ndarray,
+               loss: RoundLoss, params: LearnParams, alpha, radius) -> np.ndarray:
+    """learn_step of every row at once, as a new array: the projected step on
+    the gated gradient eta(f) grad_f from the actions theta (n, d), the side
+    information x (n, d) and y (n,), proj = <x, theta> and the losses f (n,)
+    at theta. alpha is one step size or one per row, (n, 1); radius is one
+    radius or one per row, (n,), math.inf where unbounded. learners.gated_step
+    must equal it bit for bit."""
+    g = grad_f_rows(loss, x, y, theta, proj)
+    g *= eta(params, f)[:, None]
+    new = theta - alpha * g
+    if isinstance(radius, np.ndarray) or radius < math.inf:
+        project_rows(new, radius, np.vecdot(new, new))   # squared norms as project_ball sums them
+    return new
 
 
 # --- reference: one seed's whole episode stream and its comparators -----------
@@ -180,11 +200,12 @@ def seed_aggregate_action(pool: SeedPool) -> np.ndarray:
 
 
 def seed_pool_step(pool: SeedPool, s: SideInfo, loss: RoundLoss, params: LearnParams) -> SeedPool:
-    f_vals = eval_f_many(loss, s, pool.thetas)
+    u = _link(loss, np.vecdot(s.x, pool.thetas), s.y)
+    f_vals = _link_value(loss, u, np.vecdot(pool.thetas, pool.thetas))
     etas = eta(params, f_vals)
-    grads = grad_f_many(loss, s, pool.thetas)
-    pool.thetas -= (pool.step_sizes * etas)[:, None] * grads
-    norms = project_rows(pool.thetas, pool.radii)
+    thetas, pool.thetas = pool.thetas, np.empty_like(pool.thetas)
+    norms = gated_step(thetas, s.x, _link_coef(loss, u, s.y)[:, None], loss.lam, etas[:, None],
+                       pool.step_sizes[:, None], pool.radii, pool.thetas)
     pool.log_weights -= pool.beta * float(etas.min()) * f_vals
     shared_norms = norms[:pool.first.size]
     over = shared_norms > pool.grid.radii[pool.first]

@@ -4,11 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import gate_grid, minimizer_f, random_instance
+from conftest import gate_grid, learn_rows, minimizer_f, random_instance
 from robust_oco.learners import (
     LearnerState,
-    descend_rows,
-    learn_rows,
+    gated_step,
     learn_step,
     ogd_step,
     project_ball,
@@ -21,9 +20,11 @@ from robust_oco.losses import (
     LearnParams,
     RoundLoss,
     SideInfo,
+    _coef,
     derive_constants,
     eta,
     eval_f,
+    eval_f_rows,
     grad_f_rows,
 )
 
@@ -130,8 +131,9 @@ def test_radius_invariant_after_every_step(rng):
 
 @pytest.mark.parametrize("family", [RIDGE, HINGE_SVM])
 def test_learn_rows_is_learn_step_by_rows(rng, family):
-    """The row step the runs take equals learn_step on each row, bit for bit,
-    with a step size and a radius per row, finite or not."""
+    """The reference row step equals learn_step on each row, bit for bit,
+    with a step size and a radius per row, finite or not, and the one step
+    the runs take writes the same rows into a buffer."""
     params, loss = LearnParams(2.0, 0.5), RoundLoss(family, 0.3)
     n, d = 64, 3
     X = rng.normal(0, 1.5, (n, d))
@@ -143,9 +145,9 @@ def test_learn_rows_is_learn_step_by_rows(rng, family):
     f = np.array([eval_f(loss, SideInfo(X[i], float(y[i])), theta[i]) for i in range(n)])
     rows = learn_rows(theta, X, y, proj, f, loss, params, alpha, radius)
     # the in-place form the episode loop takes writes the same rows into a buffer
-    g = grad_f_rows(loss, X, y, theta, proj) * eta(params, f, out=np.empty(n))[:, None]
     out = np.full_like(theta, np.nan)
-    assert descend_rows(theta, g, alpha, radius, out=out) is out
+    gates = eta(params, f, out=np.empty(n))[:, None]
+    gated_step(theta, X, _coef(loss, proj, y)[:, None], loss.lam, gates, alpha, radius, out)
     np.testing.assert_array_equal(out.view(np.uint64), rows.view(np.uint64))
     projected = 0
     for i in range(n):
@@ -154,6 +156,56 @@ def test_learn_rows_is_learn_step_by_rows(rng, family):
         np.testing.assert_array_equal(rows[i], ref)
         projected += bool(np.linalg.norm(ref) == pytest.approx(radius[i]))
     assert projected > 0   # some rows leave their ball and are projected back
+
+
+@pytest.mark.parametrize("radii", ["inf", "rows"])
+@pytest.mark.parametrize("alphas", ["shared", "rows"])
+@pytest.mark.parametrize("family", [RIDGE, HINGE_SVM])
+def test_gated_step_is_learn_rows_bit_for_bit(family, alphas, radii):
+    """The one gated projected step equals the reference learn_rows bit for
+    bit: a shared or a per-row step size, an infinite radius or per-row
+    radii of which some project, and a row whose gate overflowed to exactly
+    0. Its gradient buffer holds the gated gradient, it returns the row norms
+    before projection (None at an infinite radius), and a block of a stack
+    outside the gated view descends on the plain gradient."""
+    rng = np.random.default_rng(29)
+    params, loss = LearnParams(2.0, 0.5), RoundLoss(family, 0.3)
+    n, d = 48, 4
+    X = rng.normal(0, 1.5, (n, d))
+    y = rng.normal(0, 2, n) if family == RIDGE else rng.choice([-1.0, 1.0], n)
+    theta = rng.normal(0, 3, (n, d))
+    theta[5] *= 1e3   # a loss past a EXP_MAX: its gate is exactly 0
+    alpha = 0.7 if alphas == "shared" else rng.uniform(0.01, 2.0, (n, 1))
+    radius = math.inf if radii == "inf" else np.where(np.arange(n) % 2, math.inf, rng.uniform(0.1, 5.0, n))
+    proj = np.vecdot(X, theta)
+    f = eval_f_rows(loss, X, y, theta)
+    gates = eta(params, f)
+    assert gates[5] == 0.0 and np.all(gates[np.arange(n) != 5] > 0.0)
+    ref = learn_rows(theta, X, y, proj, f, loss, params, alpha, radius)
+    c = _coef(loss, proj, y)[:, None]
+    for g in (None, np.full_like(theta, np.nan)):
+        out = np.full_like(theta, np.nan)
+        norms = gated_step(theta, X, c, loss.lam, gates[:, None], alpha, radius, out, g)
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+    np.testing.assert_array_equal(g, grad_f_rows(loss, X, y, theta, proj) * gates[:, None])
+    unprojected = theta - alpha * g
+    if radii == "inf":
+        assert norms is None
+        np.testing.assert_array_equal(out, unprojected)
+    else:
+        np.testing.assert_array_equal(norms, np.sqrt(np.vecdot(unprojected, unprojected)))
+        assert np.count_nonzero(norms > radius) > 1 and np.count_nonzero(norms < radius) > 1
+    np.testing.assert_array_equal(out[5], theta[5])   # a zero gate leaves its row, unbounded, where it was
+
+    # a (2, n, d) stack whose second block alone is gated, as the runs' loop gates its learn cells
+    stack, c2 = np.stack([theta, theta]), np.stack([c, c])
+    out2 = np.full_like(stack, np.nan)
+    gated_step(stack, X, c2, loss.lam, gates[None, :, None], alpha, radius, out2, gated=slice(1, None))
+    np.testing.assert_array_equal(out2[1].view(np.uint64), ref.view(np.uint64))
+    plain = np.full_like(theta, np.nan)
+    gated_step(theta, X, c, loss.lam, np.empty((0, 1)), alpha, radius, plain, gated=slice(0))   # no gated rows
+    np.testing.assert_array_equal(out2[0].view(np.uint64), plain.view(np.uint64))
+    assert not np.array_equal(plain, ref)
 
 
 @pytest.mark.parametrize("b", [10.0, 0.5])   # below b = 1, b exp(f/a) stays finite up to exp's own overflow

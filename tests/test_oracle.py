@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robust_oco import harness, learners, losses, oracle
+from robust_oco import experts, harness, learners, losses, oracle
+from robust_oco.experts import aggregate_action, build_grid, init_pool, pool_step
 from robust_oco.losses import (
     HINGE_SVM,
     RIDGE,
@@ -75,17 +76,55 @@ def test_suite_detects_wrong_gate_constant(monkeypatch):
     assert oracle.check_euclidean_assumptions(2000, rng()).violations > 0
 
 
+def _step_block(loss, params, X, y, theta, radius):
+    """The block's actions after one step of learners.gated_step, looked up
+    in learners so that a mutant patched there takes it, on the gates of eta."""
+    proj = np.vecdot(X, theta)
+    out = np.empty_like(theta)
+    gates = eta(params, oracle.eval_f_rows(loss, X, y, theta))
+    learners.gated_step(theta, X, losses._coef(loss, proj, y)[:, None], loss.lam, gates[:, None], 0.5, radius, out)
+    return out
+
+
+def _learn_regret(**overrides):
+    """The final regret of each seed of a small learn cell, from run_cells."""
+    config = harness.preset_config("svm", T=120, seeds=[1, 2], learner=harness.LEARN, **overrides)
+    return [curve.final for curve in harness.run_cells(config, [harness.LEARN])[0].curves]
+
+
+def _pool_actions():
+    """The actions of a one-seed pool, from init_pool, after pool_step on
+    rounds that split its shared rows and then step the split rows past their
+    radii."""
+    grid = build_grid(4.0, 1.0, 8)
+    loss, params = RoundLoss(RIDGE, 0.0), LearnParams(1e6, 1.0)
+    pool = init_pool(grid, 2, 0.5)
+    for x, y in (([7.0710678, 0.0], 4.0), ([0.0, 3.0], -40.0), ([2.0, -1.0], 25.0)):
+        pool_step(pool, np.array([x]), np.array([y]), loss, params)
+    return aggregate_action(pool)
+
+
 def test_euclidean_check_detects_wrong_gate_in_the_step(monkeypatch):
-    # the same wrong constant in the gate of the runs' step (learners.learn_rows
-    # calls eta by its name in learners)
+    # the same wrong constant in the gates of the one gated projected step,
+    # which the oracle's update check, the runs and the expert pool all take:
+    # the mutant turns each gate 1/(1 + b E) into 1/(1 + (b/10) E)
+    assert harness.gated_step is experts.gated_step is oracle.gated_step is learners.gated_step
     loss, params = RoundLoss(RIDGE, 0.7), LearnParams(2.0, 0.5)
     X, y, omega, theta = _block(loss)
-    proj, f = np.vecdot(X, theta), oracle.eval_f_rows(loss, X, y, theta)
-    right = learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf)
-    gate = learners.eta
-    monkeypatch.setattr(learners, "eta", lambda p, f: gate(LearnParams(p.a, p.b / 10.0), f))
-    assert not np.allclose(learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, math.inf), right)
+    right, regret, actions = _step_block(loss, params, X, y, theta, math.inf), _learn_regret(), _pool_actions()
+    step = learners.gated_step
+
+    def wrong_gate(theta, x, c, lam, gates, *args, **kwargs):
+        with np.errstate(divide="ignore"):   # a gate of 0 stays 0
+            gates = 1.0 / (1.0 + (1.0 / gates - 1.0) / 10.0)
+        return step(theta, x, c, lam, gates, *args, **kwargs)
+
+    for module in (learners, harness, experts, oracle):
+        monkeypatch.setattr(module, "gated_step", wrong_gate)
+    assert not np.allclose(_step_block(loss, params, X, y, theta, math.inf), right)
     assert oracle.check_euclidean_assumptions(2000, rng()).violations > 0
+    assert all(wrong != final for wrong, final in zip(_learn_regret(), regret))
+    assert not np.allclose(_pool_actions(), actions)
 
 
 def test_suite_detects_flipped_hinge_inequality(monkeypatch):
@@ -105,17 +144,22 @@ def test_suite_detects_flipped_hinge_inequality(monkeypatch):
 
 def test_euclidean_check_detects_step_without_projection(monkeypatch):
     # the unprojected step meets the update property with equality: only the
-    # feasibility margin radius - ||theta'|| catches it
+    # feasibility margin radius - ||theta'|| catches it. The mutant is the
+    # projection inside the one gated projected step (project_rows by its
+    # name in learners): the runs' finite-radius cells and the pool's split
+    # rows, which it projects, move with it
     loss, params = RoundLoss(RIDGE, 0.7), LearnParams(2.0, 0.5)
     X, y, omega, theta = _block(loss)
-    proj, f = np.vecdot(X, theta), oracle.eval_f_rows(loss, X, y, theta)
     radius = np.full(len(X), 0.5)
-    monkeypatch.setattr(learners, "descend_rows", lambda theta, g, alpha, radius: theta - alpha * g)
-    stepped = learners.learn_rows(theta, X, y, proj, f, loss, params, 0.5, radius)
+    regret, actions = _learn_regret(radius=0.1), _pool_actions()
+    monkeypatch.setattr(learners, "project_rows", lambda thetas, radii, sq: np.sqrt(sq))
+    stepped = _step_block(loss, params, X, y, theta, radius)
     assert np.any(np.linalg.norm(stepped, axis=1) > radius)   # the mutant leaves the ball
     rep = oracle.check_euclidean_assumptions(2000, rng())
     assert rep.violations > 0
     assert rep.worst_slack < -rep.tol
+    assert all(wrong != final for wrong, final in zip(_learn_regret(radius=0.1), regret))
+    assert not np.allclose(_pool_actions(), actions)
 
 
 def test_exp_trumps_poly_example_and_boundary():
